@@ -172,7 +172,9 @@ def ingest_log(
     try:
         reader = csv.reader(handle)
         header = None
-        samples: list[CalibrationSample] = []
+        # Plain per-column lists: no per-row object, so parsing a log leaves
+        # nothing for the cyclic garbage collector to trace.
+        columns: tuple[list, ...] = ([], [], [], [])  # t, theta, v0, v1
         last_t = -math.inf
         for row in reader:
             line = reader.line_num
@@ -208,16 +210,23 @@ def ingest_log(
                     raise SpecError(f"line {line}: wheel angle {theta} outside [-pi, pi]")
                 if theta == -math.pi:
                     theta = math.pi
-                samples.append(CalibrationSample(t, theta, counts[0], counts[1]))
-            else:
-                if abs(theta) > math.pi / 2.0:
-                    raise SpecError(f"line {line}: tilt angle {theta} outside [-pi/2, pi/2]")
-                samples.append(CalibrationSample(t, theta, counts[0]))
+            elif abs(theta) > math.pi / 2.0:
+                raise SpecError(f"line {line}: tilt angle {theta} outside [-pi/2, pi/2]")
+            for column, value in zip(columns, (t, theta, *counts)):
+                column.append(value)
         if header is None:
             raise SpecError("empty calibration file")
-        if not samples:
+        t_col, theta_col, v0_col, v1_col = columns
+        if not t_col:
             raise SpecError("calibration file has a header but no data rows")
-        return CalibrationDataset.from_samples(sensor_kind, samples, adc_max=adc_max)
+        return CalibrationDataset(
+            sensor_kind=sensor_kind,
+            t=np.array(t_col, dtype=float),
+            theta=np.array(theta_col, dtype=float),
+            v0=np.array(v0_col, dtype=np.int64),
+            v1=np.array(v1_col, dtype=np.int64) if sensor_kind == "wheel" else None,
+            adc_max=adc_max,
+        )
     finally:
         if owned:
             handle.close()

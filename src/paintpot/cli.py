@@ -178,9 +178,18 @@ def run_calibrate(
     characterize.save_bundle(bundle, Path(out), manifest=manifest.to_dict())
 
 
-def _read_readings_csv(path: str, kind: str) -> list[tuple[float, list[int], float]]:
+def _read_readings_csv(
+    path: str, kind: str, adc_max: int
+) -> list[tuple[float, list[int], float]]:
+    """Parse a readings CSV ``t,v0[,v1],omega``, validated like ``ingest_log``.
+
+    Raises :class:`SpecError` naming the line for schema mismatches,
+    malformed or non-finite fields, decreasing timestamps, or counts
+    outside [0, adc_max].
+    """
     expected = ["t", "v0", "v1", "omega"] if kind == "wheel" else ["t", "v0", "omega"]
     rows: list[tuple[float, list[int], float]] = []
+    last_t = -math.inf
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = None
@@ -205,6 +214,14 @@ def _read_readings_csv(path: str, kind: str) -> list[tuple[float, list[int], flo
                 omega = float(fields[-1])
             except ValueError as exc:
                 raise SpecError(f"line {line}: {exc}") from exc
+            if not math.isfinite(t) or not math.isfinite(omega):
+                raise SpecError(f"line {line}: non-finite value")
+            if t < last_t:
+                raise SpecError(f"line {line}: timestamp {t} decreases")
+            last_t = t
+            for count in counts:
+                if not 0 <= count <= adc_max:
+                    raise SpecError(f"line {line}: count {count} outside [0, {adc_max}]")
             rows.append((t, counts, omega))
     if header is None:
         raise SpecError("empty readings file")
@@ -218,7 +235,7 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     bundle = characterize.load_bundle(model_json)
     tm = estimate.transition_from_bundle(bundle)
     sigma0 = float(bundle.filter_params.get("sigma0", estimate.DEFAULT_SIGMA0))
-    rows = _read_readings_csv(readings_csv, bundle.sensor_kind)
+    rows = _read_readings_csv(readings_csv, bundle.sensor_kind, bundle.adc_max)
     manifest = RunManifest(
         command="estimate",
         inputs={"model": model_json, "readings": readings_csv},

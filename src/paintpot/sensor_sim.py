@@ -119,7 +119,7 @@ def wheel_ideal_voltage(theta: float, wiper: int, spec: WheelSensorSpec) -> floa
 
     Returns None when ``theta`` lies inside that wiper's gap span.  The
     angle is first moved onto the wiper's shifted chart, then the truth
-    cubic is inverted by bisection.
+    cubic is inverted by a bracketed Newton iteration.
     """
     theta = _validated_wheel_angle(theta)
     if wiper not in (0, 1):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paintpot.characterize import (
     CalibrationDataset,
@@ -209,6 +211,74 @@ class TestInvertCubic:
         for theta in rng.uniform(lo, hi, 200):
             v = invert_cubic(WHEEL_TRUTH_W1, float(theta))
             assert abs(WHEEL_TRUTH_W1.evaluate(v) - theta) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c3=st.floats(-2e-8, 2e-8),
+        c2=st.floats(-3e-5, 3e-5),
+        c1=st.floats(-2e-2, 2e-2),
+        c0=st.floats(-4.0, 4.0),
+        lo=st.floats(0.0, 500.0),
+        span=st.floats(20.0, 1023.0),
+        frac=st.floats(0.001, 0.999),
+    )
+    def test_random_monotone_cubics_agree_with_oracle(self, c3, c2, c1, c0, lo, span, frac):
+        hi = lo + span
+        try:
+            model = CubicModel(c3, c2, c1, c0, (lo, hi))
+        except FitError:
+            assume(False)
+        low, high = model.angle_range()
+        target = low + frac * (high - low)
+        v = invert_cubic(model, target)
+        assert lo <= v <= hi
+        assert abs(model.evaluate(v) - target) < 1e-9
+        # |f'| is smallest at a window edge or at the derivative's vertex.
+        candidates = [lo, hi]
+        if c3 != 0.0 and lo < -c2 / (3.0 * c3) < hi:
+            candidates.append(-c2 / (3.0 * c3))
+        min_slope = min(abs(float(model.derivative(x))) for x in candidates)
+        ref = bisect_root(lambda x: cubic_value(c3, c2, c1, c0, x) - target, lo, hi)
+        assert abs(v - ref) <= (1e-9 + 1e-12) / min_slope
+
+    def test_zero_slope_point_is_handled(self, monkeypatch):
+        # c3*(v - m)**3 + c0 with exact binary coefficients, so f'(m) == 0.0
+        # exactly; m = 511.25 lies between the monotonicity grid points.
+        c3, m = 2.0**-20, 511.25
+        cases = [
+            # The root is the zero-slope point itself: f(m) = 0.5.
+            ((0.0, 1023.0), 0.5),
+            # The regula-falsi start lands exactly on m, where a plain
+            # Newton step divides by zero...
+            ((m - 256.0, m + 257.0), 0.5 + c3 * 256.0 * 257.0),
+            # ...or just beside it, where a plain Newton step jumps to ~2e8.
+            ((m - 256.0, m + 257.0), 0.5 + 1.01 * c3 * 256.0 * 257.0),
+        ]
+        points = []
+        evaluate = CubicModel.evaluate
+        monkeypatch.setattr(
+            CubicModel, "evaluate", lambda self, v: points.append(v) or evaluate(self, v)
+        )
+        for window, target in cases:
+            model = CubicModel(c3, -3.0 * c3 * m, 3.0 * c3 * m * m, 0.5 - c3 * m**3, window)
+            assert model.derivative(m) == 0.0
+            points.clear()
+            v = invert_cubic(model, target)
+            assert abs(evaluate(model, v) - target) < 1e-9
+            assert all(window[0] <= p <= window[1] for p in points)
+
+    def test_nan_target_raises(self):
+        with pytest.raises(InversionError):
+            invert_cubic(WHEEL_TRUTH_W0, math.nan)
+
+    def test_target_below_range_raises(self):
+        low, _ = WHEEL_TRUTH_W0.angle_range()
+        with pytest.raises(InversionError, match="outside model range"):
+            invert_cubic(WHEEL_TRUTH_W0, low - 1e-6)
+
+    def test_iteration_budget_exhausted_raises(self):
+        with pytest.raises(InversionError, match="stalled"):
+            invert_cubic(WHEEL_TRUTH_W0, 0.3, max_iter=1)
 
 
 class TestComputeValidRanges:

@@ -245,6 +245,29 @@ class TestEstimate:
         assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(bad),
                        "--out", str(tmp_path / "t.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(0.0, 500, 510, 0.0), (0.01, 500, 510, "nan")], "line 3: non-finite"),
+            ([(0.0, 500, 510, 0.0), ("inf", 500, 510, 0.0)], "line 3: non-finite"),
+            ([(0.0, 500, 510, 0.0), (0.01, -7, 510, 0.0)], "line 3: count -7 outside"),
+            ([(0.0, 500, 99999, 0.0), (0.01, 500, 510, 0.0)], "line 2: count 99999 outside"),
+            ([(0.0, 500, 510, 0.0), (0.02, 500, 510, 0.0), (0.01, 500, 510, 0.0)],
+             "line 4: timestamp 0.01 decreases"),
+        ],
+        ids=["nan_omega", "inf_t", "negative_count", "count_above_adc_max", "decreasing_t"],
+    )
+    def test_invalid_reading_is_schema_error_naming_line(
+        self, tmp_path, wheel_bundle, capsys, rows, message
+    ):
+        bad = tmp_path / "bad.csv"
+        write_readings_csv(bad, rows)
+        out = tmp_path / "t.csv"
+        assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(bad),
+                       "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_first_row_without_valid_feature_fails(self, tmp_path, wheel_bundle):
         bad = tmp_path / "rails.csv"
         write_readings_csv(bad, [(0.0, 0, 1023, 0.0), (0.01, 0, 1023, 0.0)])
