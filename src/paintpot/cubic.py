@@ -12,11 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from paintpot.errors import FitError, InversionError
 
-_MONOTONE_GRID_POINTS = 1024
 DEFAULT_ANGLE_TOL = 1e-9
 _COEFFICIENT_FORMAT = ".17e"
 
@@ -25,8 +22,9 @@ _COEFFICIENT_FORMAT = ".17e"
 class CubicModel:
     """``theta = c3*V**3 + c2*V**2 + c1*V + c0`` on the window ``v_window``.
 
-    Construction validates monotonicity by checking the derivative sign on a
-    1024-point grid over the window; evaluation outside the window is legal
+    Construction validates monotonicity in closed form: the derivative, a
+    quadratic, must be non-zero with one sign at both window ends and must
+    not change sign in between.  Evaluation outside the window is legal
     arithmetic but only the window is trusted sensor behavior.
     """
 
@@ -41,9 +39,18 @@ class CubicModel:
         if not lo < hi:
             raise FitError(f"voltage window must satisfy lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "v_window", (lo, hi))
-        grid = np.linspace(lo, hi, _MONOTONE_GRID_POINTS)
-        slope = self.derivative(grid)
-        if not (np.all(slope > 0.0) or np.all(slope < 0.0)):
+        d_lo, d_hi = self.derivative(lo), self.derivative(hi)
+        monotone = (d_lo > 0.0 and d_hi > 0.0) or (d_lo < 0.0 and d_hi < 0.0)
+        if monotone and self.c3 != 0.0:
+            # With both ends on one side of zero, the quadratic has two roots
+            # inside exactly when its vertex is inside and on the other
+            # side.  A vertex touching zero is an isolated flat point: the
+            # cubic stays strictly monotone.
+            vertex = -self.c2 / (3.0 * self.c3)
+            if lo < vertex < hi:
+                d_vertex = self.derivative(vertex)
+                monotone = d_vertex >= 0.0 if d_lo > 0.0 else d_vertex <= 0.0
+        if not monotone:
             raise FitError("cubic is not monotone on its voltage window")
 
     def evaluate(self, v):

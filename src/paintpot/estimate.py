@@ -3,21 +3,31 @@
 Raw counts are pushed through the fitted cubics into angle-space
 "features", which makes the observation model linear: each available
 feature measures the per-wiper shifted state directly, so no linearization
-of the cubic is ever needed.  Wheel filters fuse up to two features per
-step and keep their mean on the wrapped chart (-pi, pi]; tilt filters have
-one always-on feature and no wrap.
+of the cubic is ever needed.  Counts are integers, so each observation
+model evaluates its cubics once, at construction, into count-to-angle
+tables, and every step indexes them.  Wheel filters fuse up to two
+features per step and keep their mean on the wrapped chart (-pi, pi];
+tilt filters have one always-on feature and no wrap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from paintpot.characterize import ModelBundle, ValidRange, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
-from paintpot.geometry import shift_state_for_wiper, wrap_angle
+from paintpot.geometry import (
+    SHIFT_EDGE_WIPER0,
+    SHIFT_EDGE_WIPER1,
+    TWO_PI,
+    shift_state_for_wiper,
+    wrap_angle,
+)
 from paintpot.sensor_sim import AdcReading
 
 DEFAULT_SIGMA0 = 1e-4
@@ -51,65 +61,116 @@ class TransitionModel:
         return self.dt
 
 
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Scalar Gaussian over a joint angle: mean (rad) and variance (rad^2)."""
-
+class _Belief(NamedTuple):
     mu: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise SpecError(f"belief variance must be positive, got {self.sigma!r}")
+
+class GaussianBelief(_Belief):
+    """Scalar Gaussian over a joint angle: mean (rad) and variance (rad^2).
+
+    An immutable tuple.  The mean must be finite and the variance positive.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mu: float, sigma: float) -> "GaussianBelief":
+        if not sigma > 0.0:
+            raise SpecError(f"belief variance must be positive, got {sigma!r}")
+        if not math.isfinite(mu):
+            raise SpecError(f"belief mean must be finite, got {mu!r}")
+        return tuple.__new__(cls, (mu, sigma))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+
+class _Feature(NamedTuple):
+    index: int
+    z: float
+    r: float
+
+
+class Feature(_Feature):
+    """An available converted measurement from wiper ``index``.
+
+    An immutable tuple.  The measurement ``z`` must be finite.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, z: float, r: float) -> "Feature":
+        if not math.isfinite(z):
+            raise SpecError("feature measurement must be finite")
+        return tuple.__new__(cls, (index, z, r))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+
+def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
+    """``model`` evaluated at every integer count 0..top, indexed by count.
+
+    numpy performs the same IEEE multiply/add sequence as a scalar
+    ``model.evaluate(count)``, so each entry equals that call bit for bit.
+
+    Raises:
+        SpecError: an entry is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        angles = model.evaluate(np.arange(top + 1, dtype=np.float64))
+    if not np.all(np.isfinite(angles)):
+        raise SpecError(f"count-to-angle chart is not finite on counts 0..{top}")
+    return tuple(angles.tolist())
 
 
 @dataclass(frozen=True)
 class WheelObservationModel:
-    """Per-wiper converted-measurement models with their count windows."""
+    """Per-wiper converted-measurement models with their count windows.
+
+    ``charts[w][count]`` is wiper ``w``'s converted measurement, tabled for
+    every count up to its window's ``v_max``.
+    """
 
     m0: CubicModel
     m1: CubicModel
     r0: float
     r1: float
     ranges: tuple[ValidRange, ValidRange]
+    charts: tuple[tuple[float, ...], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.r0 <= 0.0 or self.r1 <= 0.0:
             raise SpecError("measurement variances must be positive")
-
-    def model(self, wiper: int) -> CubicModel:
-        return self.m0 if wiper == 0 else self.m1
-
-    def variance(self, wiper: int) -> float:
-        return self.r0 if wiper == 0 else self.r1
+        charts = (
+            _count_chart(self.m0, self.ranges[0].v_max),
+            _count_chart(self.m1, self.ranges[1].v_max),
+        )
+        object.__setattr__(self, "charts", charts)
 
 
 @dataclass(frozen=True)
 class TiltObservationModel:
+    """One converted-measurement model; ``chart[count]`` for counts in its window."""
+
     m: CubicModel
     r: float
+    chart: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r <= 0.0:
             raise SpecError("measurement variance must be positive")
-
-
-@dataclass(frozen=True)
-class Feature:
-    """An available converted measurement from wiper ``index``."""
-
-    index: int
-    z: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.z):
-            raise SpecError("feature measurement must be finite")
+        lo, hi = self.m.v_window
+        if lo < 0.0:
+            raise SpecError(f"tilt model window must start at a count >= 0, got {lo}")
+        object.__setattr__(self, "chart", _count_chart(self.m, math.floor(hi)))
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
     """Prediction step: mean moves by g*u, variance grows by u_gain**2 * q."""
-    return GaussianBelief(belief.mu + tm.g * u, belief.sigma + tm.u_gain * tm.u_gain * tm.q)
+    mu, sigma = belief
+    # g = k*dt and u_gain = dt, spelled out: the same products in the same order.
+    return GaussianBelief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
 
 
 def predicted_feature_measurement(mu_bar: float, index: int) -> float:
@@ -127,13 +188,11 @@ def extract_features(
     update then degenerates to the prediction.
     """
     features: list[Feature] = []
-    for reading in readings:
-        wiper = reading.wiper_index
+    for wiper, count, available in readings:
         if wiper not in (0, 1):
             raise SpecError(f"wiper index must be 0 or 1, got {wiper}")
-        if reading.available and obs.ranges[wiper].admits(reading.count):
-            z = float(obs.model(wiper).evaluate(reading.count))
-            features.append(Feature(wiper, z, obs.variance(wiper)))
+        if available and obs.ranges[wiper].admits(count):
+            features.append(Feature(wiper, obs.charts[wiper][count], obs.r1 if wiper else obs.r0))
     return features
 
 
@@ -154,28 +213,27 @@ def update_wheel(
     shift).  Innovations are plain differences: both values live on the
     same shifted chart, which is the whole point of the shift machinery.
     """
-    if len(features) != len(predicted):
+    n = len(features)
+    if n != len(predicted):
         raise SpecError("features and predicted measurements must align")
-    mu, sigma = belief_bar.mu, belief_bar.sigma
-    if len(features) == 0:
-        return wrap_wheel_belief(belief_bar)
-    if len(features) == 1:
-        feat = features[0]
-        gain = sigma / (sigma + feat.r)
-        mu = mu + gain * (feat.z - predicted[0])
+    mu, sigma = belief_bar
+    if n == 1:
+        _, z, r = features[0]
+        gain = sigma / (sigma + r)
+        mu = mu + gain * (z - predicted[0])
         sigma = sigma - gain * sigma
-    elif len(features) == 2:
-        f0, f1 = features
+    elif n == 2:
+        (_, z0, r0), (_, z1, r1) = features
         # Row gain of the 2x2 innovation solve with C = [1, 1]^T and
         # R = diag(r0, r1), reduced to scalars.
-        det = sigma * f0.r + sigma * f1.r + f0.r * f1.r
-        k0 = sigma * f1.r / det
-        k1 = sigma * f0.r / det
-        mu = mu + k0 * (f0.z - predicted[0]) + k1 * (f1.z - predicted[1])
+        det = sigma * r0 + sigma * r1 + r0 * r1
+        k0 = sigma * r1 / det
+        k1 = sigma * r0 / det
+        mu = mu + k0 * (z0 - predicted[0]) + k1 * (z1 - predicted[1])
         sigma = sigma - (k0 + k1) * sigma
-    else:
+    elif n:
         raise SpecError("a wheel update takes at most two features")
-    return wrap_wheel_belief(GaussianBelief(mu, sigma))
+    return GaussianBelief(wrap_angle(mu), sigma)
 
 
 def update_tilt(
@@ -187,14 +245,14 @@ def update_tilt(
     extrapolation beyond calibration data is unbounded); the prediction is
     then returned unchanged with ``accepted=False``.
     """
+    _, count, available = reading
     lo, hi = obs.m.v_window
-    if not reading.available or not lo <= reading.count <= hi:
+    if not available or not lo <= count <= hi:
         return belief_bar, False
-    z = float(obs.m.evaluate(reading.count))
-    gain = belief_bar.sigma / (belief_bar.sigma + obs.r)
-    mu = belief_bar.mu + gain * (z - belief_bar.mu)
-    sigma = belief_bar.sigma - gain * belief_bar.sigma
-    return GaussianBelief(mu, sigma), True
+    z = obs.chart[count]
+    mu, sigma = belief_bar
+    gain = sigma / (sigma + obs.r)
+    return GaussianBelief(mu + gain * (z - mu), sigma - gain * sigma), True
 
 
 def init_wheel(
@@ -213,11 +271,11 @@ def init_wheel(
         raise SpecError("wheel initialization needs one reading per wiper")
     r0, r1 = by_index[0], by_index[1]
     if r0.available and obs.ranges[0].admits(r0.count):
-        mu = float(obs.m0.evaluate(r0.count))
+        mu = obs.charts[0][r0.count]
         if mu < -math.pi:
             mu += 2.0 * math.pi
     elif r1.available and obs.ranges[1].admits(r1.count):
-        mu = float(obs.m1.evaluate(r1.count))
+        mu = obs.charts[1][r1.count]
         if mu > math.pi:
             mu -= 2.0 * math.pi
     else:
@@ -237,7 +295,7 @@ def init_tilt(
         raise InitializationError(
             f"tilt count {reading.count} outside the model window [{lo}, {hi}]"
         )
-    return GaussianBelief(float(obs.m.evaluate(reading.count)), sigma0)
+    return GaussianBelief(obs.chart[reading.count], sigma0)
 
 
 class WheelStep(NamedTuple):
@@ -275,20 +333,22 @@ class WheelEstimator:
         if self.belief is None:
             raise InitializationError("call initialize() before step()")
         belief_bar = predict(self.belief, u, self.tm)
+        mu_bar, sigma_bar = belief_bar
+        # predicted_feature_measurement for each wiper, inlined.
+        z_bar0 = mu_bar - TWO_PI if mu_bar > SHIFT_EDGE_WIPER0 else mu_bar
+        z_bar1 = mu_bar + TWO_PI if mu_bar < SHIFT_EDGE_WIPER1 else mu_bar
         kept: list[Feature] = []
         z_bars: list[float] = []
+        used = [False, False]
         for feat in extract_features(readings, self.obs):
-            z_bar = predicted_feature_measurement(belief_bar.mu, feat.index)
-            bound = self.gate_sigmas * math.sqrt(belief_bar.sigma + feat.r)
-            if abs(feat.z - z_bar) <= bound:
+            index, z, r = feat
+            z_bar = z_bar1 if index else z_bar0
+            if abs(z - z_bar) <= self.gate_sigmas * math.sqrt(sigma_bar + r):
                 kept.append(feat)
                 z_bars.append(z_bar)
+                used[index] = True
         self.belief = update_wheel(belief_bar, kept, z_bars)
-        used = (
-            any(f.index == 0 for f in kept),
-            any(f.index == 1 for f in kept),
-        )
-        return WheelStep(self.belief, used)
+        return WheelStep(self.belief, (used[0], used[1]))
 
 
 @dataclass

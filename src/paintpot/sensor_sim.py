@@ -90,9 +90,8 @@ class TiltSensorSpec:
             raise SpecError("noise_std must be >= 0")
 
 
-@dataclass(frozen=True)
-class AdcReading:
-    """One quantized sample from one wiper.
+class AdcReading(NamedTuple):
+    """One quantized sample from one wiper (an immutable tuple).
 
     When ``available`` is False the wiper was in its gap; the count is then
     unspecified rail garbage and must not be interpreted as position.

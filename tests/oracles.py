@@ -111,3 +111,14 @@ def five_region_shifted_states(theta):
     if 2.0 * PI / 3.0 <= theta <= 5.0 * PI / 6.0:
         return None, theta
     return theta - TWO_PI, theta
+
+
+def monotone_on_grid(c3, c2, c1, lo, hi, n_points=100_001):
+    """Cubic with these coefficients strictly monotone on [lo, hi], judged on a grid.
+
+    The derivative ``3*c3*v**2 + 2*c2*v + c1`` must be positive at every
+    grid point, or negative at every one.
+    """
+    v = np.linspace(lo, hi, n_points)
+    slope = 3.0 * c3 * v**2 + 2.0 * c2 * v + c1
+    return bool(np.all(slope > 0.0) or np.all(slope < 0.0))

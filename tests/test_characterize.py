@@ -23,7 +23,7 @@ from paintpot.cubic import CubicModel
 from paintpot.errors import FitError, InversionError, SpecError
 from paintpot.presets import WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
 
-from oracles import bisect_root, cubic_value
+from oracles import bisect_root, cubic_value, monotone_on_grid
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -187,6 +187,64 @@ class TestFitCubic:
         assert m0.evaluate(bundle.valid_ranges[0].v_max) == pytest.approx(
             2.0 * PI / 3.0, abs=0.05
         )
+
+
+def slope_shaped_cubic(c3, m, q, window):
+    """Cubic whose derivative is ``3*c3*((v - m)**2 - q)``: roots m +- sqrt(q) if q >= 0."""
+    return CubicModel(c3, -3.0 * c3 * m, 3.0 * c3 * (m * m - q), 0.0, window)
+
+
+class TestCubicModelMonotonicity:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        a=st.floats(1e-9, 1e-5),
+        sign=st.sampled_from((-1.0, 1.0)),
+        lo=st.floats(0.0, 500.0),
+        span=st.floats(20.0, 1023.0),
+        m_frac=st.floats(-1.0, 2.0),
+        q_frac=st.floats(-1.0, 1.0),
+    )
+    def test_closed_form_agrees_with_dense_grid(self, a, sign, lo, span, m_frac, q_frac):
+        hi = lo + span
+        m, q = lo + m_frac * span, q_frac * span * span
+        step = span / 100_000
+        # Skip the cases a grid cannot judge: roots closer than two grid
+        # steps to each other or to a window end, and slopes lost to
+        # cancellation in the coefficients.
+        assume(abs(q) > max(4.0 * step * step, 1e-9 * m * m))
+        if q > 0.0:
+            roots = (m - math.sqrt(q), m + math.sqrt(q))
+            assume(all(abs(r - lo) > 2.0 * step and abs(r - hi) > 2.0 * step for r in roots))
+        c3, c2, c1 = sign * a / 3.0, -sign * a * m, sign * a * (m * m - q)
+        try:
+            CubicModel(c3, c2, c1, 0.0, (lo, hi))
+            accepted = True
+        except FitError:
+            accepted = False
+        assert accepted == monotone_on_grid(c3, c2, c1, lo, hi)
+
+    def test_increasing_and_decreasing_accepted(self):
+        assert CubicModel(0.0, 0.0, 1e-3, 0.0, (0.0, 1023.0)).increasing
+        assert not slope_shaped_cubic(-1e-6, 2000.0, 1.0, (0.0, 1023.0)).increasing
+
+    def test_sign_change_between_grid_points_rejected(self):
+        # The slope is negative only on (100.4, 100.6), between the integer
+        # points a 1024-point grid over [0, 1023] would sample.
+        with pytest.raises(FitError, match="not monotone"):
+            slope_shaped_cubic(1e-6, 100.5, 0.01, (0.0, 1023.0))
+
+    @pytest.mark.parametrize("window", [(100.0, 900.0), (-800.0, 100.0)], ids=["lo", "hi"])
+    def test_zero_slope_at_a_window_end_rejected(self, window):
+        with pytest.raises(FitError, match="not monotone"):
+            slope_shaped_cubic(2.0**-20, 100.0, 0.0, window)
+
+    def test_flat_point_inside_accepted(self):
+        model = slope_shaped_cubic(2.0**-20, 511.25, 0.0, (0.0, 1023.0))
+        assert model.derivative(511.25) == 0.0 and model.increasing
+
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(FitError):
+            CubicModel(0.0, math.nan, 1e-3, 0.0, (0.0, 1023.0))
 
 
 class TestInvertCubic:

@@ -254,8 +254,35 @@ class TestEstimate:
             ([(0.0, 500, 99999, 0.0), (0.01, 500, 510, 0.0)], "line 2: count 99999 outside"),
             ([(0.0, 500, 510, 0.0), (0.02, 500, 510, 0.0), (0.01, 500, 510, 0.0)],
              "line 4: timestamp 0.01 decreases"),
+            ([(0.0, 500, 510, 0.0), (0.01, "1.5", 510, 0.0)],
+             "line 3: invalid literal for int() with base 10: '1.5'"),
+            ([(0.0, 500, 510, 0.0), (0.01, 500, "", 0.0)],
+             "line 3: invalid literal for int() with base 10: ''"),
+            ([(0.0, 500, 510, 0.0), (0.01, "9" * 400, 510, 0.0)],
+             f"line 3: count {'9' * 400} outside"),
+            ([(i * 0.01, 500, 510, 0.0) for i in range(500)] + [(5.0, 500, 510)],
+             "line 502: expected 4 fields, got 3"),
+            ([(i * 0.01, 500, 510, 0.0) for i in range(2100)] + [(21.0, 500, "x", 0.0)],
+             "line 2102: invalid literal for int() with base 10: 'x'"),
+            # Two bad rows: the first one is named, whatever its fault.
+            ([(0.0, 500, 510, 0.0), (0.01, -7, 510, 0.0), (0.02, 500, 510)],
+             "line 3: count -7 outside"),
+            ([(0.0, 500, 510, 0.0), (0.01, 500, 510), (0.02, -7, 510, 0.0)],
+             "line 3: expected 4 fields, got 3"),
+            ([(0.0, 500, 510, 0.0), (0.01, "x", 510, 0.0), ("nan", 500, 510, 0.0)],
+             "line 3: invalid literal for int() with base 10: 'x'"),
+            ([(0.0, 500, 510, 0.0), (0.01, 500, 510, "nan"), (0.02, "x", 510, 0.0)],
+             "line 3: non-finite"),
+            # Two faults in one row: the checks keep their order.
+            ([(0.0, 500, 510, 0.0), (-1.0, 500, -7, 0.0)], "line 3: timestamp -1.0 decreases"),
+            ([(0.0, 500, 510, 0.0), (0.01, 2000, -7, 0.0)], "line 3: count 2000 outside"),
         ],
-        ids=["nan_omega", "inf_t", "negative_count", "count_above_adc_max", "decreasing_t"],
+        ids=[
+            "nan_omega", "inf_t", "negative_count", "count_above_adc_max", "decreasing_t",
+            "fractional_count", "empty_count", "huge_count", "late_short_row", "late_malformed",
+            "value_then_short_row", "short_row_then_value", "malformed_then_value",
+            "value_then_malformed", "decreasing_t_and_bad_count", "two_bad_counts",
+        ],
     )
     def test_invalid_reading_is_schema_error_naming_line(
         self, tmp_path, wheel_bundle, capsys, rows, message
@@ -267,6 +294,42 @@ class TestEstimate:
                        "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_comment_lines_keep_physical_line_numbers(self, tmp_path, wheel_bundle, capsys):
+        lines = [
+            "# logged on the bench rig",
+            "t,v0,v1,omega",
+            "0.0,500,510,0.0",
+            "# operator note",
+            "",
+            "  # indented note",
+            "0.01,500,510,0.0",
+            "0.02,500,-7,0.0",
+        ]
+        readings = tmp_path / "commented.csv"
+        readings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.csv"
+        assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(readings),
+                       "--out", str(out)) == 2
+        assert "line 8: count -7 outside" in capsys.readouterr().err
+        readings.write_text("\n".join(lines[:-1]) + "\n")
+        assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(readings),
+                       "--out", str(out)) == 0
+        assert [l.split(",")[0] for l in out.read_text().splitlines()[2:]] == ["0", "0.01"]
+
+    def test_wiper_at_the_rail_contributes_no_feature(self, tmp_path, wheel_bundle):
+        # A readings log has no availability flag: every reading is marked
+        # available, and only the count window keeps a rail count out.
+        spec = reference_wheel_spec(noise_std=0.0)
+        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0))
+        rows = [(i * 0.01, 0 if 20 <= i < 30 else r0.count, r1.count, 0.0) for i in range(60)]
+        readings = tmp_path / "rail.csv"
+        write_readings_csv(readings, rows)
+        out = tmp_path / "trace.csv"
+        assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(readings),
+                       "--out", str(out)) == 0
+        n_features = [int(l.split(",")[3]) for l in out.read_text().splitlines()[2:]]
+        assert n_features == [2] * 20 + [1] * 10 + [2] * 30
 
     def test_first_row_without_valid_feature_fails(self, tmp_path, wheel_bundle):
         bad = tmp_path / "rails.csv"

@@ -5,7 +5,7 @@ import pytest
 
 from paintpot.characterize import ValidRange, compute_valid_ranges
 from paintpot.cubic import CubicModel
-from paintpot.errors import InitializationError
+from paintpot.errors import InitializationError, SpecError
 from paintpot.estimate import (
     Feature,
     GaussianBelief,
@@ -54,6 +54,65 @@ def exact_obs(r0=1e-4, r1=1e-4):
 def truth_obs(r0=1e-4, r1=1e-4):
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     return WheelObservationModel(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, r0, r1, ranges)
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_belief_rejects_non_finite_mean(self, mu):
+        with pytest.raises(SpecError, match="mean must be finite"):
+            GaussianBelief(mu, 1e-4)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1e-9, math.nan])
+    def test_belief_rejects_non_positive_or_nan_variance(self, sigma):
+        with pytest.raises(SpecError, match="variance must be positive"):
+            GaussianBelief(0.1, sigma)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_feature_rejects_non_finite_measurement(self, z):
+        with pytest.raises(SpecError, match="must be finite"):
+            Feature(0, z, 1e-4)
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(SpecError):
+            GaussianBelief(0.1, 1e-4)._replace(sigma=0.0)
+        with pytest.raises(SpecError):
+            Feature(1, 0.2, 1e-4)._replace(z=math.nan)
+        assert GaussianBelief(0.1, 1e-4)._replace(mu=0.2) == GaussianBelief(0.2, 1e-4)
+
+    @pytest.mark.parametrize(
+        "value,attribute",
+        [
+            (AdcReading(0, 384, True), "count"),
+            (GaussianBelief(0.1, 1e-4), "mu"),
+            (Feature(0, 0.5, 1e-4), "z"),
+        ],
+    )
+    def test_per_step_values_are_immutable(self, value, attribute):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, 1)
+
+
+class TestCountCharts:
+    def test_charts_equal_scalar_evaluation_bit_for_bit(self):
+        obs = truth_obs()
+        for model, valid, chart in zip((obs.m0, obs.m1), obs.ranges, obs.charts):
+            assert len(chart) == valid.v_max + 1
+            assert all(chart[c] == float(model.evaluate(c)) for c in range(len(chart)))
+        tilt = TiltObservationModel(TILT_TRUTH, r=1e-4)
+        assert len(tilt.chart) == 1024
+        assert all(tilt.chart[c] == float(TILT_TRUTH.evaluate(c)) for c in range(1024))
+
+    def test_non_finite_chart_entry_rejected(self):
+        # Monotone, but 1e306 rad/count overflows to inf above count 179.
+        steep = CubicModel(0.0, 0.0, 1e306, 0.0, (0.0, 1023.0))
+        with pytest.raises(SpecError, match="not finite"):
+            WheelObservationModel(steep, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
+        with pytest.raises(SpecError, match="not finite"):
+            TiltObservationModel(steep, r=1e-4)
+
+    def test_tilt_window_below_count_zero_rejected(self):
+        with pytest.raises(SpecError, match="count >= 0"):
+            TiltObservationModel(CubicModel(0.0, 0.0, 2.0**-8, -1.0, (-5.0, 900.0)), r=1e-4)
 
 
 class TestInitWheel:

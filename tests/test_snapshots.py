@@ -1,10 +1,14 @@
 """Byte-level snapshots of the simulator-driven command outputs.
 
-The digests were recorded with the plain-bisection cubic inversion the
-simulator used before its bracketed-Newton one, so they pin that the
-faster inversion changed no quantized count, no fitted model and no
-closed-loop trace.  Only data rows are hashed: the manifest comment line
-names the output paths, which differ from run to run.
+The sweep, bundle and experiment digests were recorded with the
+plain-bisection cubic inversion the simulator used before its
+bracketed-Newton one, so they pin that the faster inversion changed no
+quantized count, no fitted model and no closed-loop trace.  The estimate
+digests were recorded with the filter that evaluated the fitted cubic on
+every reading, before the count-to-angle tables, so they pin that the
+table-driven filter changed no trace byte.  Only data rows are hashed: the
+manifest comment line names the output paths, which differ from run to
+run.
 """
 
 import hashlib
@@ -15,8 +19,9 @@ import numpy as np
 import pytest
 
 from paintpot import cli, presets
+from paintpot.characterize import load_bundle
 from paintpot.presets import reference_tilt_spec, reference_wheel_spec
-from paintpot.sensor_sim import read_tilt, read_wheel
+from paintpot.sensor_sim import read_tilt, read_wheel, simulate_plant_step
 
 from oracles import bisect_root, cubic_value, five_region_shifted_states
 
@@ -59,6 +64,22 @@ TRACE_DIGESTS = {
         "4918c2ab49823bf83b630ef4dbd99828cd8ff10eba56e8abd95da6a4f1ed8549",
 }
 
+ESTIMATE_DIGESTS = {
+    ("wheel", 5):
+        "0474a3a77e20dd242d9c5b5609708e2ae532f2da1b26dbaefa4074300b8a7833",
+    ("wheel", 23):
+        "0f4092f96abc9fe34dd91d92a6ba8c992fa2474405109df3610a8247d69a2b60",
+    ("tilt", 5):
+        "fe6628bd3d6ce04b13939425b31824147c4b4ec9e1a0fed1287e54c91ba2e428",
+    ("tilt", 23):
+        "7ce5631851e6440da284b2be26990afd2744aa5b0411d2bdcce44412bb9b43a0",
+}
+
+ESTIMATE_ROWS = 1_200
+RAIL_EVERY = 200  # every 200th row puts every wiper on the low rail
+SPIKE_FROM = 400  # the first fully in-window row from here is spiked
+SPIKE_COUNTS = 150
+
 
 def data_rows_sha256(path):
     """sha256 of a CSV's lines with every ``#`` comment line dropped."""
@@ -92,6 +113,54 @@ def trace_digest(tmp_path, preset, seed):
     return data_rows_sha256(f"{prefix}_trace.csv")
 
 
+def estimate_case(tmp_path, kind, seed):
+    """Run ``estimate`` on a seeded log: (data-row digest, trace rows, rail rows, spiked row).
+
+    The bundle is calibrated from a seeded sweep.  The joint moves through
+    its range, so a wheel log carries gap-rail counts while a wiper rides
+    its gap.  Rail rows put every wiper at count 0, outside every window.
+    One row gets wiper 0 moved by ``SPIKE_COUNTS`` inside its window: the
+    wheel gate drops it, the tilt filter (no gate) takes it.
+    """
+    spec_ref = f"{kind}_reference"
+    sweep, bundle_path = tmp_path / "sweep.csv", tmp_path / "bundle.json"
+    cli.run_sweep(spec_ref, str(sweep), seed, 14.0, 50.0)
+    cli.run_calibrate(str(sweep), kind, str(bundle_path), k=0.2, dt=0.01)
+    bundle = load_bundle(bundle_path)
+    if kind == "wheel":
+        admits = [r.admits for r in bundle.valid_ranges]
+    else:
+        lo, hi = bundle.models[0].v_window
+        admits = [lambda count: lo <= count <= hi]
+    spec = presets.SENSOR_PRESETS[spec_ref]()
+    rng = np.random.default_rng(seed)
+    theta, rows, rails, spike = 0.0, [], [], None
+    for i in range(ESTIMATE_ROWS):
+        if kind == "wheel":
+            omega = 4.0 + 2.0 * math.sin(2.0 * PI * i / 300.0)
+            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng)
+            counts = [reading.count for reading in read_wheel(theta, spec, rng)]
+        else:
+            omega = 6.0 * math.cos(2.0 * PI * i / 600.0)
+            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng, kind="tilt")
+            counts = [read_tilt(theta, spec, rng).count]
+        if i % RAIL_EVERY == RAIL_EVERY - 1:
+            counts = [0] * len(counts)
+            rails.append(i)
+        elif spike is None and i >= SPIKE_FROM and all(a(c) for a, c in zip(admits, counts)):
+            moved = counts[0] + (SPIKE_COUNTS if counts[0] < 512 else -SPIKE_COUNTS)
+            if admits[0](moved):
+                counts[0], spike = moved, i
+        rows.append(",".join([repr(i * 0.01), *map(str, counts), repr(omega)]))
+    readings, out = tmp_path / "readings.csv", tmp_path / "trace.csv"
+    header = "t,v0,v1,omega" if kind == "wheel" else "t,v0,omega"
+    readings.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    cli.run_estimate(str(bundle_path), str(readings), str(out))
+    with open(out, "r", encoding="utf-8") as handle:
+        trace = [line.split(",") for line in handle if not line.startswith("#")][1:]
+    return data_rows_sha256(out), trace, rails, spike
+
+
 @pytest.mark.parametrize("spec_ref,seed", sorted(SWEEP_DIGESTS))
 def test_sweep_rows_match_snapshot(tmp_path, spec_ref, seed):
     assert sweep_digest(tmp_path, spec_ref, seed) == SWEEP_DIGESTS[(spec_ref, seed)]
@@ -105,6 +174,19 @@ def test_calibrated_bundle_matches_snapshot(tmp_path, spec_ref, seed):
 @pytest.mark.parametrize("preset,seed", sorted(TRACE_DIGESTS))
 def test_experiment_trace_rows_match_snapshot(tmp_path, preset, seed):
     assert trace_digest(tmp_path, preset, seed) == TRACE_DIGESTS[(preset, seed)]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(ESTIMATE_DIGESTS))
+def test_estimate_trace_rows_match_snapshot(tmp_path, kind, seed):
+    digest, trace, rails, spike = estimate_case(tmp_path, kind, seed)
+    n_features = [int(row[3]) for row in trace]
+    assert len(trace) == ESTIMATE_ROWS
+    assert rails and all(n_features[i] == 0 for i in rails)
+    # Wheel: both wipers are in window, but the gate drops the spike.
+    assert spike is not None and n_features[spike] == 1
+    if kind == "wheel":
+        assert set(n_features) == {0, 1, 2}  # gap transits leave one wiper
+    assert digest == ESTIMATE_DIGESTS[(kind, seed)]
 
 
 def oracle_count(c3, c2, c1, c0, window, target):
