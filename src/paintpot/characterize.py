@@ -21,7 +21,7 @@ from typing import IO, Iterable, NamedTuple
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError
+from paintpot.errors import FitError, SpecError, check_adc_max
 from paintpot.geometry import GAP_WIPER0, GAP_WIPER1, TWO_PI, Interval
 
 SENSOR_KINDS = ("wheel", "tilt")
@@ -131,7 +131,12 @@ class FitReport:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Everything a filter needs: models, windows, residuals, parameters."""
+    """Everything a filter needs: models, windows, residuals, parameters.
+
+    ``adc_max`` must be ``2**bits - 1``, and every valid range and model
+    window must lie inside the counts ``[0, adc_max]``: the filters table
+    each model at every count of its window.
+    """
 
     sensor_kind: str
     models: tuple[CubicModel, ...]
@@ -139,6 +144,20 @@ class ModelBundle:
     report: FitReport
     adc_max: int = 1023
     filter_params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_adc_max(self.adc_max)
+        for i, valid in enumerate(self.valid_ranges):
+            if valid.v_max > self.adc_max:
+                raise SpecError(
+                    f"valid_ranges[{i}].v_max {valid.v_max} exceeds adc_max {self.adc_max}"
+                )
+        for i, model in enumerate(self.models):
+            lo, hi = model.v_window
+            if lo < 0.0 or hi > self.adc_max:
+                raise SpecError(
+                    f"models[{i}].v_window [{lo!r}, {hi!r}] outside [0, {self.adc_max}]"
+                )
 
     def with_filter_params(self, params: dict) -> "ModelBundle":
         return replace(self, filter_params=dict(params))

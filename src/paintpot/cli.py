@@ -89,7 +89,7 @@ def synthesize_sweep_dataset(
     wheel = isinstance(spec, sensor_sim.WheelSensorSpec)
     lo, hi = (-math.pi, math.pi) if wheel else (-spec.angle_limit, spec.angle_limit)
     half = duration_s / 2.0
-    samples = []
+    t_col, theta_col, v0_col, v1_col = [], [], [], []
     for i in range(n):
         t = i / rate_hz
         frac = t / half if t <= half else (duration_s - t) / half
@@ -97,29 +97,34 @@ def synthesize_sweep_dataset(
         if wheel:
             theta = wrap_angle(theta)
             r0, r1 = sensor_sim.read_wheel(theta, spec, rng)
-            samples.append(characterize.CalibrationSample(t, theta, r0.count, r1.count))
+            v0_col.append(r0.count)
+            v1_col.append(r1.count)
         else:
             theta = min(max(theta, lo), hi)
-            reading = sensor_sim.read_tilt(theta, spec, rng)
-            samples.append(characterize.CalibrationSample(t, theta, reading.count))
-    kind = "wheel" if wheel else "tilt"
-    return CalibrationDataset.from_samples(kind, samples, adc_max=spec.adc_max)
+            v0_col.append(sensor_sim.read_tilt(theta, spec, rng).count)
+        t_col.append(t)
+        theta_col.append(theta)
+    return CalibrationDataset(
+        sensor_kind="wheel" if wheel else "tilt",
+        t=np.array(t_col, dtype=float),
+        theta=np.array(theta_col, dtype=float),
+        v0=np.array(v0_col, dtype=np.int64),
+        v1=np.array(v1_col, dtype=np.int64) if wheel else None,
+        adc_max=spec.adc_max,
+    )
 
 
 def _write_sweep_csv(dataset: CalibrationDataset, path: Path, manifest: RunManifest) -> None:
+    columns = [dataset.t.tolist(), dataset.theta.tolist(), dataset.v0.tolist()]
+    if dataset.sensor_kind == "wheel":
+        header, row_format = "t,theta,v0,v1\n", "%.17g,%.17g,%d,%d\n"
+        columns.append(dataset.v1.tolist())
+    else:
+        header, row_format = "t,theta,v0\n", "%.17g,%.17g,%d\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
-        if dataset.sensor_kind == "wheel":
-            handle.write("t,theta,v0,v1\n")
-            for i in range(len(dataset)):
-                handle.write(
-                    f"{dataset.t[i]:.17g},{dataset.theta[i]:.17g},"
-                    f"{dataset.v0[i]},{dataset.v1[i]}\n"
-                )
-        else:
-            handle.write("t,theta,v0\n")
-            for i in range(len(dataset)):
-                handle.write(f"{dataset.t[i]:.17g},{dataset.theta[i]:.17g},{dataset.v0[i]}\n")
+        handle.write(header)
+        handle.writelines(row_format % row for row in zip(*columns))
 
 
 def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: float) -> None:

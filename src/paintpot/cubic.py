@@ -4,17 +4,32 @@ A sensor characterization is a cubic polynomial ``theta = p(V)`` declared
 monotone on a voltage window.  Inversion is a safeguarded Newton iteration
 (``rtsafe``, Press et al., *Numerical Recipes*, sec. 9.4): Newton steps on
 the cubic, held inside a sign-change bracket that shrinks on every step, so
-it converges as unconditionally as bisection in a handful of evaluations.
+it converges as unconditionally as bisection.  The starting bracket is one
+knot interval of a chart each model tables once, on first use: the cubic
+at a fixed number of knots across its window.  On the reference sensors
+one regula-falsi point and one Newton step then meet the tolerance, so an
+inversion costs two cubic evaluations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from paintpot.errors import FitError, InversionError
 
 DEFAULT_ANGLE_TOL = 1e-9
+# Knots in every model's inversion chart, whatever its window's width, so a
+# wide window cannot make the chart large.  On the reference sensors one
+# Newton step from a knot interval's regula-falsi point meets the default
+# tolerance from 256 knots up (at 128 some inversions need a third
+# evaluation); 512 leaves a margin for fitted cubics that bend more.
+CHART_KNOTS = 512
 _COEFFICIENT_FORMAT = ".17e"
 
 
@@ -65,6 +80,19 @@ class CubicModel:
     def increasing(self) -> bool:
         return float(self.derivative(self.v_window[0])) > 0.0
 
+    @cached_property
+    def chart(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(knots, angles)``: ``CHART_KNOTS`` voltages evenly spaced across
+        the window, ends included exactly, and the cubic at each of them.
+
+        Built once per model, on first use.  numpy performs the same IEEE
+        multiply/add sequence as a scalar ``evaluate(knot)``, so each angle
+        equals that call bit for bit.
+        """
+        lo, hi = self.v_window
+        knots = np.linspace(lo, hi, CHART_KNOTS)
+        return tuple(knots.tolist()), tuple(self.evaluate(knots).tolist())
+
     def angle_range(self) -> tuple[float, float]:
         """Angles reachable on the window, ordered (low, high)."""
         a = float(self.evaluate(self.v_window[0]))
@@ -102,19 +130,21 @@ def invert_cubic(
 ) -> float:
     """Voltage V on the model's window with ``model(V) = theta_target``.
 
-    Starts at the regula-falsi point of the window and takes Newton steps
-    ``V - f(V)/f'(V)``.  A step that would leave the current sign-change
-    bracket, or a zero derivative, falls back to the bracket midpoint.  The
-    result satisfies ``|model(V) - theta_target| < tol`` (tolerance in
-    angle).
+    Bisects the model's chart for the knot interval whose ends straddle the
+    target, starts at that interval's regula-falsi point and takes Newton
+    steps ``V - f(V)/f'(V)``.  A step that would leave the current
+    sign-change bracket, or a zero derivative, falls back to the bracket
+    midpoint.  The result satisfies ``|model(V) - theta_target| < tol``
+    (tolerance in angle).
 
     Raises:
         InversionError: the target lies outside the model's range on its
             window, or the tolerance could not be met.
     """
-    lo, hi = model.v_window
-    f_lo = float(model.evaluate(lo)) - theta_target
-    f_hi = float(model.evaluate(hi)) - theta_target
+    knots, angles = model.chart
+    lo, hi = knots[0], knots[-1]
+    f_lo = angles[0] - theta_target
+    f_hi = angles[-1] - theta_target
     if abs(f_lo) < tol:
         return lo
     if abs(f_hi) < tol:
@@ -124,6 +154,16 @@ def invert_cubic(
         raise InversionError(
             f"target angle {theta_target!r} outside model range [{low!r}, {high!r}]"
         )
+    # The knot interval whose ends lie on opposite sides of ``f > 0``, the
+    # split the loop keeps.  bisect's result has this property even where
+    # rounding leaves the chart unsorted near a flat point, and the window
+    # ends lie on opposite sides, so ``0 < k < CHART_KNOTS``.
+    if f_hi > 0.0:
+        k = bisect_right(angles, theta_target)
+    else:
+        k = bisect_left(angles, -theta_target, key=operator.neg)
+    lo, hi = knots[k - 1], knots[k]
+    f_lo, f_hi = angles[k - 1] - theta_target, angles[k] - theta_target
     v = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     for _ in range(max_iter):
         f_v = float(model.evaluate(v)) - theta_target

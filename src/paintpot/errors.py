@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the ADC-width check."""
 
 
 class PaintPotError(Exception):
@@ -23,3 +23,9 @@ class InversionError(PaintPotError, RuntimeError):
 
 class InitializationError(PaintPotError, RuntimeError):
     """No valid feature was available to seed a filter."""
+
+
+def check_adc_max(adc_max: int) -> None:
+    """Raise :class:`SpecError` unless ``adc_max`` is ``2**bits - 1``, bits >= 1."""
+    if adc_max < 1 or (adc_max + 1) & adc_max != 0:
+        raise SpecError(f"adc_max must be 2**bits - 1 with bits >= 1, got {adc_max}")

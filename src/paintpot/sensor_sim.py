@@ -2,9 +2,12 @@
 
 The simulator inverts a truth characterization to find the continuous
 voltage a wiper would report at a given joint angle, then pushes it through
-a noisy quantizer.  Wheel sensors expose two wipers with disjoint gap spans
-so at least one wiper is on the track at every angle; while a wiper rides
-its gap the reading is flagged unavailable and its count is a rail artifact.
+a noisy quantizer.  A reading validates its angle once, then costs one
+inversion (two cubic evaluations on the reference sensors, see
+:mod:`paintpot.cubic`) and one normal draw per wiper.  Wheel sensors expose
+two wipers with disjoint gap spans so at least one wiper is on the track at
+every angle; while a wiper rides its gap the reading is flagged unavailable
+and its count is a rail artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, FitError, SpecError
+from paintpot.errors import DomainError, FitError, SpecError, check_adc_max
 from paintpot.geometry import (
     GAP_WIPER0,
     GAP_WIPER1,
@@ -31,11 +34,6 @@ from paintpot.geometry import (
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
 # low rail, which the valid-range test downstream rejects.
 GAP_RAIL_VOLTAGE = 0.0
-
-
-def _check_adc_max(adc_max: int) -> None:
-    if adc_max < 1 or (adc_max + 1) & adc_max != 0:
-        raise SpecError(f"adc_max must be 2**bits - 1 with bits >= 1, got {adc_max}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class WheelSensorSpec:
             raise SpecError("wiper-0 gap must lie inside (0, pi)")
         if not (-math.pi < self.gap_w1.lo and self.gap_w1.hi < 0.0):
             raise SpecError("wiper-1 gap must lie inside (-pi, 0)")
-        _check_adc_max(self.adc_max)
+        check_adc_max(self.adc_max)
         if self.noise_std < 0.0:
             raise SpecError("noise_std must be >= 0")
 
@@ -85,7 +83,7 @@ class TiltSensorSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.angle_limit <= math.pi:
             raise SpecError("angle_limit must lie in (0, pi]")
-        _check_adc_max(self.adc_max)
+        check_adc_max(self.adc_max)
         if self.noise_std < 0.0:
             raise SpecError("noise_std must be >= 0")
 
@@ -113,6 +111,14 @@ def _validated_wheel_angle(theta: float) -> float:
     return math.pi if theta == -math.pi else theta
 
 
+def _wiper_voltage(theta: float, wiper: int, spec: WheelSensorSpec) -> float | None:
+    """:func:`wheel_ideal_voltage` for an angle already validated."""
+    if spec.gap(wiper).contains(theta):
+        return None
+    shifted = shift_state_for_wiper(theta, wiper, spec.shift_edge(wiper))
+    return invert_cubic(spec.truth(wiper), shifted)
+
+
 def wheel_ideal_voltage(theta: float, wiper: int, spec: WheelSensorSpec) -> float | None:
     """Noiseless continuous count ``wiper`` reports at ``theta``.
 
@@ -123,10 +129,7 @@ def wheel_ideal_voltage(theta: float, wiper: int, spec: WheelSensorSpec) -> floa
     theta = _validated_wheel_angle(theta)
     if wiper not in (0, 1):
         raise SpecError(f"wiper index must be 0 or 1, got {wiper}")
-    if spec.gap(wiper).contains(theta):
-        return None
-    shifted = shift_state_for_wiper(theta, wiper, spec.shift_edge(wiper))
-    return invert_cubic(spec.truth(wiper), shifted)
+    return _wiper_voltage(theta, wiper, spec)
 
 
 def quantize(voltage: float, noise_std: float, rng: np.random.Generator, adc_max: int) -> int:
@@ -135,10 +138,12 @@ def quantize(voltage: float, noise_std: float, rng: np.random.Generator, adc_max
     Rounding is half-away-from-zero so results do not depend on the
     platform's default banker's rounding.
     """
-    _check_adc_max(adc_max)
-    if noise_std < 0.0:
+    # One test on the valid path, which every reading takes; on failure,
+    # name the fault.
+    if adc_max < 1 or (adc_max + 1) & adc_max or noise_std < 0.0:
+        check_adc_max(adc_max)
         raise SpecError("noise_std must be >= 0")
-    noisy = float(voltage) + float(rng.normal(0.0, noise_std))
+    noisy = voltage + rng.normal(0.0, noise_std)
     rounded = math.floor(noisy + 0.5) if noisy >= 0.0 else math.ceil(noisy - 0.5)
     return int(min(max(rounded, 0), adc_max))
 
@@ -146,16 +151,19 @@ def quantize(voltage: float, noise_std: float, rng: np.random.Generator, adc_max
 def read_wheel(
     theta: float, spec: WheelSensorSpec, rng: np.random.Generator
 ) -> tuple[AdcReading, AdcReading]:
-    """Both wiper readings at ``theta``: ideal voltage, noise, quantization."""
+    """Both wiper readings at ``theta``: ideal voltage, noise, quantization.
+
+    A wiper inside its gap reads the rail voltage and is flagged unavailable.
+    """
+    theta = _validated_wheel_angle(theta)
     readings = []
     for wiper in (0, 1):
-        voltage = wheel_ideal_voltage(theta, wiper, spec)
-        if voltage is None:
-            count = quantize(GAP_RAIL_VOLTAGE, spec.noise_std, rng, spec.adc_max)
-            readings.append(AdcReading(wiper, count, False))
-        else:
-            count = quantize(voltage, spec.noise_std, rng, spec.adc_max)
-            readings.append(AdcReading(wiper, count, True))
+        voltage = _wiper_voltage(theta, wiper, spec)
+        available = voltage is not None
+        count = quantize(
+            voltage if available else GAP_RAIL_VOLTAGE, spec.noise_std, rng, spec.adc_max
+        )
+        readings.append(AdcReading(wiper, count, available))
     return readings[0], readings[1]
 
 

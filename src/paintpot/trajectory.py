@@ -172,12 +172,14 @@ class ExperimentResult:
         if comment is not None:
             handle.write(f"# {comment}\n")
         handle.write("t,theta_true,theta_est,theta_ref,u_cmd,f0_avail,f1_avail\n")
-        for i in range(len(self.t)):
-            handle.write(
-                f"{self.t[i]:.17g},{self.theta_true[i]:.17g},{self.theta_est[i]:.17g},"
-                f"{self.theta_ref[i]:.17g},{self.u_cmd[i]:.17g},"
-                f"{int(self.f0_avail[i])},{int(self.f1_avail[i])}\n"
-            )
+        columns = (
+            self.t, self.theta_true, self.theta_est, self.theta_ref, self.u_cmd,
+            self.f0_avail, self.f1_avail,
+        )
+        handle.writelines(
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % row
+            for row in zip(*(column.tolist() for column in columns))
+        )
 
     def summary_dict(self) -> dict:
         return {

@@ -19,9 +19,9 @@ from paintpot.characterize import (
     trim_and_shift,
 )
 from paintpot.cli import synthesize_sweep_dataset
-from paintpot.cubic import CubicModel
+from paintpot.cubic import CHART_KNOTS, CubicModel
 from paintpot.errors import FitError, InversionError, SpecError
-from paintpot.presets import WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
+from paintpot.presets import TILT_TRUTH, WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
 
 from oracles import bisect_root, cubic_value, monotone_on_grid
 
@@ -247,6 +247,14 @@ class TestCubicModelMonotonicity:
             CubicModel(0.0, math.nan, 1e-3, 0.0, (0.0, 1023.0))
 
 
+# WHEEL_TRUTH_W0 mirrored: the same curve, decreasing in voltage.
+DECREASING = CubicModel(-5.0281e-9, 1.2255e-5, -1.7856e-2, 7.2750, (0.0, 1023.0))
+
+
+def with_window(model, window):
+    return CubicModel(model.c3, model.c2, model.c1, model.c0, window)
+
+
 class TestInvertCubic:
     def test_linear_at_zero(self):
         model = CubicModel(0.0, 0.0, 2.0 * PI / 1023.0, -PI, (0.0, 1023.0))
@@ -314,8 +322,9 @@ class TestInvertCubic:
         ]
         points = []
         evaluate = CubicModel.evaluate
+        # Array arguments (the chart's knots) are recorded point by point.
         monkeypatch.setattr(
-            CubicModel, "evaluate", lambda self, v: points.append(v) or evaluate(self, v)
+            CubicModel, "evaluate", lambda self, v: points.extend(np.ravel(v)) or evaluate(self, v)
         )
         for window, target in cases:
             model = CubicModel(c3, -3.0 * c3 * m, 3.0 * c3 * m * m, 0.5 - c3 * m**3, window)
@@ -324,6 +333,91 @@ class TestInvertCubic:
             v = invert_cubic(model, target)
             assert abs(evaluate(model, v) - target) < 1e-9
             assert all(window[0] <= p <= window[1] for p in points)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DECREASING,
+            with_window(WHEEL_TRUTH_W0, (511.3, 511.301)),
+            with_window(DECREASING, (511.3, 511.301)),
+            CubicModel(1e-21, 0.0, 1e-6, -5.0, (0.0, 1e7)),
+        ],
+        ids=["decreasing", "narrow", "narrow_decreasing", "wide"],
+    )
+    def test_unusual_windows_agree_with_oracle(self, model):
+        lo, hi = model.v_window
+        low, high = model.angle_range()
+        for target in np.linspace(low, high, 101)[1:-1]:
+            v = invert_cubic(model, float(target))
+            assert lo <= v <= hi
+            assert abs(model.evaluate(v) - target) < 1e-9
+            ref = bisect_root(
+                lambda x: cubic_value(model.c3, model.c2, model.c1, model.c0, x) - target, lo, hi
+            )
+            slope = min(abs(float(model.derivative(x))) for x in (lo, hi))
+            assert abs(v - ref) <= (1e-9 + 1e-12) / slope
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            WHEEL_TRUTH_W0,
+            DECREASING,
+            with_window(WHEEL_TRUTH_W1, (100.25, 100.25 + 1e-3)),
+            CubicModel(1e-21, 0.0, 1e-6, -5.0, (0.0, 1e7)),
+        ],
+        ids=["increasing", "decreasing", "narrow", "wide"],
+    )
+    def test_chart_has_fixed_length_and_matches_scalar_evaluate(self, model):
+        model = with_window(model, model.v_window)  # a fresh model, chart not built yet
+        assert "chart" not in vars(model)
+        knots, angles = model.chart
+        assert len(knots) == len(angles) == CHART_KNOTS
+        assert (knots[0], knots[-1]) == model.v_window
+        assert all(a <= b for a, b in zip(knots, knots[1:]))
+        assert all(angle == model.evaluate(knot) for knot, angle in zip(knots, angles))
+
+    @pytest.mark.parametrize("model", [WHEEL_TRUTH_W0, DECREASING], ids=["increasing", "decreasing"])
+    def test_target_on_a_knot_or_a_window_end(self, model):
+        knots, angles = model.chart
+        lo, hi = model.v_window
+        assert invert_cubic(model, angles[0]) == lo
+        assert invert_cubic(model, angles[-1]) == hi
+        for k in (1, 2, CHART_KNOTS // 2, CHART_KNOTS - 2):
+            v = invert_cubic(model, angles[k])
+            assert abs(model.evaluate(v) - angles[k]) < 1e-9
+            assert abs(v - knots[k]) < 1e-6
+
+    def test_tie_on_a_flat_stretch_of_the_chart(self):
+        # Knots fall on even counts and the flat point m on the odd count
+        # between two of them, where the cubic moves less than half an ulp
+        # of 0.5: those two chart entries tie at 0.5, while the window ends
+        # stay more than the tolerance away from it.
+        c3, m = 2.0**-56, CHART_KNOTS - 1.0
+        model = CubicModel(c3, -3.0 * c3 * m, 3.0 * c3 * m * m, 0.5 - c3 * m**3, (0.0, 2.0 * m))
+        mirrored = CubicModel(-model.c3, -model.c2, -model.c1, -model.c0, model.v_window)
+        k = CHART_KNOTS // 2
+        for model, target in ((model, 0.5), (mirrored, -0.5)):
+            knots, angles = model.chart
+            assert (knots[k - 1], knots[k]) == (m - 1.0, m + 1.0)
+            assert angles[k - 1] == angles[k] == target
+            assert min(abs(angles[0] - target), abs(angles[-1] - target)) > 1e-9
+            v = invert_cubic(model, target)
+            assert v in (m - 1.0, m + 1.0)
+            assert model.evaluate(v) == target
+
+    def test_at_most_three_evaluations_per_inversion(self, monkeypatch):
+        calls = []
+        evaluate = CubicModel.evaluate
+        monkeypatch.setattr(
+            CubicModel, "evaluate", lambda self, v: calls.append(v) or evaluate(self, v)
+        )
+        for model in (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, TILT_TRUTH):
+            model.chart  # the one vectorized evaluation, paid once per model
+            low, high = model.angle_range()
+            for target in np.linspace(low, high, 20_001).tolist():
+                calls.clear()
+                invert_cubic(model, target)
+                assert len(calls) <= 3
 
     def test_nan_target_raises(self):
         with pytest.raises(InversionError):

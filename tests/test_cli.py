@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paintpot import cli
+from paintpot import cli, presets
 from paintpot.characterize import load_bundle
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
@@ -126,6 +126,33 @@ def write_readings_csv(path, rows, wheel=True):
         handle.write(header + "\n")
         for row in rows:
             handle.write(",".join(str(x) for x in row) + "\n")
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(data):
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    return edit
+
+
+# Bundle edits that put a count window outside [0, adc_max], and the field
+# each error names.
+BUNDLE_EDITS = [
+    (_set("adc_max", 1000), "adc_max must be 2**bits - 1"),
+    (_set("adc_max", 0), "adc_max must be 2**bits - 1"),
+    (_set("valid_ranges", 0, "v_max", 5000), "valid_ranges[0].v_max 5000 exceeds adc_max 1023"),
+    (_set("valid_ranges", 1, "v_max", 1024), "valid_ranges[1].v_max 1024 exceeds adc_max 1023"),
+    (_set("models", 1, "v_window", [10.0, 5000.0]), "models[1].v_window [10.0, 5000.0] outside"),
+    (_set("models", 0, "v_window", [-1.0, 1000.0]), "models[0].v_window [-1.0, 1000.0] outside"),
+]
+BUNDLE_EDIT_IDS = [
+    "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
+    "window_above_adc_max", "window_below_zero",
+]
 
 
 @pytest.fixture()
@@ -295,6 +322,22 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,message", BUNDLE_EDITS, ids=BUNDLE_EDIT_IDS)
+    def test_bundle_outside_the_adc_window_is_schema_error(
+        self, tmp_path, wheel_bundle, capsys, edit, message
+    ):
+        data = json.loads(Path(wheel_bundle).read_text())
+        edit(data)
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(data))
+        readings = tmp_path / "r.csv"
+        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+        out = tmp_path / "t.csv"
+        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
+                       "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comment_lines_keep_physical_line_numbers(self, tmp_path, wheel_bundle, capsys):
         lines = [
             "# logged on the bench rig",
@@ -373,6 +416,21 @@ class TestExperiment:
                        str(tmp_path / "run")) == 0
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["avg_abs_error"] < 0.05
+
+    @pytest.mark.parametrize("edit,message", BUNDLE_EDITS, ids=BUNDLE_EDIT_IDS)
+    def test_explicit_models_outside_the_adc_window_are_config_error(
+        self, tmp_path, wheel_bundle, capsys, edit, message
+    ):
+        bundle_data = json.loads(Path(wheel_bundle).read_text())
+        edit(bundle_data)
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["models"] = bundle_data
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix",
+                       str(tmp_path / "run")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_trace.csv").exists()
 
     def test_tilt_trace_never_reports_a_second_wiper(self, tmp_path):
         prefix = tmp_path / "tilt"

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from paintpot.cubic import CubicModel
-from paintpot.errors import DomainError
+from paintpot.errors import DomainError, SpecError
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
@@ -68,6 +69,19 @@ class TestWheelIdealVoltage:
 
 
 class TestQuantize:
+    @pytest.mark.parametrize(
+        "noise_std,adc_max,message",
+        [
+            (0.0, 1000, "adc_max must be 2**bits - 1"),
+            (0.0, 0, "adc_max must be 2**bits - 1"),
+            (-1.0, 1000, "adc_max must be 2**bits - 1"),
+            (-1.0, 1023, "noise_std must be >= 0"),
+        ],
+    )
+    def test_invalid_settings_raise(self, noise_std, adc_max, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            quantize(500.0, noise_std, np.random.default_rng(0), adc_max)
+
     def test_half_rounds_away_from_zero(self):
         rng = np.random.default_rng(0)
         assert quantize(511.5, 0.0, rng, 1023) == 512
@@ -91,6 +105,17 @@ class TestQuantize:
 
 
 class TestReadWheel:
+    @pytest.mark.parametrize("theta", [1.5 * PI, -3.2, math.nan])
+    def test_out_of_domain_angle_raises(self, theta):
+        with pytest.raises(DomainError):
+            read_wheel(theta, linear_wheel_spec(), np.random.default_rng(0))
+
+    def test_negative_pi_reads_as_pi(self):
+        spec = reference_spec(noise_std=1.0)
+        assert read_wheel(-PI, spec, np.random.default_rng(4)) == read_wheel(
+            PI, spec, np.random.default_rng(4)
+        )
+
     def test_center_has_both_wipers(self):
         r0, r1 = read_wheel(0.0, linear_wheel_spec(), np.random.default_rng(0))
         assert r0.available and r1.available
