@@ -16,7 +16,6 @@ The ``paintpot`` CLI wires these together; see the README.
 
 from paintpot.characterize import (
     CalibrationDataset,
-    CalibrationSample,
     FitReport,
     ModelBundle,
     ValidRange,
@@ -39,19 +38,16 @@ from paintpot.errors import (
 from paintpot.estimate import (
     Feature,
     GaussianBelief,
+    ObservationModel,
     TiltEstimator,
-    TiltObservationModel,
     TransitionModel,
     WheelEstimator,
-    WheelObservationModel,
+    Wiper,
     extract_features,
-    init_tilt,
-    init_wheel,
     predict,
     predicted_feature_measurement,
     update_tilt,
     update_wheel,
-    wrap_wheel_belief,
 )
 from paintpot.geometry import wrap_angle, wrapped_difference
 from paintpot.sensor_sim import (
@@ -80,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdcReading",
     "CalibrationDataset",
-    "CalibrationSample",
     "ControllerGains",
     "CubicModel",
     "DomainError",
@@ -93,17 +88,17 @@ __all__ = [
     "InitializationError",
     "InversionError",
     "ModelBundle",
+    "ObservationModel",
     "PaintPotError",
     "QuinticTrajectory",
     "SpecError",
     "TiltEstimator",
-    "TiltObservationModel",
     "TiltSensorSpec",
     "TransitionModel",
     "ValidRange",
     "WheelEstimator",
-    "WheelObservationModel",
     "WheelSensorSpec",
+    "Wiper",
     "calibrate",
     "compute_valid_ranges",
     "control_step",
@@ -111,8 +106,6 @@ __all__ = [
     "fit_cubic",
     "fit_report",
     "ingest_log",
-    "init_tilt",
-    "init_wheel",
     "invert_cubic",
     "plan_quintic",
     "predict",
@@ -128,6 +121,5 @@ __all__ = [
     "update_wheel",
     "wheel_ideal_voltage",
     "wrap_angle",
-    "wrap_wheel_belief",
     "wrapped_difference",
 ]

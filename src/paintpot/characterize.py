@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,16 +33,6 @@ MIN_WINDOW_SPAN_FRACTION = 0.5
 # wiper 0 spans (gap-top - 2*pi, gap-bottom), wiper 1 the mirror image.
 WIPER0_WINDOW_ANGLES = (GAP_WIPER0.hi - TWO_PI, GAP_WIPER0.lo)
 WIPER1_WINDOW_ANGLES = (GAP_WIPER1.hi, GAP_WIPER1.lo + TWO_PI)
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One sweep row: time, tracked angle, and raw count(s)."""
-
-    t: float
-    theta: float
-    v0: int
-    v1: int | None = None
 
 
 @dataclass(frozen=True)
@@ -75,27 +65,10 @@ class CalibrationDataset:
     def __len__(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def from_samples(
-        cls, sensor_kind: str, samples: Iterable[CalibrationSample], adc_max: int = 1023
-    ) -> "CalibrationDataset":
-        rows = list(samples)
-        v1 = None
-        if sensor_kind == "wheel":
-            v1 = np.array([s.v1 for s in rows], dtype=np.int64)
-        return cls(
-            sensor_kind=sensor_kind,
-            t=np.array([s.t for s in rows], dtype=float),
-            theta=np.array([s.theta for s in rows], dtype=float),
-            v0=np.array([s.v0 for s in rows], dtype=np.int64),
-            v1=v1,
-            adc_max=adc_max,
-        )
-
-
 @dataclass(frozen=True)
 class ValidRange:
-    """Integer count window; a count is admitted strictly inside it."""
+    """A wheel wiper's integer count window; the wiper admits the counts
+    strictly inside it."""
 
     v_min: int
     v_max: int
@@ -103,9 +76,6 @@ class ValidRange:
     def __post_init__(self) -> None:
         if not 0 <= self.v_min < self.v_max:
             raise SpecError(f"invalid count window ({self.v_min}, {self.v_max})")
-
-    def admits(self, count: int) -> bool:
-        return self.v_min < count < self.v_max
 
 
 class ShiftedPairs(NamedTuple):
@@ -133,9 +103,10 @@ class FitReport:
 class ModelBundle:
     """Everything a filter needs: models, windows, residuals, parameters.
 
-    ``adc_max`` must be ``2**bits - 1``, and every valid range and model
-    window must lie inside the counts ``[0, adc_max]``: the filters table
-    each model at every count of its window.
+    A wheel bundle has two models and two valid ranges, a tilt bundle one
+    model and none.  ``adc_max`` must be ``2**bits - 1``, and every valid
+    range and model window must lie inside the counts ``[0, adc_max]``: the
+    filters table each model at every count of its window.
     """
 
     sensor_kind: str
@@ -146,6 +117,12 @@ class ModelBundle:
     filter_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        shape = (len(self.models), len(self.valid_ranges))
+        expected = (2, 2) if self.sensor_kind == "wheel" else (1, 0)
+        if shape != expected:
+            raise SpecError(
+                f"{self.sensor_kind} bundle has (models, valid ranges) = {shape}, expected {expected}"
+            )
         check_adc_max(self.adc_max)
         for i, valid in enumerate(self.valid_ranges):
             if valid.v_max > self.adc_max:
@@ -172,6 +149,142 @@ def _open_text(source: str | Path | IO[str] | IO[bytes]):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
+# Raw fields are converted every 256 rows, so the text of a long log is
+# never held in memory at once, only its values.  The row lists of a chunk
+# are alive together; 256 stays well under the 700 net container
+# allocations that start a young garbage collection, so reading a log
+# seldom starts one, and few row lists survive into an older generation
+# to bring on a full collection.
+_CHUNK_ROWS = 256
+# Columns of integer ADC counts; every other column holds floats.
+COUNT_COLUMNS = ("v0", "v1")
+
+
+def _malformed(fields: list[str], converters) -> ValueError | None:
+    """The error of the first field, left to right, that fails to convert."""
+    for convert, text in zip(converters, fields):
+        try:
+            convert(text.strip())
+        except ValueError as exc:
+            return exc
+    return None
+
+
+def _convert_rows(rows: list[list[str]], converters, columns: list[list]) -> ValueError | None:
+    """Append the fields of ``rows``, converted, to ``columns``, one column each.
+
+    Stops before the first row with a malformed field and returns its error.
+    """
+    fields = list(zip(*rows))
+    try:
+        converted = [list(map(f, c)) for f, c in zip(converters, fields)]
+        error = None
+    except ValueError:
+        n, error = next(
+            (n, exc) for n, exc in enumerate(_malformed(row, converters) for row in rows) if exc
+        )
+        converted = [list(map(f, c[:n])) for f, c in zip(converters, fields)]
+    for column, values in zip(columns, converted):
+        column.extend(values)
+    return error
+
+
+def read_columns(
+    source: str | Path | IO[str] | IO[bytes],
+    header: Sequence[str],
+    adc_max: int,
+    what: str,
+    theta_limit: tuple[float, str] | None = None,
+) -> list[list]:
+    """Parse a CSV log with the given header into one list per column.
+
+    The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold
+    ints, every other one floats.  The source (a path, a text stream or a
+    byte stream) is read once with ``csv.reader``; rows are converted
+    column by column, a chunk at a time, and numpy masks check the values.
+    Lines starting with ``#`` are skipped but counted, so errors name the
+    physical line.
+
+    Raises :class:`SpecError` naming the line of the first bad row.  A row
+    is checked for, in this order: its field count, malformed fields (left
+    to right), non-finite floats, a decreasing ``t``, counts outside
+    [0, adc_max] (left to right) and, given ``theta_limit = (limit, text)``,
+    a ``theta`` whose magnitude exceeds ``limit`` (the error is ``text``
+    formatted with it).  ``what`` names the file when it holds no rows.
+    """
+    header = list(header)
+    width = len(header)
+    converters = [int if name in COUNT_COLUMNS else float for name in header]
+    columns: list[list] = [[] for _ in header]
+    lines: list[int] = []  # physical line of each row
+    rows: list[list[str]] = []
+    # The first row with a wrong field count or a malformed field ends the
+    # rows that are value-checked; its error is raised if none of them fails.
+    error = malformed = None
+    handle, owned = _open_text(source)
+    try:
+        reader = csv.reader(handle)
+        found = None
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if found is None:
+                found = [f.strip() for f in row]
+                if found != header:
+                    raise SpecError(
+                        f"line {reader.line_num}: header must be {','.join(header)!r}, "
+                        f"got {','.join(found)!r}"
+                    )
+            elif len(row) != width:
+                error = SpecError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
+                break
+            else:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _CHUNK_ROWS:
+                    malformed = _convert_rows(rows, converters, columns)
+                    rows = []
+                    if malformed is not None:
+                        break
+    finally:
+        if owned:
+            handle.close()
+    if found is None:
+        raise SpecError(f"empty {what} file")
+    if not lines and error is None:
+        raise SpecError(f"{what} file has a header but no data rows")
+    if malformed is None:
+        malformed = _convert_rows(rows, converters, columns)
+    if malformed is not None:
+        error = SpecError(f"line {lines[len(columns[0])]}: {malformed}")
+
+    # Counts stay Python ints (object arrays), so no count overflows.
+    values = [np.array(c, dtype=object if f is int else float) for f, c in zip(converters, columns)]
+    t = values[0]
+    finite = [np.isfinite(v) for f, v in zip(converters, values) if f is float]
+    checks = [
+        (~np.logical_and.reduce(finite), lambda row: "non-finite value"),
+        (t < np.concatenate(([-np.inf], t[:-1])), lambda row: f"timestamp {columns[0][row]} decreases"),
+    ]
+    for convert, v, column in zip(converters, values, columns):
+        if convert is int:
+            checks.append(
+                ((v < 0) | (v > adc_max), lambda row, c=column: f"count {c[row]} outside [0, {adc_max}]")
+            )
+    if theta_limit is not None:
+        limit, text = theta_limit
+        theta = header.index("theta")
+        checks.append((np.abs(values[theta]) > limit, lambda row: text.format(columns[theta][row])))
+    failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if failing.size:
+        row = int(failing[0])
+        describe = next(describe for mask, describe in checks if mask[row])
+        raise SpecError(f"line {lines[row]}: {describe(row)}")
+    if error is not None:
+        raise error
+    return columns
+
+
 def ingest_log(
     source: str | Path | IO[str] | IO[bytes],
     sensor_kind: str,
@@ -179,76 +292,30 @@ def ingest_log(
 ) -> CalibrationDataset:
     """Parse and validate a calibration CSV ``t,theta,v0[,v1]``.
 
-    Lines starting with ``#`` are ignored.  Raises :class:`SpecError`
-    naming the offending line for schema mismatches, malformed fields,
-    decreasing timestamps, counts outside [0, adc_max], or angles outside
-    the sensor's range.
+    Applies :func:`read_columns`'s checks with the sensor's angle range as
+    the last one: [-pi, pi] for a wheel, where -pi is stored as pi, and
+    [-pi/2, pi/2] for a tilt.
     """
     if sensor_kind not in SENSOR_KINDS:
         raise SpecError(f"sensor_kind must be one of {SENSOR_KINDS}, got {sensor_kind!r}")
-    expected = ["t", "theta", "v0"] + (["v1"] if sensor_kind == "wheel" else [])
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        header = None
-        # Plain per-column lists: no per-row object, so parsing a log leaves
-        # nothing for the cyclic garbage collector to trace.
-        columns: tuple[list, ...] = ([], [], [], [])  # t, theta, v0, v1
-        last_t = -math.inf
-        for row in reader:
-            line = reader.line_num
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            fields = [f.strip() for f in row]
-            if header is None:
-                if fields != expected:
-                    raise SpecError(
-                        f"line {line}: header must be {','.join(expected)!r}, "
-                        f"got {','.join(fields)!r}"
-                    )
-                header = fields
-                continue
-            if len(fields) != len(expected):
-                raise SpecError(f"line {line}: expected {len(expected)} fields, got {len(fields)}")
-            try:
-                t = float(fields[0])
-                theta = float(fields[1])
-                counts = [int(f) for f in fields[2:]]
-            except ValueError as exc:
-                raise SpecError(f"line {line}: {exc}") from exc
-            if not math.isfinite(t) or not math.isfinite(theta):
-                raise SpecError(f"line {line}: non-finite value")
-            if t < last_t:
-                raise SpecError(f"line {line}: timestamp {t} decreases")
-            last_t = t
-            for count in counts:
-                if not 0 <= count <= adc_max:
-                    raise SpecError(f"line {line}: count {count} outside [0, {adc_max}]")
-            if sensor_kind == "wheel":
-                if theta < -math.pi or theta > math.pi:
-                    raise SpecError(f"line {line}: wheel angle {theta} outside [-pi, pi]")
-                if theta == -math.pi:
-                    theta = math.pi
-            elif abs(theta) > math.pi / 2.0:
-                raise SpecError(f"line {line}: tilt angle {theta} outside [-pi/2, pi/2]")
-            for column, value in zip(columns, (t, theta, *counts)):
-                column.append(value)
-        if header is None:
-            raise SpecError("empty calibration file")
-        t_col, theta_col, v0_col, v1_col = columns
-        if not t_col:
-            raise SpecError("calibration file has a header but no data rows")
-        return CalibrationDataset(
-            sensor_kind=sensor_kind,
-            t=np.array(t_col, dtype=float),
-            theta=np.array(theta_col, dtype=float),
-            v0=np.array(v0_col, dtype=np.int64),
-            v1=np.array(v1_col, dtype=np.int64) if sensor_kind == "wheel" else None,
-            adc_max=adc_max,
-        )
-    finally:
-        if owned:
-            handle.close()
+    wheel = sensor_kind == "wheel"
+    header = ["t", "theta", "v0", "v1"] if wheel else ["t", "theta", "v0"]
+    limit = (
+        (math.pi, "wheel angle {} outside [-pi, pi]")
+        if wheel
+        else (math.pi / 2.0, "tilt angle {} outside [-pi/2, pi/2]")
+    )
+    t, theta, v0, *v1 = read_columns(source, header, adc_max, "calibration", limit)
+    theta = np.array(theta, dtype=float)
+    theta[theta == -math.pi] = math.pi
+    return CalibrationDataset(
+        sensor_kind=sensor_kind,
+        t=np.array(t, dtype=float),
+        theta=theta,
+        v0=np.array(v0, dtype=np.int64),
+        v1=np.array(v1[0], dtype=np.int64) if wheel else None,
+        adc_max=adc_max,
+    )
 
 
 def trim_and_shift(

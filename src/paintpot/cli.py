@@ -9,7 +9,6 @@ in JSON).  Exit codes: 0 success, 2 configuration or schema error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -146,17 +145,9 @@ def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: fl
 
 
 def _filter_params(bundle: ModelBundle, k: float, dt: float, q: float, sigma0: float) -> dict:
-    params = {"k": k, "dt": dt, "q": q, "sigma0": sigma0}
-    if bundle.sensor_kind == "wheel":
-        params["r0"], params["r1"] = (
-            estimate.default_measurement_variance(bundle.models[i], bundle.report.wipers[i])
-            for i in (0, 1)
-        )
-    else:
-        params["r"] = estimate.default_measurement_variance(
-            bundle.models[0], bundle.report.wipers[0]
-        )
-    return params
+    keys = estimate.variance_keys(len(bundle.models))
+    rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
+    return {"k": k, "dt": dt, "q": q, "sigma0": sigma0, **dict(zip(keys, rs))}
 
 
 def run_calibrate(
@@ -183,134 +174,20 @@ def run_calibrate(
     characterize.save_bundle(bundle, Path(out), manifest=manifest.to_dict())
 
 
-# Raw fields are converted every 1024 rows, so the text of a long log is
-# never held in memory at once, only its values.
-_CHUNK_ROWS = 1024
-
-
-def _malformed(fields: list[str], converters) -> ValueError | None:
-    """The error of the first field, left to right, that fails to convert."""
-    for convert, text in zip(converters, fields):
-        try:
-            convert(text.strip())
-        except ValueError as exc:
-            return exc
-    return None
-
-
-def _convert_rows(rows: list[list[str]], converters, columns: list[list]) -> ValueError | None:
-    """Append the fields of ``rows``, converted, to ``columns``, one column each.
-
-    Stops before the first row with a malformed field and returns its error.
-    """
-    fields = list(zip(*rows))
-    try:
-        converted = [list(map(f, c)) for f, c in zip(converters, fields)]
-        error = None
-    except ValueError:
-        n, error = next(
-            (n, exc) for n, exc in enumerate(_malformed(row, converters) for row in rows) if exc
-        )
-        converted = [list(map(f, c[:n])) for f, c in zip(converters, fields)]
-    for column, values in zip(columns, converted):
-        column.extend(values)
-    return error
-
-
-def _parse_readings(
-    path: str, kind: str, adc_max: int
-) -> tuple[list[float], list[list[int]], list[float]]:
-    """Parse a readings CSV ``t,v0[,v1],omega`` into columns ``(t, counts, omega)``.
-
-    ``counts`` holds one column per wiper.  The file is read once with
-    ``csv.reader``; rows are converted column by column, a chunk at a
-    time, and numpy masks check the values.  Lines starting with ``#``
-    are skipped but counted, so errors name the physical line.
-
-    Raises :class:`SpecError` naming the line of the first bad row, as
-    ``ingest_log`` does for calibration logs.  A row is checked for, in
-    this order: its field count, malformed fields (left to right),
-    non-finite ``t`` or ``omega``, a decreasing ``t``, and counts outside
-    [0, adc_max] (left to right).
-    """
-    expected = ["t", "v0", "v1", "omega"] if kind == "wheel" else ["t", "v0", "omega"]
-    width = len(expected)
-    converters = (float, *[int] * (width - 2), float)
-    columns: list[list] = [[] for _ in expected]
-    lines: list[int] = []  # physical line of each row
-    rows: list[list[str]] = []
-    # The first row with a wrong field count or a malformed field ends the
-    # rows that are value-checked; its error is raised if none of them fails.
-    error = malformed = None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = None
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [f.strip() for f in row]
-                if header != expected:
-                    raise SpecError(
-                        f"line {reader.line_num}: header must be {','.join(expected)!r}, "
-                        f"got {','.join(header)!r}"
-                    )
-            elif len(row) != width:
-                error = SpecError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-                break
-            else:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _CHUNK_ROWS:
-                    malformed = _convert_rows(rows, converters, columns)
-                    rows = []
-                    if malformed is not None:
-                        break
-    if header is None:
-        raise SpecError("empty readings file")
-    if not lines and error is None:
-        raise SpecError("readings file has a header but no data rows")
-    if malformed is None:
-        malformed = _convert_rows(rows, converters, columns)
-    if malformed is not None:
-        error = SpecError(f"line {lines[len(columns[0])]}: {malformed}")
-    t, *counts, omega = columns
-
-    t_values, omega_values = np.array(t), np.array(omega)
-    # Counts stay Python ints (object arrays), so no count overflows.
-    count_values = [np.array(column, dtype=object) for column in counts]
-    failures = [
-        ~(np.isfinite(t_values) & np.isfinite(omega_values)),
-        t_values < np.concatenate(([-np.inf], t_values[:-1])),
-        *((values < 0) | (values > adc_max) for values in count_values),
-    ]
-    failing = np.flatnonzero(np.logical_or.reduce(failures))
-    if failing.size:
-        row = int(failing[0])
-        check = next(k for k, mask in enumerate(failures) if mask[row])
-        if check == 0:
-            raise SpecError(f"line {lines[row]}: non-finite value")
-        if check == 1:
-            raise SpecError(f"line {lines[row]}: timestamp {t[row]} decreases")
-        count = counts[check - 2][row]
-        raise SpecError(f"line {lines[row]}: count {count} outside [0, {adc_max}]")
-    if error is not None:
-        raise error
-    return t, counts, omega
-
-
 def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     """``estimate``: run the filter offline over a logged reading stream.
 
     A readings log carries no availability flag, so every logged reading
     is marked available: a wiper riding its gap reports a rail count, and
-    only the count window (the wheel's valid ranges, the tilt model's
-    window) keeps it out of the update.
+    only the counts its wiper admits (the wheel's valid ranges, the tilt
+    model's window) keep it out of the update.
     """
     bundle = characterize.load_bundle(model_json)
     tm = estimate.transition_from_bundle(bundle)
     sigma0 = float(bundle.filter_params.get("sigma0", estimate.DEFAULT_SIGMA0))
-    t, counts, omega = _parse_readings(readings_csv, bundle.sensor_kind, bundle.adc_max)
+    header = ["t", *(f"v{i}" for i in range(len(bundle.models))), "omega"]
+    t, *counts, omega = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
+    obs = estimate.observation_from_bundle(bundle)
     manifest = RunManifest(
         command="estimate",
         inputs={"model": model_json, "readings": readings_csv},
@@ -323,30 +200,16 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
         [sensor_sim.AdcReading(wiper, count, True) for count in range(max(column) + 1)]
         for wiper, column in enumerate(counts)
     ]
-    rows = zip(t, *counts, omega)
-    if bundle.sensor_kind == "wheel":
-        obs = estimate.wheel_observation_from_bundle(bundle)
-        estimator = estimate.WheelEstimator(obs, tm, sigma0)
-        wiper0, wiper1 = by_count
-        t0, c0, c1, _ = next(rows)
-        readings0 = (wiper0[c0], wiper1[c1])
-        belief = estimator.initialize(readings0)
-        trace = [(t0, belief.mu, belief.sigma, len(estimate.extract_features(readings0, obs)))]
-        step = estimator.step
-        for t_i, c0, c1, u in rows:
-            belief, used = step(u, (wiper0[c0], wiper1[c1]))
-            trace.append((t_i, belief.mu, belief.sigma, used[0] + used[1]))
-    else:
-        obs = estimate.tilt_observation_from_bundle(bundle)
-        estimator = estimate.TiltEstimator(obs, tm, sigma0)
-        (wiper0,) = by_count
-        t0, c0, _ = next(rows)
-        belief = estimator.initialize(wiper0[c0])
-        trace = [(t0, belief.mu, belief.sigma, 1)]
-        step = estimator.step
-        for t_i, c0, u in rows:
-            belief, used = step(u, wiper0[c0])
-            trace.append((t_i, belief.mu, belief.sigma, used))
+    readings = zip(*(map(table.__getitem__, column) for table, column in zip(by_count, counts)))
+    estimator = (estimate.WheelEstimator if obs.wrap else estimate.TiltEstimator)(obs, tm, sigma0)
+    first = next(readings)
+    belief = estimator.initialize(first)
+    trace = [(t[0], belief.mu, belief.sigma, len(estimate.extract_features(first, obs)))]
+    n_used = sum if obs.wrap else int  # a wheel step reports a flag per wiper
+    step = estimator.step
+    for t_i, u, row in zip(t[1:], omega[1:], readings):
+        belief, used = step(u, row)
+        trace.append((t_i, belief.mu, belief.sigma, n_used(used)))
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
         handle.write("t,mu,sigma,n_features\n")
@@ -404,13 +267,7 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
         bundle = characterize.calibrate(dataset)
     if bundle.sensor_kind != kind:
         raise SpecError(f"model bundle kind {bundle.sensor_kind!r} does not match {kind!r}")
-    bundle = bundle.with_filter_params(
-        {**bundle.filter_params, "k": tm.k, "dt": tm.dt, "q": tm.q, "sigma0": sigma0}
-    )
-    if kind == "wheel":
-        obs = estimate.wheel_observation_from_bundle(bundle)
-    else:
-        obs = estimate.tilt_observation_from_bundle(bundle)
+    obs = estimate.observation_from_bundle(bundle)
 
     traj = trajectory.plan_quintic(x0, xf, t_total)
     gains = trajectory.ControllerGains(

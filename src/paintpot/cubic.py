@@ -37,10 +37,11 @@ _COEFFICIENT_FORMAT = ".17e"
 class CubicModel:
     """``theta = c3*V**3 + c2*V**2 + c1*V + c0`` on the window ``v_window``.
 
-    Construction validates monotonicity in closed form: the derivative, a
-    quadratic, must be non-zero with one sign at both window ends and must
-    not change sign in between.  Evaluation outside the window is legal
-    arithmetic but only the window is trusted sensor behavior.
+    Construction checks that the coefficients and the window are finite and
+    validates monotonicity in closed form: the derivative, a quadratic, must
+    be non-zero with one sign at both window ends and must not change sign
+    in between.  Evaluation outside the window is legal arithmetic but only
+    the window is trusted sensor behavior.
     """
 
     c3: float
@@ -50,9 +51,12 @@ class CubicModel:
     v_window: tuple[float, float]
 
     def __post_init__(self) -> None:
+        coefficients = (self.c3, self.c2, self.c1, self.c0)
+        if not all(map(math.isfinite, coefficients)):
+            raise FitError(f"cubic coefficients must be finite, got {coefficients!r}")
         lo, hi = float(self.v_window[0]), float(self.v_window[1])
-        if not lo < hi:
-            raise FitError(f"voltage window must satisfy lo < hi, got ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise FitError(f"voltage window must be finite with lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "v_window", (lo, hi))
         d_lo, d_hi = self.derivative(lo), self.derivative(hi)
         monotone = (d_lo > 0.0 and d_hi > 0.0) or (d_lo < 0.0 and d_hi < 0.0)

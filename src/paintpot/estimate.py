@@ -1,13 +1,14 @@
 """Scalar Kalman filters over converted angle measurements.
 
 Raw counts are pushed through the fitted cubics into angle-space
-"features", which makes the observation model linear: each available
+"features", which makes the observation model linear: each admitted
 feature measures the per-wiper shifted state directly, so no linearization
-of the cubic is ever needed.  Counts are integers, so each observation
-model evaluates its cubics once, at construction, into count-to-angle
-tables, and every step indexes them.  Wheel filters fuse up to two
-features per step and keep their mean on the wrapped chart (-pi, pi];
-tilt filters have one always-on feature and no wrap.
+of the cubic is ever needed.  One :class:`ObservationModel` describes every
+joint: a tuple of wipers, each with its cubic, its variance ``r``, the
+counts it admits and a count-to-angle table evaluated once, at
+construction, plus a ``wrap`` flag.  A wheel is two wipers with a wrap: its
+filter fuses up to two features per step and keeps its mean on the wrapped
+chart (-pi, pi].  A tilt is one wiper without one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from paintpot.characterize import ModelBundle, ValidRange, WiperFitStats
+from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
 from paintpot.geometry import (
@@ -45,6 +46,10 @@ class TransitionModel:
     q: float
 
     def __post_init__(self) -> None:
+        for name in ("k", "dt", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SpecError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0.0:
             raise SpecError("dt must be positive")
         if self.q < 0.0:
@@ -91,7 +96,7 @@ class _Feature(NamedTuple):
 
 
 class Feature(_Feature):
-    """An available converted measurement from wiper ``index``.
+    """An admitted converted measurement from wiper ``index``.
 
     An immutable tuple.  The measurement ``z`` must be finite.
     """
@@ -123,47 +128,64 @@ def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class WheelObservationModel:
-    """Per-wiper converted-measurement models with their count windows.
+class Wiper:
+    """One wiper's converted measurement.
 
-    ``charts[w][count]`` is wiper ``w``'s converted measurement, tabled for
-    every count up to its window's ``v_max``.
+    The wiper admits the counts ``lo..hi`` (inclusive); ``chart[count]`` is
+    its cubic at ``count``, tabled for every count from 0 to ``hi``.
     """
 
-    m0: CubicModel
-    m1: CubicModel
-    r0: float
-    r1: float
-    ranges: tuple[ValidRange, ValidRange]
-    charts: tuple[tuple[float, ...], tuple[float, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.r0 <= 0.0 or self.r1 <= 0.0:
-            raise SpecError("measurement variances must be positive")
-        charts = (
-            _count_chart(self.m0, self.ranges[0].v_max),
-            _count_chart(self.m1, self.ranges[1].v_max),
-        )
-        object.__setattr__(self, "charts", charts)
-
-
-@dataclass(frozen=True)
-class TiltObservationModel:
-    """One converted-measurement model; ``chart[count]`` for counts in its window."""
-
-    m: CubicModel
+    model: CubicModel
     r: float
+    lo: int
+    hi: int
     chart: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise SpecError("measurement variance must be positive")
-        lo, hi = self.m.v_window
-        if lo < 0.0:
-            raise SpecError(f"tilt model window must start at a count >= 0, got {lo}")
-        object.__setattr__(self, "chart", _count_chart(self.m, math.floor(hi)))
+        if self.lo < 0:
+            raise SpecError(f"admitted counts must start at a count >= 0, got {self.lo}")
+        object.__setattr__(self, "chart", _count_chart(self.model, self.hi))
+
+    def admits(self, count: int) -> bool:
+        return self.lo <= count <= self.hi
+
+
+@dataclass(frozen=True)
+class ObservationModel:
+    """A joint's wipers, and whether its angle wraps onto (-pi, pi].
+
+    A wheel is two wipers, each admitting its valid range's strict
+    interior, with a wrap; a tilt is one wiper, admitting the counts inside
+    its model window, without.
+    """
+
+    wipers: tuple[Wiper, ...]
+    wrap: bool
+
+    def __post_init__(self) -> None:
+        if not self.wipers:
+            raise SpecError("an observation model needs at least one wiper")
+        for index, wiper in enumerate(self.wipers):
+            if not (math.isfinite(wiper.r) and wiper.r > 0.0):
+                raise SpecError(
+                    f"wiper {index}: measurement variance r must be finite and positive, "
+                    f"got {wiper.r!r}"
+                )
+
+    def feature(self, reading: AdcReading) -> Feature | None:
+        """The reading's converted measurement if it is admitted, else None.
+
+        A reading is admitted iff it is flagged available and its wiper
+        admits its count.
+        """
+        index, count, available = reading
+        wipers = self.wipers
+        if not 0 <= index < len(wipers):
+            raise SpecError(f"wiper index must be in 0..{len(wipers) - 1}, got {index}")
+        wiper = wipers[index]
+        if available and wiper.admits(count):
+            return Feature(index, wiper.chart[count], wiper.r)
+        return None
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
@@ -179,26 +201,19 @@ def predicted_feature_measurement(mu_bar: float, index: int) -> float:
 
 
 def extract_features(
-    readings: Sequence[AdcReading], obs: WheelObservationModel
+    readings: Sequence[AdcReading], obs: ObservationModel
 ) -> list[Feature]:
-    """Converted measurements from the readings that are usable this step.
+    """Converted measurements of the admitted readings, in reading order.
 
-    A reading contributes iff it is flagged available and its count lies
-    strictly inside that wiper's valid range.  An empty list is legal; the
-    update then degenerates to the prediction.
+    An empty list is legal; the update then degenerates to the prediction.
     """
     features: list[Feature] = []
-    for wiper, count, available in readings:
-        if wiper not in (0, 1):
-            raise SpecError(f"wiper index must be 0 or 1, got {wiper}")
-        if available and obs.ranges[wiper].admits(count):
-            features.append(Feature(wiper, obs.charts[wiper][count], obs.r1 if wiper else obs.r0))
+    feature_of = obs.feature
+    for reading in readings:
+        feature = feature_of(reading)
+        if feature is not None:
+            features.append(feature)
     return features
-
-
-def wrap_wheel_belief(belief: GaussianBelief) -> GaussianBelief:
-    """Wrap the mean into (-pi, pi]; variance is chart-independent."""
-    return GaussianBelief(wrap_angle(belief.mu), belief.sigma)
 
 
 def update_wheel(
@@ -237,65 +252,43 @@ def update_wheel(
 
 
 def update_tilt(
-    belief_bar: GaussianBelief, reading: AdcReading, obs: TiltObservationModel
+    belief_bar: GaussianBelief, reading: AdcReading, obs: ObservationModel
 ) -> tuple[GaussianBelief, bool]:
-    """Scalar update for the tilt joint.
+    """Scalar update of a one-wiper model on its reading, without a gate.
 
-    Counts outside the model's trusted window are rejected (cubic
-    extrapolation beyond calibration data is unbounded); the prediction is
-    then returned unchanged with ``accepted=False``.
+    A reading that is not admitted (cubic extrapolation beyond calibration
+    data is unbounded) leaves the prediction unchanged, with
+    ``accepted=False``.
     """
+    (wiper,) = obs.wipers
     _, count, available = reading
-    lo, hi = obs.m.v_window
-    if not available or not lo <= count <= hi:
+    if not (available and wiper.admits(count)):
         return belief_bar, False
-    z = obs.chart[count]
+    z = wiper.chart[count]
     mu, sigma = belief_bar
-    gain = sigma / (sigma + obs.r)
+    gain = sigma / (sigma + wiper.r)
     return GaussianBelief(mu + gain * (z - mu), sigma - gain * sigma), True
 
 
-def init_wheel(
-    readings: Sequence[AdcReading],
-    obs: WheelObservationModel,
-    sigma0: float = DEFAULT_SIGMA0,
+def initial_belief(
+    readings: Sequence[AdcReading], obs: ObservationModel, sigma0: float = DEFAULT_SIGMA0
 ) -> GaussianBelief:
-    """Seed a wheel belief from the first usable wiper.
+    """Seed a belief from the first admitted reading in wiper order.
 
-    Wiper 0 is preferred; its converted value is brought back onto
-    (-pi, pi] by adding a turn if it landed below -pi.  Otherwise wiper 1
-    is used, subtracting a turn if above pi.
+    ``readings`` holds one reading per wiper.  The mean is the admitted
+    reading's converted value, wrapped onto (-pi, pi] when the model wraps.
     """
-    by_index = {reading.wiper_index: reading for reading in readings}
-    if set(by_index) != {0, 1}:
-        raise SpecError("wheel initialization needs one reading per wiper")
-    r0, r1 = by_index[0], by_index[1]
-    if r0.available and obs.ranges[0].admits(r0.count):
-        mu = obs.charts[0][r0.count]
-        if mu < -math.pi:
-            mu += 2.0 * math.pi
-    elif r1.available and obs.ranges[1].admits(r1.count):
-        mu = obs.charts[1][r1.count]
-        if mu > math.pi:
-            mu -= 2.0 * math.pi
-    else:
-        raise InitializationError(
-            "neither wiper reading is inside its valid range; "
-            "the sensor is miscalibrated or the counts are garbage"
-        )
-    return GaussianBelief(mu, sigma0)
-
-
-def init_tilt(
-    reading: AdcReading, obs: TiltObservationModel, sigma0: float = DEFAULT_SIGMA0
-) -> GaussianBelief:
-    """Seed a tilt belief by evaluating the model at the first count."""
-    lo, hi = obs.m.v_window
-    if not reading.available or not lo <= reading.count <= hi:
-        raise InitializationError(
-            f"tilt count {reading.count} outside the model window [{lo}, {hi}]"
-        )
-    return GaussianBelief(obs.chart[reading.count], sigma0)
+    ordered = sorted(readings)
+    if [reading.wiper_index for reading in ordered] != list(range(len(obs.wipers))):
+        raise SpecError(f"initialization needs one reading per wiper, got {ordered}")
+    for feature in map(obs.feature, ordered):
+        if feature is not None:
+            return GaussianBelief(wrap_angle(feature.z) if obs.wrap else feature.z, sigma0)
+    raise InitializationError(
+        f"no reading is admitted (counts {[reading.count for reading in ordered]}, admitted "
+        f"{[(wiper.lo, wiper.hi) for wiper in obs.wipers]}); "
+        "the sensor is miscalibrated or the counts are garbage"
+    )
 
 
 class WheelStep(NamedTuple):
@@ -319,14 +312,14 @@ class WheelEstimator:
     feature is unusable for one step and the filter rides the other wiper.
     """
 
-    obs: WheelObservationModel
+    obs: ObservationModel
     tm: TransitionModel
     sigma0: float = DEFAULT_SIGMA0
     gate_sigmas: float = 6.0
     belief: GaussianBelief | None = None
 
     def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
-        self.belief = init_wheel(readings, self.obs, self.sigma0)
+        self.belief = initial_belief(readings, self.obs, self.sigma0)
         return self.belief
 
     def step(self, u: float, readings: Sequence[AdcReading]) -> WheelStep:
@@ -353,18 +346,21 @@ class WheelEstimator:
 
 @dataclass
 class TiltEstimator:
-    obs: TiltObservationModel
+    """Stateful convenience wrapper: predict, then update on the one wiper."""
+
+    obs: ObservationModel
     tm: TransitionModel
     sigma0: float = DEFAULT_SIGMA0
     belief: GaussianBelief | None = None
 
-    def initialize(self, reading: AdcReading) -> GaussianBelief:
-        self.belief = init_tilt(reading, self.obs, self.sigma0)
+    def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
+        self.belief = initial_belief(readings, self.obs, self.sigma0)
         return self.belief
 
-    def step(self, u: float, reading: AdcReading) -> TiltStep:
+    def step(self, u: float, readings: Sequence[AdcReading]) -> TiltStep:
         if self.belief is None:
             raise InitializationError("call initialize() before step()")
+        (reading,) = readings
         belief_bar = predict(self.belief, u, self.tm)
         self.belief, used = update_tilt(belief_bar, reading, self.obs)
         return TiltStep(self.belief, used)
@@ -386,37 +382,34 @@ def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:
     )
 
 
-def wheel_observation_from_bundle(bundle: ModelBundle) -> WheelObservationModel:
-    if bundle.sensor_kind != "wheel" or len(bundle.models) != 2 or len(bundle.valid_ranges) != 2:
-        raise SpecError("bundle does not describe a wheel sensor")
-    params = bundle.filter_params
-    if "r0" in params or "r1" in params:
+def variance_keys(n_wipers: int) -> tuple[str, ...]:
+    """Filter-parameter names of the wipers' ``r``: ``r`` alone, else ``r0``, ``r1``, ..."""
+    return ("r",) if n_wipers == 1 else tuple(f"r{i}" for i in range(n_wipers))
+
+
+def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
+    """The bundle's observation model.
+
+    A bundle with valid ranges describes a wheel: each wiper admits its
+    valid range's strict interior, and the angle wraps.  Otherwise each
+    wiper admits the counts inside its model window.  Each ``r`` comes from
+    the filter parameters (see :func:`variance_keys`) or, when they name
+    none, from the fit report.
+    """
+    models, params = bundle.models, bundle.filter_params
+    keys = variance_keys(len(models))
+    if any(key in params for key in keys):
         try:
-            r0, r1 = float(params["r0"]), float(params["r1"])
+            rs = [float(params[key]) for key in keys]
         except KeyError as exc:
-            raise SpecError("wheel bundles need both r0 and r1") from exc
+            raise SpecError(f"bundle filter parameters need all of {', '.join(keys)}") from exc
+    elif len(bundle.report.wipers) == len(models):
+        rs = [default_measurement_variance(m, s) for m, s in zip(models, bundle.report.wipers)]
     else:
-        if len(bundle.report.wipers) != 2:
-            raise SpecError("bundle carries neither r0/r1 nor a fit report")
-        r0, r1 = (
-            default_measurement_variance(bundle.models[i], bundle.report.wipers[i])
-            for i in (0, 1)
-        )
-    return WheelObservationModel(
-        m0=bundle.models[0],
-        m1=bundle.models[1],
-        r0=r0,
-        r1=r1,
-        ranges=(bundle.valid_ranges[0], bundle.valid_ranges[1]),
-    )
-
-
-def tilt_observation_from_bundle(bundle: ModelBundle) -> TiltObservationModel:
-    if bundle.sensor_kind != "tilt" or len(bundle.models) != 1:
-        raise SpecError("bundle does not describe a tilt sensor")
-    r = bundle.filter_params.get("r")
-    if r is None:
-        if len(bundle.report.wipers) != 1:
-            raise SpecError("bundle carries neither an r value nor a fit report")
-        r = default_measurement_variance(bundle.models[0], bundle.report.wipers[0])
-    return TiltObservationModel(m=bundle.models[0], r=float(r))
+        raise SpecError(f"bundle carries neither {', '.join(keys)} nor a fit report")
+    if bundle.valid_ranges:
+        admitted = [(valid.v_min + 1, valid.v_max - 1) for valid in bundle.valid_ranges]
+    else:
+        admitted = [(math.ceil(m.v_window[0]), math.floor(m.v_window[1])) for m in models]
+    wipers = tuple(Wiper(m, r, lo, hi) for m, r, (lo, hi) in zip(models, rs, admitted))
+    return ObservationModel(wipers, wrap=bool(bundle.valid_ranges))

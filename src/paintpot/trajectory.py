@@ -16,11 +16,10 @@ import numpy as np
 
 from paintpot.errors import SpecError
 from paintpot.estimate import (
+    ObservationModel,
     TiltEstimator,
-    TiltObservationModel,
     TransitionModel,
     WheelEstimator,
-    WheelObservationModel,
     extract_features,
 )
 from paintpot.geometry import wrap_angle, wrapped_difference
@@ -126,7 +125,7 @@ class ExperimentConfig:
 
     kind: str
     sensor: WheelSensorSpec | TiltSensorSpec
-    obs: WheelObservationModel | TiltObservationModel
+    obs: ObservationModel
     tm: TransitionModel
     traj: QuinticTrajectory
     gains: ControllerGains
@@ -204,19 +203,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     read the sensor, predict, then update with whatever features are
     available.  Deterministic for a fixed seed.
     """
-    kind = config.kind
-    if kind == "wheel":
-        if not isinstance(config.sensor, WheelSensorSpec) or not isinstance(
-            config.obs, WheelObservationModel
-        ):
-            raise SpecError("wheel experiment requires wheel sensor spec and observation model")
-    elif kind == "tilt":
-        if not isinstance(config.sensor, TiltSensorSpec) or not isinstance(
-            config.obs, TiltObservationModel
-        ):
-            raise SpecError("tilt experiment requires tilt sensor spec and observation model")
-    else:
-        raise SpecError(f"unknown joint kind {kind!r}")
+    kind, sensor, obs = config.kind, config.sensor, config.obs
+    wheel = obs.wrap
+    if kind != ("wheel" if wheel else "tilt") or not isinstance(
+        sensor, WheelSensorSpec if wheel else TiltSensorSpec
+    ):
+        raise SpecError(f"experiment kind {kind!r} does not match its sensor spec and observation model")
     if config.rate_hz <= 0.0:
         raise SpecError("rate_hz must be positive")
     dt = 1.0 / config.rate_hz
@@ -229,22 +221,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if n_steps < 1:
         raise SpecError("trajectory shorter than one loop period")
 
-    theta = wrap_angle(config.traj.x0) if kind == "wheel" else config.traj.x0
-    if kind == "tilt" and abs(theta) > config.sensor.angle_limit:
+    theta = wrap_angle(config.traj.x0) if wheel else config.traj.x0
+    if not wheel and abs(theta) > sensor.angle_limit:
         raise SpecError("tilt trajectory starts outside the mechanical range")
 
-    if kind == "wheel":
-        estimator = WheelEstimator(config.obs, config.tm, config.sigma0)
-        readings = read_wheel(theta, config.sensor, rng)
-        estimator.initialize(readings)
-        feats = extract_features(readings, config.obs)
-        used = (any(f.index == 0 for f in feats), any(f.index == 1 for f in feats))
-    else:
-        estimator = TiltEstimator(config.obs, config.tm, config.sigma0)
-        reading = read_tilt(theta, config.sensor, rng)
-        estimator.initialize(reading)
-        lo, hi = config.obs.m.v_window
-        used = (lo <= reading.count <= hi, False)
+    estimator = (WheelEstimator if wheel else TiltEstimator)(obs, config.tm, config.sigma0)
+    readings = read_wheel(theta, sensor, rng) if wheel else (read_tilt(theta, sensor, rng),)
+    estimator.initialize(readings)
+    admitted = {feature.index for feature in extract_features(readings, obs)}
+    used = (0 in admitted, 1 in admitted)
 
     size = n_steps + 1
     t_log = np.zeros(size)
@@ -272,14 +257,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             plant_q,
             rng,
             kind=kind,
-            angle_limit=getattr(config.sensor, "angle_limit", math.pi / 2.0),
+            angle_limit=getattr(sensor, "angle_limit", math.pi / 2.0),
         )
-        if kind == "wheel":
-            readings = read_wheel(theta, config.sensor, rng)
-            belief, used = estimator.step(u, readings)
+        if wheel:
+            belief, used = estimator.step(u, read_wheel(theta, sensor, rng))
         else:
-            reading = read_tilt(theta, config.sensor, rng)
-            belief, accepted = estimator.step(u, reading)
+            belief, accepted = estimator.step(u, (read_tilt(theta, sensor, rng),))
             used = (accepted, False)
         t_log[step], true_log[step], est_log[step] = t, theta, belief.mu
         ref_log[step], u_log[step] = ref_pos, u

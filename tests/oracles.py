@@ -4,6 +4,8 @@ Everything here is deliberately written from first principles (no imports
 from the package under test) so the tests compare two separate derivations.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -122,3 +124,79 @@ def monotone_on_grid(c3, c2, c1, lo, hi, n_points=100_001):
     v = np.linspace(lo, hi, n_points)
     slope = 3.0 * c3 * v**2 + 2.0 * c2 * v + c1
     return bool(np.all(slope > 0.0) or np.all(slope < 0.0))
+
+
+def per_wiper_turn_rule(value, wiper):
+    """Seed a wheel mean from a converted value by at most one full turn.
+
+    Wiper 0's chart reaches below -pi, so a value there gains a turn;
+    wiper 1's reaches above pi, so a value there loses one.
+    """
+    if wiper == 0 and value < -PI:
+        return value + TWO_PI
+    if wiper == 1 and value > PI:
+        return value - TWO_PI
+    return value
+
+
+class ReferenceLogError(ValueError):
+    """A calibration log the row-by-row reference parser rejects."""
+
+
+def ingest_log_reference(text, sensor_kind, adc_max=1023):
+    """Calibration-log parser that checks one row at a time.
+
+    The package's parser before it read logs by columns, kept as the
+    reference for that one.  Returns the columns ``(t, theta, v0, v1)``
+    (``v1`` is None for a tilt log) or raises :class:`ReferenceLogError`
+    with the package's error text.
+    """
+    expected = ["t", "theta", "v0"] + (["v1"] if sensor_kind == "wheel" else [])
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = None
+    columns = ([], [], [], [])  # t, theta, v0, v1
+    last_t = -math.inf
+    for row in reader:
+        line = reader.line_num
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in row]
+        if header is None:
+            if fields != expected:
+                raise ReferenceLogError(
+                    f"line {line}: header must be {','.join(expected)!r}, "
+                    f"got {','.join(fields)!r}"
+                )
+            header = fields
+            continue
+        if len(fields) != len(expected):
+            raise ReferenceLogError(f"line {line}: expected {len(expected)} fields, got {len(fields)}")
+        try:
+            t = float(fields[0])
+            theta = float(fields[1])
+            counts = [int(f) for f in fields[2:]]
+        except ValueError as exc:
+            raise ReferenceLogError(f"line {line}: {exc}") from exc
+        if not math.isfinite(t) or not math.isfinite(theta):
+            raise ReferenceLogError(f"line {line}: non-finite value")
+        if t < last_t:
+            raise ReferenceLogError(f"line {line}: timestamp {t} decreases")
+        last_t = t
+        for count in counts:
+            if not 0 <= count <= adc_max:
+                raise ReferenceLogError(f"line {line}: count {count} outside [0, {adc_max}]")
+        if sensor_kind == "wheel":
+            if theta < -math.pi or theta > math.pi:
+                raise ReferenceLogError(f"line {line}: wheel angle {theta} outside [-pi, pi]")
+            if theta == -math.pi:
+                theta = math.pi
+        elif abs(theta) > math.pi / 2.0:
+            raise ReferenceLogError(f"line {line}: tilt angle {theta} outside [-pi/2, pi/2]")
+        for column, value in zip(columns, (t, theta, *counts)):
+            column.append(value)
+    if header is None:
+        raise ReferenceLogError("empty calibration file")
+    t_col, theta_col, v0_col, v1_col = columns
+    if not t_col:
+        raise ReferenceLogError("calibration file has a header but no data rows")
+    return t_col, theta_col, v0_col, v1_col if sensor_kind == "wheel" else None

@@ -13,15 +13,20 @@ import numpy as np
 import pytest
 
 from paintpot import cli
-from paintpot.characterize import calibrate, compute_valid_ranges, invert_cubic
+from paintpot.characterize import (
+    FitReport,
+    ModelBundle,
+    calibrate,
+    compute_valid_ranges,
+    invert_cubic,
+)
 from paintpot.cubic import CubicModel
 from paintpot.estimate import (
     Feature,
     GaussianBelief,
-    TiltObservationModel,
     TransitionModel,
-    WheelObservationModel,
     extract_features,
+    observation_from_bundle,
     predict,
     predicted_feature_measurement,
     update_tilt,
@@ -74,10 +79,12 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
         if mode == "tilt":
             count = int(np.clip(round((mu_bar + rng.normal(0.0, 0.05) + 1.0) * 256.0), 1, 1022))
             z = float(tilt_chart.evaluate(count))
-            obs = TiltObservationModel(tilt_chart, r=float(10.0 ** rng.uniform(-4.0, -2.0)))
+            r = float(10.0 ** rng.uniform(-4.0, -2.0))
+            bundle = ModelBundle("tilt", (tilt_chart,), (), FitReport(()), 1023, {"r": r})
+            obs = observation_from_bundle(bundle)
             posterior, accepted = update_tilt(bar, AdcReading(0, count, True), obs)
             assert accepted
-            zs, rs = [z], [obs.r]
+            zs, rs = [z], [obs.wipers[0].r]
         else:
             n_feats = 1 if mode == "wheel_single" else 2
             zs, rs, feats = [], [], []
@@ -149,7 +156,9 @@ def test_criterion_3_characterization_round_trip():
 def test_criterion_4_feature_availability_and_branch_structure():
     spec = reference_wheel_spec(noise_std=0.0)
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    obs = WheelObservationModel(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, 1e-4, 1e-4, ranges)
+    params = {"r0": 1e-4, "r1": 1e-4}
+    truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+    obs = observation_from_bundle(ModelBundle("wheel", truth, ranges, FitReport(()), 1023, params))
     rng = np.random.default_rng(1004)
     thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
     for theta in thetas:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from paintpot.characterize import (
     CalibrationDataset,
-    CalibrationSample,
     ValidRange,
     calibrate,
     compute_valid_ranges,
@@ -23,15 +22,27 @@ from paintpot.cubic import CHART_KNOTS, CubicModel
 from paintpot.errors import FitError, InversionError, SpecError
 from paintpot.presets import TILT_TRUTH, WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
 
-from oracles import bisect_root, cubic_value, monotone_on_grid
+from oracles import (
+    ReferenceLogError,
+    bisect_root,
+    cubic_value,
+    ingest_log_reference,
+    monotone_on_grid,
+)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 
 def wheel_dataset(rows):
-    samples = [CalibrationSample(t, th, v0, v1) for t, th, v0, v1 in rows]
-    return CalibrationDataset.from_samples("wheel", samples)
+    t, theta, v0, v1 = zip(*rows)
+    return CalibrationDataset(
+        "wheel",
+        t=np.array(t, dtype=float),
+        theta=np.array(theta, dtype=float),
+        v0=np.array(v0, dtype=np.int64),
+        v1=np.array(v1, dtype=np.int64),
+    )
 
 
 class TestIngestLog:
@@ -73,6 +84,153 @@ class TestIngestLog:
             ingest_log(io.StringIO(csv), "wheel")
 
 
+def log_text(rows, kind="wheel"):
+    header = "t,theta,v0,v1" if kind == "wheel" else "t,theta,v0"
+    return "\n".join([header, *(",".join(str(x) for x in row) for row in rows)]) + "\n"
+
+
+def ingest_both(text, kind):
+    """ingest_log's dataset and the reference parser's columns, or both errors' texts."""
+    try:
+        want = ingest_log_reference(text, kind)
+    except ReferenceLogError as exc:
+        with pytest.raises(SpecError) as got:
+            ingest_log(io.StringIO(text), kind)
+        return str(got.value), str(exc)
+    return ingest_log(io.StringIO(text), kind), want
+
+
+GOOD = (0.0, 0.1, 500, 510)
+INT_ERROR = "invalid literal for int() with base 10"
+
+# Every fault the readings parser is tested for, on a calibration log.
+LOG_FAULTS = [
+    ([GOOD, (0.01, 0.1, "1.5", 510)], f"line 3: {INT_ERROR}: '1.5'"),
+    ([GOOD, (0.01, 0.1, 500, "")], f"line 3: {INT_ERROR}: ''"),
+    ([GOOD, (0.01, 0.1, "9" * 400, 510)], f"line 3: count {'9' * 400} outside [0, 1023]"),
+    ([(i * 0.01, 0.1, 500, 510) for i in range(500)] + [(5.0, 0.1, 500)],
+     "line 502: expected 4 fields, got 3"),
+    ([(i * 0.01, 0.1, 500, 510) for i in range(2100)] + [(21.0, 0.1, 500, "x")],
+     f"line 2102: {INT_ERROR}: 'x'"),
+    ([(i * 0.01, 0.1, 500, 510) for i in range(1500)] + [(14.0, 0.1, 500, 510)],
+     "line 1502: timestamp 14.0 decreases"),
+    # Two faults in one row: the checks keep their order.
+    ([GOOD, (-1.0, 0.1, 500, -7)], "line 3: timestamp -1.0 decreases"),
+    ([GOOD, (0.01, 0.1, 2000, -7)], "line 3: count 2000 outside [0, 1023]"),
+    ([GOOD, (0.01, 4.0, -7, 510)], "line 3: count -7 outside [0, 1023]"),
+    ([GOOD, (0.01, "nan", "x", 510)], f"line 3: {INT_ERROR}: 'x'"),
+    # Two bad rows: the first one is named, whatever its fault.
+    ([GOOD, (0.01, 0.1, -7, 510), (0.02, 0.1, 500)], "line 3: count -7 outside [0, 1023]"),
+    ([GOOD, (0.01, 0.1, 500), (0.02, 0.1, -7, 510)], "line 3: expected 4 fields, got 3"),
+    ([GOOD, (0.01, 0.1, "x", 510), ("nan", 0.1, 500, 510)], f"line 3: {INT_ERROR}: 'x'"),
+    ([GOOD, (0.01, "nan", 500, 510), (0.02, 0.1, "x", 510)], "line 3: non-finite value"),
+    ([GOOD, (0.01, 4.0, 500, 510), (0.02, 0.1, "x", 510)], "line 3: wheel angle 4.0 outside [-pi, pi]"),
+    ([GOOD, (0.01, "inf", 500, 510)], "line 3: non-finite value"),
+    ([GOOD, (0.01, -3.2, 500, 510)], "line 3: wheel angle -3.2 outside [-pi, pi]"),
+]
+LOG_FAULT_IDS = [
+    "fractional_count", "empty_count", "huge_count", "late_short_row", "late_malformed",
+    "late_decreasing_t", "decreasing_t_and_bad_count", "two_bad_counts", "bad_count_and_angle",
+    "non_finite_and_malformed", "value_then_short_row", "short_row_then_value",
+    "malformed_then_value", "value_then_malformed", "angle_then_malformed", "inf_theta",
+    "wheel_angle_out_of_range",
+]
+
+
+class TestIngestLogFaults:
+    @pytest.mark.parametrize("rows,message", LOG_FAULTS, ids=LOG_FAULT_IDS)
+    def test_fault_names_the_line_as_the_reference_does(self, rows, message):
+        got, want = ingest_both(log_text(rows), "wheel")
+        assert got == want == message
+
+    def test_tilt_angle_out_of_range(self):
+        text = log_text([(0.0, 0.1, 500), (0.01, -1.6, 500)], "tilt")
+        got, want = ingest_both(text, "tilt")
+        assert got == want == "line 3: tilt angle -1.6 outside [-pi/2, pi/2]"
+
+    def test_empty_and_header_only_files(self):
+        assert ingest_both("# only a comment\n", "tilt") == ("empty calibration file",) * 2
+        text = "t,theta,v0\n"
+        assert ingest_both(text, "tilt") == ("calibration file has a header but no data rows",) * 2
+
+    def test_wheel_minus_pi_is_stored_as_pi(self):
+        ds = ingest_log(io.StringIO(log_text([(0.0, -math.pi, 500, 510)])), "wheel")
+        assert ds.theta.tolist() == [math.pi]
+
+    def test_path_text_stream_and_byte_stream_read_alike(self, tmp_path):
+        text = log_text([GOOD, (0.01, -0.2, 501, 511)])
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        datasets = [
+            ingest_log(str(path), "wheel"),
+            ingest_log(path, "wheel"),
+            ingest_log(io.StringIO(text), "wheel"),
+            ingest_log(io.BytesIO(text.encode("utf-8")), "wheel"),
+        ]
+        for ds in datasets:
+            assert ds.t.tolist() == [0.0, 0.01] and ds.theta.tolist() == [0.1, -0.2]
+            assert ds.v0.tolist() == [500, 501] and ds.v1.tolist() == [510, 511]
+
+
+# Odd field texts: malformed, non-finite, padded, out of range.
+ODD_FIELDS = ["x", "", "1.5", "nan", "inf", "-inf", " 3 ", "1_0", "9" * 30, "-1", "1e3", "+2", "-0"]
+# Row faults, the value checks weighted up so that rows with two of them
+# are common enough to pin the order of the checks.
+FAULTS = ("odd", "angle", "angle", "count", "count", "decrease", "short", "long")
+
+
+@st.composite
+def calibration_logs(draw):
+    """A calibration log of a random kind; about one row in ten has a fault."""
+    kind = draw(st.sampled_from(("wheel", "tilt")))
+    limit = math.pi if kind == "wheel" else math.pi / 2.0
+    lines = ["t,theta,v0,v1" if kind == "wheel" else "t,theta,v0"]
+    if draw(st.integers(0, 19)) == 0:
+        lines[0] = draw(st.sampled_from(["t, theta ,v0,v1", "t,theta,v0", "t,theta,v0,v1", "theta,t,v0"]))
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.sampled_from((0.0, 0.01, 0.25)))
+        theta = draw(st.floats(-limit, limit) | st.sampled_from((-limit, limit)))
+        fields = [repr(t), repr(theta)] + [
+            str(draw(st.integers(0, 1023))) for _ in range(2 if kind == "wheel" else 1)
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(("# note", "", "  # indented note"))))
+        # A fault in one row in ten; half of those rows get a second one.
+        for _ in range(draw(st.sampled_from((0,) * 18 + (1, 2)))):
+            fault = draw(st.sampled_from(FAULTS))
+            if fault == "odd":
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+            elif fault == "angle":
+                fields[1] = repr(draw(st.sampled_from((1.6, -3.2, 4.0, -math.pi, math.pi))))
+            elif fault == "count":
+                fields[-1] = str(draw(st.sampled_from((-3, 1024, 1030))))
+            elif fault == "decrease":
+                t -= 0.5
+                fields[0] = repr(t)
+            elif fault == "short":
+                fields.pop()
+            else:
+                fields.append("0")
+        lines.append(",".join(fields))
+    return kind, "\n".join(lines) + "\n"
+
+
+class TestIngestLogAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(calibration_logs())
+    def test_same_dataset_or_same_error(self, log):
+        kind, text = log
+        got, want = ingest_both(text, kind)
+        if isinstance(got, str):
+            assert got == want
+            return
+        t, theta, v0, v1 = want
+        assert got.t.dtype == got.theta.dtype == np.float64 and got.v0.dtype == np.int64
+        assert got.t.tolist() == t and got.theta.tolist() == theta and got.v0.tolist() == v0
+        assert (got.v1 is None) if v1 is None else got.v1.tolist() == v1
+
+
 class TestTrimAndShift:
     def test_high_segment_shifts_down_for_wiper0(self):
         ds = wheel_dataset([(0.0, 0.9 * PI, 900, 100), (0.1, 0.0, 500, 500)])
@@ -94,8 +252,9 @@ class TestTrimAndShift:
         assert w1.v[0] == 80
 
     def test_tilt_passes_through(self):
-        samples = [CalibrationSample(0.0, -0.3, 200), CalibrationSample(0.1, 0.4, 700)]
-        ds = CalibrationDataset.from_samples("tilt", samples)
+        ds = CalibrationDataset(
+            "tilt", t=np.array([0.0, 0.1]), theta=np.array([-0.3, 0.4]), v0=np.array([200, 700]), v1=None
+        )
         pairs = trim_and_shift(ds)
         assert len(pairs) == 1
         assert np.array_equal(pairs[0].theta, [-0.3, 0.4])
@@ -245,6 +404,19 @@ class TestCubicModelMonotonicity:
     def test_nan_coefficient_rejected(self):
         with pytest.raises(FitError):
             CubicModel(0.0, math.nan, 1e-3, 0.0, (0.0, 1023.0))
+        # An infinite slope passes the monotonicity test, so finiteness is
+        # checked on its own, in every position.
+        for bad in (math.nan, math.inf, -math.inf):
+            for position in range(4):
+                coefficients = [0.0, 0.0, 1e-3, 0.0]
+                coefficients[position] = bad
+                with pytest.raises(FitError, match="coefficients must be finite"):
+                    CubicModel(*coefficients, (0.0, 1023.0))
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(FitError, match="window must be finite"):
+            CubicModel(0.0, 0.0, 1e-3, 0.0, window)
 
 
 # WHEEL_TRUTH_W0 mirrored: the same curve, decreasing in voltage.

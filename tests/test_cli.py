@@ -59,6 +59,17 @@ class TestSweep:
         assert run_cli("sweep", "--spec", "tilt_reference", "--out", str(out), "--seed", "9") == 0
         assert out.read_bytes() == first
 
+    def test_non_finite_truth_coefficient_is_config_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        save_sensor_spec(reference_wheel_spec(), spec_path)
+        data = json.loads(spec_path.read_text())
+        data["truth_w0"]["c1"] = "inf"
+        spec_path.write_text(json.dumps(data))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
+        assert "cubic coefficients must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_file_roundtrip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         save_sensor_spec(reference_wheel_spec(noise_std=0.5), spec_path)
@@ -148,10 +159,13 @@ BUNDLE_EDITS = [
     (_set("valid_ranges", 1, "v_max", 1024), "valid_ranges[1].v_max 1024 exceeds adc_max 1023"),
     (_set("models", 1, "v_window", [10.0, 5000.0]), "models[1].v_window [10.0, 5000.0] outside"),
     (_set("models", 0, "v_window", [-1.0, 1000.0]), "models[0].v_window [-1.0, 1000.0] outside"),
+    (lambda data: data["valid_ranges"].pop(),
+     "wheel bundle has (models, valid ranges) = (2, 1), expected (2, 2)"),
+    (lambda data: data["models"].pop(), "wheel bundle has (models, valid ranges) = (1, 2), expected (2, 2)"),
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
-    "window_above_adc_max", "window_below_zero",
+    "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model",
 ]
 
 
@@ -337,6 +351,55 @@ class TestEstimate:
                        "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (_set("filter", "r0", math.nan), "wiper 0: measurement variance r must be finite and positive, got nan"),
+            (_set("filter", "r1", "inf"), "wiper 1: measurement variance r must be finite and positive, got inf"),
+            (_set("filter", "r0", 0.0), "wiper 0: measurement variance r must be finite and positive, got 0.0"),
+            (_set("filter", "r1", -1e-4), "wiper 1: measurement variance r must be finite and positive"),
+            (_set("filter", "k", "nan"), "k must be finite, got nan"),
+            (_set("filter", "dt", math.inf), "dt must be finite, got inf"),
+            (_set("filter", "q", "-inf"), "q must be finite, got -inf"),
+            (_set("models", 0, "c1", "inf"), "cubic coefficients must be finite"),
+        ],
+        ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1"],
+    )
+    def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
+        data = json.loads(Path(wheel_bundle).read_text())
+        edit(data)
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(data))
+        readings = tmp_path / "r.csv"
+        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+        out = tmp_path / "t.csv"
+        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
+                       "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (_set("filter", "r", "nan"), "wiper 0: measurement variance r must be finite and positive"),
+            (_set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
+             "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
+        ],
+        ids=["nan_r", "valid_range"],
+    )
+    def test_bad_tilt_bundle_is_schema_error(self, tmp_path, capsys, edit, message):
+        sweep, bundle = tmp_path / "tsweep.csv", tmp_path / "tbundle.json"
+        assert run_cli("sweep", "--spec", "tilt_reference", "--out", str(sweep), "--seed", "5") == 0
+        assert run_cli("calibrate", "--in", str(sweep), "--kind", "tilt", "--out", str(bundle)) == 0
+        data = json.loads(bundle.read_text())
+        edit(data)
+        bundle.write_text(json.dumps(data))
+        readings = tmp_path / "treadings.csv"
+        write_readings_csv(readings, [(0.0, 500, 0.0), (0.01, 500, 0.0)], wheel=False)
+        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
+                       "--out", str(tmp_path / "t.csv")) == 2
+        assert message in capsys.readouterr().err
 
     def test_comment_lines_keep_physical_line_numbers(self, tmp_path, wheel_bundle, capsys):
         lines = [

@@ -3,23 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from paintpot.characterize import ValidRange, compute_valid_ranges
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paintpot.characterize import (
+    FitReport,
+    ModelBundle,
+    ValidRange,
+    WiperFitStats,
+    compute_valid_ranges,
+)
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
 from paintpot.estimate import (
     Feature,
     GaussianBelief,
-    TiltObservationModel,
+    ObservationModel,
+    TiltEstimator,
     TransitionModel,
-    WheelObservationModel,
+    WheelEstimator,
+    Wiper,
+    default_measurement_variance,
     extract_features,
-    init_tilt,
-    init_wheel,
+    initial_belief,
+    observation_from_bundle,
     predict,
     predicted_feature_measurement,
     update_tilt,
     update_wheel,
-    wrap_wheel_belief,
 )
 from paintpot.presets import (
     TILT_TRUTH,
@@ -34,6 +45,7 @@ from oracles import (
     five_region_shifted_states,
     fuse_information,
     grid_bayes_posterior,
+    per_wiper_turn_rule,
     wrap_brute,
 )
 
@@ -47,13 +59,31 @@ EXACT_M1 = CubicModel(0.0, 0.0, 2.0**-8, -0.5, (0.0, 1023.0))
 WIDE_RANGES = (ValidRange(1, 1000), ValidRange(1, 1000))
 
 
+def wheel_obs(m0, m1, r0, r1, ranges):
+    """The observation model of a wheel bundle with these models, r and ranges."""
+    params = {"r0": r0, "r1": r1}
+    return observation_from_bundle(ModelBundle("wheel", (m0, m1), ranges, FitReport(()), 1023, params))
+
+
+def tilt_obs(model, r):
+    """The observation model of a tilt bundle with this model and r."""
+    return observation_from_bundle(ModelBundle("tilt", (model,), (), FitReport(()), 1023, {"r": r}))
+
+
 def exact_obs(r0=1e-4, r1=1e-4):
-    return WheelObservationModel(EXACT_M0, EXACT_M1, r0, r1, WIDE_RANGES)
+    return wheel_obs(EXACT_M0, EXACT_M1, r0, r1, WIDE_RANGES)
 
 
 def truth_obs(r0=1e-4, r1=1e-4):
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    return WheelObservationModel(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, r0, r1, ranges)
+    return wheel_obs(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, r0, r1, ranges)
+
+
+def wheel_belief(mu, sigma):
+    """The belief a wheel filter seeds from a wiper-0 reading converting to ``mu``."""
+    wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, mu, (0.0, 1023.0)), 1e-4, 0, 0)  # chart[0] == mu
+    obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0)), wrap=True)
+    return initial_belief((AdcReading(0, 0, True), AdcReading(1, 0, True)), obs, sigma0=sigma)
 
 
 class TestValueChecks:
@@ -91,14 +121,62 @@ class TestValueChecks:
         with pytest.raises(AttributeError):
             setattr(value, attribute, 1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
+    def test_observation_model_rejects_bad_r_naming_the_wiper(self, r):
+        with pytest.raises(SpecError, match="wiper 1: measurement variance r must be finite"):
+            exact_obs(r1=r)
+        with pytest.raises(SpecError, match="wiper 0: measurement variance r must be finite"):
+            tilt_obs(EXACT_M0, r)
+
+    @pytest.mark.parametrize("name", ["k", "dt", "q"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_transition_model_rejects_non_finite_values_by_name(self, name, value):
+        params = {"k": 0.2, "dt": 0.01, "q": 0.05, name: value}
+        with pytest.raises(SpecError, match=f"^{name} must be finite"):
+            TransitionModel(**params)
+
+    def test_reading_of_an_unknown_wiper_rejected(self):
+        with pytest.raises(SpecError, match="wiper index must be in 0..1, got 2"):
+            extract_features((AdcReading(2, 384, True),), exact_obs())
+        with pytest.raises(SpecError, match="wiper index must be in 0..0, got 1"):
+            extract_features((AdcReading(1, 384, True),), tilt_obs(EXACT_M0, 1e-4))
+
+
+class TestObservationFromBundle:
+    def test_wheel_wipers_admit_the_strict_interior_and_wrap(self):
+        obs = exact_obs(r0=2e-4, r1=3e-4)
+        assert obs.wrap
+        assert [(w.lo, w.hi, w.r) for w in obs.wipers] == [(2, 999, 2e-4), (2, 999, 3e-4)]
+
+    def test_tilt_wiper_admits_the_counts_inside_its_window(self):
+        obs = tilt_obs(CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.5, 900.0)), 1e-4)
+        assert not obs.wrap
+        assert [(w.lo, w.hi) for w in obs.wipers] == [(11, 900)]
+
+    def test_fit_report_gives_r_when_the_parameters_name_none(self):
+        stats = (WiperFitStats(100, 0.02, 0.05), WiperFitStats(100, 0.03, 0.05))
+        bundle = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(stats))
+        rs = [w.r for w in observation_from_bundle(bundle).wipers]
+        assert rs == [default_measurement_variance(m, s) for m, s in zip((EXACT_M0, EXACT_M1), stats)]
+        bare = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()))
+        with pytest.raises(SpecError, match="neither r0, r1 nor a fit report"):
+            observation_from_bundle(bare)
+
+    def test_one_wheel_r_alone_rejected(self):
+        bundle = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()), 1023, {"r0": 1e-4})
+        with pytest.raises(SpecError, match="need all of r0, r1"):
+            observation_from_bundle(bundle)
+
 
 class TestCountCharts:
     def test_charts_equal_scalar_evaluation_bit_for_bit(self):
-        obs = truth_obs()
-        for model, valid, chart in zip((obs.m0, obs.m1), obs.ranges, obs.charts):
-            assert len(chart) == valid.v_max + 1
-            assert all(chart[c] == float(model.evaluate(c)) for c in range(len(chart)))
-        tilt = TiltObservationModel(TILT_TRUTH, r=1e-4)
+        ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+        obs = wheel_obs(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, 1e-4, 1e-4, ranges)
+        for wiper, valid in zip(obs.wipers, ranges):
+            # The chart ends at the highest admitted count, v_max - 1.
+            assert len(wiper.chart) == valid.v_max
+            assert all(wiper.chart[c] == float(wiper.model.evaluate(c)) for c in range(len(wiper.chart)))
+        (tilt,) = tilt_obs(TILT_TRUTH, 1e-4).wipers
         assert len(tilt.chart) == 1024
         assert all(tilt.chart[c] == float(TILT_TRUTH.evaluate(c)) for c in range(1024))
 
@@ -106,49 +184,93 @@ class TestCountCharts:
         # Monotone, but 1e306 rad/count overflows to inf above count 179.
         steep = CubicModel(0.0, 0.0, 1e306, 0.0, (0.0, 1023.0))
         with pytest.raises(SpecError, match="not finite"):
-            WheelObservationModel(steep, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
+            wheel_obs(steep, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
         with pytest.raises(SpecError, match="not finite"):
-            TiltObservationModel(steep, r=1e-4)
+            tilt_obs(steep, 1e-4)
 
     def test_tilt_window_below_count_zero_rejected(self):
+        # A window starting at -5.0 admits counts from ceil(-5.0).
+        model = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (-5.0, 900.0))
         with pytest.raises(SpecError, match="count >= 0"):
-            TiltObservationModel(CubicModel(0.0, 0.0, 2.0**-8, -1.0, (-5.0, 900.0)), r=1e-4)
+            Wiper(model, 1e-4, math.ceil(model.v_window[0]), math.floor(model.v_window[1]))
 
 
 class TestInitWheel:
     def test_wiper0_in_range_no_shift(self):
         obs = exact_obs()
         readings = (AdcReading(0, 384, True), AdcReading(1, 500, True))
-        belief = init_wheel(readings, obs, sigma0=1e-4)
+        belief = initial_belief(readings, obs, sigma0=1e-4)
         assert belief.mu == 0.5  # 384 * 2**-8 - 1.0 exactly
         assert belief.sigma == 1e-4
 
     def test_wiper0_shifts_up_when_below_minus_pi(self):
         # Chart value -1.1*pi is below the seam, so a full turn is added.
         m0 = CubicModel(0.0, 0.0, 0.01, -1.1 * PI - 1.0, (0.0, 1023.0))
-        obs = WheelObservationModel(m0, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
+        obs = wheel_obs(m0, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
         readings = (AdcReading(0, 100, True), AdcReading(1, 500, True))
-        belief = init_wheel(readings, obs)
+        belief = initial_belief(readings, obs)
         assert belief.mu == pytest.approx(0.9 * PI, abs=1e-9)
 
     def test_falls_back_to_wiper1_and_shifts_down(self):
         m1 = CubicModel(0.0, 0.0, 0.01, 1.1 * PI - 1.0, (0.0, 1023.0))
-        obs = WheelObservationModel(EXACT_M0, m1, 1e-4, 1e-4, WIDE_RANGES)
+        obs = wheel_obs(EXACT_M0, m1, 1e-4, 1e-4, WIDE_RANGES)
         readings = (AdcReading(0, 1000, True), AdcReading(1, 100, True))  # 1000 not admitted
-        belief = init_wheel(readings, obs)
+        belief = initial_belief(readings, obs)
         assert belief.mu == pytest.approx(-0.9 * PI, abs=1e-9)
 
     def test_no_valid_reading_raises(self):
         obs = exact_obs()
         readings = (AdcReading(0, 0, True), AdcReading(1, 1023, True))
         with pytest.raises(InitializationError):
-            init_wheel(readings, obs)
+            initial_belief(readings, obs)
 
     def test_unavailable_reading_is_skipped_even_if_in_range(self):
         obs = exact_obs()
         readings = (AdcReading(0, 384, False), AdcReading(1, 500, True))
-        belief = init_wheel(readings, obs)
+        belief = initial_belief(readings, obs)
         assert belief.mu == 500 * 2.0**-8 - 0.5
+
+    def test_readings_are_taken_in_wiper_order(self):
+        obs = exact_obs()
+        readings = (AdcReading(1, 500, True), AdcReading(0, 384, True))
+        assert initial_belief(readings, obs).mu == 0.5  # wiper 0's value
+
+    def test_one_reading_per_wiper_required(self):
+        with pytest.raises(SpecError, match="one reading per wiper"):
+            initial_belief((AdcReading(0, 384, True),), exact_obs())
+        with pytest.raises(SpecError, match="one reading per wiper"):
+            initial_belief((AdcReading(0, 384, True), AdcReading(0, 500, True)), exact_obs())
+
+    # Seeding wraps the converted value onto (-pi, pi].  The rule this
+    # replaced added a turn to a wiper-0 value below -pi and took one off a
+    # wiper-1 value above pi.  The two agree bit for bit on wiper-0 values
+    # in (-3pi, pi] other than -pi and wiper-1 values in (-pi, 3pi); the
+    # tests below pin where they differ.
+    @given(st.floats(-2.99 * PI, PI).filter(lambda v: v != -PI))
+    def test_wiper0_agrees_with_the_turn_rule_within_a_turn(self, value):
+        assert wheel_belief(value, 1e-4).mu == per_wiper_turn_rule(value, 0)
+
+    @given(st.floats(-PI, 2.99 * PI, exclude_min=True))
+    def test_wiper1_agrees_with_the_turn_rule_within_a_turn(self, value):
+        m1 = CubicModel(0.0, 0.0, 1.0, value, (0.0, 1023.0))
+        obs = ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(m1, 1e-4, 0, 0)), wrap=True)
+        readings = (AdcReading(0, 0, True), AdcReading(1, 0, True))  # wiper 0 not admitted
+        assert initial_belief(readings, obs).mu == per_wiper_turn_rule(value, 1)
+
+    def test_wiper0_at_minus_pi_seeds_pi(self):
+        # The turn rule kept -pi, a mean outside the wheel chart (-pi, pi].
+        assert per_wiper_turn_rule(-PI, 0) == -PI
+        assert wheel_belief(-PI, 1e-4).mu == PI
+
+    def test_wiper0_above_pi_is_wrapped(self):
+        # The turn rule left a wiper-0 value above pi as it was.
+        assert per_wiper_turn_rule(1.1 * PI, 0) == 1.1 * PI
+        assert wheel_belief(1.1 * PI, 1e-4).mu == pytest.approx(-0.9 * PI, abs=1e-12)
+
+    def test_value_more_than_a_turn_out_is_wrapped_fully(self):
+        # The turn rule added one turn only, leaving -3.5*pi at -1.5*pi.
+        assert per_wiper_turn_rule(-3.5 * PI, 0) == pytest.approx(-1.5 * PI, abs=1e-12)
+        assert wheel_belief(-3.5 * PI, 1e-4).mu == pytest.approx(0.5 * PI, abs=1e-12)
 
 
 class TestPredict:
@@ -178,7 +300,7 @@ class TestExtractFeatures:
         assert [f.index for f in features] == [0, 1]
         assert features[0].z == 0.5
         assert features[1].z == 640 * 2.0**-8 - 0.5
-        assert features[0].r == obs.r0 and features[1].r == obs.r1
+        assert features[0].r == obs.wipers[0].r and features[1].r == obs.wipers[1].r
 
     def test_boundary_count_excluded(self):
         obs = exact_obs()
@@ -293,27 +415,29 @@ class TestUpdateWheel:
 
 
 class TestWrapWheelBelief:
+    # A wheel belief is wrapped where it is made: when it is seeded and
+    # after each update.
     def test_wraps_above(self):
-        out = wrap_wheel_belief(GaussianBelief(1.1 * PI, 2e-3))
+        out = wheel_belief(1.1 * PI, 2e-3)
         assert out.mu == pytest.approx(-0.9 * PI, abs=1e-12)
         assert out.sigma == 2e-3
 
     def test_wraps_below(self):
-        out = wrap_wheel_belief(GaussianBelief(-1.1 * PI, 2e-3))
+        out = wheel_belief(-1.1 * PI, 2e-3)
         assert out.mu == pytest.approx(0.9 * PI, abs=1e-12)
 
     def test_interior_fixed_point_and_idempotence(self):
         belief = GaussianBelief(0.5, 1e-3)
-        once = wrap_wheel_belief(belief)
+        once = wheel_belief(*belief)
         assert once == belief
-        far = wrap_wheel_belief(GaussianBelief(7.3 * PI, 1e-3))
-        assert wrap_wheel_belief(far) == far
+        far = wheel_belief(7.3 * PI, 1e-3)
+        assert wheel_belief(*far) == far
         assert far.mu == pytest.approx(wrap_brute(7.3 * PI), abs=1e-9)
 
 
 class TestUpdateTilt:
     def test_symmetric_fusion(self):
-        obs = TiltObservationModel(EXACT_M0, r=1e-4)
+        obs = tilt_obs(EXACT_M0, 1e-4)
         belief = GaussianBelief(0.3, 1e-4)  # sigma == r -> K = 0.5
         out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)
         assert accepted
@@ -322,7 +446,7 @@ class TestUpdateTilt:
     def test_scalar_arithmetic_example(self):
         # z is irrelevant to the gain: sigma=1e-4, r=1e-2 -> K ~ 9.901e-3.
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.25, (0.0, 1023.0))
-        obs = TiltObservationModel(m, r=1e-2)
+        obs = tilt_obs(m, 1e-2)
         belief = GaussianBelief(0.2, 1e-4)
         out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)  # z = 0.25
         assert accepted
@@ -331,7 +455,7 @@ class TestUpdateTilt:
 
     def test_out_of_window_rejected(self):
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.0, 900.0))
-        obs = TiltObservationModel(m, r=1e-4)
+        obs = tilt_obs(m, 1e-4)
         belief = GaussianBelief(0.1, 1e-4)
         out, accepted = update_tilt(belief, AdcReading(0, 950, True), obs)
         assert not accepted
@@ -340,23 +464,23 @@ class TestUpdateTilt:
 
 class TestInitTilt:
     def test_linear_chart(self):
-        obs = TiltObservationModel(EXACT_M0, r=1e-4)
-        belief = init_tilt(AdcReading(0, 512, True), obs, sigma0=1e-4)
+        obs = tilt_obs(EXACT_M0, 1e-4)
+        belief = initial_belief((AdcReading(0, 512, True),), obs, sigma0=1e-4)
         assert belief.mu == 512 * 2.0**-8 - 1.0
         assert belief.sigma == 1e-4
 
     def test_reference_tilt_chart(self):
-        obs = TiltObservationModel(TILT_TRUTH, r=1e-4)
-        belief = init_tilt(AdcReading(0, 500, True), obs)
+        obs = tilt_obs(TILT_TRUTH, 1e-4)
+        belief = initial_belief((AdcReading(0, 500, True),), obs)
         assert belief.mu == pytest.approx(
             cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, 500.0), abs=1e-12
         )
 
     def test_out_of_window_raises(self):
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.0, 900.0))
-        obs = TiltObservationModel(m, r=1e-4)
+        obs = tilt_obs(m, 1e-4)
         with pytest.raises(InitializationError):
-            init_tilt(AdcReading(0, 1023, True), obs)
+            initial_belief((AdcReading(0, 1023, True),), obs)
 
 
 class TestVarianceLaws:
@@ -422,3 +546,41 @@ class TestFeatureConsistencyOnGrid:
                 want = five_region_shifted_states(float(theta))[f.index]
                 assert want is not None
                 assert abs(f.z - want) <= lsb
+
+
+# One step of a reading stream: the motor command and, per wiper, a count
+# and its availability flag.
+STREAM_STEPS = st.tuples(
+    st.floats(-50.0, 50.0),
+    st.lists(st.tuples(st.integers(0, 1023), st.booleans()), min_size=2, max_size=2),
+)
+
+
+class TestRandomReadingStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(wheel=st.booleans(), steps=st.lists(STREAM_STEPS, min_size=1, max_size=60))
+    def test_beliefs_stay_finite_positive_and_wrapped(self, wheel, steps):
+        tm = TransitionModel(k=0.2, dt=0.01, q=0.05)
+        if wheel:
+            estimator = WheelEstimator(truth_obs(), tm)
+        else:
+            estimator = TiltEstimator(tilt_obs(TILT_TRUTH, 1e-4), tm)
+        n_wipers = len(estimator.obs.wipers)
+
+        def readings(counts):
+            return tuple(AdcReading(i, c, a) for i, (c, a) in enumerate(counts[:n_wipers]))
+
+        first = readings(steps[0][1])
+        if not extract_features(first, estimator.obs):
+            with pytest.raises(InitializationError):
+                estimator.initialize(first)
+            return
+        beliefs = [estimator.initialize(first)]
+        for u, counts in steps[1:]:
+            belief, used = estimator.step(u, readings(counts))
+            assert (sum(used) if wheel else int(used)) <= n_wipers
+            beliefs.append(belief)
+        for mu, sigma in beliefs:
+            assert math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0
+            if wheel:
+                assert -PI < mu <= PI

@@ -20,6 +20,7 @@ import pytest
 
 from paintpot import cli, presets
 from paintpot.characterize import load_bundle
+from paintpot.estimate import observation_from_bundle
 from paintpot.presets import reference_tilt_spec, reference_wheel_spec
 from paintpot.sensor_sim import read_tilt, read_wheel, simulate_plant_step
 
@@ -126,12 +127,7 @@ def estimate_case(tmp_path, kind, seed):
     sweep, bundle_path = tmp_path / "sweep.csv", tmp_path / "bundle.json"
     cli.run_sweep(spec_ref, str(sweep), seed, 14.0, 50.0)
     cli.run_calibrate(str(sweep), kind, str(bundle_path), k=0.2, dt=0.01)
-    bundle = load_bundle(bundle_path)
-    if kind == "wheel":
-        admits = [r.admits for r in bundle.valid_ranges]
-    else:
-        lo, hi = bundle.models[0].v_window
-        admits = [lambda count: lo <= count <= hi]
+    admits = [wiper.admits for wiper in observation_from_bundle(load_bundle(bundle_path)).wipers]
     spec = presets.SENSOR_PRESETS[spec_ref]()
     rng = np.random.default_rng(seed)
     theta, rows, rails, spike = 0.0, [], [], None

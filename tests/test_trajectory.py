@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from paintpot.characterize import compute_valid_ranges
+from paintpot.characterize import FitReport, ModelBundle, compute_valid_ranges
 from paintpot.errors import SpecError
-from paintpot.estimate import TransitionModel, WheelObservationModel
-from paintpot.presets import WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
+from paintpot.estimate import TransitionModel, observation_from_bundle
+from paintpot.presets import TILT_TRUTH, WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
 from paintpot.trajectory import (
     ControllerGains,
     ExperimentConfig,
@@ -109,7 +109,8 @@ def wheel_config(seed=0, noise_std=1.0, plant_q=0.02, x0=PI, xf=0.0):
     spec = reference_wheel_spec(noise_std=noise_std)
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     r = 1e-4 if noise_std > 0 else 2.5e-5
-    obs = WheelObservationModel(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, r, r, ranges)
+    truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+    obs = observation_from_bundle(ModelBundle("wheel", truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
     tm = TransitionModel(k=0.2, dt=0.01, q=0.05)
     return ExperimentConfig(
         kind="wheel",
@@ -163,6 +164,22 @@ class TestRunExperiment:
             seed=0,
         )
         with pytest.raises(SpecError):
+            run_experiment(bad)
+
+    def test_observation_model_of_the_other_joint_rejected(self):
+        config = wheel_config()
+        tilt = ModelBundle("tilt", (TILT_TRUTH,), (), FitReport(()), 1023, {"r": 1e-4})
+        bad = ExperimentConfig(
+            kind="wheel",
+            sensor=config.sensor,
+            obs=observation_from_bundle(tilt),
+            tm=config.tm,
+            traj=config.traj,
+            gains=config.gains,
+            rate_hz=config.rate_hz,
+            seed=0,
+        )
+        with pytest.raises(SpecError, match="does not match"):
             run_experiment(bad)
 
     def test_rate_and_dt_must_agree(self):
