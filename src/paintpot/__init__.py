@@ -45,20 +45,17 @@ from paintpot.estimate import (
     Wiper,
     extract_features,
     predict,
-    predicted_feature_measurement,
     update_tilt,
     update_wheel,
 )
 from paintpot.geometry import wrap_angle, wrapped_difference
 from paintpot.sensor_sim import (
     AdcReading,
-    TiltSensorSpec,
-    WheelSensorSpec,
+    SensorSpec,
     quantize,
     read_tilt,
     read_wheel,
     simulate_plant_step,
-    wheel_ideal_voltage,
 )
 from paintpot.trajectory import (
     ControllerGains,
@@ -91,13 +88,12 @@ __all__ = [
     "ObservationModel",
     "PaintPotError",
     "QuinticTrajectory",
+    "SensorSpec",
     "SpecError",
     "TiltEstimator",
-    "TiltSensorSpec",
     "TransitionModel",
     "ValidRange",
     "WheelEstimator",
-    "WheelSensorSpec",
     "Wiper",
     "calibrate",
     "compute_valid_ranges",
@@ -109,7 +105,6 @@ __all__ = [
     "invert_cubic",
     "plan_quintic",
     "predict",
-    "predicted_feature_measurement",
     "quantize",
     "read_tilt",
     "read_wheel",
@@ -119,7 +114,6 @@ __all__ = [
     "trim_and_shift",
     "update_tilt",
     "update_wheel",
-    "wheel_ideal_voltage",
     "wrap_angle",
     "wrapped_difference",
 ]

@@ -1,11 +1,12 @@
 """Calibration-sweep processing: trim, shift, fit, and window derivation.
 
-A sweep log pairs an externally tracked joint angle with raw ADC counts.
-For wheel sensors each wiper's samples are trimmed of the gap region and
-the segment beyond the gap is translated one full turn, making angle a
-continuous function of voltage; a cubic is then fitted per wiper and the
-voltage window whose image stays on the usable chart becomes that wiper's
-valid range.  Tilt logs skip the trim/shift and fit a single cubic.
+A sweep log pairs an externally tracked joint angle with one raw ADC count
+per wiper.  A wheel's two wipers ride the gapped tracks of
+:data:`~paintpot.geometry.WHEEL_TRACKS`: each wiper's samples inside its
+gap are dropped and those past its edge translated one full turn, making
+angle a continuous function of voltage.  A cubic is then fitted per wiper,
+and a gapped wiper's valid range is the voltage window whose image stays
+on its usable chart.  A tilt's one wiper has no gap and keeps every sample.
 """
 
 from __future__ import annotations
@@ -22,28 +23,28 @@ import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
 from paintpot.errors import FitError, SpecError, check_adc_max
-from paintpot.geometry import GAP_WIPER0, GAP_WIPER1, TWO_PI, Interval
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack
 
-SENSOR_KINDS = ("wheel", "tilt")
+# Each sensor kind's wiper tracks (None: no gap), and its logs' angle range.
+SENSOR_TRACKS: dict[str, tuple[WiperTrack | None, ...]] = {"wheel": WHEEL_TRACKS, "tilt": (None,)}
+ANGLE_LIMITS = {
+    "wheel": (math.pi, "wheel angle {} outside [-pi, pi]"),
+    "tilt": (TILT_LIMIT, "tilt angle {} outside [-pi/2, pi/2]"),
+}
+SENSOR_KINDS = tuple(SENSOR_TRACKS)
 
 MIN_FIT_SAMPLES = 8
 MIN_WINDOW_SPAN_FRACTION = 0.5
 
-# Shifted-chart angle targets bounding each wiper's usable voltage window:
-# wiper 0 spans (gap-top - 2*pi, gap-bottom), wiper 1 the mirror image.
-WIPER0_WINDOW_ANGLES = (GAP_WIPER0.hi - TWO_PI, GAP_WIPER0.lo)
-WIPER1_WINDOW_ANGLES = (GAP_WIPER1.hi, GAP_WIPER1.lo + TWO_PI)
-
 
 @dataclass(frozen=True)
 class CalibrationDataset:
-    """Validated sweep log stored as parallel arrays."""
+    """Validated sweep log; ``counts[i, w]`` is wiper ``w``'s count at sample ``i``."""
 
     sensor_kind: str
     t: np.ndarray
     theta: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray | None
+    counts: np.ndarray
     adc_max: int = 1023
 
     def __post_init__(self) -> None:
@@ -52,18 +53,20 @@ class CalibrationDataset:
         n = len(self.t)
         if n == 0:
             raise SpecError("calibration dataset is empty")
-        if len(self.theta) != n or len(self.v0) != n:
+        if len(self.theta) != n:
             raise SpecError("calibration columns have mismatched lengths")
-        if self.sensor_kind == "wheel":
-            if self.v1 is None or len(self.v1) != n:
-                raise SpecError("wheel datasets require a v1 column")
-        elif self.v1 is not None:
-            raise SpecError("tilt datasets must not carry a v1 column")
+        shape = (n, len(self.tracks))
+        if np.shape(self.counts) != shape:
+            raise SpecError(f"{self.sensor_kind} counts need shape {shape}, got {np.shape(self.counts)}")
         if np.any(np.diff(self.t) < 0.0):
             raise SpecError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def tracks(self) -> tuple[WiperTrack | None, ...]:
+        return SENSOR_TRACKS[self.sensor_kind]
 
 @dataclass(frozen=True)
 class ValidRange:
@@ -298,52 +301,36 @@ def ingest_log(
     """
     if sensor_kind not in SENSOR_KINDS:
         raise SpecError(f"sensor_kind must be one of {SENSOR_KINDS}, got {sensor_kind!r}")
-    wheel = sensor_kind == "wheel"
-    header = ["t", "theta", "v0", "v1"] if wheel else ["t", "theta", "v0"]
-    limit = (
-        (math.pi, "wheel angle {} outside [-pi, pi]")
-        if wheel
-        else (math.pi / 2.0, "tilt angle {} outside [-pi/2, pi/2]")
-    )
-    t, theta, v0, *v1 = read_columns(source, header, adc_max, "calibration", limit)
+    header = ["t", "theta", *(f"v{i}" for i in range(len(SENSOR_TRACKS[sensor_kind])))]
+    limit = ANGLE_LIMITS[sensor_kind]
+    t, theta, *counts = read_columns(source, header, adc_max, "calibration", limit)
     theta = np.array(theta, dtype=float)
     theta[theta == -math.pi] = math.pi
     return CalibrationDataset(
         sensor_kind=sensor_kind,
         t=np.array(t, dtype=float),
         theta=theta,
-        v0=np.array(v0, dtype=np.int64),
-        v1=np.array(v1[0], dtype=np.int64) if wheel else None,
+        counts=np.array(counts, dtype=np.int64).T,
         adc_max=adc_max,
     )
 
 
-def trim_and_shift(
-    dataset: CalibrationDataset,
-    gap_w0: Interval = GAP_WIPER0,
-    gap_w1: Interval = GAP_WIPER1,
-) -> list[ShiftedPairs]:
-    """Per-wiper training pairs with gap samples dropped and the far
-    segment translated by one turn.
+def trim_and_shift(dataset: CalibrationDataset) -> list[ShiftedPairs]:
+    """Per-wiper training pairs: shifted angle against count.
 
-    Wiper 0 drops samples inside ``gap_w0`` and shifts angles above it down
-    by 2*pi; wiper 1 drops ``gap_w1`` and shifts angles below it up by 2*pi.
-    Tilt datasets pass through unchanged as a single pair list.
+    A wiper with a gap drops the samples inside it and moves those past its
+    edge one turn; a wiper without one keeps every sample.
     """
-    if dataset.sensor_kind == "tilt":
-        return [ShiftedPairs(dataset.theta.astype(float), dataset.v0.astype(float))]
     out: list[ShiftedPairs] = []
-    for wiper, gap, counts in ((0, gap_w0, dataset.v0), (1, gap_w1, dataset.v1)):
-        theta = dataset.theta
-        keep = ~((theta >= gap.lo) & (theta <= gap.hi))
-        if not bool(np.any(keep)):
-            raise FitError(f"wiper {wiper}: no samples outside the gap region")
-        shifted = theta[keep].astype(float)
-        if wiper == 0:
-            shifted = np.where(shifted > gap.hi, shifted - TWO_PI, shifted)
-        else:
-            shifted = np.where(shifted < gap.lo, shifted + TWO_PI, shifted)
-        out.append(ShiftedPairs(shifted, counts[keep].astype(float)))
+    for wiper, track in enumerate(dataset.tracks):
+        theta, counts = dataset.theta.astype(float), dataset.counts[:, wiper]
+        if track is not None:
+            keep = ~((theta >= track.gap.lo) & (theta <= track.gap.hi))
+            if not bool(np.any(keep)):
+                raise FitError(f"wiper {wiper}: no samples outside the gap region")
+            theta, counts = theta[keep], counts[keep]
+            theta = np.where(track.past(theta), theta + track.turn, theta)
+        out.append(ShiftedPairs(theta, counts.astype(float)))
     return out
 
 
@@ -401,35 +388,31 @@ def _padded_for_inversion(model: CubicModel, adc_max: int) -> CubicModel:
 
 
 def compute_valid_ranges(
-    m0: CubicModel, m1: CubicModel, adc_max: int = 1023
-) -> tuple[ValidRange, ValidRange]:
-    """Integer count windows inside which each wiper's reading is usable.
+    *models: CubicModel, adc_max: int = 1023, tracks: Sequence[WiperTrack | None] = WHEEL_TRACKS
+) -> tuple[ValidRange, ...]:
+    """Integer count windows inside which each gapped wiper's reading is usable.
 
-    Each window is the inverse image of the wiper's usable shifted-chart
-    span, sorted ascending and rounded outward (floor the minimum, ceil the
-    maximum) so the strict interior test never rejects a count the
-    continuous formulas admit.
+    ``models`` align with ``tracks``.  Each window is the inverse image of
+    the track's :attr:`~paintpot.geometry.WiperTrack.window`, sorted
+    ascending and rounded outward (floor the minimum, ceil the maximum) so
+    the strict interior test never rejects a count the continuous formulas
+    admit.
     """
     ranges = []
-    for model, targets in ((m0, WIPER0_WINDOW_ANGLES), (m1, WIPER1_WINDOW_ANGLES)):
+    for model, track in zip(models, tracks, strict=True):
+        if track is None:
+            continue
         padded = _padded_for_inversion(model, adc_max)
-        v_a = invert_cubic(padded, targets[0])
-        v_b = invert_cubic(padded, targets[1])
-        lo, hi = sorted((v_a, v_b))
+        lo, hi = sorted(invert_cubic(padded, target) for target in track.window)
         v_min = max(int(math.floor(lo)), 0)
         v_max = min(int(math.ceil(hi)), adc_max)
         ranges.append(ValidRange(v_min, v_max))
-    return ranges[0], ranges[1]
+    return tuple(ranges)
 
 
-def fit_report(
-    dataset: CalibrationDataset,
-    models: tuple[CubicModel, ...],
-    gap_w0: Interval = GAP_WIPER0,
-    gap_w1: Interval = GAP_WIPER1,
-) -> FitReport:
+def fit_report(dataset: CalibrationDataset, models: tuple[CubicModel, ...]) -> FitReport:
     """Residual summary of ``models`` on the dataset's trimmed/shifted pairs."""
-    pairs = trim_and_shift(dataset, gap_w0, gap_w1)
+    pairs = trim_and_shift(dataset)
     if len(models) != len(pairs):
         raise SpecError(f"{len(pairs)} wiper partitions but {len(models)} models")
     stats = []
@@ -445,24 +428,15 @@ def fit_report(
     return FitReport(tuple(stats))
 
 
-def calibrate(
-    dataset: CalibrationDataset,
-    gap_w0: Interval = GAP_WIPER0,
-    gap_w1: Interval = GAP_WIPER1,
-) -> ModelBundle:
+def calibrate(dataset: CalibrationDataset) -> ModelBundle:
     """Full pipeline: trim/shift, fit per wiper, windows, residual report."""
-    pairs = trim_and_shift(dataset, gap_w0, gap_w1)
+    pairs = trim_and_shift(dataset)
     models = tuple(fit_cubic(theta, v, dataset.adc_max) for theta, v in pairs)
-    if dataset.sensor_kind == "wheel":
-        valid_ranges = compute_valid_ranges(models[0], models[1], dataset.adc_max)
-    else:
-        valid_ranges = ()
-    report = fit_report(dataset, models, gap_w0, gap_w1)
     return ModelBundle(
         sensor_kind=dataset.sensor_kind,
         models=models,
-        valid_ranges=valid_ranges,
-        report=report,
+        valid_ranges=compute_valid_ranges(*models, adc_max=dataset.adc_max, tracks=dataset.tracks),
+        report=fit_report(dataset, models),
         adc_max=dataset.adc_max,
     )
 
@@ -513,9 +487,9 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path, manifest: dict | None = None) -> None:
+    text = json.dumps(bundle_to_dict(bundle, manifest), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(bundle_to_dict(bundle, manifest), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

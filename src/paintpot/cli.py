@@ -59,70 +59,59 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _resolve_sensor_spec(ref: str) -> tuple[sensor_sim.WheelSensorSpec | sensor_sim.TiltSensorSpec, dict]:
-    if ref in presets.SENSOR_PRESETS:
-        spec = presets.SENSOR_PRESETS[ref]()
-        return spec, sensor_sim.sensor_spec_to_dict(spec)
-    spec = sensor_sim.load_sensor_spec(ref)
+def _resolve_sensor_spec(ref: str) -> tuple[sensor_sim.SensorSpec, dict]:
+    preset = presets.SENSOR_PRESETS.get(ref)
+    spec = preset() if preset else sensor_sim.load_sensor_spec(ref)
     return spec, sensor_sim.sensor_spec_to_dict(spec)
 
 
 def synthesize_sweep_dataset(
-    spec: sensor_sim.WheelSensorSpec | sensor_sim.TiltSensorSpec,
-    rate_hz: float,
-    duration_s: float,
-    rng: np.random.Generator,
+    spec: sensor_sim.SensorSpec, rate_hz: float, duration_s: float, rng: np.random.Generator
 ) -> CalibrationDataset:
     """Constant-speed sweep across the full range and back, as a dataset.
 
     Mimics the characterization rig: the joint traverses its whole range in
-    each direction while time, tracked angle, and raw counts are logged.
+    each direction while time, tracked angle, and each wiper's raw count
+    are logged.  A wheel's range is (-pi, pi], a tilt's +-``angle_limit``.
     """
-    if rate_hz <= 0.0:
-        raise SpecError("rate_hz must be positive")
-    if duration_s <= 0.0:
-        raise SpecError("duration_s must be positive")
+    for name, value in (("rate_hz", rate_hz), ("duration_s", duration_s)):
+        if not 0.0 < value < math.inf:
+            raise SpecError(f"{name} must be positive and finite, got {value!r}")
     n = int(round(rate_hz * duration_s))
     if n < 2:
         raise SpecError("sweep too short to contain any motion")
-    wheel = isinstance(spec, sensor_sim.WheelSensorSpec)
-    lo, hi = (-math.pi, math.pi) if wheel else (-spec.angle_limit, spec.angle_limit)
+    limit = spec.angle_limit
+    lo, hi = (-math.pi, math.pi) if limit is None else (-limit, limit)
     half = duration_s / 2.0
-    t_col, theta_col, v0_col, v1_col = [], [], [], []
+    # Flat lists of floats and ints: no per-row container stays alive to
+    # bring on a garbage collection.
+    t_col, theta_col, counts = [], [], []
     for i in range(n):
         t = i / rate_hz
         frac = t / half if t <= half else (duration_s - t) / half
         theta = lo + (hi - lo) * frac
-        if wheel:
-            theta = wrap_angle(theta)
-            r0, r1 = sensor_sim.read_wheel(theta, spec, rng)
-            v0_col.append(r0.count)
-            v1_col.append(r1.count)
-        else:
-            theta = min(max(theta, lo), hi)
-            v0_col.append(sensor_sim.read_tilt(theta, spec, rng).count)
+        theta = wrap_angle(theta) if limit is None else min(max(theta, lo), hi)
+        for reading in sensor_sim.read(theta, spec, rng):
+            counts.append(reading.count)
         t_col.append(t)
         theta_col.append(theta)
     return CalibrationDataset(
-        sensor_kind="wheel" if wheel else "tilt",
+        sensor_kind=spec.kind,
         t=np.array(t_col, dtype=float),
         theta=np.array(theta_col, dtype=float),
-        v0=np.array(v0_col, dtype=np.int64),
-        v1=np.array(v1_col, dtype=np.int64) if wheel else None,
+        counts=np.array(counts, dtype=np.int64).reshape(n, len(spec.wipers)),
         adc_max=spec.adc_max,
     )
 
 
 def _write_sweep_csv(dataset: CalibrationDataset, path: Path, manifest: RunManifest) -> None:
-    columns = [dataset.t.tolist(), dataset.theta.tolist(), dataset.v0.tolist()]
-    if dataset.sensor_kind == "wheel":
-        header, row_format = "t,theta,v0,v1\n", "%.17g,%.17g,%d,%d\n"
-        columns.append(dataset.v1.tolist())
-    else:
-        header, row_format = "t,theta,v0\n", "%.17g,%.17g,%d\n"
+    width = dataset.counts.shape[1]
+    header = ",".join(["t", "theta", *(f"v{i}" for i in range(width))])
+    row_format = "%.17g,%.17g" + ",%d" * width + "\n"
+    columns = [dataset.t.tolist(), dataset.theta.tolist(), *dataset.counts.T.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
-        handle.write(header)
+        handle.write(header + "\n")
         handle.writelines(row_format % row for row in zip(*columns))
 
 
@@ -144,6 +133,11 @@ def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: fl
     _write_sweep_csv(dataset, Path(out), manifest)
 
 
+def _check_sigma0(sigma0: float, name: str) -> None:
+    if not 0.0 < sigma0 < math.inf:
+        raise SpecError(f"{name} must be positive and finite, got {sigma0!r}")
+
+
 def _filter_params(bundle: ModelBundle, k: float, dt: float, q: float, sigma0: float) -> dict:
     keys = estimate.variance_keys(len(bundle.models))
     rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
@@ -160,6 +154,8 @@ def run_calibrate(
     sigma0: float = estimate.DEFAULT_SIGMA0,
 ) -> None:
     """``calibrate``: trim/shift, fit, windows, residual report, to JSON."""
+    estimate.TransitionModel(k, dt, q)  # checks k, dt and q
+    _check_sigma0(sigma0, "sigma0")
     dataset = characterize.ingest_log(in_csv, kind)
     bundle = characterize.calibrate(dataset)
     bundle = bundle.with_filter_params(_filter_params(bundle, k, dt, q, sigma0))
@@ -184,7 +180,8 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     """
     bundle = characterize.load_bundle(model_json)
     tm = estimate.transition_from_bundle(bundle)
-    sigma0 = float(bundle.filter_params.get("sigma0", estimate.DEFAULT_SIGMA0))
+    sigma0 = estimate.filter_value(bundle.filter_params, "sigma0", estimate.DEFAULT_SIGMA0)
+    _check_sigma0(sigma0, "filter.sigma0")
     header = ["t", *(f"v{i}" for i in range(len(bundle.models))), "omega"]
     t, *counts, omega = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
     obs = estimate.observation_from_bundle(bundle)
@@ -276,7 +273,6 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     )
     plant_q = cfg.get("plant_q")
     return trajectory.ExperimentConfig(
-        kind=kind,
         sensor=sensor,
         obs=obs,
         tm=tm,
@@ -303,16 +299,19 @@ def run_experiment_command(config_ref: str, out_prefix: str) -> trajectory.Exper
         seed=config.seed,
         config_sha256=_config_hash(cfg),
     )
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as handle:
-        result.write_trace(handle, comment=manifest.comment())
     summary = {
         "manifest": manifest.to_dict(),
         "config": cfg,
         **result.summary_dict(),
     }
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # the summary echoes the config
+        raise SpecError(f"{config_ref}: the config holds a non-finite number: {exc}") from exc
+    with open(trace_path, "w", encoding="utf-8", newline="\n") as handle:
+        result.write_trace(handle, comment=manifest.comment())
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
     return result
 
 

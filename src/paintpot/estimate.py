@@ -22,14 +22,11 @@ import numpy as np
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
-from paintpot.geometry import (
-    SHIFT_EDGE_WIPER0,
-    SHIFT_EDGE_WIPER1,
-    TWO_PI,
-    shift_state_for_wiper,
-    wrap_angle,
-)
+from paintpot.geometry import TWO_PI, WHEEL_TRACKS, wrap_angle
 from paintpot.sensor_sim import AdcReading
+
+# Where the standard wheel wipers' predicted measurements shift one turn.
+SHIFT_EDGE_WIPER0, SHIFT_EDGE_WIPER1 = (track.edge for track in WHEEL_TRACKS)
 
 DEFAULT_SIGMA0 = 1e-4
 DEFAULT_PROCESS_NOISE = 0.05
@@ -195,11 +192,6 @@ def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBe
     return GaussianBelief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
 
 
-def predicted_feature_measurement(mu_bar: float, index: int) -> float:
-    """Predicted converted measurement: the mean on wiper ``index``'s chart."""
-    return shift_state_for_wiper(mu_bar, index)
-
-
 def extract_features(
     readings: Sequence[AdcReading], obs: ObservationModel
 ) -> list[Feature]:
@@ -327,7 +319,7 @@ class WheelEstimator:
             raise InitializationError("call initialize() before step()")
         belief_bar = predict(self.belief, u, self.tm)
         mu_bar, sigma_bar = belief_bar
-        # predicted_feature_measurement for each wiper, inlined.
+        # Each wiper's predicted measurement: the mean on its shifted chart.
         z_bar0 = mu_bar - TWO_PI if mu_bar > SHIFT_EDGE_WIPER0 else mu_bar
         z_bar1 = mu_bar + TWO_PI if mu_bar < SHIFT_EDGE_WIPER1 else mu_bar
         kept: list[Feature] = []
@@ -373,12 +365,22 @@ def default_measurement_variance(model: CubicModel, stats: WiperFitStats) -> flo
     return max(stats.rms * stats.rms, mean_slope * mean_slope)
 
 
+def filter_value(params: dict, key: str, default: float | None = None) -> float:
+    """The bundle filter parameter ``key`` (``default`` when it is absent)
+    as a float; the error of a value that is not a number names ``filter.<key>``."""
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"filter.{key} must be a number, got {value!r}") from None
+
+
 def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:
     params = bundle.filter_params
     return TransitionModel(
-        k=float(params.get("k", DEFAULT_TRANSMISSION_RATIO)),
-        dt=float(params.get("dt", DEFAULT_TIMESTEP)),
-        q=float(params.get("q", DEFAULT_PROCESS_NOISE)),
+        k=filter_value(params, "k", DEFAULT_TRANSMISSION_RATIO),
+        dt=filter_value(params, "dt", DEFAULT_TIMESTEP),
+        q=filter_value(params, "q", DEFAULT_PROCESS_NOISE),
     )
 
 
@@ -399,10 +401,9 @@ def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
     models, params = bundle.models, bundle.filter_params
     keys = variance_keys(len(models))
     if any(key in params for key in keys):
-        try:
-            rs = [float(params[key]) for key in keys]
-        except KeyError as exc:
-            raise SpecError(f"bundle filter parameters need all of {', '.join(keys)}") from exc
+        if not all(key in params for key in keys):
+            raise SpecError(f"bundle filter parameters need all of {', '.join(keys)}")
+        rs = [filter_value(params, key) for key in keys]
     elif len(bundle.report.wipers) == len(models):
         rs = [default_measurement_variance(m, s) for m, s in zip(models, bundle.report.wipers)]
     else:

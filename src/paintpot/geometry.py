@@ -1,16 +1,19 @@
 """Angle conventions shared by the simulator, calibration, and filters.
 
 Wheel angles live on the wrapped chart (-pi, pi]; tilt angles on the closed
-interval [-pi/2, pi/2].  The wheel track has one gap span per wiper inside
-which that wiper's voltage is meaningless, and each wiper's characterization
-is continued past its gap by a full turn so angle stays a single-valued
-function of voltage (the "shifted state").
+interval [-pi/2, pi/2].  Each wheel wiper rides a track with a gap, inside
+which that wiper's voltage is meaningless, and its characterization is
+continued past the gap by a full turn so angle stays a single-valued
+function of voltage (the "shifted state").  :data:`WHEEL_TRACKS` is the one
+definition of the standard wheel's two tracks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from paintpot.errors import SpecError
 
 TWO_PI = math.tau
 
@@ -29,19 +32,53 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
+
+@dataclass(frozen=True)
+class WiperTrack:
+    """A wheel wiper's track gap, and the turn its reported state takes.
+
+    Past ``edge``, the gap end nearest the seam, the wiper reads the far end
+    of its track, so its state continues one ``turn`` away: -2*pi past the
+    top of a gap inside (0, pi), +2*pi past the bottom of one inside (-pi, 0).
+    """
+
+    gap: Interval
+    turn: float
+    edge: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        lo, hi = self.gap.lo, self.gap.hi
+        if self.turn == -TWO_PI and 0.0 < lo and hi < math.pi:
+            object.__setattr__(self, "edge", hi)
+        elif self.turn == TWO_PI and -math.pi < lo and hi < 0.0:
+            object.__setattr__(self, "edge", lo)
+        else:
+            raise SpecError(f"gap [{lo}, {hi}] turning by {self.turn!r} must lie inside "
+                            "(0, pi) turning by -2*pi or inside (-pi, 0) turning by 2*pi")
+
+    def past(self, theta):
+        """Whether ``theta`` (a float or an array) lies past the edge, on
+        the side the turn points away from."""
+        return (theta - self.edge) * self.turn < 0.0
+
+    def shift(self, theta: float) -> float:
+        """The shifted state this wiper reports at ``theta``."""
+        return theta + self.turn if self.past(theta) else theta
+
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
+    def window(self) -> tuple[float, float]:
+        """The shifted states off the gap, ascending: from one gap end to
+        the other, one turn on."""
+        lo, hi = self.gap.lo, self.gap.hi
+        return (hi + self.turn, lo) if self.turn < 0.0 else (hi, lo + self.turn)
 
 
-# Angular spans where a wheel wiper rides the track gap and reports garbage.
-GAP_WIPER0 = Interval(2.0 * math.pi / 3.0, 5.0 * math.pi / 6.0)
-GAP_WIPER1 = Interval(-5.0 * math.pi / 6.0, -2.0 * math.pi / 3.0)
-
-# Past these edges a wiper reads the far end of its track, so its reported
-# state continues 2*pi away (downward for wiper 0, upward for wiper 1).
-SHIFT_EDGE_WIPER0 = GAP_WIPER0.hi
-SHIFT_EDGE_WIPER1 = GAP_WIPER1.lo
+# Wiper 0 is blind over [2pi/3, 5pi/6] and its state turns down past 5pi/6;
+# wiper 1 is blind over [-5pi/6, -2pi/3] and turns up past -5pi/6.
+WHEEL_TRACKS = (
+    WiperTrack(Interval(2.0 * math.pi / 3.0, 5.0 * math.pi / 6.0), -TWO_PI),
+    WiperTrack(Interval(-5.0 * math.pi / 6.0, -2.0 * math.pi / 3.0), TWO_PI),
+)
 
 TILT_LIMIT = math.pi / 2.0
 
@@ -57,16 +94,6 @@ def wrapped_difference(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-def shift_state_for_wiper(theta: float, wiper: int, edge: float | None = None) -> float:
-    """Shifted state wiper ``wiper`` reports for a wheel at ``theta``.
-
-    ``edge`` overrides the standard shift boundary (the gap edge nearest the
-    seam); simulators with non-standard gap geometry pass their own.
-    """
-    if wiper == 0:
-        e = SHIFT_EDGE_WIPER0 if edge is None else edge
-        return theta - TWO_PI if theta > e else theta
-    if wiper == 1:
-        e = SHIFT_EDGE_WIPER1 if edge is None else edge
-        return theta + TWO_PI if theta < e else theta
-    raise ValueError(f"wiper index must be 0 or 1, got {wiper}")
+def shift_state_for_wiper(theta: float, wiper: int) -> float:
+    """Shifted state standard wheel wiper ``wiper`` reports at ``theta``."""
+    return WHEEL_TRACKS[wiper].shift(theta)

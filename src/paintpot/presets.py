@@ -11,11 +11,8 @@ from __future__ import annotations
 import math
 
 from paintpot.cubic import CubicModel
-from paintpot.sensor_sim import (
-    TiltSensorSpec,
-    WheelSensorSpec,
-    sensor_spec_to_dict,
-)
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS
+from paintpot.sensor_sim import SensorSpec, WiperSpec, sensor_spec_to_dict
 
 FULL_ADC_WINDOW = (0.0, 1023.0)
 
@@ -27,12 +24,13 @@ WHEEL_TRUTH_W1 = CubicModel(5.1596e-9, -1.2409e-5, 1.7927e-2, -5.8128, FULL_ADC_
 TILT_TRUTH = CubicModel(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, FULL_ADC_WINDOW)
 
 
-def reference_wheel_spec(noise_std: float = 1.0) -> WheelSensorSpec:
-    return WheelSensorSpec(truth_w0=WHEEL_TRUTH_W0, truth_w1=WHEEL_TRUTH_W1, noise_std=noise_std)
+def reference_wheel_spec(noise_std: float = 1.0) -> SensorSpec:
+    wipers = tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), WHEEL_TRACKS))
+    return SensorSpec(wipers, noise_std=noise_std)
 
 
-def reference_tilt_spec(noise_std: float = 1.0) -> TiltSensorSpec:
-    return TiltSensorSpec(truth=TILT_TRUTH, noise_std=noise_std)
+def reference_tilt_spec(noise_std: float = 1.0) -> SensorSpec:
+    return SensorSpec((WiperSpec(TILT_TRUTH),), TILT_LIMIT, noise_std=noise_std)
 
 
 SENSOR_PRESETS = {
@@ -42,7 +40,7 @@ SENSOR_PRESETS = {
 
 
 def _experiment_preset(kind: str, x0: float, xf: float, seed: int) -> dict:
-    spec = reference_wheel_spec() if kind == "wheel" else reference_tilt_spec()
+    spec = SENSOR_PRESETS[f"{kind}_reference"]()
     return {
         "kind": kind,
         "seed": seed,

@@ -3,7 +3,9 @@
 The harness commands a joint along a quintic profile with a feedforward
 velocity plus proportional position controller, drives the simulated plant
 and sensor, and runs the matching estimator, logging truth, estimate,
-reference, command, and feature availability at every step.
+reference, command, and feature availability at every step.  A joint whose
+observation model wraps (a wheel) has wrapped errors and a wrapping plant;
+one with an angle limit (a tilt) has plain errors and stops at the limit.
 """
 
 from __future__ import annotations
@@ -23,13 +25,8 @@ from paintpot.estimate import (
     extract_features,
 )
 from paintpot.geometry import wrap_angle, wrapped_difference
-from paintpot.sensor_sim import (
-    TiltSensorSpec,
-    WheelSensorSpec,
-    read_tilt,
-    read_wheel,
-    simulate_plant_step,
-)
+from paintpot.sensor_sim import SensorSpec, read, simulate_plant_step
+from paintpot.sensor_sim import read_tilt, read_wheel  # noqa: F401  (bench/tracing.py hooks these names)
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,10 @@ class ControllerGains:
     omega_max: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.kp < 0.0 or self.omega_max <= 0.0:
-            raise SpecError("kp must be >= 0 and omega_max > 0")
+        if not 0.0 <= self.kp < math.inf:
+            raise SpecError(f"kp must be finite and >= 0, got {self.kp!r}")
+        if not self.omega_max > 0.0:
+            raise SpecError(f"omega_max must be > 0, got {self.omega_max!r}")
 
 
 def control_step(
@@ -100,21 +99,17 @@ def control_step(
     ref_vel: float,
     gains: ControllerGains,
     tm: TransitionModel,
-    kind: str = "wheel",
+    wrap: bool = True,
 ) -> float:
     """Motor speed command: feedforward velocity plus P position correction.
 
-    Wheel position error is the wrapped difference so a seam crossing never
-    produces a full-turn correction; tilt error is the plain difference.
+    A wrapping joint's position error is the wrapped difference so a seam
+    crossing never produces a full-turn correction; otherwise it is the
+    plain difference.
     """
     if tm.k == 0.0:
         raise SpecError("transmission ratio must be nonzero to command the motor")
-    if kind == "wheel":
-        err = wrapped_difference(ref_pos, est_mu)
-    elif kind == "tilt":
-        err = ref_pos - est_mu
-    else:
-        raise SpecError(f"unknown joint kind {kind!r}")
+    err = wrapped_difference(ref_pos, est_mu) if wrap else ref_pos - est_mu
     omega = (ref_vel + gains.kp * err) / tm.k
     return min(max(omega, -gains.omega_max), gains.omega_max)
 
@@ -123,8 +118,7 @@ def control_step(
 class ExperimentConfig:
     """Everything one closed-loop run needs; deterministic given ``seed``."""
 
-    kind: str
-    sensor: WheelSensorSpec | TiltSensorSpec
+    sensor: SensorSpec
     obs: ObservationModel
     tm: TransitionModel
     traj: QuinticTrajectory
@@ -160,12 +154,9 @@ class ExperimentResult:
         return len(self.t)
 
     def estimate_step_jumps(self) -> np.ndarray:
-        """|change in estimate| between consecutive steps (wrapped for wheels)."""
-        if self.kind == "wheel":
-            return np.abs(
-                [wrapped_difference(a, b) for a, b in zip(self.theta_est[1:], self.theta_est[:-1])]
-            )
-        return np.abs(np.diff(self.theta_est))
+        """|wrapped change in estimate| between consecutive steps (below pi,
+        which a tilt never moves in a step, wrapping changes no difference)."""
+        return np.abs([wrap_angle(d) for d in np.diff(self.theta_est).tolist()])
 
     def write_trace(self, handle: IO[str], comment: str | None = None) -> None:
         if comment is not None:
@@ -190,12 +181,6 @@ class ExperimentResult:
         }
 
 
-def _angle_error(kind: str, est: float, ref: float) -> float:
-    if kind == "wheel":
-        return abs(wrapped_difference(est, ref))
-    return abs(est - ref)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one closed-loop trajectory-tracking experiment.
 
@@ -203,12 +188,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     read the sensor, predict, then update with whatever features are
     available.  Deterministic for a fixed seed.
     """
-    kind, sensor, obs = config.kind, config.sensor, config.obs
+    sensor, obs = config.sensor, config.obs
     wheel = obs.wrap
-    if kind != ("wheel" if wheel else "tilt") or not isinstance(
-        sensor, WheelSensorSpec if wheel else TiltSensorSpec
-    ):
-        raise SpecError(f"experiment kind {kind!r} does not match its sensor spec and observation model")
+    if sensor.wrap != wheel or len(sensor.wipers) != len(obs.wipers):
+        raise SpecError(f"the {sensor.kind} sensor spec does not match the observation model")
     if config.rate_hz <= 0.0:
         raise SpecError("rate_hz must be positive")
     dt = 1.0 / config.rate_hz
@@ -221,24 +204,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if n_steps < 1:
         raise SpecError("trajectory shorter than one loop period")
 
+    limit = sensor.angle_limit
     theta = wrap_angle(config.traj.x0) if wheel else config.traj.x0
-    if not wheel and abs(theta) > sensor.angle_limit:
+    if not (wheel or abs(theta) <= limit):
         raise SpecError("tilt trajectory starts outside the mechanical range")
 
     estimator = (WheelEstimator if wheel else TiltEstimator)(obs, config.tm, config.sigma0)
-    readings = read_wheel(theta, sensor, rng) if wheel else (read_tilt(theta, sensor, rng),)
+    readings = read(theta, sensor, rng)
     estimator.initialize(readings)
     admitted = {feature.index for feature in extract_features(readings, obs)}
     used = (0 in admitted, 1 in admitted)
 
     size = n_steps + 1
-    t_log = np.zeros(size)
-    true_log = np.zeros(size)
-    est_log = np.zeros(size)
-    ref_log = np.zeros(size)
-    u_log = np.zeros(size)
-    f0_log = np.zeros(size, dtype=bool)
-    f1_log = np.zeros(size, dtype=bool)
+    t_log, true_log, est_log, ref_log, u_log = np.zeros((5, size))
+    f0_log, f1_log = np.zeros((2, size), dtype=bool)
 
     ref0, _ = sample(config.traj, 0.0)
     t_log[0], true_log[0], est_log[0] = 0.0, theta, estimator.belief.mu
@@ -248,31 +227,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for step in range(1, size):
         t = step * dt
         ref_pos, ref_vel = sample(config.traj, t)
-        u = control_step(estimator.belief.mu, ref_pos, ref_vel, config.gains, config.tm, kind)
-        theta, _ = simulate_plant_step(
-            theta,
-            u,
-            config.tm.k,
-            dt,
-            plant_q,
-            rng,
-            kind=kind,
-            angle_limit=getattr(sensor, "angle_limit", math.pi / 2.0),
-        )
-        if wheel:
-            belief, used = estimator.step(u, read_wheel(theta, sensor, rng))
-        else:
-            belief, accepted = estimator.step(u, (read_tilt(theta, sensor, rng),))
-            used = (accepted, False)
+        u = control_step(estimator.belief.mu, ref_pos, ref_vel, config.gains, config.tm, wheel)
+        theta, _ = simulate_plant_step(theta, u, config.tm.k, dt, plant_q, rng, limit)
+        belief, used = estimator.step(u, read(theta, sensor, rng))
+        if not wheel:
+            used = (used, False)
         t_log[step], true_log[step], est_log[step] = t, theta, belief.mu
         ref_log[step], u_log[step] = ref_pos, u
         f0_log[step], f1_log[step] = used
 
-    errors = np.array(
-        [_angle_error(kind, est_log[i], ref_log[i]) for i in range(size)]
-    )
+    # Wheel errors are wrapped differences, so a seam crossing is not a turn.
+    errors = est_log - ref_log
+    errors = np.abs([wrap_angle(e) for e in errors.tolist()] if wheel else errors)
     return ExperimentResult(
-        kind=kind,
+        kind=sensor.kind,
         t=t_log,
         theta_true=true_log,
         theta_est=est_log,

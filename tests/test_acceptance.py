@@ -28,10 +28,10 @@ from paintpot.estimate import (
     extract_features,
     observation_from_bundle,
     predict,
-    predicted_feature_measurement,
     update_tilt,
     update_wheel,
 )
+from paintpot.geometry import shift_state_for_wiper
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
@@ -94,7 +94,7 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
                 zs.append(z)
                 rs.append(r)
                 feats.append(Feature(i, z, r))
-            z_bars = [predicted_feature_measurement(bar.mu, f.index) for f in feats]
+            z_bars = [shift_state_for_wiper(bar.mu, f.index) for f in feats]
             posterior = update_wheel(bar, feats, z_bars)
 
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, zs, rs, n_points=1_000_000)
@@ -118,7 +118,7 @@ def test_criterion_2_dual_update_equals_sequential_updates():
         dual = update_wheel(belief, [Feature(0, z0, r0), Feature(1, z1, r1)], [mu, mu])
         first = update_wheel(belief, [Feature(0, z0, r0)], [mu])
         seq = update_wheel(
-            first, [Feature(1, z1, r1)], [predicted_feature_measurement(first.mu, 1)]
+            first, [Feature(1, z1, r1)], [shift_state_for_wiper(first.mu, 1)]
         )
         assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
         assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)
@@ -177,7 +177,7 @@ def test_criterion_4_feature_availability_and_branch_structure():
             else:
                 assert wiper in features
                 assert features[wiper].z == pytest.approx(want, abs=0.02)
-                assert predicted_feature_measurement(theta, wiper) == pytest.approx(
+                assert shift_state_for_wiper(theta, wiper) == pytest.approx(
                     want, abs=1e-12
                 )
     _report(4, "feature availability / five-region structure")
@@ -258,7 +258,7 @@ def test_criterion_7_variance_laws():
             )
             for i in range(n_features)
         ]
-        z_bars = [predicted_feature_measurement(bar.mu, f.index) for f in features]
+        z_bars = [shift_state_for_wiper(bar.mu, f.index) for f in features]
         posterior = update_wheel(bar, features, z_bars)
         if n_features == 0:
             assert posterior.sigma == bar.sigma

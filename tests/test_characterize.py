@@ -40,8 +40,7 @@ def wheel_dataset(rows):
         "wheel",
         t=np.array(t, dtype=float),
         theta=np.array(theta, dtype=float),
-        v0=np.array(v0, dtype=np.int64),
-        v1=np.array(v1, dtype=np.int64),
+        counts=np.array([v0, v1], dtype=np.int64).T,
     )
 
 
@@ -50,7 +49,7 @@ class TestIngestLog:
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n0.1,0.2,505,515\n0.2,0.3,511,520\n"
         ds = ingest_log(io.StringIO(csv), "wheel")
         assert len(ds) == 3
-        assert ds.v1 is not None
+        assert ds.counts.shape == (3, 2)
         assert ds.theta[1] == pytest.approx(0.2)
 
     def test_count_out_of_range_names_line(self):
@@ -62,7 +61,7 @@ class TestIngestLog:
         csv = "t,theta,v0\n0.0,-0.5,200\n0.1,0.0,500\n"
         ds = ingest_log(io.StringIO(csv), "tilt")
         assert ds.sensor_kind == "tilt"
-        assert ds.v1 is None
+        assert ds.counts.shape == (2, 1)
 
     def test_decreasing_timestamp_rejected(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n-0.1,0.2,505,515\n"
@@ -169,7 +168,7 @@ class TestIngestLogFaults:
         ]
         for ds in datasets:
             assert ds.t.tolist() == [0.0, 0.01] and ds.theta.tolist() == [0.1, -0.2]
-            assert ds.v0.tolist() == [500, 501] and ds.v1.tolist() == [510, 511]
+            assert ds.counts.tolist() == [[500, 510], [501, 511]]
 
 
 # Odd field texts: malformed, non-finite, padded, out of range.
@@ -226,9 +225,9 @@ class TestIngestLogAgainstReference:
             assert got == want
             return
         t, theta, v0, v1 = want
-        assert got.t.dtype == got.theta.dtype == np.float64 and got.v0.dtype == np.int64
-        assert got.t.tolist() == t and got.theta.tolist() == theta and got.v0.tolist() == v0
-        assert (got.v1 is None) if v1 is None else got.v1.tolist() == v1
+        assert got.t.dtype == got.theta.dtype == np.float64 and got.counts.dtype == np.int64
+        assert got.t.tolist() == t and got.theta.tolist() == theta and got.counts[:, 0].tolist() == v0
+        assert got.counts.shape[1] == 1 if v1 is None else got.counts[:, 1].tolist() == v1
 
 
 class TestTrimAndShift:
@@ -253,7 +252,7 @@ class TestTrimAndShift:
 
     def test_tilt_passes_through(self):
         ds = CalibrationDataset(
-            "tilt", t=np.array([0.0, 0.1]), theta=np.array([-0.3, 0.4]), v0=np.array([200, 700]), v1=None
+            "tilt", t=np.array([0.0, 0.1]), theta=np.array([-0.3, 0.4]), counts=np.array([[200], [700]])
         )
         pairs = trim_and_shift(ds)
         assert len(pairs) == 1
@@ -647,11 +646,9 @@ class TestComputeValidRanges:
         spec = reference_wheel_spec(noise_std=0.0)
         ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
-        from paintpot.sensor_sim import wheel_ideal_voltage
-
         for theta in thetas:
-            for wiper, valid in enumerate(ranges):
-                voltage = wheel_ideal_voltage(float(theta), wiper, spec)
+            for wiper, valid in zip(spec.wipers, ranges):
+                voltage = wiper.voltage(float(theta))
                 if voltage is not None:
                     assert valid.v_min < voltage < valid.v_max
 

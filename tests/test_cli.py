@@ -16,7 +16,7 @@ from paintpot.presets import (
     reference_tilt_spec,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import read_wheel, save_sensor_spec
+from paintpot.sensor_sim import read_wheel, save_sensor_spec, sensor_spec_from_dict, sensor_spec_to_dict
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,6 +76,48 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("preset", sorted(presets.SENSOR_PRESETS))
+    def test_spec_file_sweeps_the_rows_of_its_preset(self, tmp_path, preset):
+        data = sensor_spec_to_dict(presets.SENSOR_PRESETS[preset]())
+        assert sensor_spec_to_dict(sensor_spec_from_dict(data)) == data
+        spec_path = tmp_path / "spec.json"
+        save_sensor_spec(sensor_spec_from_dict(data), spec_path)
+        assert json.loads(spec_path.read_text()) == data
+        rows = []
+        for ref in (preset, str(spec_path)):
+            out = tmp_path / "sweep.csv"
+            assert run_cli("sweep", "--spec", ref, "--out", str(out), "--seed", "6") == 0
+            rows.append(out.read_text().splitlines()[1:])  # after the manifest
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"gap_w0": [1.5, 2.0], "gap_w1": [-2.9, -2.5]},
+            {"gap_w1": [-2.0, -1.5]},
+            {"angle_limit": 1.25, "noise_std": 2.0},
+        ],
+        ids=["both_gaps", "gap_w1", "tilt_limit"],
+    )
+    def test_non_default_spec_round_trips_and_sweeps_its_gaps(self, tmp_path, edit):
+        preset = "tilt_reference" if "angle_limit" in edit else "wheel_reference"
+        data = {**sensor_spec_to_dict(presets.SENSOR_PRESETS[preset](noise_std=0.0)), **edit}
+        spec = sensor_spec_from_dict(data)
+        assert sensor_spec_to_dict(spec) == data
+        spec_path = tmp_path / "spec.json"
+        save_sensor_spec(spec, spec_path)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out), "--seed", "1") == 0
+        rows = np.array([[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[2:]])
+        theta = rows[:, 1]
+        if spec.wrap:
+            # Noiseless: a wiper reads the rail count 0 exactly while it rides its gap.
+            for wiper in range(2):
+                lo, hi = data[f"gap_w{wiper}"]
+                assert np.array_equal(rows[:, 2 + wiper] == 0, (theta >= lo) & (theta <= hi))
+        else:
+            assert theta.min() == -1.25 and theta.max() == 1.25
 
 
 class TestCalibrate:
@@ -505,6 +547,16 @@ class TestExperiment:
         assert all(row[6] == "0" for row in rows)  # f1_avail column
         assert any(row[5] == "1" for row in rows)  # f0_avail column
 
+    def test_non_finite_number_in_an_unused_key_is_config_error(self, tmp_path, capsys):
+        # The summary echoes the config and is written without NaN.
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
+        config["note"] = math.nan
+        cfg_path = tmp_path / "nan.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "x")) == 2
+        assert "non-finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
+
     def test_kind_mismatch_is_config_error(self, tmp_path):
         config = {
             "kind": "tilt",
@@ -516,6 +568,80 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(config))
         assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix",
                        str(tmp_path / "x")) == 2
+
+
+def _sweep_flag(flag, value):
+    def argv(tmp_path, bundle):
+        return ["sweep", "--spec", "wheel_reference", "--out", str(tmp_path / "s.csv"), flag, value]
+
+    return argv
+
+
+def _calibrate_flag(flag, value):
+    def argv(tmp_path, bundle):
+        sweep = bundle.parent / "sweep.csv"  # the wheel_bundle fixture's sweep
+        return ["calibrate", "--in", str(sweep), "--kind", "wheel", "--out", str(tmp_path / "b.json"), flag, value]
+
+    return argv
+
+
+def _bundle_filter(key, value):
+    def argv(tmp_path, bundle):
+        data = json.loads(bundle.read_text())
+        data["filter"][key] = value
+        edited, readings = tmp_path / "edited.json", tmp_path / "r.csv"
+        edited.write_text(json.dumps(data))
+        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+        return ["estimate", "--model", str(edited), "--readings", str(readings), "--out", str(tmp_path / "t.csv")]
+
+    return argv
+
+
+def _controller(key, value):
+    def argv(tmp_path, bundle):
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["controller"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return ["experiment", "--config", str(path), "--out-prefix", str(tmp_path / "x")]
+
+    return argv
+
+
+# Non-finite and non-numeric values of flags and file keys, and the name the
+# error must give.
+BAD_VALUES = [
+    (_sweep_flag("--rate-hz", "nan"), "rate_hz"),
+    (_sweep_flag("--rate-hz", "inf"), "rate_hz"),
+    (_sweep_flag("--duration-s", "nan"), "duration_s"),
+    (_calibrate_flag("--k", "nan"), "k must be finite"),
+    (_calibrate_flag("--dt", "inf"), "dt must be finite"),
+    (_calibrate_flag("--q", "nan"), "q must be finite"),
+    (_calibrate_flag("--sigma0", "nan"), "sigma0"),
+    (_calibrate_flag("--sigma0", "inf"), "sigma0"),
+    (_bundle_filter("sigma0", "abc"), "filter.sigma0"),
+    (_bundle_filter("sigma0", "inf"), "filter.sigma0"),
+    (_bundle_filter("k", [1]), "filter.k"),
+    (_bundle_filter("r0", {}), "filter.r0"),
+    (_controller("kp", math.nan), "kp"),
+    (_controller("omega_max", math.nan), "omega_max"),
+]
+BAD_VALUE_IDS = [
+    "sweep_nan_rate", "sweep_inf_rate", "sweep_nan_duration", "calibrate_nan_k", "calibrate_inf_dt",
+    "calibrate_nan_q", "calibrate_nan_sigma0", "calibrate_inf_sigma0", "bundle_text_sigma0",
+    "bundle_inf_sigma0", "bundle_list_k", "bundle_dict_r0", "experiment_nan_kp", "experiment_nan_omega_max",
+]
+
+
+@pytest.mark.parametrize("argv,name", BAD_VALUES, ids=BAD_VALUE_IDS)
+def test_bad_value_is_config_error_naming_it(tmp_path, wheel_bundle, capsys, argv, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run_cli(*argv(out, wheel_bundle)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and name in err
+    assert not any((out / name).exists() for name in ("s.csv", "b.json", "t.csv", "x_trace.csv"))
 
 
 class TestConsoleEntry:

@@ -28,17 +28,17 @@ from paintpot.estimate import (
     initial_belief,
     observation_from_bundle,
     predict,
-    predicted_feature_measurement,
     update_tilt,
     update_wheel,
 )
+from paintpot.geometry import shift_state_for_wiper
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
     WHEEL_TRUTH_W1,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import AdcReading, read_wheel, wheel_ideal_voltage
+from paintpot.sensor_sim import AdcReading, read_wheel
 
 from oracles import (
     cubic_value,
@@ -321,19 +321,21 @@ class TestExtractFeatures:
 
 
 class TestPredictedFeatureMeasurement:
+    """A wiper's predicted measurement: the mean on its shifted chart."""
+
     def test_wiper0_shifts_down_past_edge(self):
-        assert predicted_feature_measurement(0.9 * PI, 0) == pytest.approx(
+        assert shift_state_for_wiper(0.9 * PI, 0) == pytest.approx(
             0.9 * PI - TWO_PI, abs=1e-12
         )
 
     def test_wiper1_shifts_up_past_edge(self):
-        assert predicted_feature_measurement(-0.9 * PI, 1) == pytest.approx(
+        assert shift_state_for_wiper(-0.9 * PI, 1) == pytest.approx(
             -0.9 * PI + TWO_PI, abs=1e-12
         )
 
     def test_interior_is_identity(self):
-        assert predicted_feature_measurement(0.0, 0) == 0.0
-        assert predicted_feature_measurement(0.0, 1) == 0.0
+        assert shift_state_for_wiper(0.0, 0) == 0.0
+        assert shift_state_for_wiper(0.0, 1) == 0.0
 
     def test_matches_five_region_oracle_through_truth_inversion(self):
         # One interior point per region: availability pattern and the
@@ -343,14 +345,14 @@ class TestPredictedFeatureMeasurement:
         for theta in points:
             expected = five_region_shifted_states(theta)
             for wiper, want in enumerate(expected):
-                voltage = wheel_ideal_voltage(theta, wiper, spec)
+                voltage = spec.wipers[wiper].voltage(theta)
                 if want is None:
                     assert voltage is None
                     continue
                 assert voltage is not None
-                truth = spec.truth(wiper)
+                truth = spec.wipers[wiper].truth
                 assert truth.evaluate(voltage) == pytest.approx(want, abs=1e-9)
-                assert predicted_feature_measurement(theta, wiper) == pytest.approx(
+                assert shift_state_for_wiper(theta, wiper) == pytest.approx(
                     want, abs=1e-12
                 )
 
@@ -408,7 +410,7 @@ class TestUpdateWheel:
             seq = update_wheel(
                 first,
                 [Feature(1, z1, r1)],
-                [predicted_feature_measurement(first.mu, 1)],
+                [shift_state_for_wiper(first.mu, 1)],
             )
             assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
             assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)

@@ -6,19 +6,19 @@ import pytest
 
 from paintpot.cubic import CubicModel
 from paintpot.errors import DomainError, SpecError
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
     reference_wheel_spec,
 )
 from paintpot.sensor_sim import (
-    TiltSensorSpec,
-    WheelSensorSpec,
+    SensorSpec,
+    WiperSpec,
     quantize,
     read_tilt,
     read_wheel,
     simulate_plant_step,
-    wheel_ideal_voltage,
 )
 
 from oracles import bisect_root, cubic_value, wrap_brute
@@ -32,7 +32,12 @@ LINEAR_TILT = CubicModel(0.0, 0.0, PI / 1023.0, -PI / 2.0, (0.0, 1023.0))
 
 
 def linear_wheel_spec(noise_std=0.0):
-    return WheelSensorSpec(truth_w0=LINEAR_W0, truth_w1=LINEAR_W1, noise_std=noise_std)
+    wipers = tuple(map(WiperSpec, (LINEAR_W0, LINEAR_W1), WHEEL_TRACKS))
+    return SensorSpec(wipers, noise_std=noise_std)
+
+
+def tilt_spec(truth):
+    return SensorSpec((WiperSpec(truth),), TILT_LIMIT, noise_std=0.0)
 
 
 def reference_spec(noise_std=0.0):
@@ -41,15 +46,15 @@ def reference_spec(noise_std=0.0):
 
 class TestWheelIdealVoltage:
     def test_gap_region_unavailable(self):
-        assert wheel_ideal_voltage(0.75 * PI, 0, linear_wheel_spec()) is None
+        assert linear_wheel_spec().wipers[0].voltage(0.75 * PI) is None
 
     def test_linear_truth_at_zero(self):
-        v = wheel_ideal_voltage(0.0, 0, linear_wheel_spec())
+        v = linear_wheel_spec().wipers[0].voltage(0.0)
         assert v == pytest.approx(511.5, abs=1e-6)
 
     def test_reference_truth_matches_bisection_oracle(self):
         spec = reference_spec()
-        v = wheel_ideal_voltage(0.0, 0, spec)
+        v = spec.wipers[0].voltage(0.0)
         expected = bisect_root(
             lambda x: cubic_value(5.0281e-9, -1.2255e-5, 1.7856e-2, -7.2750, x) - 0.0,
             0.0,
@@ -61,11 +66,13 @@ class TestWheelIdealVoltage:
 
     def test_out_of_domain_angle_raises(self):
         with pytest.raises(DomainError):
-            wheel_ideal_voltage(1.5 * PI, 0, linear_wheel_spec())
+            read_wheel(1.5 * PI, linear_wheel_spec(), np.random.default_rng(0))
 
     def test_negative_pi_maps_to_pi(self):
         spec = linear_wheel_spec()
-        assert wheel_ideal_voltage(-PI, 1, spec) == wheel_ideal_voltage(PI, 1, spec)
+        a = read_wheel(-PI, spec, np.random.default_rng(0))
+        assert a == read_wheel(PI, spec, np.random.default_rng(0))
+        assert a[1].count == round(spec.wipers[1].voltage(PI))
 
 
 class TestQuantize:
@@ -146,17 +153,17 @@ class TestReadWheel:
 
 class TestReadTilt:
     def test_linear_center(self):
-        spec = TiltSensorSpec(truth=LINEAR_TILT, noise_std=0.0)
+        spec = tilt_spec(LINEAR_TILT)
         reading = read_tilt(0.0, spec, np.random.default_rng(0))
         assert reading.count == 512  # 511.5 rounded half away from zero
         assert reading.available
 
     def test_linear_lower_endpoint(self):
-        spec = TiltSensorSpec(truth=LINEAR_TILT, noise_std=0.0)
+        spec = tilt_spec(LINEAR_TILT)
         assert read_tilt(-PI / 2.0, spec, np.random.default_rng(0)).count == 0
 
     def test_reference_truth_matches_bisection_oracle(self):
-        spec = TiltSensorSpec(truth=TILT_TRUTH, noise_std=0.0)
+        spec = tilt_spec(TILT_TRUTH)
         reading = read_tilt(0.5, spec, np.random.default_rng(0))
         expected = bisect_root(
             lambda x: cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, x) - 0.5,
@@ -167,7 +174,7 @@ class TestReadTilt:
         assert reading.count == round(expected)
 
     def test_out_of_range_raises(self):
-        spec = TiltSensorSpec(truth=LINEAR_TILT, noise_std=0.0)
+        spec = tilt_spec(LINEAR_TILT)
         with pytest.raises(DomainError):
             read_tilt(1.7, spec, np.random.default_rng(0))
 
@@ -198,7 +205,7 @@ class TestSimulatePlantStep:
 
     def test_tilt_clamps_and_flags(self):
         step = simulate_plant_step(
-            PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, 0.0, np.random.default_rng(0), kind="tilt"
+            PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, 0.0, np.random.default_rng(0), TILT_LIMIT
         )
         assert step.theta == PI / 2.0
         assert step.saturated

@@ -138,7 +138,7 @@ def estimate_case(tmp_path, kind, seed):
             counts = [reading.count for reading in read_wheel(theta, spec, rng)]
         else:
             omega = 6.0 * math.cos(2.0 * PI * i / 600.0)
-            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng, kind="tilt")
+            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng, spec.angle_limit)
             counts = [read_tilt(theta, spec, rng).count]
         if i % RAIL_EVERY == RAIL_EVERY - 1:
             counts = [0] * len(counts)
@@ -196,7 +196,7 @@ def oracle_count(c3, c2, c1, c0, window, target):
 def test_zero_noise_wheel_counts_equal_rounded_oracle_roots():
     spec = reference_wheel_spec(noise_std=0.0)
     rng = np.random.default_rng(0)
-    truths = (spec.truth_w0, spec.truth_w1)
+    truths = [wiper.truth for wiper in spec.wipers]
     # A 2*pi/4000 step moves a wiper by at most 0.2 counts: every count is hit.
     for theta in np.linspace(-PI, PI, 4_001)[1:]:
         readings = read_wheel(float(theta), spec, rng)
@@ -212,7 +212,7 @@ def test_zero_noise_wheel_counts_equal_rounded_oracle_roots():
 def test_zero_noise_tilt_counts_equal_rounded_oracle_roots():
     spec = reference_tilt_spec(noise_std=0.0)
     rng = np.random.default_rng(0)
-    t = spec.truth
+    t = spec.wipers[0].truth
     for theta in np.linspace(-spec.angle_limit, spec.angle_limit, 2_001):
         reading = read_tilt(float(theta), spec, rng)
         assert reading.count == oracle_count(t.c3, t.c2, t.c1, t.c0, t.v_window, theta)

@@ -6,7 +6,13 @@ import pytest
 from paintpot.characterize import FitReport, ModelBundle, compute_valid_ranges
 from paintpot.errors import SpecError
 from paintpot.estimate import TransitionModel, observation_from_bundle
-from paintpot.presets import TILT_TRUTH, WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
+from paintpot.presets import (
+    TILT_TRUTH,
+    WHEEL_TRUTH_W0,
+    WHEEL_TRUTH_W1,
+    reference_tilt_spec,
+    reference_wheel_spec,
+)
 from paintpot.trajectory import (
     ControllerGains,
     ExperimentConfig,
@@ -95,7 +101,7 @@ class TestControlStep:
 
     def test_tilt_error_is_plain_difference(self):
         tm = TransitionModel(k=1.0, dt=0.01, q=0.0)
-        omega = control_step(1.2, -1.2, 0.0, ControllerGains(kp=1.0), tm, kind="tilt")
+        omega = control_step(1.2, -1.2, 0.0, ControllerGains(kp=1.0), tm, wrap=False)
         assert omega == pytest.approx(-2.4, abs=1e-12)
 
     def test_saturates_at_omega_max(self):
@@ -113,7 +119,6 @@ def wheel_config(seed=0, noise_std=1.0, plant_q=0.02, x0=PI, xf=0.0):
     obs = observation_from_bundle(ModelBundle("wheel", truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
     tm = TransitionModel(k=0.2, dt=0.01, q=0.05)
     return ExperimentConfig(
-        kind="wheel",
         sensor=spec,
         obs=obs,
         tm=tm,
@@ -154,8 +159,7 @@ class TestRunExperiment:
     def test_kind_mismatch_rejected(self):
         config = wheel_config()
         bad = ExperimentConfig(
-            kind="tilt",
-            sensor=config.sensor,
+            sensor=reference_tilt_spec(),
             obs=config.obs,
             tm=config.tm,
             traj=config.traj,
@@ -170,7 +174,6 @@ class TestRunExperiment:
         config = wheel_config()
         tilt = ModelBundle("tilt", (TILT_TRUTH,), (), FitReport(()), 1023, {"r": 1e-4})
         bad = ExperimentConfig(
-            kind="wheel",
             sensor=config.sensor,
             obs=observation_from_bundle(tilt),
             tm=config.tm,
@@ -185,7 +188,6 @@ class TestRunExperiment:
     def test_rate_and_dt_must_agree(self):
         config = wheel_config()
         bad = ExperimentConfig(
-            kind="wheel",
             sensor=config.sensor,
             obs=config.obs,
             tm=TransitionModel(k=0.2, dt=0.02, q=0.05),
