@@ -1,9 +1,11 @@
 """Command-line front door: sweep, calibrate, estimate, experiment.
 
-Every command is deterministic for a fixed seed and embeds a reproduction
-manifest in its outputs (a ``#`` comment line in CSVs, a ``manifest`` key
-in JSON).  Exit codes: 0 success, 2 configuration or schema error,
-3 numerical or fit failure, 4 I/O failure.
+Every command is deterministic for a fixed seed (a sweep draws its noise
+in one block) and embeds a reproduction manifest in its outputs (a ``#``
+comment line in CSVs, a ``manifest`` key in JSON).  Exit codes: 0 success,
+2 configuration or schema error, 3 numerical or fit failure, 4 I/O failure;
+an experiment-config value that is not a finite number exits 2 naming its
+key path.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ def synthesize_sweep_dataset(
     Mimics the characterization rig: the joint traverses its whole range in
     each direction while time, tracked angle, and each wiper's raw count
     are logged.  A wheel's range is (-pi, pi], a tilt's +-``angle_limit``.
+    All rows' count noise is one ``rng`` draw, row by row, wiper by wiper.
     """
     for name, value in (("rate_hz", rate_hz), ("duration_s", duration_s)):
         if not 0.0 < value < math.inf:
@@ -83,15 +86,17 @@ def synthesize_sweep_dataset(
     limit = spec.angle_limit
     lo, hi = (-math.pi, math.pi) if limit is None else (-limit, limit)
     half = duration_s / 2.0
-    # Flat lists of floats and ints: no per-row container stays alive to
-    # bring on a garbage collection.
+    noise = rng.normal(0.0, spec.noise_std, (n, len(spec.wipers)))
+    # Flat lists of floats and ints, and each row's draws a tuple made when
+    # it is used: no per-row container stays alive to bring on a garbage
+    # collection.
     t_col, theta_col, counts = [], [], []
-    for i in range(n):
+    for i, draws in enumerate(zip(*noise.T.tolist())):
         t = i / rate_hz
         frac = t / half if t <= half else (duration_s - t) / half
         theta = lo + (hi - lo) * frac
         theta = wrap_angle(theta) if limit is None else min(max(theta, lo), hi)
-        for reading in sensor_sim.read(theta, spec, rng):
+        for reading in sensor_sim.read(theta, spec, draws):
             counts.append(reading.count)
         t_col.append(t)
         theta_col.append(theta)
@@ -121,13 +126,7 @@ def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: fl
         raise SpecError("seed must be >= 0")
     spec, spec_dict = _resolve_sensor_spec(spec_ref)
     config = {"spec": spec_dict, "rate_hz": rate_hz, "duration_s": duration_s, "seed": seed}
-    manifest = RunManifest(
-        command="sweep",
-        inputs={"spec": spec_ref},
-        outputs=(out,),
-        seed=seed,
-        config_sha256=_config_hash(config),
-    )
+    manifest = RunManifest("sweep", {"spec": spec_ref}, (out,), seed, _config_hash(config))
     rng = np.random.default_rng(seed)
     dataset = synthesize_sweep_dataset(spec, rate_hz, duration_s, rng)
     _write_sweep_csv(dataset, Path(out), manifest)
@@ -160,13 +159,7 @@ def run_calibrate(
     bundle = characterize.calibrate(dataset)
     bundle = bundle.with_filter_params(_filter_params(bundle, k, dt, q, sigma0))
     config = {"kind": kind, "filter": bundle.filter_params}
-    manifest = RunManifest(
-        command="calibrate",
-        inputs={"log": in_csv},
-        outputs=(out,),
-        seed=None,
-        config_sha256=_config_hash(config),
-    )
+    manifest = RunManifest("calibrate", {"log": in_csv}, (out,), None, _config_hash(config))
     characterize.save_bundle(bundle, Path(out), manifest=manifest.to_dict())
 
 
@@ -185,13 +178,9 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     header = ["t", *(f"v{i}" for i in range(len(bundle.models))), "omega"]
     t, *counts, omega = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
     obs = estimate.observation_from_bundle(bundle)
-    manifest = RunManifest(
-        command="estimate",
-        inputs={"model": model_json, "readings": readings_csv},
-        outputs=(out,),
-        seed=None,
-        config_sha256=_config_hash(characterize.bundle_to_dict(bundle)),
-    )
+    inputs = {"model": model_json, "readings": readings_csv}
+    config_sha256 = _config_hash(characterize.bundle_to_dict(bundle))
+    manifest = RunManifest("estimate", inputs, (out,), None, config_sha256)
     # One reading per wiper and logged count, shared by every row with it.
     by_count = [
         [sensor_sim.AdcReading(wiper, count, True) for count in range(max(column) + 1)]
@@ -224,63 +213,80 @@ def _resolve_experiment_config(ref: str) -> dict:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _config_number(cfg: dict, path: str, default: float | None = None, integer: bool = False):
+    """The finite number, or with ``integer`` the int, at the dotted key
+    ``path`` of an experiment config, else ``default``; faults name ``path``."""
+    *sections, key = path.split(".")
+    for section in sections:
+        cfg = cfg.get(section, {})
+        if not isinstance(cfg, dict):
+            raise SpecError(f"{section} must be a JSON object, got {cfg!r}")
+    value = cfg.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        expected = "an integer" if integer else "a finite number"
+        raise SpecError(f"{path} must be {expected}, got {value!r}")
+    if integer:  # an int as given: a float would round a seed above 2**53
+        return int(value) if isinstance(value, int) else int(number)
+    return number
+
+
 def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
+    """The run an experiment config describes; each number goes through :func:`_config_number`."""
     try:
         kind = cfg["kind"]
-        seed = int(cfg.get("seed", 0))
-        rate_hz = float(cfg.get("rate_hz", 100.0))
-        traj_cfg = cfg["trajectory"]
-        x0 = float(traj_cfg["x0"])
-        xf = float(traj_cfg["xf"])
-        t_total = float(traj_cfg["t_total"])
-        ctl_cfg = cfg.get("controller", {})
-        trans_cfg = cfg.get("transition", {})
         sensor = sensor_sim.sensor_spec_from_dict(cfg["sensor"])
     except (KeyError, TypeError) as exc:
         raise SpecError(f"experiment config missing field: {exc}") from exc
+    seed = _config_number(cfg, "seed", 0, integer=True)
     if seed < 0:
         raise SpecError("seed must be >= 0")
+    rate_hz = _config_number(cfg, "rate_hz", 100.0)
     if rate_hz <= 0.0:
         raise SpecError("rate_hz must be positive")
-    dt = 1.0 / rate_hz
     tm = estimate.TransitionModel(
-        k=float(trans_cfg.get("k", estimate.DEFAULT_TRANSMISSION_RATIO)),
-        dt=dt,
-        q=float(trans_cfg.get("q", estimate.DEFAULT_PROCESS_NOISE)),
+        k=_config_number(cfg, "transition.k", estimate.DEFAULT_TRANSMISSION_RATIO),
+        dt=1.0 / rate_hz,
+        q=_config_number(cfg, "transition.q", estimate.DEFAULT_PROCESS_NOISE),
     )
-    sigma0 = float(cfg.get("sigma0", estimate.DEFAULT_SIGMA0))
+    sigma0 = _config_number(cfg, "sigma0", estimate.DEFAULT_SIGMA0)
+    _check_sigma0(sigma0, "sigma0")
+    plant_q = None if cfg.get("plant_q") is None else _config_number(cfg, "plant_q")
+    traj = trajectory.plan_quintic(
+        _config_number(cfg, "trajectory.x0"),
+        _config_number(cfg, "trajectory.xf"),
+        _config_number(cfg, "trajectory.t_total"),
+    )
+    gains = trajectory.ControllerGains(
+        kp=_config_number(cfg, "controller.kp", 6.0),
+        omega_max=_config_number(cfg, "controller.omega_max", 10.0),
+    )
 
     if "models" in cfg:
         bundle = characterize.bundle_from_dict(cfg["models"])
     else:
-        cal_cfg = cfg.get("calibration", {})
         sweep_rng = np.random.default_rng((seed, _SWEEP_STREAM))
         dataset = synthesize_sweep_dataset(
             sensor,
-            float(cal_cfg.get("rate_hz", 14.0)),
-            float(cal_cfg.get("duration_s", 50.0)),
+            _config_number(cfg, "calibration.rate_hz", 14.0),
+            _config_number(cfg, "calibration.duration_s", 50.0),
             sweep_rng,
         )
         bundle = characterize.calibrate(dataset)
     if bundle.sensor_kind != kind:
         raise SpecError(f"model bundle kind {bundle.sensor_kind!r} does not match {kind!r}")
-    obs = estimate.observation_from_bundle(bundle)
-
-    traj = trajectory.plan_quintic(x0, xf, t_total)
-    gains = trajectory.ControllerGains(
-        kp=float(ctl_cfg.get("kp", 6.0)),
-        omega_max=float(ctl_cfg.get("omega_max", 10.0)),
-    )
-    plant_q = cfg.get("plant_q")
     return trajectory.ExperimentConfig(
         sensor=sensor,
-        obs=obs,
+        obs=estimate.observation_from_bundle(bundle),
         tm=tm,
         traj=traj,
         gains=gains,
         rate_hz=rate_hz,
         seed=seed,
-        plant_q=None if plant_q is None else float(plant_q),
+        plant_q=plant_q,
         sigma0=sigma0,
     )
 
@@ -292,13 +298,8 @@ def run_experiment_command(config_ref: str, out_prefix: str) -> trajectory.Exper
     result = trajectory.run_experiment(config)
     trace_path = Path(f"{out_prefix}_trace.csv")
     summary_path = Path(f"{out_prefix}_summary.json")
-    manifest = RunManifest(
-        command="experiment",
-        inputs={"config": config_ref},
-        outputs=(str(trace_path), str(summary_path)),
-        seed=config.seed,
-        config_sha256=_config_hash(cfg),
-    )
+    inputs, outputs = {"config": config_ref}, (str(trace_path), str(summary_path))
+    manifest = RunManifest("experiment", inputs, outputs, config.seed, _config_hash(cfg))
     summary = {
         "manifest": manifest.to_dict(),
         "config": cfg,

@@ -169,15 +169,16 @@ def invert_cubic(
     lo, hi = knots[k - 1], knots[k]
     f_lo, f_hi = angles[k - 1] - theta_target, angles[k] - theta_target
     v = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    evaluate, derivative = model.evaluate, model.derivative
     for _ in range(max_iter):
-        f_v = float(model.evaluate(v)) - theta_target
+        f_v = evaluate(v) - theta_target
         if abs(f_v) < tol:
             return v
         if (f_v > 0.0) == (f_hi > 0.0):
             hi, f_hi = v, f_v
         else:
             lo, f_lo = v, f_v
-        slope = float(model.derivative(v))
+        slope = derivative(v)
         newton = v - f_v / slope if slope != 0.0 else math.nan
         if lo < newton < hi:
             v = newton
@@ -186,7 +187,7 @@ def invert_cubic(
             if v == lo or v == hi:
                 break
     best = lo if abs(f_lo) <= abs(f_hi) else hi
-    if abs(float(model.evaluate(best)) - theta_target) < tol:
+    if abs(evaluate(best) - theta_target) < tol:
         return best
     raise InversionError(
         f"Newton iteration stalled before reaching |residual| < {tol!r} "

@@ -29,9 +29,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class WiperTrack:

@@ -5,20 +5,20 @@ wraps and has two wipers on gapped tracks, so one is on its track at every
 angle; a tilt has an angle limit and one wiper without a gap.  A reading
 validates its angle once, then per wiper inverts the truth cubic for the
 continuous voltage (two cubic evaluations on the reference sensors, see
-:mod:`paintpot.cubic`) and quantizes it with one normal draw.  While a
-wiper rides its gap the reading is flagged unavailable and its count is a
-rail artifact.
+:mod:`paintpot.cubic`), adds that wiper's count-noise draw and quantizes.
+While a wiper rides its gap the reading is flagged unavailable and its
+count is a rail artifact.  Reads and plant steps take their noise already
+drawn and scaled, so a sweep or a run draws all of it in one call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic
 from paintpot.errors import DomainError, FitError, SpecError, check_adc_max
@@ -44,9 +44,11 @@ class WiperSpec(NamedTuple):
         None while the wiper rides its gap."""
         track = self.track
         if track is not None:
-            if track.gap.contains(theta):
+            gap = track.gap
+            if gap.lo <= theta <= gap.hi:
                 return None
-            theta = track.shift(theta)
+            if (theta - track.edge) * track.turn < 0.0:
+                theta += track.turn
         return invert_cubic(self.truth, theta)
 
 
@@ -102,24 +104,21 @@ class PlantStep(NamedTuple):
     saturated: bool
 
 
-def quantize(voltage: float, noise_std: float, rng: np.random.Generator, adc_max: int) -> int:
-    """``round(voltage + N(0, noise_std))`` clamped to [0, adc_max].
+def quantize(voltage: float, adc_max: int) -> int:
+    """``voltage`` rounded to a count and clamped to [0, adc_max].
 
     Rounding is half-away-from-zero so results do not depend on the
     platform's default banker's rounding.
     """
-    # One test on the valid path, which every reading takes; on failure,
-    # name the fault.
-    if adc_max < 1 or (adc_max + 1) & adc_max or noise_std < 0.0:
+    # One test on the valid path, which every reading takes.
+    if adc_max < 1 or (adc_max + 1) & adc_max:
         check_adc_max(adc_max)
-        raise SpecError("noise_std must be >= 0")
-    noisy = voltage + rng.normal(0.0, noise_std)
-    rounded = math.floor(noisy + 0.5) if noisy >= 0.0 else math.ceil(noisy - 0.5)
-    return int(min(max(rounded, 0), adc_max))
+    rounded = math.floor(voltage + 0.5) if voltage >= 0.0 else math.ceil(voltage - 0.5)
+    return 0 if rounded < 0 else adc_max if rounded > adc_max else rounded
 
 
-def _read(theta: float, spec: SensorSpec, rng: np.random.Generator) -> list[AdcReading]:
-    """One reading per wiper at ``theta``: ideal voltage, noise, quantization.
+def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcReading]:
+    """One reading per wiper at ``theta``: ideal voltage plus its draw, quantized.
 
     A wiper inside its gap reads the rail voltage and is flagged unavailable.
     """
@@ -131,53 +130,50 @@ def _read(theta: float, spec: SensorSpec, rng: np.random.Generator) -> list[AdcR
             theta = math.pi
     elif not abs(theta) <= limit:
         raise DomainError(f"tilt angle {theta!r} outside [-{limit}, {limit}]")
+    adc_max = spec.adc_max
     readings = []
-    for index, wiper in enumerate(spec.wipers):
+    for index, (wiper, draw) in enumerate(zip(spec.wipers, noise, strict=True)):
         voltage = wiper.voltage(theta)
         available = voltage is not None
-        count = quantize(
-            voltage if available else GAP_RAIL_VOLTAGE, spec.noise_std, rng, spec.adc_max
-        )
+        count = quantize((voltage if available else GAP_RAIL_VOLTAGE) + draw, adc_max)
         readings.append(AdcReading(index, count, available))
     return readings
 
 
 def read_wheel(
-    theta: float, spec: SensorSpec, rng: np.random.Generator
+    theta: float, spec: SensorSpec, noise: Sequence[float]
 ) -> tuple[AdcReading, AdcReading]:
-    """Both wiper readings of a wheel at ``theta``."""
-    r0, r1 = _read(theta, spec, rng)
+    """Both wiper readings of a wheel at ``theta``, with its two count-noise draws."""
+    r0, r1 = _read(theta, spec, noise)
     return r0, r1
 
 
-def read_tilt(theta: float, spec: SensorSpec, rng: np.random.Generator) -> AdcReading:
-    """The one reading of a tilt at ``theta``."""
-    (reading,) = _read(theta, spec, rng)
+def read_tilt(theta: float, spec: SensorSpec, noise: Sequence[float]) -> AdcReading:
+    """The one reading of a tilt at ``theta``, with its one count-noise draw."""
+    (reading,) = _read(theta, spec, noise)
     return reading
 
 
-def read(theta: float, spec: SensorSpec, rng: np.random.Generator) -> tuple[AdcReading, ...]:
-    """One reading per wiper at ``theta``, by :func:`read_wheel` or :func:`read_tilt`."""
+def read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[AdcReading, ...]:
+    """One reading per wiper at ``theta``, by :func:`read_wheel` or :func:`read_tilt`;
+    ``noise`` holds one count-noise draw per wiper, scaled by ``spec.noise_std``."""
     if spec.angle_limit is None:
-        return read_wheel(theta, spec, rng)
-    return (read_tilt(theta, spec, rng),)
+        return read_wheel(theta, spec, noise)
+    return (read_tilt(theta, spec, noise),)
 
 
 def simulate_plant_step(
-    theta: float, omega: float, k: float, dt: float, q_true: float,
-    rng: np.random.Generator, angle_limit: float | None = None,
+    theta: float, omega: float, k: float, dt: float, noise: float, angle_limit: float | None = None
 ) -> PlantStep:
-    """One Euler step of the joint kinematics: theta + k*omega*dt + n*dt.
+    """One Euler step of the joint kinematics: theta + k*omega*dt + noise*dt.
 
-    ``n ~ N(0, q_true)``.  Without ``angle_limit`` (a wheel) results wrap
-    into (-pi, pi]; with one (a tilt) they clamp at the mechanical stops
-    and flag saturation.
+    ``noise`` is the drawn rate noise, ``N(0, q)`` for a plant variance
+    ``q``.  Without ``angle_limit`` (a wheel) results wrap into (-pi, pi];
+    with one (a tilt) they clamp at the mechanical stops and flag
+    saturation.
     """
     if not dt > 0.0:
         raise SpecError("dt must be positive")
-    if not q_true >= 0.0:
-        raise SpecError("q_true must be >= 0")
-    noise = float(rng.normal(0.0, math.sqrt(q_true)))
     theta_next = theta + k * omega * dt + noise * dt
     if angle_limit is None:
         return PlantStep(wrap_angle(theta_next), False)

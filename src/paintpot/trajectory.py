@@ -2,10 +2,11 @@
 
 The harness commands a joint along a quintic profile with a feedforward
 velocity plus proportional position controller, drives the simulated plant
-and sensor, and runs the matching estimator, logging truth, estimate,
-reference, command, and feature availability at every step.  A joint whose
-observation model wraps (a wheel) has wrapped errors and a wrapping plant;
-one with an angle limit (a tilt) has plain errors and stops at the limit.
+and sensor on noise drawn once per run, and runs the matching estimator,
+logging truth, estimate, reference, command, and feature availability at
+every step.  A joint whose observation model wraps (a wheel) has wrapped
+errors and a wrapping plant; one with an angle limit (a tilt) has plain
+errors and stops at the limit.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Per step: sample the reference, command the motor, advance the plant,
     read the sensor, predict, then update with whatever features are
-    available.  Deterministic for a fixed seed.
+    available.  Deterministic for a fixed seed: the run draws the initial
+    read's W count-noise values (W wipers), then, in one call, each step's
+    plant rate noise followed by its W count-noise values.
     """
     sensor, obs = config.sensor, config.obs
     wheel = obs.wrap
@@ -198,8 +201,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if abs(config.tm.dt - dt) > 1e-9 * dt:
         raise SpecError("transition model dt must equal the loop period 1/rate_hz")
     plant_q = config.tm.q if config.plant_q is None else config.plant_q
+    if not 0.0 <= plant_q < math.inf:
+        raise SpecError(f"plant_q must be finite and >= 0, got {plant_q!r}")
 
-    rng = np.random.default_rng(config.seed)
     n_steps = int(round(config.traj.t_total * config.rate_hz))
     if n_steps < 1:
         raise SpecError("trajectory shorter than one loop period")
@@ -210,7 +214,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise SpecError("tilt trajectory starts outside the mechanical range")
 
     estimator = (WheelEstimator if wheel else TiltEstimator)(obs, config.tm, config.sigma0)
-    readings = read(theta, sensor, rng)
+    rng = np.random.default_rng(config.seed)
+    width = len(sensor.wipers)
+    readings = read(theta, sensor, rng.normal(0.0, sensor.noise_std, width).tolist())
+    # Per step the plant's draw, then W count draws, taken as one tuple.
+    scales = [math.sqrt(plant_q)] + [sensor.noise_std] * width
+    draws = rng.normal(0.0, scales, (n_steps, 1 + width))
+    plant_noise, read_noise = draws[:, 0].tolist(), zip(*draws[:, 1:].T.tolist())
     estimator.initialize(readings)
     admitted = {feature.index for feature in extract_features(readings, obs)}
     used = (0 in admitted, 1 in admitted)
@@ -224,12 +234,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ref_log[0], u_log[0] = ref0, 0.0
     f0_log[0], f1_log[0] = used
 
-    for step in range(1, size):
+    for step, plant_draw, read_draws in zip(range(1, size), plant_noise, read_noise):
         t = step * dt
         ref_pos, ref_vel = sample(config.traj, t)
         u = control_step(estimator.belief.mu, ref_pos, ref_vel, config.gains, config.tm, wheel)
-        theta, _ = simulate_plant_step(theta, u, config.tm.k, dt, plant_q, rng, limit)
-        belief, used = estimator.step(u, read(theta, sensor, rng))
+        theta, _ = simulate_plant_step(theta, u, config.tm.k, dt, plant_draw, limit)
+        belief, used = estimator.step(u, read(theta, sensor, read_draws))
         if not wheel:
             used = (used, False)
         t_log[step], true_log[step], est_log[step] = t, theta, belief.mu

@@ -162,14 +162,14 @@ def test_criterion_4_feature_availability_and_branch_structure():
     rng = np.random.default_rng(1004)
     thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
     for theta in thetas:
-        readings = read_wheel(float(theta), spec, rng)
+        readings = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
         assert len(extract_features(readings, obs)) >= 1
 
     # One interior point per region of the five-branch structure.
     interior = [-0.95 * PI, -0.75 * PI, 0.0, 0.75 * PI, 0.95 * PI]
     for theta in interior:
         expected = five_region_shifted_states(theta)
-        readings = read_wheel(theta, spec, rng)
+        readings = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
         features = {f.index: f for f in extract_features(readings, obs)}
         for wiper, want in enumerate(expected):
             if want is None:
@@ -294,7 +294,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
     with open(readings_csv, "w", newline="\n") as handle:
         handle.write("t,v0,v1,omega\n")
         for i in range(100):
-            r0, r1 = read_wheel(0.5 + 0.001 * i, spec, rng)
+            r0, r1 = read_wheel(0.5 + 0.001 * i, spec, rng.normal(0.0, spec.noise_std, 2))
             handle.write(f"{i * 0.01:.17g},{r0.count},{r1.count},0.5\n")
     trace_csv = tmp_path / "trace.csv"
     rerun_identical(

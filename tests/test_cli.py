@@ -226,7 +226,7 @@ def wheel_bundle(tmp_path):
 class TestEstimate:
     def test_constant_readings_converge_monotonically(self, tmp_path, wheel_bundle):
         spec = reference_wheel_spec(noise_std=0.0)
-        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0))
+        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
         rows = [(i * 0.01, r0.count, r1.count, 0.0) for i in range(60)]
         readings = tmp_path / "readings.csv"
         write_readings_csv(readings, rows)
@@ -256,8 +256,8 @@ class TestEstimate:
         rows, truth = [], []
         for i in range(300):
             omega = 2.0 * math.sin(2.0 * PI * i / 200.0)
-            theta, _ = simulate_plant_step(theta, omega, k, dt, 0.0, rng)
-            a, b = read_wheel(theta, spec, rng)
+            theta, _ = simulate_plant_step(theta, omega, k, dt, rng.normal(0.0, 0.0))
+            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
             rows.append((i * dt, a.count, b.count, omega))
             truth.append(theta)
         readings = tmp_path / "moving.csv"
@@ -280,8 +280,8 @@ class TestEstimate:
         theta, k, dt, omega = 0.45 * PI, 0.2, 0.01, 4.0  # drives up through the gap
         rows = []
         for i in range(260):
-            theta, _ = simulate_plant_step(theta, omega, k, dt, 0.0, rng)
-            a, b = read_wheel(theta, spec, rng)
+            theta, _ = simulate_plant_step(theta, omega, k, dt, rng.normal(0.0, 0.0))
+            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
             rows.append((i * dt, a.count, b.count, omega))
         readings = tmp_path / "gap.csv"
         write_readings_csv(readings, rows)
@@ -308,7 +308,7 @@ class TestEstimate:
         spec = reference_tilt_spec(noise_std=1.0)
         rng = np.random.default_rng(6)
         rows = [
-            (i * 0.01, read_tilt(0.3 + 0.002 * i, spec, rng).count, 0.2)
+            (i * 0.01, read_tilt(0.3 + 0.002 * i, spec, rng.normal(0.0, 1.0, 1)).count, 0.2)
             for i in range(100)
         ]
         readings = tmp_path / "treadings.csv"
@@ -469,7 +469,7 @@ class TestEstimate:
         # A readings log has no availability flag: every reading is marked
         # available, and only the count window keeps a rail count out.
         spec = reference_wheel_spec(noise_std=0.0)
-        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0))
+        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
         rows = [(i * 0.01, 0 if 20 <= i < 30 else r0.count, r1.count, 0.0) for i in range(60)]
         readings = tmp_path / "rail.csv"
         write_readings_csv(readings, rows)
@@ -642,6 +642,56 @@ def test_bad_value_is_config_error_naming_it(tmp_path, wheel_bundle, capsys, arg
     err = capsys.readouterr().err
     assert "Traceback" not in err and name in err
     assert not any((out / name).exists() for name in ("s.csv", "b.json", "t.csv", "x_trace.csv"))
+
+
+def _tilt_config(path, value):
+    """A copy of the ``tilt_sweep`` preset with ``value`` at the dotted key ``path``."""
+    *sections, key = path.split(".")
+    config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
+    table = config
+    for section in sections:
+        table = table[section]
+    table[key] = value
+    return config
+
+
+# Experiment-config values that are not numbers, not finite, out of range or
+# not whole, and the key path the error must name.
+BAD_CONFIG_VALUES = [
+    ("sigma0", "abc"),
+    ("sigma0", math.inf),
+    ("rate_hz", "abc"),
+    ("plant_q", "abc"),
+    ("plant_q", -0.5),
+    ("plant_q", math.nan),
+    ("trajectory.x0", "abc"),
+    ("calibration.rate_hz", "abc"),
+    ("seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("path,value", BAD_CONFIG_VALUES, ids=[f"{p}={v}" for p, v in BAD_CONFIG_VALUES])
+def test_bad_experiment_config_value_is_config_error_naming_its_key(tmp_path, capsys, path, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_tilt_config(path, value)))
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", str(config), "--out-prefix", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"configuration error: {path} must" in err
+    assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
+
+
+def test_whole_number_seed_is_accepted(tmp_path):
+    # A float seed that is whole runs as that integer, as before the check.
+    for name, seed in (("int", 7), ("float", 7.0)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(_tilt_config("seed", seed)))
+        assert run_cli("experiment", "--config", str(config), "--out-prefix", str(tmp_path / name)) == 0
+        assert json.loads((tmp_path / f"{name}_summary.json").read_text())["seed"] == 7
+    assert (tmp_path / "int_trace.csv").read_text().splitlines()[1:] == (
+        (tmp_path / "float_trace.csv").read_text().splitlines()[1:]
+    )
 
 
 class TestConsoleEntry:

@@ -541,7 +541,7 @@ class TestFeatureConsistencyOnGrid:
         )
         thetas = np.linspace(-PI, PI, 2_000, endpoint=True)[1:]
         for theta in thetas:
-            readings = read_wheel(float(theta), spec, rng)
+            readings = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
             features = extract_features(readings, obs)
             assert len(features) >= 1
             for f in features:

@@ -44,6 +44,16 @@ def reference_spec(noise_std=0.0):
     return reference_wheel_spec(noise_std=noise_std)
 
 
+def draws(seed, spec):
+    """The count-noise draws one read of ``spec`` made from a fresh seeded rng."""
+    return np.random.default_rng(seed).normal(0.0, spec.noise_std, len(spec.wipers)).tolist()
+
+
+def noiseless(width):
+    """The ``width`` draws a fresh ``default_rng(0)`` makes at scale 0."""
+    return np.random.default_rng(0).normal(0.0, 0.0, width).tolist()
+
+
 class TestWheelIdealVoltage:
     def test_gap_region_unavailable(self):
         assert linear_wheel_spec().wipers[0].voltage(0.75 * PI) is None
@@ -66,12 +76,12 @@ class TestWheelIdealVoltage:
 
     def test_out_of_domain_angle_raises(self):
         with pytest.raises(DomainError):
-            read_wheel(1.5 * PI, linear_wheel_spec(), np.random.default_rng(0))
+            read_wheel(1.5 * PI, linear_wheel_spec(), noiseless(2))
 
     def test_negative_pi_maps_to_pi(self):
         spec = linear_wheel_spec()
-        a = read_wheel(-PI, spec, np.random.default_rng(0))
-        assert a == read_wheel(PI, spec, np.random.default_rng(0))
+        a = read_wheel(-PI, spec, noiseless(2))
+        assert a == read_wheel(PI, spec, noiseless(2))
         assert a[1].count == round(spec.wipers[1].voltage(PI))
 
 
@@ -86,26 +96,28 @@ class TestQuantize:
         ],
     )
     def test_invalid_settings_raise(self, noise_std, adc_max, message):
+        # SensorSpec checks both settings, adc_max first; quantize, which
+        # takes drawn noise, checks adc_max.
         with pytest.raises(SpecError, match=re.escape(message)):
-            quantize(500.0, noise_std, np.random.default_rng(0), adc_max)
+            SensorSpec((WiperSpec(LINEAR_TILT),), TILT_LIMIT, adc_max=adc_max, noise_std=noise_std)
+        if message.startswith("adc_max"):
+            with pytest.raises(SpecError, match=re.escape(message)):
+                quantize(500.0, adc_max)
 
     def test_half_rounds_away_from_zero(self):
-        rng = np.random.default_rng(0)
-        assert quantize(511.5, 0.0, rng, 1023) == 512
+        assert quantize(511.5 + noiseless(1)[0], 1023) == 512
 
     def test_clamps_below_zero(self):
-        rng = np.random.default_rng(0)
-        assert quantize(-3.2, 0.0, rng, 1023) == 0
+        assert quantize(-3.2 + noiseless(1)[0], 1023) == 0
 
     def test_clamps_above_max(self):
-        rng = np.random.default_rng(0)
-        assert quantize(2000.0, 0.0, rng, 1023) == 1023
+        assert quantize(2000.0 + noiseless(1)[0], 1023) == 1023
 
     def test_noise_statistics(self):
         # Monte-Carlo oracle: mean stays at the input, std gains ~1/12
         # quantization variance on top of the injected noise.
         rng = np.random.default_rng(42)
-        draws = np.array([quantize(511.5, 2.0, rng, 1023) for _ in range(100_000)])
+        draws = np.array([quantize(511.5 + rng.normal(0.0, 2.0), 1023) for _ in range(100_000)])
         assert abs(draws.mean() - 511.5) < 0.05
         assert abs(draws.std() - 2.0) < 0.05
         assert draws.min() >= 0 and draws.max() <= 1023
@@ -115,31 +127,29 @@ class TestReadWheel:
     @pytest.mark.parametrize("theta", [1.5 * PI, -3.2, math.nan])
     def test_out_of_domain_angle_raises(self, theta):
         with pytest.raises(DomainError):
-            read_wheel(theta, linear_wheel_spec(), np.random.default_rng(0))
+            read_wheel(theta, linear_wheel_spec(), noiseless(2))
 
     def test_negative_pi_reads_as_pi(self):
         spec = reference_spec(noise_std=1.0)
-        assert read_wheel(-PI, spec, np.random.default_rng(4)) == read_wheel(
-            PI, spec, np.random.default_rng(4)
-        )
+        assert read_wheel(-PI, spec, draws(4, spec)) == read_wheel(PI, spec, draws(4, spec))
 
     def test_center_has_both_wipers(self):
-        r0, r1 = read_wheel(0.0, linear_wheel_spec(), np.random.default_rng(0))
+        r0, r1 = read_wheel(0.0, linear_wheel_spec(), noiseless(2))
         assert r0.available and r1.available
 
     def test_negative_gap_drops_wiper1(self):
-        r0, r1 = read_wheel(-0.75 * PI, linear_wheel_spec(), np.random.default_rng(0))
+        r0, r1 = read_wheel(-0.75 * PI, linear_wheel_spec(), noiseless(2))
         assert r0.available
         assert not r1.available
 
     def test_pi_boundary_has_both_wipers(self):
-        r0, r1 = read_wheel(PI, linear_wheel_spec(), np.random.default_rng(0))
+        r0, r1 = read_wheel(PI, linear_wheel_spec(), noiseless(2))
         assert r0.available and r1.available
 
     def test_noiseless_reads_are_deterministic(self):
         spec = reference_spec()
-        a = read_wheel(0.3, spec, np.random.default_rng(1))
-        b = read_wheel(0.3, spec, np.random.default_rng(99))
+        a = read_wheel(0.3, spec, draws(1, spec))
+        b = read_wheel(0.3, spec, draws(99, spec))
         assert a == b
 
     def test_at_least_one_wiper_available_everywhere(self):
@@ -147,24 +157,24 @@ class TestReadWheel:
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
         rng = np.random.default_rng(3)
         for theta in thetas:
-            r0, r1 = read_wheel(float(theta), spec, rng)
+            r0, r1 = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
             assert r0.available or r1.available
 
 
 class TestReadTilt:
     def test_linear_center(self):
         spec = tilt_spec(LINEAR_TILT)
-        reading = read_tilt(0.0, spec, np.random.default_rng(0))
+        reading = read_tilt(0.0, spec, noiseless(1))
         assert reading.count == 512  # 511.5 rounded half away from zero
         assert reading.available
 
     def test_linear_lower_endpoint(self):
         spec = tilt_spec(LINEAR_TILT)
-        assert read_tilt(-PI / 2.0, spec, np.random.default_rng(0)).count == 0
+        assert read_tilt(-PI / 2.0, spec, noiseless(1)).count == 0
 
     def test_reference_truth_matches_bisection_oracle(self):
         spec = tilt_spec(TILT_TRUTH)
-        reading = read_tilt(0.5, spec, np.random.default_rng(0))
+        reading = read_tilt(0.5, spec, noiseless(1))
         expected = bisect_root(
             lambda x: cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, x) - 0.5,
             0.0,
@@ -176,22 +186,22 @@ class TestReadTilt:
     def test_out_of_range_raises(self):
         spec = tilt_spec(LINEAR_TILT)
         with pytest.raises(DomainError):
-            read_tilt(1.7, spec, np.random.default_rng(0))
+            read_tilt(1.7, spec, noiseless(1))
 
 
 class TestSimulatePlantStep:
     def test_rest_stays_at_rest(self):
-        step = simulate_plant_step(0.0, 0.0, 0.1, 0.01, 0.0, np.random.default_rng(0))
+        step = simulate_plant_step(0.0, 0.0, 0.1, 0.01, noiseless(1)[0])
         assert step.theta == 0.0
         assert not step.saturated
 
     def test_euler_step_without_noise(self):
-        step = simulate_plant_step(0.0, 1.0, 0.1, 0.01, 0.0, np.random.default_rng(0))
+        step = simulate_plant_step(0.0, 1.0, 0.1, 0.01, noiseless(1)[0])
         assert step.theta == pytest.approx(0.001, abs=1e-15)
 
     def test_wraps_at_seam(self):
         theta0 = PI - 0.0005
-        step = simulate_plant_step(theta0, 1.0, 0.1, 0.01, 0.0, np.random.default_rng(0))
+        step = simulate_plant_step(theta0, 1.0, 0.1, 0.01, noiseless(1)[0])
         assert step.theta == pytest.approx(wrap_brute(theta0 + 0.001), abs=1e-12)
         assert step.theta < 0.0
 
@@ -199,13 +209,36 @@ class TestSimulatePlantStep:
         # Power-of-two omega scaling keeps the float arithmetic exact, so
         # affinity can be asserted bit-for-bit.
         rng = np.random.default_rng(0)
-        base = simulate_plant_step(0.25, 0.5, 0.125, 0.0625, 0.0, rng).theta - 0.25
-        doubled = simulate_plant_step(0.25, 1.0, 0.125, 0.0625, 0.0, rng).theta - 0.25
+        base = simulate_plant_step(0.25, 0.5, 0.125, 0.0625, rng.normal(0.0, 0.0)).theta - 0.25
+        doubled = simulate_plant_step(0.25, 1.0, 0.125, 0.0625, rng.normal(0.0, 0.0)).theta - 0.25
         assert doubled == 2.0 * base
 
     def test_tilt_clamps_and_flags(self):
-        step = simulate_plant_step(
-            PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, 0.0, np.random.default_rng(0), TILT_LIMIT
-        )
+        step = simulate_plant_step(PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, noiseless(1)[0], TILT_LIMIT)
         assert step.theta == PI / 2.0
         assert step.saturated
+
+
+class TestBlockDraws:
+    """Sweeps and runs draw their noise in one block; the outputs they write
+    match one-draw-per-call outputs only while numpy keeps this property."""
+
+    @pytest.mark.parametrize("loc", [0.0, -0.0])
+    @pytest.mark.parametrize(
+        "scales", [[1.0, 1.0], [math.sqrt(0.02), 1.0, 1.0], [0.0, 2.0], [0.0], [1.0, 0.0, 0.0]]
+    )
+    def test_block_draw_equals_successive_scalar_draws_bit_for_bit(self, scales, loc):
+        # With loc -0.0 a zero scale yields -0.0 or 0.0 by the sign of the
+        # underlying normal, so the byte comparison pins the sign of zero.
+        n, width = 7, len(scales)
+        for seed in range(5):
+            block = np.random.default_rng(seed).normal(loc, scales, (n, width))
+            rng = np.random.default_rng(seed)
+            scalar = [rng.normal(loc, scale) for _ in range(n) for scale in scales]
+            assert block.tobytes() == np.array(scalar).tobytes()
+            assert np.asarray(block.tolist()).tobytes() == block.tobytes()
+
+    def test_zero_scale_keeps_the_sign_of_a_negative_zero_loc(self):
+        # The case above is only a sign-of-zero check if both signs occur.
+        signs = np.signbit(np.random.default_rng(3).normal(-0.0, 0.0, 64))
+        assert signs.any() and not signs.all()

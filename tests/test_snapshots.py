@@ -65,6 +65,25 @@ TRACE_DIGESTS = {
         "4918c2ab49823bf83b630ef4dbd99828cd8ff10eba56e8abd95da6a4f1ed8549",
 }
 
+# Recorded when every read and plant step drew its own noise, before each
+# sweep and run drew its noise in one block.  An odd row count: 117 rows of
+# a 9 Hz, 13 s sweep.
+ODD_SWEEP_DIGESTS = {
+    ("wheel_reference", 5):
+        "31fd67ebeb2c042619794384e80549174dd98d2774fde3ad4fec08b916dcb0d2",
+    ("tilt_reference", 5):
+        "13c5e8864d5d0416d3389e62dc5498fe918afe658e17360bb849a660b0af2871",
+}
+
+# Recorded with the same code as ODD_SWEEP_DIGESTS.  ``"plant_q": 0``: the
+# plant's rate-noise draws have scale 0, a column of signed zeros.
+ZERO_PLANT_Q_TRACE_DIGESTS = {
+    ("pan_pi_to_0", 5):
+        "0e864d26c0aab2de8bb8636035e609beddba4c3566c26d3478fb19478d4ff518",
+    ("tilt_sweep", 5):
+        "2dfd2b9c1e658165a60ea071258a24cde98b157ca4861ef900822c6f47c2c224",
+}
+
 ESTIMATE_DIGESTS = {
     ("wheel", 5):
         "0474a3a77e20dd242d9c5b5609708e2ae532f2da1b26dbaefa4074300b8a7833",
@@ -89,9 +108,9 @@ def data_rows_sha256(path):
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
-def sweep_digest(tmp_path, spec_ref, seed):
+def sweep_digest(tmp_path, spec_ref, seed, rate_hz=14.0, duration_s=50.0):
     out = tmp_path / f"{spec_ref}_{seed}.csv"
-    cli.run_sweep(spec_ref, str(out), seed, 14.0, 50.0)
+    cli.run_sweep(spec_ref, str(out), seed, rate_hz, duration_s)
     return data_rows_sha256(out)
 
 
@@ -106,9 +125,9 @@ def bundle_digest(tmp_path, spec_ref, seed):
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def trace_digest(tmp_path, preset, seed):
+def trace_digest(tmp_path, preset, seed, **overrides):
     config = tmp_path / f"{preset}_{seed}.json"
-    config.write_text(json.dumps({**presets.EXPERIMENT_PRESETS[preset], "seed": seed}))
+    config.write_text(json.dumps({**presets.EXPERIMENT_PRESETS[preset], "seed": seed, **overrides}))
     prefix = tmp_path / f"{preset}_{seed}"
     cli.run_experiment_command(str(config), str(prefix))
     return data_rows_sha256(f"{prefix}_trace.csv")
@@ -130,16 +149,18 @@ def estimate_case(tmp_path, kind, seed):
     admits = [wiper.admits for wiper in observation_from_bundle(load_bundle(bundle_path)).wipers]
     spec = presets.SENSOR_PRESETS[spec_ref]()
     rng = np.random.default_rng(seed)
+    plant_std = math.sqrt(0.02)  # the plant variance 0.02 as a draw scale
     theta, rows, rails, spike = 0.0, [], [], None
     for i in range(ESTIMATE_ROWS):
         if kind == "wheel":
             omega = 4.0 + 2.0 * math.sin(2.0 * PI * i / 300.0)
-            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng)
-            counts = [reading.count for reading in read_wheel(theta, spec, rng)]
+            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, rng.normal(0.0, plant_std))
+            counts = [r.count for r in read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))]
         else:
             omega = 6.0 * math.cos(2.0 * PI * i / 600.0)
-            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, 0.02, rng, spec.angle_limit)
-            counts = [read_tilt(theta, spec, rng).count]
+            plant_draw = rng.normal(0.0, plant_std)
+            theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, plant_draw, spec.angle_limit)
+            counts = [read_tilt(theta, spec, rng.normal(0.0, spec.noise_std, 1)).count]
         if i % RAIL_EVERY == RAIL_EVERY - 1:
             counts = [0] * len(counts)
             rails.append(i)
@@ -162,6 +183,11 @@ def test_sweep_rows_match_snapshot(tmp_path, spec_ref, seed):
     assert sweep_digest(tmp_path, spec_ref, seed) == SWEEP_DIGESTS[(spec_ref, seed)]
 
 
+@pytest.mark.parametrize("spec_ref,seed", sorted(ODD_SWEEP_DIGESTS))
+def test_odd_row_count_sweep_matches_snapshot(tmp_path, spec_ref, seed):
+    assert sweep_digest(tmp_path, spec_ref, seed, 9.0, 13.0) == ODD_SWEEP_DIGESTS[(spec_ref, seed)]
+
+
 @pytest.mark.parametrize("spec_ref,seed", sorted(BUNDLE_DIGESTS))
 def test_calibrated_bundle_matches_snapshot(tmp_path, spec_ref, seed):
     assert bundle_digest(tmp_path, spec_ref, seed) == BUNDLE_DIGESTS[(spec_ref, seed)]
@@ -170,6 +196,12 @@ def test_calibrated_bundle_matches_snapshot(tmp_path, spec_ref, seed):
 @pytest.mark.parametrize("preset,seed", sorted(TRACE_DIGESTS))
 def test_experiment_trace_rows_match_snapshot(tmp_path, preset, seed):
     assert trace_digest(tmp_path, preset, seed) == TRACE_DIGESTS[(preset, seed)]
+
+
+@pytest.mark.parametrize("preset,seed", sorted(ZERO_PLANT_Q_TRACE_DIGESTS))
+def test_zero_plant_q_trace_rows_match_snapshot(tmp_path, preset, seed):
+    digest = trace_digest(tmp_path, preset, seed, plant_q=0)
+    assert digest == ZERO_PLANT_Q_TRACE_DIGESTS[(preset, seed)]
 
 
 @pytest.mark.parametrize("kind,seed", sorted(ESTIMATE_DIGESTS))
@@ -199,7 +231,7 @@ def test_zero_noise_wheel_counts_equal_rounded_oracle_roots():
     truths = [wiper.truth for wiper in spec.wipers]
     # A 2*pi/4000 step moves a wiper by at most 0.2 counts: every count is hit.
     for theta in np.linspace(-PI, PI, 4_001)[1:]:
-        readings = read_wheel(float(theta), spec, rng)
+        readings = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
         for reading, shifted, truth in zip(readings, five_region_shifted_states(theta), truths):
             assert reading.available == (shifted is not None)
             if shifted is not None:
@@ -214,5 +246,5 @@ def test_zero_noise_tilt_counts_equal_rounded_oracle_roots():
     rng = np.random.default_rng(0)
     t = spec.wipers[0].truth
     for theta in np.linspace(-spec.angle_limit, spec.angle_limit, 2_001):
-        reading = read_tilt(float(theta), spec, rng)
+        reading = read_tilt(float(theta), spec, rng.normal(0.0, spec.noise_std, 1))
         assert reading.count == oracle_count(t.c3, t.c2, t.c1, t.c0, t.v_window, theta)

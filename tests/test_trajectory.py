@@ -185,6 +185,11 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match="does not match"):
             run_experiment(bad)
 
+    @pytest.mark.parametrize("plant_q", [-0.5, math.nan, math.inf])
+    def test_plant_variance_must_be_finite_and_non_negative(self, plant_q):
+        with pytest.raises(SpecError, match="plant_q must be finite and >= 0"):
+            run_experiment(wheel_config(plant_q=plant_q))
+
     def test_rate_and_dt_must_agree(self):
         config = wheel_config()
         bad = ExperimentConfig(
