@@ -4,8 +4,8 @@ Every command is deterministic for a fixed seed (a sweep draws its noise
 in one block) and embeds a reproduction manifest in its outputs (a ``#``
 comment line in CSVs, a ``manifest`` key in JSON).  Exit codes: 0 success,
 2 configuration or schema error, 3 numerical or fit failure, 4 I/O failure;
-an experiment-config value that is not a finite number exits 2 naming its
-key path.
+an experiment-config value that is not a finite number, or is out of its
+range, exits 2 naming its key path.
 """
 
 from __future__ import annotations
@@ -213,9 +213,12 @@ def _resolve_experiment_config(ref: str) -> dict:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _config_number(cfg: dict, path: str, default: float | None = None, integer: bool = False):
+def _config_number(
+    cfg: dict, path: str, default: float | None = None, integer: bool = False, low: str = ""
+):
     """The finite number, or with ``integer`` the int, at the dotted key
-    ``path`` of an experiment config, else ``default``; faults name ``path``."""
+    ``path`` of an experiment config, else ``default``; ``low``, ``"> 0"`` or
+    ``">= 0"``, bounds it from below.  Faults name ``path``."""
     *sections, key = path.split(".")
     for section in sections:
         cfg = cfg.get(section, {})
@@ -229,6 +232,8 @@ def _config_number(cfg: dict, path: str, default: float | None = None, integer: 
     if not math.isfinite(number) or (integer and not number.is_integer()):
         expected = "an integer" if integer else "a finite number"
         raise SpecError(f"{path} must be {expected}, got {value!r}")
+    if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
+        raise SpecError(f"{path} must be {low}, got {value!r}")
     if integer:  # an int as given: a float would round a seed above 2**53
         return int(value) if isinstance(value, int) else int(number)
     return number
@@ -241,16 +246,12 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
         sensor = sensor_sim.sensor_spec_from_dict(cfg["sensor"])
     except (KeyError, TypeError) as exc:
         raise SpecError(f"experiment config missing field: {exc}") from exc
-    seed = _config_number(cfg, "seed", 0, integer=True)
-    if seed < 0:
-        raise SpecError("seed must be >= 0")
-    rate_hz = _config_number(cfg, "rate_hz", 100.0)
-    if rate_hz <= 0.0:
-        raise SpecError("rate_hz must be positive")
+    seed = _config_number(cfg, "seed", 0, integer=True, low=">= 0")
+    rate_hz = _config_number(cfg, "rate_hz", 100.0, low="> 0")
     tm = estimate.TransitionModel(
         k=_config_number(cfg, "transition.k", estimate.DEFAULT_TRANSMISSION_RATIO),
         dt=1.0 / rate_hz,
-        q=_config_number(cfg, "transition.q", estimate.DEFAULT_PROCESS_NOISE),
+        q=_config_number(cfg, "transition.q", estimate.DEFAULT_PROCESS_NOISE, low=">= 0"),
     )
     sigma0 = _config_number(cfg, "sigma0", estimate.DEFAULT_SIGMA0)
     _check_sigma0(sigma0, "sigma0")
@@ -258,23 +259,23 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     traj = trajectory.plan_quintic(
         _config_number(cfg, "trajectory.x0"),
         _config_number(cfg, "trajectory.xf"),
-        _config_number(cfg, "trajectory.t_total"),
+        _config_number(cfg, "trajectory.t_total", low="> 0"),
     )
     gains = trajectory.ControllerGains(
-        kp=_config_number(cfg, "controller.kp", 6.0),
-        omega_max=_config_number(cfg, "controller.omega_max", 10.0),
+        kp=_config_number(cfg, "controller.kp", 6.0, low=">= 0"),
+        omega_max=_config_number(cfg, "controller.omega_max", 10.0, low="> 0"),
     )
 
     if "models" in cfg:
         bundle = characterize.bundle_from_dict(cfg["models"])
     else:
         sweep_rng = np.random.default_rng((seed, _SWEEP_STREAM))
-        dataset = synthesize_sweep_dataset(
-            sensor,
-            _config_number(cfg, "calibration.rate_hz", 14.0),
-            _config_number(cfg, "calibration.duration_s", 50.0),
-            sweep_rng,
-        )
+        rate = _config_number(cfg, "calibration.rate_hz", 14.0, low="> 0")
+        duration = _config_number(cfg, "calibration.duration_s", 50.0, low="> 0")
+        try:
+            dataset = synthesize_sweep_dataset(sensor, rate, duration, sweep_rng)
+        except SpecError as exc:  # a sweep too short: its length comes from both keys
+            raise SpecError(f"calibration.rate_hz and calibration.duration_s: {exc}") from None
         bundle = characterize.calibrate(dataset)
     if bundle.sensor_kind != kind:
         raise SpecError(f"model bundle kind {bundle.sensor_kind!r} does not match {kind!r}")

@@ -8,7 +8,10 @@ joint: a tuple of wipers, each with its cubic, its variance ``r``, the
 counts it admits and a count-to-angle table evaluated once, at
 construction, plus a ``wrap`` flag.  A wheel is two wipers with a wrap: its
 filter fuses up to two features per step and keeps its mean on the wrapped
-chart (-pi, pi].  A tilt is one wiper without one.
+chart (-pi, pi].  A tilt is one wiper without one.  :func:`extract_features`
+is the one admit-and-lookup; the wheel step then predicts, gates and fuses
+on floats, in the operation order of :func:`predict` and
+:func:`update_wheel`, and builds one belief per step.
 """
 
 from __future__ import annotations
@@ -169,21 +172,6 @@ class ObservationModel:
                     f"got {wiper.r!r}"
                 )
 
-    def feature(self, reading: AdcReading) -> Feature | None:
-        """The reading's converted measurement if it is admitted, else None.
-
-        A reading is admitted iff it is flagged available and its wiper
-        admits its count.
-        """
-        index, count, available = reading
-        wipers = self.wipers
-        if not 0 <= index < len(wipers):
-            raise SpecError(f"wiper index must be in 0..{len(wipers) - 1}, got {index}")
-        wiper = wipers[index]
-        if available and wiper.admits(count):
-            return Feature(index, wiper.chart[count], wiper.r)
-        return None
-
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
     """Prediction step: mean moves by g*u, variance grows by u_gain**2 * q."""
@@ -197,14 +185,19 @@ def extract_features(
 ) -> list[Feature]:
     """Converted measurements of the admitted readings, in reading order.
 
-    An empty list is legal; the update then degenerates to the prediction.
+    The one place readings become features: a reading is admitted iff it
+    is flagged available and its count is in its wiper's ``lo..hi``.  An
+    empty list is legal; the update then degenerates to the prediction.
     """
+    wipers = obs.wipers
     features: list[Feature] = []
-    feature_of = obs.feature
-    for reading in readings:
-        feature = feature_of(reading)
-        if feature is not None:
-            features.append(feature)
+    for index, count, available in readings:
+        if not 0 <= index < len(wipers):
+            raise SpecError(f"wiper index must be in 0..{len(wipers) - 1}, got {index}")
+        wiper = wipers[index]
+        if available and wiper.lo <= count <= wiper.hi:
+            # A chart is finite by construction, so z needs no second check.
+            features.append(tuple.__new__(Feature, (index, wiper.chart[count], wiper.r)))
     return features
 
 
@@ -273,9 +266,8 @@ def initial_belief(
     ordered = sorted(readings)
     if [reading.wiper_index for reading in ordered] != list(range(len(obs.wipers))):
         raise SpecError(f"initialization needs one reading per wiper, got {ordered}")
-    for feature in map(obs.feature, ordered):
-        if feature is not None:
-            return GaussianBelief(wrap_angle(feature.z) if obs.wrap else feature.z, sigma0)
+    for _, z, _ in extract_features(ordered, obs):
+        return GaussianBelief(wrap_angle(z) if obs.wrap else z, sigma0)
     raise InitializationError(
         f"no reading is admitted (counts {[reading.count for reading in ordered]}, admitted "
         f"{[(wiper.lo, wiper.hi) for wiper in obs.wipers]}); "
@@ -297,11 +289,14 @@ class TiltStep(NamedTuple):
 class WheelEstimator:
     """Stateful convenience wrapper: predict, extract, gate, update, wrap.
 
-    The gate drops any feature whose innovation exceeds ``gate_sigmas``
-    predicted standard deviations.  Right at a chart edge the true state
-    and a lagging predicted mean can sit on opposite shift branches, which
-    hands the linear update a full-turn-corrupted innovation; such a
-    feature is unusable for one step and the filter rides the other wiper.
+    A step works on floats and builds one belief; it equals
+    :func:`predict`, :func:`extract_features`, the gate and
+    :func:`update_wheel` bit for bit.  The gate drops any feature whose
+    innovation exceeds ``gate_sigmas`` predicted standard deviations.
+    Right at a chart edge the true state and a lagging predicted mean can
+    sit on opposite shift branches, which hands the linear update a
+    full-turn-corrupted innovation; such a feature is unusable for one step
+    and the filter rides the other wiper.
     """
 
     obs: ObservationModel
@@ -317,22 +312,37 @@ class WheelEstimator:
     def step(self, u: float, readings: Sequence[AdcReading]) -> WheelStep:
         if self.belief is None:
             raise InitializationError("call initialize() before step()")
-        belief_bar = predict(self.belief, u, self.tm)
-        mu_bar, sigma_bar = belief_bar
+        mu, sigma = self.belief
+        tm = self.tm
+        mu = mu + tm.k * tm.dt * u
+        sigma = sigma + tm.dt * tm.dt * tm.q
+        if not (sigma > 0.0 and math.isfinite(mu)):
+            GaussianBelief(mu, sigma)  # raises the belief's own error
         # Each wiper's predicted measurement: the mean on its shifted chart.
-        z_bar0 = mu_bar - TWO_PI if mu_bar > SHIFT_EDGE_WIPER0 else mu_bar
-        z_bar1 = mu_bar + TWO_PI if mu_bar < SHIFT_EDGE_WIPER1 else mu_bar
-        kept: list[Feature] = []
-        z_bars: list[float] = []
+        z_bar0 = mu - TWO_PI if mu > SHIFT_EDGE_WIPER0 else mu
+        z_bar1 = mu + TWO_PI if mu < SHIFT_EDGE_WIPER1 else mu
+        kept: list[tuple[float, float]] = []
         used = [False, False]
-        for feat in extract_features(readings, self.obs):
-            index, z, r = feat
-            z_bar = z_bar1 if index else z_bar0
-            if abs(z - z_bar) <= self.gate_sigmas * math.sqrt(sigma_bar + r):
-                kept.append(feat)
-                z_bars.append(z_bar)
+        for index, z, r in extract_features(readings, self.obs):
+            nu = z - (z_bar1 if index else z_bar0)
+            if abs(nu) <= self.gate_sigmas * math.sqrt(sigma + r):
+                kept.append((nu, r))
                 used[index] = True
-        self.belief = update_wheel(belief_bar, kept, z_bars)
+        if len(kept) == 1:
+            ((nu, r),) = kept
+            gain = sigma / (sigma + r)
+            mu = mu + gain * nu
+            sigma = sigma - gain * sigma
+        elif len(kept) == 2:
+            (nu0, r0), (nu1, r1) = kept
+            det = sigma * r0 + sigma * r1 + r0 * r1
+            k0 = sigma * r1 / det
+            k1 = sigma * r0 / det
+            mu = mu + k0 * nu0 + k1 * nu1
+            sigma = sigma - (k0 + k1) * sigma
+        elif kept:
+            raise SpecError("a wheel update takes at most two features")
+        self.belief = GaussianBelief(wrap_angle(mu), sigma)
         return WheelStep(self.belief, (used[0], used[1]))
 
 

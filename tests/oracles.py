@@ -2,6 +2,9 @@
 
 Everything here is deliberately written from first principles (no imports
 from the package under test) so the tests compare two separate derivations.
+The one exception is :func:`wheel_step_reference`, the wheel filter step
+composed from the package's own reference functions, which the float-only
+step must match bit for bit.
 """
 
 import csv
@@ -200,3 +203,28 @@ def ingest_log_reference(text, sensor_kind, adc_max=1023):
     if not t_col:
         raise ReferenceLogError("calibration file has a header but no data rows")
     return t_col, theta_col, v0_col, v1_col if sensor_kind == "wheel" else None
+
+
+def wheel_step_reference(belief, u, readings, obs, tm, gate_sigmas=6.0):
+    """One wheel filter step as the composition of its public parts.
+
+    ``predict``, then ``extract_features``, then the innovation gate on each
+    feature in reading order, then ``update_wheel`` on the kept features.
+    Returns ``(belief, used)`` with ``used`` a flag per wiper.
+    """
+    from paintpot.estimate import extract_features, predict, update_wheel
+
+    belief_bar = predict(belief, u, tm)
+    mu_bar, sigma_bar = belief_bar
+    # Each wiper's predicted measurement: the mean on its shifted chart.
+    z_bar0 = mu_bar - TWO_PI if mu_bar > 5.0 * PI / 6.0 else mu_bar
+    z_bar1 = mu_bar + TWO_PI if mu_bar < -5.0 * PI / 6.0 else mu_bar
+    kept, z_bars, used = [], [], [False, False]
+    for feature in extract_features(readings, obs):
+        index, z, r = feature
+        z_bar = z_bar1 if index else z_bar0
+        if abs(z - z_bar) <= gate_sigmas * math.sqrt(sigma_bar + r):
+            kept.append(feature)
+            z_bars.append(z_bar)
+            used[index] = True
+    return update_wheel(belief_bar, kept, z_bars), (used[0], used[1])

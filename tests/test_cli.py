@@ -682,6 +682,32 @@ def test_bad_experiment_config_value_is_config_error_naming_its_key(tmp_path, ca
     assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
 
 
+# In-range checks made past the number conversion, in the library: the
+# error still names the key path, not the bare field.
+OUT_OF_RANGE_CONFIG_VALUES = [
+    ("calibration.rate_hz", -1),
+    ("calibration.duration_s", 0.01),
+    ("transition.q", -1),
+    ("controller.kp", -1),
+    ("controller.omega_max", -1),
+    ("trajectory.t_total", -1),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value", OUT_OF_RANGE_CONFIG_VALUES, ids=[f"{p}={v}" for p, v in OUT_OF_RANGE_CONFIG_VALUES]
+)
+def test_out_of_range_experiment_config_value_names_its_key(tmp_path, capsys, path, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_tilt_config(path, value)))
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", str(config), "--out-prefix", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("paintpot: configuration error: ") and path in err
+    assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
+
+
 def test_whole_number_seed_is_accepted(tmp_path):
     # A float seed that is whole runs as that integer, as before the check.
     for name, seed in (("int", 7), ("float", 7.0)):

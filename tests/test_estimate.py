@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from oracles import (
     fuse_information,
     grid_bayes_posterior,
     per_wiper_turn_rule,
+    wheel_step_reference,
     wrap_brute,
 )
 
@@ -138,6 +140,8 @@ class TestValueChecks:
     def test_reading_of_an_unknown_wiper_rejected(self):
         with pytest.raises(SpecError, match="wiper index must be in 0..1, got 2"):
             extract_features((AdcReading(2, 384, True),), exact_obs())
+        with pytest.raises(SpecError, match="wiper index must be in 0..1, got -1"):
+            extract_features((AdcReading(-1, 384, True),), exact_obs())
         with pytest.raises(SpecError, match="wiper index must be in 0..0, got 1"):
             extract_features((AdcReading(1, 384, True),), tilt_obs(EXACT_M0, 1e-4))
 
@@ -318,6 +322,25 @@ class TestExtractFeatures:
         obs = exact_obs()
         readings = (AdcReading(0, 0, True), AdcReading(1, 1023, False))
         assert extract_features(readings, obs) == []
+
+    @pytest.mark.parametrize("wiper", [0, 1])
+    def test_negative_count_and_count_above_hi_give_no_feature(self, wiper):
+        # A negative count would index the chart from its end.
+        obs = exact_obs()
+        other = AdcReading(1 - wiper, 500, True)
+        for count in (-1, -500, obs.wipers[wiper].hi + 1, 1023):
+            features = extract_features((AdcReading(wiper, count, True), other), obs)
+            assert [f.index for f in features] == [1 - wiper]
+
+    def test_features_are_feature_tuples(self):
+        (feature,) = extract_features((AdcReading(0, 384, True),), exact_obs(r0=2e-4))
+        assert type(feature) is Feature and feature == (0, 0.5, 2e-4)
+
+    def test_initial_belief_skips_a_wiper0_count_outside_lo_hi(self):
+        obs = exact_obs()
+        for count in (-1, obs.wipers[0].hi + 1):
+            readings = (AdcReading(0, count, True), AdcReading(1, 500, True))
+            assert initial_belief(readings, obs).mu == 500 * 2.0**-8 - 0.5
 
 
 class TestPredictedFeatureMeasurement:
@@ -586,3 +609,65 @@ class TestRandomReadingStreams:
             assert math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0
             if wheel:
                 assert -PI < mu <= PI
+
+
+EDGE = 5.0 * PI / 6.0
+# Beliefs on both sides of both shift edges, and at and next to +-pi.
+EDGE_MEANS = [
+    EDGE, math.nextafter(EDGE, 0.0), math.nextafter(EDGE, 4.0), EDGE - 1e-9, EDGE + 1e-9,
+    -EDGE, math.nextafter(-EDGE, 0.0), math.nextafter(-EDGE, -4.0), -EDGE - 1e-9, -EDGE + 1e-9,
+    PI, math.nextafter(PI, 0.0), -PI, math.nextafter(-PI, 0.0), 0.0, -0.0,
+]
+STEP_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e3, -1e3, 1e6, -1e6, 1e300, math.inf, math.nan]),
+    st.floats(-50.0, 50.0),
+)
+
+
+class TestFloatStepMatchesReference:
+    """``WheelEstimator.step`` equals predict, extract, gate and update_wheel bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.tuples(st.sampled_from([1e-6, 1e-4, 3e-4, 2e-3]), st.sampled_from([1e-6, 1e-4, 7e-4, 2e-3])),
+        mu0=st.one_of(st.sampled_from(EDGE_MEANS), st.floats(-PI, PI, exclude_min=True)),
+        sigma0=st.one_of(st.sampled_from([1e-8, 1e-4, 0.5]), st.floats(1e-10, 1.0)),
+        # Rates whose products round differently when regrouped.
+        tm=st.builds(
+            TransitionModel,
+            st.sampled_from([0.2, 0.37, 1.0]),
+            st.sampled_from([0.01, 1.0 / 140.0, 1.0 / 3.0]),
+            st.sampled_from([0.05, 0.02, 0.3]),
+        ),
+        data=st.data(),
+    )
+    def test_random_streams(self, r, mu0, sigma0, tm, data):
+        obs = truth_obs(*r)
+        charts = [np.asarray(wiper.chart) for wiper in obs.wipers]
+        estimator = WheelEstimator(obs, tm)
+        estimator.belief = GaussianBelief(mu0, sigma0)
+        for _ in range(data.draw(st.integers(1, 40))):
+            belief, u = estimator.belief, data.draw(STEP_INPUTS)
+            mu_bar = belief.mu + tm.k * tm.dt * u
+            readings = []
+            for index, (wiper, chart) in enumerate(zip(obs.wipers, charts)):
+                # A count tracking the prediction, one beyond the gate, or an edge count.
+                near = int(np.argmin(np.abs(chart - shift_state_for_wiper(mu_bar, index))))
+                count = data.draw(st.one_of(
+                    st.integers(-3, 3).map(lambda d, near=near: near + d),
+                    st.sampled_from([-1, 1]).map(lambda s, near=near: near + s * 200),
+                    st.sampled_from([wiper.lo - 1, wiper.lo, wiper.hi, wiper.hi + 1, 0, 1023]),
+                    st.integers(0, 1023),
+                ))
+                readings.append(AdcReading(index, min(max(count, 0), 1023), data.draw(st.booleans())))
+            if data.draw(st.booleans()):
+                readings.reverse()
+            try:
+                want = wheel_step_reference(belief, u, readings, obs, tm)
+            except SpecError as exc:
+                with pytest.raises(SpecError, match=f"^{re.escape(str(exc))}$"):
+                    estimator.step(u, readings)
+                return
+            got = estimator.step(u, readings)
+            assert (got.belief.mu.hex(), got.belief.sigma.hex()) == (want[0].mu.hex(), want[0].sigma.hex())
+            assert got.used == want[1] and estimator.belief is got.belief
