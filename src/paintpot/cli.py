@@ -189,17 +189,22 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     readings = zip(*(map(table.__getitem__, column) for table, column in zip(by_count, counts)))
     estimator = (estimate.WheelEstimator if obs.wrap else estimate.TiltEstimator)(obs, tm, sigma0)
     first = next(readings)
-    belief = estimator.initialize(first)
-    trace = [(t[0], belief.mu, belief.sigma, len(estimate.extract_features(first, obs)))]
+    beliefs = [estimator.initialize(first)]
+    n_features = [len(estimate.extract_features(first, obs))]
     n_used = sum if obs.wrap else int  # a wheel step reports a flag per wiper
-    step = estimator.step
-    for t_i, u, row in zip(t[1:], omega[1:], readings):
-        belief, used = step(u, row)
-        trace.append((t_i, belief.mu, belief.sigma, n_used(used)))
+    for belief, used in map(estimator.step, omega[1:], readings):
+        beliefs.append(belief)
+        n_features.append(n_used(used))
+    sigma_text: dict[float, str] = {}  # the variance settles and repeats: format each value once
+    digits = [str(n) for n in range(len(obs.wipers) + 1)]
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
         handle.write("t,mu,sigma,n_features\n")
-        handle.writelines("%.17g,%.17g,%.17g,%d\n" % row for row in trace)
+        handle.writelines([
+            "%.17g,%.17g,%s,%s\n"
+            % (t_i, mu, sigma_text.get(sigma) or sigma_text.setdefault(sigma, "%.17g" % sigma), digits[n])
+            for t_i, (mu, sigma), n in zip(t, beliefs, n_features)
+        ])
 
 
 def _resolve_experiment_config(ref: str) -> dict:

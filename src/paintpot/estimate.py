@@ -8,10 +8,11 @@ joint: a tuple of wipers, each with its cubic, its variance ``r``, the
 counts it admits and a count-to-angle table evaluated once, at
 construction, plus a ``wrap`` flag.  A wheel is two wipers with a wrap: its
 filter fuses up to two features per step and keeps its mean on the wrapped
-chart (-pi, pi].  A tilt is one wiper without one.  :func:`extract_features`
-is the one admit-and-lookup; the wheel step then predicts, gates and fuses
-on floats, in the operation order of :func:`predict` and
-:func:`update_wheel`, and builds one belief per step.
+chart (-pi, pi].  A tilt is one wiper without one.  Both steps predict on
+floats in the operation order of :func:`predict`.  The wheel step then gates
+and fuses the features of :func:`extract_features` on floats, in the order
+of :func:`update_wheel`; the tilt step fuses through :func:`update_tilt`.
+Each belief is built past the class call, after one float test.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ class TransitionModel:
             raise SpecError("q must be >= 0")
 
     @property
-    def g(self) -> float:
-        """Input gain: joint radians per commanded motor rad/s over one step."""
-        return self.k * self.dt
-
-    @property
     def u_gain(self) -> float:
         """Noise gain: one step integrates the rate noise over dt."""
         return self.dt
@@ -87,6 +83,13 @@ class GaussianBelief(_Belief):
         return tuple.__new__(cls, (mu, sigma))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+
+def _belief(mu: float, sigma: float) -> GaussianBelief:
+    """``GaussianBelief(mu, sigma)`` built past the class call, after one float test."""
+    if sigma > 0.0 and math.isfinite(mu):
+        return tuple.__new__(GaussianBelief, (mu, sigma))
+    return GaussianBelief(mu, sigma)  # raises the belief's own error
 
 
 class _Feature(NamedTuple):
@@ -174,9 +177,9 @@ class ObservationModel:
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
-    """Prediction step: mean moves by g*u, variance grows by u_gain**2 * q."""
+    """Prediction step: mean moves by k*dt*u, variance grows by u_gain**2 * q."""
     mu, sigma = belief
-    # g = k*dt and u_gain = dt, spelled out: the same products in the same order.
+    # u_gain = dt, spelled out: the same products in the same order.
     return GaussianBelief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
 
 
@@ -241,18 +244,20 @@ def update_tilt(
 ) -> tuple[GaussianBelief, bool]:
     """Scalar update of a one-wiper model on its reading, without a gate.
 
-    A reading that is not admitted (cubic extrapolation beyond calibration
-    data is unbounded) leaves the prediction unchanged, with
-    ``accepted=False``.
+    A reading of any wiper but 0 raises :class:`SpecError`, as in
+    :func:`extract_features`.  One that is not admitted (cubic extrapolation
+    beyond calibration data is unbounded) leaves the prediction unchanged,
+    with ``accepted=False``.
     """
     (wiper,) = obs.wipers
-    _, count, available = reading
-    if not (available and wiper.admits(count)):
+    index, count, available = reading
+    if index != 0:
+        raise SpecError(f"wiper index must be in 0..0, got {index}")
+    if not (available and wiper.lo <= count <= wiper.hi):
         return belief_bar, False
-    z = wiper.chart[count]
     mu, sigma = belief_bar
     gain = sigma / (sigma + wiper.r)
-    return GaussianBelief(mu + gain * (z - mu), sigma - gain * sigma), True
+    return _belief(mu + gain * (wiper.chart[count] - mu), sigma - gain * sigma), True
 
 
 def initial_belief(
@@ -342,13 +347,15 @@ class WheelEstimator:
             sigma = sigma - (k0 + k1) * sigma
         elif kept:
             raise SpecError("a wheel update takes at most two features")
-        self.belief = GaussianBelief(wrap_angle(mu), sigma)
-        return WheelStep(self.belief, (used[0], used[1]))
+        self.belief = belief = _belief(wrap_angle(mu), sigma)
+        return tuple.__new__(WheelStep, (belief, (used[0], used[1])))
 
 
 @dataclass
 class TiltEstimator:
-    """Stateful convenience wrapper: predict, then update on the one wiper."""
+    """Stateful convenience wrapper: predict on floats, then :func:`update_tilt`.
+
+    A step equals :func:`predict`, then :func:`update_tilt`, bit for bit."""
 
     obs: ObservationModel
     tm: TransitionModel
@@ -363,9 +370,12 @@ class TiltEstimator:
         if self.belief is None:
             raise InitializationError("call initialize() before step()")
         (reading,) = readings
-        belief_bar = predict(self.belief, u, self.tm)
-        self.belief, used = update_tilt(belief_bar, reading, self.obs)
-        return TiltStep(self.belief, used)
+        mu, sigma = self.belief
+        tm = self.tm
+        belief_bar = _belief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
+        step = tuple.__new__(TiltStep, update_tilt(belief_bar, reading, self.obs))
+        self.belief = step[0]
+        return step
 
 
 def default_measurement_variance(model: CubicModel, stats: WiperFitStats) -> float:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from first principles (no imports
 from the package under test) so the tests compare two separate derivations.
-The one exception is :func:`wheel_step_reference`, the wheel filter step
-composed from the package's own reference functions, which the float-only
-step must match bit for bit.
+The exceptions are :func:`wheel_step_reference` and
+:func:`tilt_step_reference`, the filter steps composed from the package's
+own reference functions, which the float-only steps must match bit for bit.
 """
 
 import csv
@@ -228,3 +228,14 @@ def wheel_step_reference(belief, u, readings, obs, tm, gate_sigmas=6.0):
             z_bars.append(z_bar)
             used[index] = True
     return update_wheel(belief_bar, kept, z_bars), (used[0], used[1])
+
+
+def tilt_step_reference(belief, u, reading, obs, tm):
+    """One tilt filter step as the composition of its public parts.
+
+    ``predict``, then ``update_tilt`` on the one reading.  Returns
+    ``(belief, used)``.
+    """
+    from paintpot.estimate import predict, update_tilt
+
+    return update_tilt(predict(belief, u, tm), reading, obs)

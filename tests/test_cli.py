@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paintpot import cli, presets
+from paintpot import cli, estimate, presets
 from paintpot.characterize import load_bundle
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
@@ -16,7 +16,13 @@ from paintpot.presets import (
     reference_tilt_spec,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import read_wheel, save_sensor_spec, sensor_spec_from_dict, sensor_spec_to_dict
+from paintpot.sensor_sim import (
+    AdcReading,
+    read_wheel,
+    save_sensor_spec,
+    sensor_spec_from_dict,
+    sensor_spec_to_dict,
+)
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -181,6 +187,35 @@ def write_readings_csv(path, rows, wheel=True):
             handle.write(",".join(str(x) for x in row) + "\n")
 
 
+def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
+    """Run ``estimate`` on ``rows`` and check each trace line against the
+    estimator stepped directly, formatted ``%.17g,%.17g,%.17g,%d``.
+
+    Returns the trace's sigmas and feature counts.
+    """
+    wheel = len(rows[0]) == 4
+    readings, out = tmp_path / "steps.csv", tmp_path / "steps_trace.csv"
+    write_readings_csv(readings, rows, wheel=wheel)
+    assert run_cli("estimate", "--model", str(bundle_path), "--readings", str(readings),
+                   "--out", str(out)) == 0
+    bundle = load_bundle(bundle_path)
+    obs = estimate.observation_from_bundle(bundle)
+    sigma0 = estimate.filter_value(bundle.filter_params, "sigma0", estimate.DEFAULT_SIGMA0)
+    estimator = (estimate.WheelEstimator if wheel else estimate.TiltEstimator)(
+        obs, estimate.transition_from_bundle(bundle), sigma0
+    )
+    steps = [[AdcReading(i, count, True) for i, count in enumerate(row[1:-1])] for row in rows]
+    belief = estimator.initialize(steps[0])
+    lines = [(rows[0][0], belief.mu, belief.sigma, len(estimate.extract_features(steps[0], obs)))]
+    for row, readings_of_row in zip(rows[1:], steps[1:]):
+        belief, used = estimator.step(row[-1], readings_of_row)
+        lines.append((row[0], belief.mu, belief.sigma, sum(used) if wheel else used))
+    written = out.read_text().splitlines(keepends=True)
+    assert written[1] == "t,mu,sigma,n_features\n"
+    assert written[2:] == ["%.17g,%.17g,%.17g,%d\n" % line for line in lines]
+    return [line[2] for line in lines], [int(line[3]) for line in lines]
+
+
 def _set(*keys_and_value):
     *keys, last, value = keys_and_value
 
@@ -320,6 +355,37 @@ class TestEstimate:
         mus = np.array([float(l.split(",")[1]) for l in lines[1:]])
         truth = 0.3 + 0.002 * np.arange(100)
         assert float(np.sqrt(np.mean((mus - truth) ** 2))) < 0.05
+
+    def test_tilt_trace_lines_are_the_steps_formatted(self, tmp_path):
+        # The variance settles, so most rows repeat an earlier sigma; every
+        # 37th count is a rail count outside the model window.
+        from paintpot.sensor_sim import read_tilt
+
+        sweep, bundle = tmp_path / "tsweep.csv", tmp_path / "tbundle.json"
+        assert run_cli("sweep", "--spec", "tilt_reference", "--out", str(sweep), "--seed", "5") == 0
+        assert run_cli("calibrate", "--in", str(sweep), "--kind", "tilt", "--out", str(bundle)) == 0
+        spec, rng = reference_tilt_spec(noise_std=1.0), np.random.default_rng(8)
+        rows = []
+        for i in range(600):
+            count = read_tilt(0.6 * math.sin(i / 50.0), spec, rng.normal(0.0, 1.0, 1)).count
+            rows.append((i * 0.01, 1023 if i % 37 == 36 else count, 1.2 * math.cos(i / 50.0)))
+        sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, bundle, rows)
+        assert len(set(sigmas)) < len(sigmas) / 4
+        assert set(n_features) == {0, 1}
+
+    def test_wheel_trace_lines_are_the_steps_formatted(self, tmp_path, wheel_bundle):
+        # Through the gap and round a turn: features come and go.
+        from paintpot.sensor_sim import simulate_plant_step
+
+        spec, rng = reference_wheel_spec(noise_std=1.0), np.random.default_rng(23)
+        theta, rows = 0.45 * PI, []
+        for i in range(500):
+            theta, _ = simulate_plant_step(theta, 4.0, 0.2, 0.01, rng.normal(0.0, 0.0))
+            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
+            rows.append((i * 0.01, a.count, b.count, 4.0))
+        sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, wheel_bundle, rows)
+        assert len(set(sigmas)) > len(sigmas) / 2
+        assert {1, 2} <= set(n_features)
 
     def test_missing_omega_column_is_schema_error(self, tmp_path, wheel_bundle):
         bad = tmp_path / "bad.csv"

@@ -47,6 +47,7 @@ from oracles import (
     fuse_information,
     grid_bayes_posterior,
     per_wiper_turn_rule,
+    tilt_step_reference,
     wheel_step_reference,
     wrap_brute,
 )
@@ -144,6 +145,18 @@ class TestValueChecks:
             extract_features((AdcReading(-1, 384, True),), exact_obs())
         with pytest.raises(SpecError, match="wiper index must be in 0..0, got 1"):
             extract_features((AdcReading(1, 384, True),), tilt_obs(EXACT_M0, 1e-4))
+
+    @pytest.mark.parametrize("available", [True, False])
+    def test_tilt_reading_of_an_unknown_wiper_rejected(self, available):
+        obs, belief = tilt_obs(EXACT_M0, 1e-4), GaussianBelief(0.1, 1e-4)
+        with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 5$"):
+            update_tilt(belief, AdcReading(5, 500, available), obs)
+        with pytest.raises(SpecError, match="^wiper index must be in 0..0, got -1$"):
+            update_tilt(belief, AdcReading(-1, 500, available), obs)
+        estimator = TiltEstimator(obs, TransitionModel(k=0.2, dt=0.01, q=0.05), belief=belief)
+        with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 7$"):
+            estimator.step(0.0, (AdcReading(7, 600, available),))
+        assert estimator.belief is belief
 
 
 class TestObservationFromBundle:
@@ -625,7 +638,7 @@ STEP_INPUTS = st.one_of(
 
 
 class TestFloatStepMatchesReference:
-    """``WheelEstimator.step`` equals predict, extract, gate and update_wheel bit for bit."""
+    """Each float-only step equals the composition of the reference functions bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -671,3 +684,46 @@ class TestFloatStepMatchesReference:
             got = estimator.step(u, readings)
             assert (got.belief.mu.hex(), got.belief.sigma.hex()) == (want[0].mu.hex(), want[0].sigma.hex())
             assert got.used == want[1] and estimator.belief is got.belief
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from([TILT_TRUTH, EXACT_M0]),
+        r=st.sampled_from([1e-6, 1e-4, 7e-4, 2e-3]),
+        mu0=st.one_of(st.sampled_from([0.0, -0.0, 1.45, -1.45]), st.floats(-1.5, 1.5)),
+        # 1e20 makes the gain round to 1, so the update's variance is 0.
+        sigma0=st.one_of(st.sampled_from([1e-8, 1e-4, 0.5, 1e20]), st.floats(1e-10, 1.0)),
+        tm=st.builds(
+            TransitionModel,
+            st.sampled_from([0.2, 0.37, 1.0]),
+            st.sampled_from([0.01, 1.0 / 140.0, 1.0 / 3.0]),
+            st.sampled_from([0.05, 0.02, 0.3]),
+        ),
+        data=st.data(),
+    )
+    def test_tilt_random_streams(self, model, r, mu0, sigma0, tm, data):
+        """``TiltEstimator.step`` equals predict, then update_tilt, bit for bit."""
+        obs = tilt_obs(model, r)
+        (wiper,) = obs.wipers
+        chart = np.asarray(wiper.chart)
+        estimator = TiltEstimator(obs, tm)
+        estimator.belief = GaussianBelief(mu0, sigma0)
+        for _ in range(data.draw(st.integers(1, 40))):
+            belief, u = estimator.belief, data.draw(STEP_INPUTS)
+            mu_bar = belief.mu + tm.k * tm.dt * u
+            near = int(np.argmin(np.abs(chart - mu_bar))) if math.isfinite(mu_bar) else 0
+            count = data.draw(st.one_of(
+                st.integers(-3, 3).map(lambda d: near + d),
+                st.sampled_from([wiper.lo - 1, wiper.lo, wiper.hi, wiper.hi + 1, 0, 1023]),
+                st.integers(0, 1023),
+            ))
+            index = data.draw(st.sampled_from([0, 0, 0, 1]))
+            reading = AdcReading(index, min(max(count, 0), 1023), data.draw(st.booleans()))
+            try:
+                want = tilt_step_reference(belief, u, reading, obs, tm)
+            except SpecError as exc:
+                with pytest.raises(SpecError, match=f"^{re.escape(str(exc))}$"):
+                    estimator.step(u, (reading,))
+                return
+            got = estimator.step(u, (reading,))
+            assert (got.belief.mu.hex(), got.belief.sigma.hex()) == (want[0].mu.hex(), want[0].sigma.hex())
+            assert got.used is want[1] and estimator.belief is got.belief
