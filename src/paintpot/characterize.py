@@ -15,7 +15,9 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
@@ -152,13 +154,16 @@ def _open_text(source: str | Path | IO[str] | IO[bytes]):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
-# Raw fields are converted every 256 rows, so the text of a long log is
-# never held in memory at once, only its values.  The row lists of a chunk
-# are alive together; 256 stays well under the 700 net container
-# allocations that start a young garbage collection, so reading a log
-# seldom starts one, and few row lists survive into an older generation
-# to bring on a full collection.
+# The checked parser converts raw fields every 256 rows, so the text of a
+# long log is never held in memory at once, only its values.  The row
+# lists of a chunk are alive together; 256 stays well under the 700 net
+# container allocations that start a young garbage collection, so a log
+# it reads seldom starts one, and few row lists survive into an older
+# generation to bring on a full collection.
 _CHUNK_ROWS = 256
+# The fast stage hands np.loadtxt a log's lines in blocks of about this many
+# characters, so it too never holds the whole text.
+_BLOCK_CHARS = 1 << 16
 # Columns of integer ADC counts; every other column holds floats.
 COUNT_COLUMNS = ("v0", "v1")
 
@@ -178,7 +183,10 @@ def _convert_rows(rows: list[list[str]], converters, columns: list[list]) -> Val
 
     Stops before the first row with a malformed field and returns its error.
     """
-    fields = list(zip(*rows))
+    # Stripped as in _malformed: int and float keep the separators \x1c-\x1f
+    # that str.strip removes, so a field padded with one would fail here and
+    # pass there.
+    fields = [list(map(str.strip, c)) for c in zip(*rows)]
     try:
         converted = [list(map(f, c)) for f, c in zip(converters, fields)]
         error = None
@@ -192,6 +200,68 @@ def _convert_rows(rows: list[list[str]], converters, columns: list[list]) -> Val
     return error
 
 
+def _plain_blocks(handle):
+    """The rest of ``handle``'s lines, a list at a time.
+
+    Raises ValueError at a block with a line that only the checked parser
+    may judge: one longer than ``csv.reader``'s field limit, which may hold
+    a field it rejects, or one with non-ASCII text, since numpy 2.4's int64
+    parser reads some non-ASCII letters as digits (U+01FE then ``5``
+    loads as 4625).
+    """
+    limit = csv.field_size_limit()
+    while block := handle.readlines(_BLOCK_CHARS):
+        if max(map(len, block)) > limit or not all(map(str.isascii, block)):
+            raise ValueError("a line for the checked parser")
+        yield block
+
+
+def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> list[list] | None:
+    """The columns of a plainly valid log, its rows read by one ``np.loadtxt``
+    call and checked by numpy, or None.
+
+    The header is found by the checked parser's rule.  A log that fails to
+    load raises ValueError, ``csv.Error`` or a warning, and one whose header
+    or values fail a check returns None: either way, no error is decided.
+    """
+    rows = csv.reader(iter(handle.readline, ""))
+    found = next((row for row in rows if row and not row[0].lstrip().startswith("#")), None)
+    if found is None or [f.strip() for f in found] != header:
+        return None
+    dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a body with no rows only warns
+        values = np.loadtxt(
+            chain.from_iterable(_plain_blocks(handle)),
+            dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True,
+        )
+    floats = [v for name, v in zip(header, values) if name not in COUNT_COLUMNS]
+    counts = [v for name, v in zip(header, values) if name in COUNT_COLUMNS]
+    t = values[0]
+    valid = (
+        all(np.isfinite(v).all() for v in floats)
+        and not (t[1:] < t[:-1]).any()
+        and all(((v >= 0) & (v <= adc_max)).all() for v in counts)
+        and (theta_limit is None or (np.abs(values[header.index("theta")]) <= theta_limit[0]).all())
+    )
+    return [v.tolist() for v in values] if valid else None
+
+
+def _not_utf8(source, what: str, exc: UnicodeDecodeError) -> SpecError:
+    """The error for a log that is not UTF-8; for a file it names the
+    physical line of the first byte that is not."""
+    where = f"{what} stream"
+    if isinstance(source, (str, Path)):
+        where = str(source)
+        try:
+            Path(source).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as first:
+            head = first.object[: first.start].decode("utf-8")
+            line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+            where, exc = f"{where}: line {line}", first
+    return SpecError(f"{where}: not UTF-8: {exc.reason}")
+
+
 def read_columns(
     source: str | Path | IO[str] | IO[bytes],
     header: Sequence[str],
@@ -199,35 +269,63 @@ def read_columns(
     what: str,
     theta_limit: tuple[float, str] | None = None,
 ) -> list[list]:
-    """Parse a CSV log with the given header into one list per column.
+    """Parse a UTF-8 CSV log with the given header into one list per column.
 
     The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold
     ints, every other one floats.  The source (a path, a text stream or a
-    byte stream) is read once with ``csv.reader``; rows are converted
-    column by column, a chunk at a time, and numpy masks check the values.
-    Lines starting with ``#`` are skipped but counted, so errors name the
-    physical line.
+    byte stream) is read in two stages.  A seekable source is first read
+    in C: the header by the checked parser's rule, then every row by one
+    ``np.loadtxt`` call, with numpy checking the values.  That stage can
+    only accept.  Any load error, failed check, empty body or unseekable
+    source rewinds the source, and the checked parser reads it line by line
+    with ``csv.reader``, converting rows a chunk at a time; it alone decides
+    every error.  Lines starting with ``#`` are skipped but counted, so
+    errors name the physical line.
 
     Raises :class:`SpecError` naming the line of the first bad row.  A row
-    is checked for, in this order: its field count, malformed fields (left
-    to right), non-finite floats, a decreasing ``t``, counts outside
-    [0, adc_max] (left to right) and, given ``theta_limit = (limit, text)``,
-    a ``theta`` whose magnitude exceeds ``limit`` (the error is ``text``
-    formatted with it).  ``what`` names the file when it holds no rows.
+    is checked for, in this order: a line ``csv.reader`` cannot split, its
+    field count, malformed fields (left to right), non-finite floats, a
+    decreasing ``t``, counts outside [0, adc_max] (left to right) and,
+    given ``theta_limit = (limit, text)``, a ``theta`` whose magnitude
+    exceeds ``limit`` (the error is ``text`` formatted with it).  ``what``
+    names the file when it holds no rows, or a stream that is not UTF-8.
     """
     header = list(header)
+    handle, owned = _open_text(source)
+    try:
+        if handle.seekable():
+            start = handle.tell()
+            try:
+                columns = _read_columns_fast(handle, header, adc_max, theta_limit)
+            except (ValueError, csv.Error, Warning):  # the checked parser judges it
+                columns = None
+            if columns is not None:
+                return columns
+            handle.seek(start)
+        return _read_columns_checked(handle, header, adc_max, what, theta_limit)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, what, exc) from None
+    finally:
+        if owned:
+            handle.close()
+
+
+def _read_columns_checked(
+    handle: IO[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
+) -> list[list]:
+    """:func:`read_columns`'s line-by-line parser, over an open text stream."""
     width = len(header)
     converters = [int if name in COUNT_COLUMNS else float for name in header]
     columns: list[list] = [[] for _ in header]
     lines: list[int] = []  # physical line of each row
     rows: list[list[str]] = []
-    # The first row with a wrong field count or a malformed field ends the
-    # rows that are value-checked; its error is raised if none of them fails.
+    # The first row with a wrong field count, a malformed field or a line
+    # csv.reader cannot split ends the rows that are value-checked; its
+    # error is raised if none of them fails.
     error = malformed = None
-    handle, owned = _open_text(source)
+    reader = csv.reader(handle)
+    found = None
     try:
-        reader = csv.reader(handle)
-        found = None
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
@@ -249,9 +347,10 @@ def read_columns(
                     rows = []
                     if malformed is not None:
                         break
-    finally:
-        if owned:
-            handle.close()
+    except csv.Error as exc:  # a field over the size limit, or a newline inside one
+        error = SpecError(f"line {reader.line_num}: {exc}")
+        if found is None:
+            raise error from None
     if found is None:
         raise SpecError(f"empty {what} file")
     if not lines and error is None:
@@ -498,4 +597,6 @@ def load_bundle(path: str | Path) -> ModelBundle:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
     return bundle_from_dict(data)

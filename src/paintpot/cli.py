@@ -216,6 +216,8 @@ def _resolve_experiment_config(ref: str) -> dict:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
 
 
 def _config_number(

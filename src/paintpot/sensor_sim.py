@@ -238,6 +238,8 @@ def load_sensor_spec(path: str | Path) -> SensorSpec:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
     return sensor_spec_from_dict(data)
 
 

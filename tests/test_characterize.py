@@ -1,12 +1,15 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from paintpot import characterize
 from paintpot.characterize import (
+    ANGLE_LIMITS,
     CalibrationDataset,
     ValidRange,
     calibrate,
@@ -15,8 +18,10 @@ from paintpot.characterize import (
     fit_report,
     ingest_log,
     invert_cubic,
+    read_columns,
     trim_and_shift,
 )
+from paintpot.characterize import _read_columns_checked
 from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CHART_KNOTS, CubicModel
 from paintpot.errors import FitError, InversionError, SpecError
@@ -228,6 +233,203 @@ class TestIngestLogAgainstReference:
         assert got.t.dtype == got.theta.dtype == np.float64 and got.counts.dtype == np.int64
         assert got.t.tolist() == t and got.theta.tolist() == theta and got.counts[:, 0].tolist() == v0
         assert got.counts.shape[1] == 1 if v1 is None else got.counts[:, 1].tolist() == v1
+
+
+READINGS = ["t", "v0", "v1", "omega"]
+CALIBRATION = ["t", "theta", "v0", "v1"]
+
+
+def grammar_log(header, where, text):
+    """A three-row log with ``header``, and ``text`` put ``where`` a
+    GRAMMAR_CASES entry says: into the last row's ``t`` or ``v0``, onto the
+    end of the first data row, as a line after it, as every line ending or
+    the final one, as a prefix, or as the number of rows kept."""
+    rows = [
+        [repr(0.01 * i), *("0.1" if name == "theta" else "0.5" if name == "omega" else str(500 + i)
+                           for name in header[1:])]
+        for i in range(3)
+    ]
+    if where in ("t", "v0"):
+        rows[-1][header.index(where)] = text
+    elif where == "row_end":
+        rows[0][-1] += text
+    elif where == "rows":
+        del rows[int(text):]
+    lines = [",".join(header), *map(",".join, rows)]
+    if where == "line":
+        lines.insert(2, text)
+    newline = text if where == "newline" else "\n"
+    log = newline.join(lines) + (text if where == "end" else newline)
+    return text + log if where == "prefix" else log
+
+
+def read_both(text, header):
+    """read_columns' result on ``text`` and the checked parser's: columns as
+    (type, value) pairs, floats by ``float.hex``, or the SpecError text."""
+    limit = ANGLE_LIMITS["wheel"] if "theta" in header else None
+
+    def run(read):
+        try:
+            columns = read(io.StringIO(text, newline=""), header, 1023, "log", limit)
+        except SpecError as exc:
+            return str(exc)
+        return [[(type(x), x.hex() if type(x) is float else x) for x in c] for c in columns]
+
+    return run(read_columns), run(_read_columns_checked)
+
+
+# Where np.loadtxt's grammar and the checked parser's differ, or might
+# (numpy 2.4.6): (where, text, whether the fast stage accepts the log).
+GRAMMAR_CASES = [
+    ("line", "   ", False),
+    ("row_end", "#x", False),
+    ("line", "# note", False),
+    ("t", "1_0", False),
+    ("v0", "1_0", False),
+    ("t", "\u0665", False),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
+    ("v0", "\u0665", False),
+    ("t", '"5"', False),
+    ("v0", '"5"', False),
+    ("v0", "\u01fe", False),  # numpy's int64 parser reads it as 462
+    ("v0", "1" * 23, False),
+    ("row_end", ",", False),
+    ("v0", "5.0", False),
+    ("v0", "1e2", False),
+    ("t", "nan", False),
+    ("t", "inf", False),
+    ("t", "Infinity", False),
+    ("t", "1e400", False),
+    ("v0", "0" * 131072 + "5", False),  # a field over csv's size limit
+    ("newline", "\r\n", True),
+    ("newline", "\r", True),
+    ("end", "", True),
+    ("prefix", "\ufeff", False),
+    ("prefix", "# manifest {}\n\n", True),
+    ("t", " 0.5 ", True),
+    ("t", "\x1c0.5\x1f", True),  # separators: str.strip removes them, float() does not
+    ("v0", "+0005", True),
+    ("rows", "0", False),
+    ("rows", "1", True),
+]
+GRAMMAR_IDS = [
+    "whitespace_line", "hash_after_row", "comment_line", "underscore_float", "underscore_count",
+    "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count", "23_digit_count",
+    "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400", "over_field_limit",
+    "crlf", "bare_cr", "no_final_newline", "bom", "comment_preamble", "padded_float", "separator_padded_float",
+    "signed_zero_padded_count", "header_only", "single_row",
+]
+
+
+class TestTwoStageReader:
+    @pytest.mark.parametrize("header", [READINGS, CALIBRATION], ids=["readings", "calibration"])
+    @pytest.mark.parametrize("where,text,fast", GRAMMAR_CASES, ids=GRAMMAR_IDS)
+    def test_same_columns_or_error_as_the_checked_parser(self, monkeypatch, header, where, text, fast):
+        checked = []
+        monkeypatch.setattr(
+            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
+        )
+        got, want = read_both(grammar_log(header, where, text), header)
+        assert got == want
+        assert not checked if fast else checked
+
+    def test_sources_read_alike_and_plain_logs_stay_in_the_fast_stage(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(characterize, "_read_columns_checked", None)
+        text = grammar_log(READINGS, "newline", "\r\n")
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, str(path), io.BytesIO(text.encode("utf-8")), io.StringIO(text, newline="")):
+            assert read_columns(source, READINGS, 1023, "log") == [
+                [0.0, 0.01, 0.02], [500, 501, 502], [500, 501, 502], [0.5, 0.5, 0.5]
+            ]
+
+    def test_unseekable_source_goes_to_the_checked_parser(self, monkeypatch):
+        class Unseekable(io.BytesIO):
+            def seekable(self):
+                return False
+
+        checked = []
+        monkeypatch.setattr(
+            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
+        )
+        text = grammar_log(READINGS, "rows", "1").encode("utf-8")
+        assert read_columns(Unseekable(text), READINGS, 1023, "log") == [[0.0], [500], [500], [0.5]]
+        assert checked
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(grammar_log(READINGS, "v0", "0" * 131072 + "5"), encoding="utf-8")
+        with pytest.raises(SpecError, match=r"^line 4: field larger than field limit \(131072\)$"):
+            read_columns(path, READINGS, 1023, "readings")
+        # It ends the rows as a short row does: an earlier bad value is named first.
+        text = grammar_log(READINGS, "v0", "0" * 131072 + "5").replace("0.01,501", "0.01,-7")
+        with pytest.raises(SpecError, match=r"^line 3: count -7 outside \[0, 1023\]$"):
+            read_columns(io.StringIO(text, newline=""), READINGS, 1023, "readings")
+
+    def test_bare_cr_in_a_stream_that_keeps_it_names_its_line(self):
+        text = grammar_log(READINGS, "row_end", "\r0.005,500,500,0.5")
+        with pytest.raises(SpecError, match=r"^line 2: new-line character seen in unquoted field"):
+            read_columns(io.StringIO(text), READINGS, 1023, "readings")
+
+    def test_log_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        lines = grammar_log(READINGS, "newline", "\r\n").encode("utf-8").split(b"\r\n")
+        lines[2] = lines[2].replace(b"0.01", b"0.0\xff")
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(SpecError, match=rf"^{re.escape(str(path))}: line 3: not UTF-8: invalid start byte$"):
+            read_columns(path, READINGS, 1023, "readings")
+        with pytest.raises(SpecError, match=r"^readings stream: not UTF-8: invalid start byte$"):
+            read_columns(io.BytesIO(path.read_bytes()), READINGS, 1023, "readings")
+
+
+# Texts a mutation puts in place of a field, inserts as a line or inserts
+# into the text: valid but unusual forms, and faults.
+MUTANT_FIELDS = [
+    " 5", "+5", "05", "5.", ".5", "-0", "1e3", "1E-3", "nan", "-inf", "1_0", "\u0665", '"5"', "",
+    "5.0", "\u01fe", "1" * 23, "0x10", "1e", "9" * 19,
+]
+MUTANT_LINES = ["", "   ", "# note", ",,,", "0,1", "  # indented note"]
+MUTANT_CHARS = [
+    ",", "#", " ", "\t", "\x0b", "\x1c", "\r", "\n", '"', "_", "e", ".", "-", "+", "0", "9",
+    "\ufeff", "\u0665", "\u01fe", "\xa0",
+]
+
+
+@st.composite
+def mutated_logs(draw):
+    """A valid readings or calibration log with up to three random edits."""
+    header = draw(st.sampled_from((READINGS, CALIBRATION)))
+    t, rows = 0.0, []
+    for _ in range(draw(st.integers(1, 8))):
+        t += draw(st.sampled_from((0.0, 0.01, 0.25)))
+        row = [repr(t)]
+        for name in header[1:]:
+            if name == "theta":
+                row.append(repr(draw(st.floats(-math.pi, math.pi))))
+            elif name == "omega":
+                row.append(repr(draw(st.floats(allow_nan=False, allow_infinity=False))))
+            else:
+                row.append(str(draw(st.integers(0, 1023))))
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(MUTANT_FIELDS))
+    lines = [",".join(header), *map(",".join, rows)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MUTANT_LINES)))
+    text = draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines) + draw(st.sampled_from(("\n", "")))
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(MUTANT_CHARS)) + text[at + draw(st.integers(0, 1)):]
+    return header, text
+
+
+class TestTwoStageReaderAgainstCheckedParser:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_logs())
+    def test_same_columns_or_same_error(self, log):
+        header, text = log
+        got, want = read_both(text, header)
+        assert got == want
 
 
 class TestTrimAndShift:

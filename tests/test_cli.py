@@ -710,6 +710,64 @@ def test_bad_value_is_config_error_naming_it(tmp_path, wheel_bundle, capsys, arg
     assert not any((out / name).exists() for name in ("s.csv", "b.json", "t.csv", "x_trace.csv"))
 
 
+def _spoiled(path, text, at):
+    """Write ``text`` to ``path`` as UTF-8 with a 0xff byte inserted before byte ``at``."""
+    data = text.encode("utf-8")
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    return str(path)
+
+
+def _readings_not_utf8(tmp_path, bundle):
+    lines = ["t,v0,v1,omega", *(f"{i * 0.01:.2f},500,510,0.0" for i in range(1000))]
+    text = "\n".join(lines) + "\n"
+    readings = _spoiled(tmp_path / "r.csv", text, text.index("9.00,"))  # past the first 8 KiB
+    return ["estimate", "--model", str(bundle), "--readings", readings, "--out", str(tmp_path / "t.csv")], (
+        f"{readings}: line 902: not UTF-8: invalid start byte"
+    )
+
+
+def _calibration_not_utf8(tmp_path, bundle):
+    text = (bundle.parent / "sweep.csv").read_text()  # the wheel_bundle fixture's sweep
+    sweep = _spoiled(tmp_path / "s.csv", text, text.index("\n") + 1)
+    return ["calibrate", "--in", sweep, "--kind", "wheel", "--out", str(tmp_path / "b.json")], (
+        f"{sweep}: line 2: not UTF-8: invalid start byte"
+    )
+
+
+def _bundle_not_utf8(tmp_path, bundle):
+    edited, readings = tmp_path / "edited.json", tmp_path / "r.csv"
+    _spoiled(edited, bundle.read_text(), 1)
+    write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+    return ["estimate", "--model", str(edited), "--readings", str(readings), "--out", str(tmp_path / "t.csv")], (
+        f"{edited}: not UTF-8"
+    )
+
+
+def _config_not_utf8(tmp_path, bundle):
+    config = _spoiled(tmp_path / "config.json", json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]), 1)
+    return ["experiment", "--config", config, "--out-prefix", str(tmp_path / "x")], f"{config}: not UTF-8"
+
+
+def _spec_not_utf8(tmp_path, bundle):
+    save_sensor_spec(reference_tilt_spec(), tmp_path / "spec.json")
+    spec = _spoiled(tmp_path / "spec.json", (tmp_path / "spec.json").read_text(), 1)
+    return ["sweep", "--spec", spec, "--out", str(tmp_path / "s.csv")], f"{spec}: not UTF-8"
+
+
+@pytest.mark.parametrize(
+    "argv", [_readings_not_utf8, _calibration_not_utf8, _bundle_not_utf8, _config_not_utf8, _spec_not_utf8],
+    ids=["readings", "calibration", "bundle", "experiment_config", "sensor_spec"],
+)
+def test_input_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, wheel_bundle, capsys, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    args, message = argv(out, wheel_bundle)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+
+
 def _tilt_config(path, value):
     """A copy of the ``tilt_sweep`` preset with ``value`` at the dotted key ``path``."""
     *sections, key = path.split(".")
