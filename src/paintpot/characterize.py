@@ -308,6 +308,8 @@ def read_columns(
     finally:
         if owned:
             handle.close()
+        elif handle is not source:  # our wrapper of the caller's byte stream: leave that open
+            handle.detach()
 
 
 def _read_columns_checked(

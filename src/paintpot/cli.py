@@ -90,16 +90,16 @@ def synthesize_sweep_dataset(
     # Flat lists of floats and ints, and each row's draws a tuple made when
     # it is used: no per-row container stays alive to bring on a garbage
     # collection.
-    t_col, theta_col, counts = [], [], []
+    t_col, theta_col, counts = [0.0] * n, [0.0] * n, []
+    read, add_count, span = sensor_sim.read, counts.append, hi - lo
     for i, draws in enumerate(zip(*noise.T.tolist())):
         t = i / rate_hz
         frac = t / half if t <= half else (duration_s - t) / half
-        theta = lo + (hi - lo) * frac
+        theta = lo + span * frac
         theta = wrap_angle(theta) if limit is None else min(max(theta, lo), hi)
-        for reading in sensor_sim.read(theta, spec, draws):
-            counts.append(reading.count)
-        t_col.append(t)
-        theta_col.append(theta)
+        for reading in read(theta, spec, draws):
+            add_count(reading.count)
+        t_col[i], theta_col[i] = t, theta
     return CalibrationDataset(
         sensor_kind=spec.kind,
         t=np.array(t_col, dtype=float),

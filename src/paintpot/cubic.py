@@ -8,7 +8,8 @@ it converges as unconditionally as bisection.  The starting bracket is one
 knot interval of a chart each model tables once, on first use: the cubic
 at a fixed number of knots across its window.  On the reference sensors
 one regula-falsi point and one Newton step then meet the tolerance, so an
-inversion costs two cubic evaluations.
+inversion costs two calls of :meth:`CubicModel.evaluate`; slopes are formed
+inline from the coefficients.
 """
 
 from __future__ import annotations
@@ -146,13 +147,12 @@ def invert_cubic(
             window, or the tolerance could not be met.
     """
     knots, angles = model.chart
-    lo, hi = knots[0], knots[-1]
     f_lo = angles[0] - theta_target
     f_hi = angles[-1] - theta_target
     if abs(f_lo) < tol:
-        return lo
+        return knots[0]
     if abs(f_hi) < tol:
-        return hi
+        return knots[-1]
     if (f_lo > 0.0) == (f_hi > 0.0):
         low, high = model.angle_range()
         raise InversionError(
@@ -161,24 +161,27 @@ def invert_cubic(
     # The knot interval whose ends lie on opposite sides of ``f > 0``, the
     # split the loop keeps.  bisect's result has this property even where
     # rounding leaves the chart unsorted near a flat point, and the window
-    # ends lie on opposite sides, so ``0 < k < CHART_KNOTS``.
-    if f_hi > 0.0:
+    # ends lie on opposite sides, so ``0 < k < CHART_KNOTS``.  Every step
+    # keeps the sign of ``f_hi``, so ``rising`` holds it throughout.
+    rising = f_hi > 0.0
+    if rising:
         k = bisect_right(angles, theta_target)
     else:
         k = bisect_left(angles, -theta_target, key=operator.neg)
     lo, hi = knots[k - 1], knots[k]
     f_lo, f_hi = angles[k - 1] - theta_target, angles[k] - theta_target
     v = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    evaluate, derivative = model.evaluate, model.derivative
+    # The slope's coefficients as CubicModel.derivative forms them, bit for bit.
+    d2, d1, d0 = 3.0 * model.c3, 2.0 * model.c2, model.c1
     for _ in range(max_iter):
-        f_v = evaluate(v) - theta_target
+        f_v = model.evaluate(v) - theta_target
         if abs(f_v) < tol:
             return v
-        if (f_v > 0.0) == (f_hi > 0.0):
+        if (f_v > 0.0) == rising:
             hi, f_hi = v, f_v
         else:
             lo, f_lo = v, f_v
-        slope = derivative(v)
+        slope = (d2 * v + d1) * v + d0
         newton = v - f_v / slope if slope != 0.0 else math.nan
         if lo < newton < hi:
             v = newton
@@ -187,7 +190,7 @@ def invert_cubic(
             if v == lo or v == hi:
                 break
     best = lo if abs(f_lo) <= abs(f_hi) else hi
-    if abs(evaluate(best) - theta_target) < tol:
+    if abs(model.evaluate(best) - theta_target) < tol:
         return best
     raise InversionError(
         f"Newton iteration stalled before reaching |residual| < {tol!r} "

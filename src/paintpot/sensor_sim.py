@@ -3,12 +3,15 @@
 A :class:`SensorSpec` is a tuple of wipers plus an angle range.  A wheel
 wraps and has two wipers on gapped tracks, so one is on its track at every
 angle; a tilt has an angle limit and one wiper without a gap.  A reading
-validates its angle once, then per wiper inverts the truth cubic for the
-continuous voltage (two cubic evaluations on the reference sensors, see
-:mod:`paintpot.cubic`), adds that wiper's count-noise draw and quantizes.
-While a wiper rides its gap the reading is flagged unavailable and its
-count is a rail artifact.  Reads and plant steps take their noise already
-drawn and scaled, so a sweep or a run draws all of it in one call.
+validates its angle once; :func:`read_wheel` and :func:`read_tilt` share
+one body that takes each wiper in turn.  While a wiper rides its gap it
+reads the rail voltage, flagged unavailable, so its count is a rail
+artifact.  Elsewhere its state is the angle, one turn on past its shift
+edge, and :func:`~paintpot.cubic.invert_cubic` of its truth cubic at that
+state is the continuous voltage (two cubic evaluations on the reference
+sensors).  The wiper's count-noise draw is added and :func:`quantize`
+makes the count.  Reads and plant steps take their noise already drawn and
+scaled, so a sweep or a run draws all of it in one call.
 """
 
 from __future__ import annotations
@@ -38,18 +41,6 @@ class WiperSpec(NamedTuple):
 
     truth: CubicModel
     track: WiperTrack | None = None
-
-    def voltage(self, theta: float) -> float | None:
-        """Noiseless continuous count at the validated angle ``theta``, or
-        None while the wiper rides its gap."""
-        track = self.track
-        if track is not None:
-            gap = track.gap
-            if gap.lo <= theta <= gap.hi:
-                return None
-            if (theta - track.edge) * track.turn < 0.0:
-                theta += track.turn
-        return invert_cubic(self.truth, theta)
 
 
 @dataclass(frozen=True)
@@ -132,17 +123,19 @@ def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcRea
         raise DomainError(f"tilt angle {theta!r} outside [-{limit}, {limit}]")
     adc_max = spec.adc_max
     readings = []
-    for index, (wiper, draw) in enumerate(zip(spec.wipers, noise, strict=True)):
-        voltage = wiper.voltage(theta)
-        available = voltage is not None
-        count = quantize((voltage if available else GAP_RAIL_VOLTAGE) + draw, adc_max)
-        readings.append(AdcReading(index, count, available))
+    for index, ((truth, track), draw) in enumerate(zip(spec.wipers, noise, strict=True)):
+        state, available = theta, True
+        if track is not None:
+            if track.gap.lo <= theta <= track.gap.hi:
+                available = False
+            elif (theta - track.edge) * track.turn < 0.0:
+                state = theta + track.turn
+        voltage = invert_cubic(truth, state) if available else GAP_RAIL_VOLTAGE
+        readings.append(tuple.__new__(AdcReading, (index, quantize(voltage + draw, adc_max), available)))
     return readings
 
 
-def read_wheel(
-    theta: float, spec: SensorSpec, noise: Sequence[float]
-) -> tuple[AdcReading, AdcReading]:
+def read_wheel(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[AdcReading, AdcReading]:
     """Both wiper readings of a wheel at ``theta``, with its two count-noise draws."""
     r0, r1 = _read(theta, spec, noise)
     return r0, r1
@@ -176,12 +169,14 @@ def simulate_plant_step(
         raise SpecError("dt must be positive")
     theta_next = theta + k * omega * dt + noise * dt
     if angle_limit is None:
-        return PlantStep(wrap_angle(theta_next), False)
-    if theta_next > angle_limit:
-        return PlantStep(angle_limit, True)
-    if theta_next < -angle_limit:
-        return PlantStep(-angle_limit, True)
-    return PlantStep(theta_next, False)
+        step = (wrap_angle(theta_next), False)
+    elif theta_next > angle_limit:
+        step = (angle_limit, True)
+    elif theta_next < -angle_limit:
+        step = (-angle_limit, True)
+    else:
+        step = (theta_next, False)
+    return tuple.__new__(PlantStep, step)
 
 
 def sensor_spec_to_dict(spec: SensorSpec) -> dict:

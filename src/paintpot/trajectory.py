@@ -221,30 +221,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scales = [math.sqrt(plant_q)] + [sensor.noise_std] * width
     draws = rng.normal(0.0, scales, (n_steps, 1 + width))
     plant_noise, read_noise = draws[:, 0].tolist(), zip(*draws[:, 1:].T.tolist())
-    estimator.initialize(readings)
+    belief = estimator.initialize(readings)
     admitted = {feature.index for feature in extract_features(readings, obs)}
     used = (0 in admitted, 1 in admitted)
 
-    size = n_steps + 1
-    t_log, true_log, est_log, ref_log, u_log = np.zeros((5, size))
-    f0_log, f1_log = np.zeros((2, size), dtype=bool)
-
-    ref0, _ = sample(config.traj, 0.0)
-    t_log[0], true_log[0], est_log[0] = 0.0, theta, estimator.belief.mu
-    ref_log[0], u_log[0] = ref0, 0.0
+    size = n_steps + 1  # one list per trace column, made an array after the run
+    logs = [[0.0] * size for _ in range(7)]
+    t_log, true_log, est_log, ref_log, u_log, f0_log, f1_log = logs
+    traj, gains, tm, step_estimator = config.traj, config.gains, config.tm, estimator.step
+    true_log[0], est_log[0], ref_log[0] = theta, belief.mu, sample(traj, 0.0)[0]
     f0_log[0], f1_log[0] = used
 
     for step, plant_draw, read_draws in zip(range(1, size), plant_noise, read_noise):
         t = step * dt
-        ref_pos, ref_vel = sample(config.traj, t)
-        u = control_step(estimator.belief.mu, ref_pos, ref_vel, config.gains, config.tm, wheel)
-        theta, _ = simulate_plant_step(theta, u, config.tm.k, dt, plant_draw, limit)
-        belief, used = estimator.step(u, read(theta, sensor, read_draws))
+        ref_pos, ref_vel = sample(traj, t)
+        u = control_step(belief.mu, ref_pos, ref_vel, gains, tm, wheel)
+        theta = simulate_plant_step(theta, u, tm.k, dt, plant_draw, limit)[0]
+        belief, used = step_estimator(u, read(theta, sensor, read_draws))
         if not wheel:
             used = (used, False)
         t_log[step], true_log[step], est_log[step] = t, theta, belief.mu
         ref_log[step], u_log[step] = ref_pos, u
         f0_log[step], f1_log[step] = used
+    t_log, true_log, est_log, ref_log, u_log = (np.array(log, dtype=float) for log in logs[:5])
+    f0_log, f1_log = (np.array(log, dtype=bool) for log in logs[5:])
 
     # Wheel errors are wrapped differences, so a seam crossing is not a turn.
     errors = est_log - ref_log

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from first principles (no imports
 from the package under test) so the tests compare two separate derivations.
-The exceptions are :func:`wheel_step_reference` and
-:func:`tilt_step_reference`, the filter steps composed from the package's
-own reference functions, which the float-only steps must match bit for bit.
+The exceptions are the references the package's fast paths must match bit
+for bit: :func:`wheel_step_reference` and :func:`tilt_step_reference`, the
+filter steps composed from the package's own reference functions, and
+:func:`invert_cubic_reference`, :func:`wiper_voltage` and
+:func:`read_reference`, the simulated read as a composition of small steps.
 """
 
 import csv
@@ -239,3 +241,97 @@ def tilt_step_reference(belief, u, reading, obs, tm):
     from paintpot.estimate import predict, update_tilt
 
     return update_tilt(predict(belief, u, tm), reading, obs)
+
+
+def invert_cubic_reference(model, theta_target, tol=1e-9, max_iter=200):
+    """A frozen copy of ``cubic.invert_cubic`` that calls ``model.derivative``
+    for each slope: the model's chart, ``bisect`` for the knot interval, its
+    regula-falsi point, then Newton steps held inside the sign-change
+    bracket.  The library's inversion must match it bit for bit."""
+    from bisect import bisect_left, bisect_right
+    import operator
+
+    from paintpot.errors import InversionError
+
+    knots, angles = model.chart
+    lo, hi = knots[0], knots[-1]
+    f_lo = angles[0] - theta_target
+    f_hi = angles[-1] - theta_target
+    if abs(f_lo) < tol:
+        return lo
+    if abs(f_hi) < tol:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        low, high = model.angle_range()
+        raise InversionError(
+            f"target angle {theta_target!r} outside model range [{low!r}, {high!r}]"
+        )
+    if f_hi > 0.0:
+        k = bisect_right(angles, theta_target)
+    else:
+        k = bisect_left(angles, -theta_target, key=operator.neg)
+    lo, hi = knots[k - 1], knots[k]
+    f_lo, f_hi = angles[k - 1] - theta_target, angles[k] - theta_target
+    v = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    evaluate, derivative = model.evaluate, model.derivative
+    for _ in range(max_iter):
+        f_v = evaluate(v) - theta_target
+        if abs(f_v) < tol:
+            return v
+        if (f_v > 0.0) == (f_hi > 0.0):
+            hi, f_hi = v, f_v
+        else:
+            lo, f_lo = v, f_v
+        slope = derivative(v)
+        newton = v - f_v / slope if slope != 0.0 else math.nan
+        if lo < newton < hi:
+            v = newton
+        else:
+            v = 0.5 * (lo + hi)
+            if v == lo or v == hi:
+                break
+    best = lo if abs(f_lo) <= abs(f_hi) else hi
+    if abs(evaluate(best) - theta_target) < tol:
+        return best
+    raise InversionError(
+        f"Newton iteration stalled before reaching |residual| < {tol!r} "
+        f"for target {theta_target!r}"
+    )
+
+
+def wiper_voltage(wiper, theta):
+    """Noiseless continuous count of a simulated wiper at the validated
+    angle ``theta``, or None while it rides its gap: the gap test, then the
+    turn past the shift edge, then :func:`invert_cubic_reference`."""
+    truth, track = wiper
+    if track is not None:
+        gap = track.gap
+        if gap.lo <= theta <= gap.hi:
+            return None
+        if (theta - track.edge) * track.turn < 0.0:
+            theta += track.turn
+    return invert_cubic_reference(truth, theta)
+
+
+def read_reference(theta, spec, noise):
+    """One simulated reading per wiper, as ``sensor_sim.read`` returns it:
+    the angle checked and -pi read as pi on a wheel, then per wiper
+    :func:`wiper_voltage` (the rail voltage 0.0 in a gap) plus its draw,
+    quantized into an ``AdcReading``."""
+    from paintpot.errors import DomainError
+    from paintpot.sensor_sim import AdcReading, quantize
+
+    limit = spec.angle_limit
+    if limit is None:
+        if not -PI <= theta <= PI:
+            raise DomainError(f"wheel angle {theta!r} outside (-pi, pi]")
+        if theta == -PI:
+            theta = PI
+    elif not abs(theta) <= limit:
+        raise DomainError(f"tilt angle {theta!r} outside [-{limit}, {limit}]")
+    readings = []
+    for index, (wiper, draw) in enumerate(zip(spec.wipers, noise, strict=True)):
+        voltage = wiper_voltage(wiper, theta)
+        count = quantize((0.0 if voltage is None else voltage) + draw, spec.adc_max)
+        readings.append(AdcReading(index, count, voltage is not None))
+    return tuple(readings)

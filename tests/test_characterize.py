@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import re
@@ -32,7 +33,9 @@ from oracles import (
     bisect_root,
     cubic_value,
     ingest_log_reference,
+    invert_cubic_reference,
     monotone_on_grid,
+    wiper_voltage,
 )
 
 PI = math.pi
@@ -355,6 +358,27 @@ class TestTwoStageReader:
         assert read_columns(Unseekable(text), READINGS, 1023, "log") == [[0.0], [500], [500], [0.5]]
         assert checked
 
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast_stage", "checked_parser"])
+    def test_a_callers_byte_stream_stays_open(self, monkeypatch, fast):
+        checked = []
+        monkeypatch.setattr(
+            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
+        )
+        # A comment line mid-body is left to the checked parser.
+        text = b"t,v0,omega\n0,5,0\n0.01,6,0\n" if fast else b"t,v0,omega\n0,5,0\n# note\n0.01,6,0\n"
+        stream = io.BytesIO(text)
+        assert read_columns(stream, ["t", "v0", "omega"], 1023, "readings") == [[0.0, 0.01], [5, 6], [0.0, 0.0]]
+        assert not checked if fast else checked
+        gc.collect()  # collects the text wrapper the reader put around the stream
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read() == text
+        # So does a calibration log's, read by ingest_log.
+        stream = io.BytesIO(b"t,theta,v0\n0,0.1,500\n0.01,0.2,501\n")
+        assert len(ingest_log(stream, "tilt")) == 2
+        gc.collect()
+        assert not stream.closed
+
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text(grammar_log(READINGS, "v0", "0" * 131072 + "5"), encoding="utf-8")
@@ -628,6 +652,14 @@ def with_window(model, window):
     return CubicModel(model.c3, model.c2, model.c1, model.c0, window)
 
 
+# c3*(v - m)**3 + 0.5 with exact binary coefficients: an isolated flat
+# point at m = 511.25, where f'(m) == 0.0 exactly.
+FLAT_POINT = CubicModel(
+    2.0**-20, -3.0 * 2.0**-20 * 511.25, 3.0 * 2.0**-20 * 511.25**2, 0.5 - 2.0**-20 * 511.25**3, (0.0, 1023.0)
+)
+INVERSION_MODELS = [WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, TILT_TRUTH, DECREASING, FLAT_POINT]
+
+
 class TestInvertCubic:
     def test_linear_at_zero(self):
         model = CubicModel(0.0, 0.0, 2.0 * PI / 1023.0, -PI, (0.0, 1023.0))
@@ -792,6 +824,43 @@ class TestInvertCubic:
                 invert_cubic(model, target)
                 assert len(calls) <= 3
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        model=st.sampled_from(INVERSION_MODELS),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-12, 0.0]),
+        max_iter=st.sampled_from([200, 2, 1]),
+        data=st.data(),
+    )
+    def test_matches_the_frozen_reference_bit_for_bit(self, model, tol, max_iter, data):
+        knots, angles = model.chart
+        low, high = model.angle_range()
+        ends = [angles[0], angles[-1]]
+        target = data.draw(st.one_of(
+            st.floats(low, high),
+            st.sampled_from(ends + [model.evaluate(511.25), low - 1e-6, high + 1e-6, math.nan, math.inf]),
+            # At, just within and just beyond tol of each window end.
+            st.tuples(st.sampled_from(ends), st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])).map(
+                lambda end: end[0] + end[1] * tol
+            ),
+            st.integers(0, CHART_KNOTS - 1).map(lambda k: angles[k]),
+        ))
+        try:
+            want = invert_cubic_reference(model, target, tol, max_iter)
+        except InversionError as exc:
+            with pytest.raises(InversionError, match=f"^{re.escape(str(exc))}$"):
+                invert_cubic(model, target, tol, max_iter)
+            return
+        assert invert_cubic(model, target, tol, max_iter).hex() == want.hex()
+
+    def test_out_of_range_text_matches_the_frozen_reference(self):
+        low, high = WHEEL_TRUTH_W0.angle_range()
+        for model, target in ((WHEEL_TRUTH_W0, low - 1e-6), (WHEEL_TRUTH_W0, high + 1.0), (DECREASING, 9.0)):
+            with pytest.raises(InversionError) as want:
+                invert_cubic_reference(model, target)
+            assert "outside model range" in str(want.value)
+            with pytest.raises(InversionError, match=f"^{re.escape(str(want.value))}$"):
+                invert_cubic(model, target)
+
     def test_nan_target_raises(self):
         with pytest.raises(InversionError):
             invert_cubic(WHEEL_TRUTH_W0, math.nan)
@@ -850,7 +919,7 @@ class TestComputeValidRanges:
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
         for theta in thetas:
             for wiper, valid in zip(spec.wipers, ranges):
-                voltage = wiper.voltage(float(theta))
+                voltage = wiper_voltage(wiper, float(theta))
                 if voltage is not None:
                     assert valid.v_min < voltage < valid.v_max
 

@@ -49,6 +49,7 @@ from oracles import (
     per_wiper_turn_rule,
     tilt_step_reference,
     wheel_step_reference,
+    wiper_voltage,
     wrap_brute,
 )
 
@@ -381,7 +382,7 @@ class TestPredictedFeatureMeasurement:
         for theta in points:
             expected = five_region_shifted_states(theta)
             for wiper, want in enumerate(expected):
-                voltage = spec.wipers[wiper].voltage(theta)
+                voltage = wiper_voltage(spec.wipers[wiper], theta)
                 if want is None:
                     assert voltage is None
                     continue

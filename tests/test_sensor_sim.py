@@ -3,25 +3,30 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paintpot.cubic import CubicModel
 from paintpot.errors import DomainError, SpecError
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Interval, WiperTrack
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
+    WHEEL_TRUTH_W1,
+    reference_tilt_spec,
     reference_wheel_spec,
 )
 from paintpot.sensor_sim import (
     SensorSpec,
     WiperSpec,
     quantize,
+    read,
     read_tilt,
     read_wheel,
     simulate_plant_step,
 )
 
-from oracles import bisect_root, cubic_value, wrap_brute
+from oracles import bisect_root, cubic_value, read_reference, wiper_voltage, wrap_brute
 
 PI = math.pi
 
@@ -56,15 +61,15 @@ def noiseless(width):
 
 class TestWheelIdealVoltage:
     def test_gap_region_unavailable(self):
-        assert linear_wheel_spec().wipers[0].voltage(0.75 * PI) is None
+        assert wiper_voltage(linear_wheel_spec().wipers[0], 0.75 * PI) is None
 
     def test_linear_truth_at_zero(self):
-        v = linear_wheel_spec().wipers[0].voltage(0.0)
+        v = wiper_voltage(linear_wheel_spec().wipers[0], 0.0)
         assert v == pytest.approx(511.5, abs=1e-6)
 
     def test_reference_truth_matches_bisection_oracle(self):
         spec = reference_spec()
-        v = spec.wipers[0].voltage(0.0)
+        v = wiper_voltage(spec.wipers[0], 0.0)
         expected = bisect_root(
             lambda x: cubic_value(5.0281e-9, -1.2255e-5, 1.7856e-2, -7.2750, x) - 0.0,
             0.0,
@@ -82,7 +87,7 @@ class TestWheelIdealVoltage:
         spec = linear_wheel_spec()
         a = read_wheel(-PI, spec, noiseless(2))
         assert a == read_wheel(PI, spec, noiseless(2))
-        assert a[1].count == round(spec.wipers[1].voltage(PI))
+        assert a[1].count == round(wiper_voltage(spec.wipers[1], PI))
 
 
 class TestQuantize:
@@ -242,3 +247,79 @@ class TestBlockDraws:
         # The case above is only a sign-of-zero check if both signs occur.
         signs = np.signbit(np.random.default_rng(3).normal(-0.0, 0.0, 64))
         assert signs.any() and not signs.all()
+
+
+# A wheel whose gaps are not the standard ones: wiper 0 blind over
+# [1.5, 2.0] and turning down past 2.0, wiper 1 blind over [-2.9, -2.5]
+# and turning up past -2.9.
+ODD_GAPS = (WiperTrack(Interval(1.5, 2.0), -2.0 * PI), WiperTrack(Interval(-2.9, -2.5), 2.0 * PI))
+READ_SPECS = {
+    "wheel": reference_wheel_spec(noise_std=2.0),
+    "tilt": reference_tilt_spec(noise_std=2.0),
+    "odd_gaps": SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), ODD_GAPS)), noise_std=2.0),
+}
+
+
+def edge_angles(spec):
+    """Each gap end (one of them the shift edge), +-pi and the tilt limits,
+    each with its neighbouring floats."""
+    if spec.wrap:
+        edges = [end for wiper in spec.wipers for end in (wiper.track.gap.lo, wiper.track.gap.hi)]
+        edges += [PI, -PI, 0.0]
+    else:
+        edges = [spec.angle_limit, -spec.angle_limit, 0.0]
+    return [a for edge in edges for a in (math.nextafter(edge, -4.0), edge, math.nextafter(edge, 4.0))]
+
+
+class TestReadMatchesReference:
+    """``read`` equals ``oracles.read_reference`` (each wiper's voltage, then
+    ``quantize``, then an ``AdcReading``) reading for reading, error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(READ_SPECS)), data=st.data())
+    def test_random_angles_and_draws(self, name, data):
+        spec = READ_SPECS[name]
+        theta = data.draw(st.one_of(
+            st.sampled_from(edge_angles(spec)),
+            st.floats(-PI, PI),
+            st.floats(-4.0, 4.0),
+            st.just(math.nan),
+        ))
+        noise = data.draw(st.lists(
+            st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.5, -0.5, 0.0, -0.0]), st.floats(-2e3, 2e3)),
+            min_size=len(spec.wipers), max_size=len(spec.wipers),
+        ))
+        if abs(theta) <= (PI if spec.wrap else spec.angle_limit) and data.draw(st.booleans()):
+            # Draws that leave each wiper's count a hair from a rounding
+            # boundary, so a voltage off by far less than a count shows.
+            hair = data.draw(st.sampled_from([-1e-9, 1e-9]))
+            for index, wiper in enumerate(spec.wipers):
+                voltage = wiper_voltage(wiper, PI if theta == -PI else theta)
+                if voltage is not None:
+                    noise[index] = math.floor(voltage) + 0.5 - voltage + hair
+        try:
+            want = read_reference(theta, spec, noise)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                read(theta, spec, noise)
+            return
+        got = read(theta, spec, noise)
+        assert type(got) is tuple and got == want
+        assert all(type(r.count) is int and type(r.available) is bool for r in got)
+
+    @pytest.mark.parametrize("name", sorted(READ_SPECS))
+    def test_every_edge_angle(self, name):
+        spec = READ_SPECS[name]
+        noise = [0.25] * len(spec.wipers)
+        limit = PI if spec.wrap else spec.angle_limit
+        reads = []
+        for theta in edge_angles(spec):
+            if abs(theta) <= limit:
+                reads.append(read(theta, spec, noise))
+                assert reads[-1] == read_reference(theta, spec, noise)
+            else:
+                with pytest.raises(DomainError):
+                    read(theta, spec, noise)
+        # On a wheel the angles reach into both gaps.
+        for index in range(len(spec.wipers) if spec.wrap else 0):
+            assert any(not r[index].available for r in reads)
