@@ -1,12 +1,13 @@
 """Calibration-sweep processing: trim, shift, fit, and window derivation.
 
 A sweep log pairs an externally tracked joint angle with one raw ADC count
-per wiper.  A wheel's two wipers ride the gapped tracks of
-:data:`~paintpot.geometry.WHEEL_TRACKS`: each wiper's samples inside its
-gap are dropped and those past its edge translated one full turn, making
-angle a continuous function of voltage.  A cubic is then fitted per wiper,
-and a gapped wiper's valid range is the voltage window whose image stays
-on its usable chart.  A tilt's one wiper has no gap and keeps every sample.
+per wiper; the sensor's spec gives its wipers' tracks, which the dataset
+and the bundle fitted from it carry.  Each gapped wiper's samples inside
+its gap are dropped and those past its edge translated one full turn,
+making angle a continuous function of voltage.  A cubic is then fitted per
+wiper, and a gapped wiper's valid range is the voltage window whose image
+stays on its usable chart.  A tilt's one wiper has no gap and keeps every
+sample.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
 from paintpot.errors import FitError, SpecError, check_adc_max
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack
-
-# Each sensor kind's wiper tracks (None: no gap), and its logs' angle range.
-SENSOR_TRACKS: dict[str, tuple[WiperTrack | None, ...]] = {"wheel": WHEEL_TRACKS, "tilt": (None,)}
-ANGLE_LIMITS = {
-    "wheel": (math.pi, "wheel angle {} outside [-pi, pi]"),
-    "tilt": (TILT_LIMIT, "tilt angle {} outside [-pi/2, pi/2]"),
-}
-SENSOR_KINDS = tuple(SENSOR_TRACKS)
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack, geometry_from_dict
+from paintpot.sensor_sim import SensorSpec
 
 MIN_FIT_SAMPLES = 8
 MIN_WINDOW_SPAN_FRACTION = 0.5
@@ -41,17 +35,15 @@ MIN_WINDOW_SPAN_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class CalibrationDataset:
-    """Validated sweep log; ``counts[i, w]`` is wiper ``w``'s count at sample ``i``."""
+    """Validated sweep log; ``counts[i, w]`` is wiper ``w``'s count at sample ``i``, on ``tracks[w]``."""
 
-    sensor_kind: str
+    tracks: tuple[WiperTrack | None, ...]
     t: np.ndarray
     theta: np.ndarray
     counts: np.ndarray
     adc_max: int = 1023
 
     def __post_init__(self) -> None:
-        if self.sensor_kind not in SENSOR_KINDS:
-            raise SpecError(f"sensor_kind must be one of {SENSOR_KINDS}, got {self.sensor_kind!r}")
         n = len(self.t)
         if n == 0:
             raise SpecError("calibration dataset is empty")
@@ -59,16 +51,13 @@ class CalibrationDataset:
             raise SpecError("calibration columns have mismatched lengths")
         shape = (n, len(self.tracks))
         if np.shape(self.counts) != shape:
-            raise SpecError(f"{self.sensor_kind} counts need shape {shape}, got {np.shape(self.counts)}")
+            raise SpecError(f"counts need shape {shape}, got {np.shape(self.counts)}")
         if np.any(np.diff(self.t) < 0.0):
             raise SpecError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def tracks(self) -> tuple[WiperTrack | None, ...]:
-        return SENSOR_TRACKS[self.sensor_kind]
 
 @dataclass(frozen=True)
 class ValidRange:
@@ -106,15 +95,15 @@ class FitReport:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Everything a filter needs: models, windows, residuals, parameters.
+    """Everything a filter needs: tracks, models, windows, residuals, parameters.
 
-    A wheel bundle has two models and two valid ranges, a tilt bundle one
-    model and none.  ``adc_max`` must be ``2**bits - 1``, and every valid
-    range and model window must lie inside the counts ``[0, adc_max]``: the
-    filters table each model at every count of its window.
+    One model per track and one valid range per gapped track.  ``adc_max``
+    must be ``2**bits - 1``, and every valid range and model window must lie
+    inside the counts ``[0, adc_max]``: the filters table each model at
+    every count of its window.
     """
 
-    sensor_kind: str
+    tracks: tuple[WiperTrack | None, ...]
     models: tuple[CubicModel, ...]
     valid_ranges: tuple[ValidRange, ...]
     report: FitReport
@@ -122,8 +111,10 @@ class ModelBundle:
     filter_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if None in self.tracks and any(self.tracks):
+            raise SpecError("a bundle's wipers must all ride gapped tracks, or none")
         shape = (len(self.models), len(self.valid_ranges))
-        expected = (2, 2) if self.sensor_kind == "wheel" else (1, 0)
+        expected = (len(self.tracks), sum(track is not None for track in self.tracks))
         if shape != expected:
             raise SpecError(
                 f"{self.sensor_kind} bundle has (models, valid ranges) = {shape}, expected {expected}"
@@ -140,6 +131,11 @@ class ModelBundle:
                 raise SpecError(
                     f"models[{i}].v_window [{lo!r}, {hi!r}] outside [0, {self.adc_max}]"
                 )
+
+    @property
+    def sensor_kind(self) -> str:
+        """The bundle's name in files: ``wheel`` when its wipers ride tracks, else ``tilt``."""
+        return "wheel" if any(self.tracks) else "tilt"
 
     def with_filter_params(self, params: dict) -> "ModelBundle":
         return replace(self, filter_params=dict(params))
@@ -389,30 +385,26 @@ def _read_columns_checked(
     return columns
 
 
-def ingest_log(
-    source: str | Path | IO[str] | IO[bytes],
-    sensor_kind: str,
-    adc_max: int = 1023,
-) -> CalibrationDataset:
-    """Parse and validate a calibration CSV ``t,theta,v0[,v1]``.
+def ingest_log(source: str | Path | IO[str] | IO[bytes], spec: SensorSpec) -> CalibrationDataset:
+    """Parse and validate a calibration CSV ``t,theta,v0[,v1]`` of the sensor ``spec``.
 
-    Applies :func:`read_columns`'s checks with the sensor's angle range as
-    the last one: [-pi, pi] for a wheel, where -pi is stored as pi, and
-    [-pi/2, pi/2] for a tilt.
+    Applies :func:`read_columns`'s checks with the spec's ADC width, and its
+    angle range as the last one: [-pi, pi] for a wheel, where -pi is stored
+    as pi, and +-``angle_limit`` for a tilt.
     """
-    if sensor_kind not in SENSOR_KINDS:
-        raise SpecError(f"sensor_kind must be one of {SENSOR_KINDS}, got {sensor_kind!r}")
-    header = ["t", "theta", *(f"v{i}" for i in range(len(SENSOR_TRACKS[sensor_kind])))]
-    limit = ANGLE_LIMITS[sensor_kind]
-    t, theta, *counts = read_columns(source, header, adc_max, "calibration", limit)
+    header = ["t", "theta", *(f"v{i}" for i in range(len(spec.wipers)))]
+    limit = math.pi if spec.wrap else spec.angle_limit
+    name = {math.pi: "pi", TILT_LIMIT: "pi/2"}.get(limit, repr(limit))
+    check = (limit, f"{spec.kind} angle {{}} outside [-{name}, {name}]")
+    t, theta, *counts = read_columns(source, header, spec.adc_max, "calibration", check)
     theta = np.array(theta, dtype=float)
     theta[theta == -math.pi] = math.pi
     return CalibrationDataset(
-        sensor_kind=sensor_kind,
+        tracks=spec.tracks,
         t=np.array(t, dtype=float),
         theta=theta,
         counts=np.array(counts, dtype=np.int64).T,
-        adc_max=adc_max,
+        adc_max=spec.adc_max,
     )
 
 
@@ -534,7 +526,7 @@ def calibrate(dataset: CalibrationDataset) -> ModelBundle:
     pairs = trim_and_shift(dataset)
     models = tuple(fit_cubic(theta, v, dataset.adc_max) for theta, v in pairs)
     return ModelBundle(
-        sensor_kind=dataset.sensor_kind,
+        tracks=dataset.tracks,
         models=models,
         valid_ranges=compute_valid_ranges(*models, adc_max=dataset.adc_max, tracks=dataset.tracks),
         report=fit_report(dataset, models),
@@ -543,6 +535,8 @@ def calibrate(dataset: CalibrationDataset) -> ModelBundle:
 
 
 def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
+    """JSON-ready dict form of a bundle, with a spec file's ``gap_w<i>``
+    keys where its gaps are not those of the reference wheel."""
     data = {
         "sensor_kind": bundle.sensor_kind,
         "adc_max": bundle.adc_max,
@@ -555,6 +549,8 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
         },
         "filter": dict(bundle.filter_params),
     }
+    if bundle.sensor_kind == "wheel" and bundle.tracks != WHEEL_TRACKS:
+        data.update({f"gap_w{i}": [t.gap.lo, t.gap.hi] for i, t in enumerate(bundle.tracks)})
     if manifest is not None:
         data["manifest"] = manifest
     return data
@@ -562,9 +558,7 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
 
 def bundle_from_dict(data: dict) -> ModelBundle:
     try:
-        kind = data["sensor_kind"]
-        if kind not in SENSOR_KINDS:
-            raise SpecError(f"sensor_kind must be one of {SENSOR_KINDS}, got {kind!r}")
+        tracks, _ = geometry_from_dict(data["sensor_kind"], data)
         models = tuple(CubicModel.from_dict(m) for m in data["models"])
         ranges = tuple(
             ValidRange(int(r["v_min"]), int(r["v_max"])) for r in data.get("valid_ranges", [])
@@ -574,7 +568,7 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             for s in data.get("fit_report", {}).get("wipers", [])
         )
         return ModelBundle(
-            sensor_kind=kind,
+            tracks=tracks,
             models=models,
             valid_ranges=ranges,
             report=FitReport(wipers),

@@ -62,7 +62,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _resolve_sensor_spec(ref: str) -> tuple[sensor_sim.SensorSpec, dict]:
-    preset = presets.SENSOR_PRESETS.get(ref)
+    """The sensor a preset, a kind (its reference sensor) or a spec file names, and its dict."""
+    preset = presets.SENSOR_PRESETS.get(ref) or presets.SENSOR_PRESETS.get(f"{ref}_reference")
     spec = preset() if preset else sensor_sim.load_sensor_spec(ref)
     return spec, sensor_sim.sensor_spec_to_dict(spec)
 
@@ -101,7 +102,7 @@ def synthesize_sweep_dataset(
             add_count(reading.count)
         t_col[i], theta_col[i] = t, theta
     return CalibrationDataset(
-        sensor_kind=spec.kind,
+        tracks=spec.tracks,
         t=np.array(t_col, dtype=float),
         theta=np.array(theta_col, dtype=float),
         counts=np.array(counts, dtype=np.int64).reshape(n, len(spec.wipers)),
@@ -145,7 +146,7 @@ def _filter_params(bundle: ModelBundle, k: float, dt: float, q: float, sigma0: f
 
 def run_calibrate(
     in_csv: str,
-    kind: str,
+    spec_ref: str,
     out: str,
     k: float = estimate.DEFAULT_TRANSMISSION_RATIO,
     dt: float = estimate.DEFAULT_TIMESTEP,
@@ -155,10 +156,11 @@ def run_calibrate(
     """``calibrate``: trim/shift, fit, windows, residual report, to JSON."""
     estimate.TransitionModel(k, dt, q)  # checks k, dt and q
     _check_sigma0(sigma0, "sigma0")
-    dataset = characterize.ingest_log(in_csv, kind)
+    spec, _ = _resolve_sensor_spec(spec_ref)
+    dataset = characterize.ingest_log(in_csv, spec)
     bundle = characterize.calibrate(dataset)
     bundle = bundle.with_filter_params(_filter_params(bundle, k, dt, q, sigma0))
-    config = {"kind": kind, "filter": bundle.filter_params}
+    config = {"kind": bundle.sensor_kind, "filter": bundle.filter_params}
     manifest = RunManifest("calibrate", {"log": in_csv}, (out,), None, _config_hash(config))
     characterize.save_bundle(bundle, Path(out), manifest=manifest.to_dict())
 
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="fit models from a calibration CSV")
     p_cal.add_argument("--in", dest="in_csv", required=True, help="calibration CSV path")
-    p_cal.add_argument("--kind", choices=("wheel", "tilt"), required=True)
+    p_cal.add_argument("--spec", "--kind", required=True, help="sensor spec JSON path, preset name or kind")
     p_cal.add_argument("--out", required=True, help="output model bundle JSON path")
     p_cal.add_argument("--k", type=float, default=estimate.DEFAULT_TRANSMISSION_RATIO)
     p_cal.add_argument("--dt", type=float, default=estimate.DEFAULT_TIMESTEP)
@@ -369,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             run_sweep(args.spec, args.out, args.seed, args.rate_hz, args.duration_s)
         elif args.command == "calibrate":
-            run_calibrate(args.in_csv, args.kind, args.out, args.k, args.dt, args.q, args.sigma0)
+            run_calibrate(args.in_csv, args.spec, args.out, args.k, args.dt, args.q, args.sigma0)
         elif args.command == "estimate":
             run_estimate(args.model, args.readings, args.out)
         elif args.command == "experiment":

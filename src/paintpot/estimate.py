@@ -5,14 +5,14 @@ Raw counts are pushed through the fitted cubics into angle-space
 feature measures the per-wiper shifted state directly, so no linearization
 of the cubic is ever needed.  One :class:`ObservationModel` describes every
 joint: a tuple of wipers, each with its cubic, its variance ``r``, the
-counts it admits and a count-to-angle table evaluated once, at
-construction, plus a ``wrap`` flag.  A wheel is two wipers with a wrap: its
-filter fuses up to two features per step and keeps its mean on the wrapped
-chart (-pi, pi].  A tilt is one wiper without one.  Both steps predict on
-floats in the operation order of :func:`predict`.  The wheel step then gates
-and fuses the features of :func:`extract_features` on floats, in the order
-of :func:`update_wheel`; the tilt step fuses through :func:`update_tilt`.
-Each belief is built past the class call, after one float test.
+counts it admits, its track and a count-to-angle table, plus a ``wrap``
+flag.  A wheel is two tracked wipers with a wrap: its filter fuses up to
+two features per step and keeps its mean on the wrapped chart (-pi, pi].
+A tilt is one wiper with neither.  Both steps predict on floats in the
+operation order of :func:`predict`; the wheel step then gates the features
+of :func:`extract_features` against the mean shifted by each track and
+fuses them as :func:`update_wheel` does, the tilt step through
+:func:`update_tilt`.  Each belief is built past the class call.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ import numpy as np
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
-from paintpot.geometry import TWO_PI, WHEEL_TRACKS, wrap_angle
+from paintpot.geometry import WiperTrack, wrap_angle
 from paintpot.sensor_sim import AdcReading
-
-# Where the standard wheel wipers' predicted measurements shift one turn.
-SHIFT_EDGE_WIPER0, SHIFT_EDGE_WIPER1 = (track.edge for track in WHEEL_TRACKS)
 
 DEFAULT_SIGMA0 = 1e-4
 DEFAULT_PROCESS_NOISE = 0.05
@@ -134,14 +131,15 @@ def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
 class Wiper:
     """One wiper's converted measurement.
 
-    The wiper admits the counts ``lo..hi`` (inclusive); ``chart[count]`` is
-    its cubic at ``count``, tabled for every count from 0 to ``hi``.
+    The wiper admits the counts ``lo..hi`` (inclusive); ``chart[count]`` is its cubic
+    at ``count``, the state on its ``track`` if any, tabled for every count from 0 to ``hi``.
     """
 
     model: CubicModel
     r: float
     lo: int
     hi: int
+    track: WiperTrack | None = None
     chart: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -310,6 +308,13 @@ class WheelEstimator:
     gate_sigmas: float = 6.0
     belief: GaussianBelief | None = None
 
+    def __post_init__(self) -> None:
+        tracks = [wiper.track for wiper in self.obs.wipers]
+        if len(tracks) != 2 or None in tracks:
+            raise SpecError("a wheel estimator needs two wipers on gapped tracks")
+        # Each wiper's shift edge and turn, read once for every step.
+        self._shifts = [(track.edge, track.turn) for track in tracks]
+
     def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
         self.belief = initial_belief(readings, self.obs, self.sigma0)
         return self.belief
@@ -323,9 +328,10 @@ class WheelEstimator:
         sigma = sigma + tm.dt * tm.dt * tm.q
         if not (sigma > 0.0 and math.isfinite(mu)):
             GaussianBelief(mu, sigma)  # raises the belief's own error
-        # Each wiper's predicted measurement: the mean on its shifted chart.
-        z_bar0 = mu - TWO_PI if mu > SHIFT_EDGE_WIPER0 else mu
-        z_bar1 = mu + TWO_PI if mu < SHIFT_EDGE_WIPER1 else mu
+        # Each wiper's predicted measurement: the mean on its shifted chart (WiperTrack.shift).
+        (edge0, turn0), (edge1, turn1) = self._shifts
+        z_bar0 = mu + turn0 if (mu - edge0) * turn0 < 0.0 else mu
+        z_bar1 = mu + turn1 if (mu - edge1) * turn1 < 0.0 else mu
         kept: list[tuple[float, float]] = []
         used = [False, False]
         for index, z, r in extract_features(readings, self.obs):
@@ -432,5 +438,5 @@ def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
         admitted = [(valid.v_min + 1, valid.v_max - 1) for valid in bundle.valid_ranges]
     else:
         admitted = [(math.ceil(m.v_window[0]), math.floor(m.v_window[1])) for m in models]
-    wipers = tuple(Wiper(m, r, lo, hi) for m, r, (lo, hi) in zip(models, rs, admitted))
+    wipers = tuple(Wiper(m, r, lo, hi, t) for m, r, (lo, hi), t in zip(models, rs, admitted, bundle.tracks))
     return ObservationModel(wipers, wrap=bool(bundle.valid_ranges))

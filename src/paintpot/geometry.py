@@ -1,11 +1,11 @@
-"""Angle conventions shared by the simulator, calibration, and filters.
+"""Angle conventions and sensor geometry shared by every module.
 
 Wheel angles live on the wrapped chart (-pi, pi]; tilt angles on the closed
-interval [-pi/2, pi/2].  Each wheel wiper rides a track with a gap, inside
-which that wiper's voltage is meaningless, and its characterization is
+interval [-angle_limit, angle_limit].  Each wheel wiper rides a track with a
+gap, inside which its voltage is meaningless, and its characterization is
 continued past the gap by a full turn so angle stays a single-valued
-function of voltage (the "shifted state").  :data:`WHEEL_TRACKS` is the one
-definition of the standard wheel's two tracks.
+function of voltage (the "shifted state").  A sensor file's ``kind`` names
+the reference sensor whose tracks and angle limit fill the keys it omits.
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ def wrapped_difference(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-def shift_state_for_wiper(theta: float, wiper: int) -> float:
-    """Shifted state standard wheel wiper ``wiper`` reports at ``theta``."""
-    return WHEEL_TRACKS[wiper].shift(theta)
+def geometry_from_dict(kind: object, data: dict) -> tuple[tuple[WiperTrack | None, ...], float | None]:
+    """A ``kind`` file's wiper tracks and angle limit: a wheel has :data:`WHEEL_TRACKS`, each
+    with the file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and
+    the file's ``angle_limit``, by default :data:`TILT_LIMIT`."""
+    if kind == "wheel":
+        gaps = [data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi)) for i, t in enumerate(WHEEL_TRACKS)]
+        return tuple(WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)), None
+    if kind == "tilt":
+        return (None,), float(data.get("angle_limit", TILT_LIMIT))
+    raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")

@@ -25,14 +25,11 @@ from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
 from paintpot.errors import DomainError, FitError, SpecError, check_adc_max
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Interval, WiperTrack, wrap_angle
+from paintpot.geometry import WiperTrack, geometry_from_dict, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
 # low rail, which the valid-range test downstream rejects.
 GAP_RAIL_VOLTAGE = 0.0
-
-# The sensor kinds of spec files and their default angle limits (None: it wraps).
-_KIND_LIMITS = {"wheel": None, "tilt": TILT_LIMIT}
 
 
 class WiperSpec(NamedTuple):
@@ -65,12 +62,16 @@ class SensorSpec:
         if not (self.wrap or 0.0 < self.angle_limit <= math.pi):
             raise SpecError("angle_limit must lie in (0, pi]")
         check_adc_max(self.adc_max)
-        if not self.noise_std >= 0.0:
-            raise SpecError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise SpecError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
 
     @property
     def wrap(self) -> bool:
         return self.angle_limit is None
+
+    @property
+    def tracks(self) -> tuple[WiperTrack | None, ...]:
+        return tuple(wiper.track for wiper in self.wipers)
 
     @property
     def kind(self) -> str:
@@ -197,24 +198,13 @@ def sensor_spec_to_dict(spec: SensorSpec) -> dict:
 
 
 def sensor_spec_from_dict(data: dict) -> SensorSpec:
-    """Inverse of :func:`sensor_spec_to_dict`, with schema validation.
-
-    A wheel's gaps default to the standard tracks, and each turns the way
-    its standard track does.
-    """
+    """Inverse of :func:`sensor_spec_to_dict`, with schema validation; the
+    reference sensor its ``kind`` names fills the tracks and angle limit it
+    leaves out (:func:`~paintpot.geometry.geometry_from_dict`)."""
     try:
-        kind = data["kind"]
-        if kind not in _KIND_LIMITS:
-            raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")
-        limit = _KIND_LIMITS[kind]
-        if limit is None:
-            truths = [CubicModel.from_dict(data[f"truth_w{i}"]) for i in range(len(WHEEL_TRACKS))]
-            gaps = [data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi)) for i, t in enumerate(WHEEL_TRACKS)]
-            tracks = [WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)]
-            wipers = tuple(map(WiperSpec, truths, tracks))
-        else:
-            wipers = (WiperSpec(CubicModel.from_dict(data["truth"])),)
-            limit = float(data.get("angle_limit", limit))
+        tracks, limit = geometry_from_dict(data["kind"], data)
+        names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
+        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
         return SensorSpec(
             wipers,
             limit,

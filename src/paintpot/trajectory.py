@@ -193,7 +193,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     sensor, obs = config.sensor, config.obs
     wheel = obs.wrap
-    if sensor.wrap != wheel or len(sensor.wipers) != len(obs.wipers):
+    if sensor.tracks != tuple(wiper.track for wiper in obs.wipers):
         raise SpecError(f"the {sensor.kind} sensor spec does not match the observation model")
     if config.rate_hz <= 0.0:
         raise SpecError("rate_hz must be positive")

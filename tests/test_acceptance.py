@@ -31,7 +31,7 @@ from paintpot.estimate import (
     update_tilt,
     update_wheel,
 )
-from paintpot.geometry import shift_state_for_wiper
+from paintpot.geometry import WHEEL_TRACKS
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
@@ -80,7 +80,7 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
             count = int(np.clip(round((mu_bar + rng.normal(0.0, 0.05) + 1.0) * 256.0), 1, 1022))
             z = float(tilt_chart.evaluate(count))
             r = float(10.0 ** rng.uniform(-4.0, -2.0))
-            bundle = ModelBundle("tilt", (tilt_chart,), (), FitReport(()), 1023, {"r": r})
+            bundle = ModelBundle((None,), (tilt_chart,), (), FitReport(()), 1023, {"r": r})
             obs = observation_from_bundle(bundle)
             posterior, accepted = update_tilt(bar, AdcReading(0, count, True), obs)
             assert accepted
@@ -94,7 +94,7 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
                 zs.append(z)
                 rs.append(r)
                 feats.append(Feature(i, z, r))
-            z_bars = [shift_state_for_wiper(bar.mu, f.index) for f in feats]
+            z_bars = [WHEEL_TRACKS[f.index].shift(bar.mu) for f in feats]
             posterior = update_wheel(bar, feats, z_bars)
 
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, zs, rs, n_points=1_000_000)
@@ -118,7 +118,7 @@ def test_criterion_2_dual_update_equals_sequential_updates():
         dual = update_wheel(belief, [Feature(0, z0, r0), Feature(1, z1, r1)], [mu, mu])
         first = update_wheel(belief, [Feature(0, z0, r0)], [mu])
         seq = update_wheel(
-            first, [Feature(1, z1, r1)], [shift_state_for_wiper(first.mu, 1)]
+            first, [Feature(1, z1, r1)], [WHEEL_TRACKS[1].shift(first.mu)]
         )
         assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
         assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)
@@ -158,7 +158,7 @@ def test_criterion_4_feature_availability_and_branch_structure():
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     params = {"r0": 1e-4, "r1": 1e-4}
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    obs = observation_from_bundle(ModelBundle("wheel", truth, ranges, FitReport(()), 1023, params))
+    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, params))
     rng = np.random.default_rng(1004)
     thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
     for theta in thetas:
@@ -177,7 +177,7 @@ def test_criterion_4_feature_availability_and_branch_structure():
             else:
                 assert wiper in features
                 assert features[wiper].z == pytest.approx(want, abs=0.02)
-                assert shift_state_for_wiper(theta, wiper) == pytest.approx(
+                assert WHEEL_TRACKS[wiper].shift(theta) == pytest.approx(
                     want, abs=1e-12
                 )
     _report(4, "feature availability / five-region structure")
@@ -258,7 +258,7 @@ def test_criterion_7_variance_laws():
             )
             for i in range(n_features)
         ]
-        z_bars = [shift_state_for_wiper(bar.mu, f.index) for f in features]
+        z_bars = [WHEEL_TRACKS[f.index].shift(bar.mu) for f in features]
         posterior = update_wheel(bar, features, z_bars)
         if n_features == 0:
             assert posterior.sigma == bar.sigma

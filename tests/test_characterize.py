@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import math
 import re
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from paintpot import characterize
 from paintpot.characterize import (
-    ANGLE_LIMITS,
     CalibrationDataset,
+    FitReport,
+    ModelBundle,
     ValidRange,
     calibrate,
     compute_valid_ranges,
@@ -26,7 +28,16 @@ from paintpot.characterize import _read_columns_checked
 from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CHART_KNOTS, CubicModel
 from paintpot.errors import FitError, InversionError, SpecError
-from paintpot.presets import TILT_TRUTH, WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, reference_wheel_spec
+from paintpot.geometry import WHEEL_TRACKS
+from paintpot.presets import (
+    SENSOR_PRESETS,
+    TILT_TRUTH,
+    WHEEL_TRUTH_W0,
+    WHEEL_TRUTH_W1,
+    reference_tilt_spec,
+    reference_wheel_spec,
+)
+from paintpot.sensor_sim import sensor_spec_from_dict, sensor_spec_to_dict
 
 from oracles import (
     ReferenceLogError,
@@ -40,12 +51,13 @@ from oracles import (
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+WHEEL, TILT = reference_wheel_spec(), reference_tilt_spec()
 
 
 def wheel_dataset(rows):
     t, theta, v0, v1 = zip(*rows)
     return CalibrationDataset(
-        "wheel",
+        WHEEL_TRACKS,
         t=np.array(t, dtype=float),
         theta=np.array(theta, dtype=float),
         counts=np.array([v0, v1], dtype=np.int64).T,
@@ -55,7 +67,7 @@ def wheel_dataset(rows):
 class TestIngestLog:
     def test_parses_wheel_rows(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n0.1,0.2,505,515\n0.2,0.3,511,520\n"
-        ds = ingest_log(io.StringIO(csv), "wheel")
+        ds = ingest_log(io.StringIO(csv), WHEEL)
         assert len(ds) == 3
         assert ds.counts.shape == (3, 2)
         assert ds.theta[1] == pytest.approx(0.2)
@@ -63,32 +75,32 @@ class TestIngestLog:
     def test_count_out_of_range_names_line(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n0.1,0.2,1500,515\n"
         with pytest.raises(SpecError, match="line 3"):
-            ingest_log(io.StringIO(csv), "wheel")
+            ingest_log(io.StringIO(csv), WHEEL)
 
     def test_tilt_without_v1_accepted(self):
         csv = "t,theta,v0\n0.0,-0.5,200\n0.1,0.0,500\n"
-        ds = ingest_log(io.StringIO(csv), "tilt")
-        assert ds.sensor_kind == "tilt"
+        ds = ingest_log(io.StringIO(csv), TILT)
+        assert ds.tracks == (None,)
         assert ds.counts.shape == (2, 1)
 
     def test_decreasing_timestamp_rejected(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n-0.1,0.2,505,515\n"
         with pytest.raises(SpecError, match="line 3"):
-            ingest_log(io.StringIO(csv), "wheel")
+            ingest_log(io.StringIO(csv), WHEEL)
 
     def test_wrong_header_rejected(self):
         csv = "time,angle,v0,v1\n0.0,0.1,500,510\n"
         with pytest.raises(SpecError, match="header"):
-            ingest_log(io.StringIO(csv), "wheel")
+            ingest_log(io.StringIO(csv), WHEEL)
 
     def test_comment_lines_skipped(self):
         csv = "# manifest {}\nt,theta,v0\n0.0,0.0,500\n"
-        assert len(ingest_log(io.StringIO(csv), "tilt")) == 1
+        assert len(ingest_log(io.StringIO(csv), TILT)) == 1
 
     def test_malformed_field_names_line(self):
         csv = "t,theta,v0,v1\n0.0,0.1,50x,510\n"
         with pytest.raises(SpecError, match="line 2"):
-            ingest_log(io.StringIO(csv), "wheel")
+            ingest_log(io.StringIO(csv), WHEEL)
 
 
 def log_text(rows, kind="wheel"):
@@ -102,9 +114,9 @@ def ingest_both(text, kind):
         want = ingest_log_reference(text, kind)
     except ReferenceLogError as exc:
         with pytest.raises(SpecError) as got:
-            ingest_log(io.StringIO(text), kind)
+            ingest_log(io.StringIO(text), SENSOR_PRESETS[f"{kind}_reference"]())
         return str(got.value), str(exc)
-    return ingest_log(io.StringIO(text), kind), want
+    return ingest_log(io.StringIO(text), SENSOR_PRESETS[f"{kind}_reference"]()), want
 
 
 GOOD = (0.0, 0.1, 500, 510)
@@ -161,7 +173,7 @@ class TestIngestLogFaults:
         assert ingest_both(text, "tilt") == ("calibration file has a header but no data rows",) * 2
 
     def test_wheel_minus_pi_is_stored_as_pi(self):
-        ds = ingest_log(io.StringIO(log_text([(0.0, -math.pi, 500, 510)])), "wheel")
+        ds = ingest_log(io.StringIO(log_text([(0.0, -math.pi, 500, 510)])), WHEEL)
         assert ds.theta.tolist() == [math.pi]
 
     def test_path_text_stream_and_byte_stream_read_alike(self, tmp_path):
@@ -169,10 +181,10 @@ class TestIngestLogFaults:
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8")
         datasets = [
-            ingest_log(str(path), "wheel"),
-            ingest_log(path, "wheel"),
-            ingest_log(io.StringIO(text), "wheel"),
-            ingest_log(io.BytesIO(text.encode("utf-8")), "wheel"),
+            ingest_log(str(path), WHEEL),
+            ingest_log(path, WHEEL),
+            ingest_log(io.StringIO(text), WHEEL),
+            ingest_log(io.BytesIO(text.encode("utf-8")), WHEEL),
         ]
         for ds in datasets:
             assert ds.t.tolist() == [0.0, 0.01] and ds.theta.tolist() == [0.1, -0.2]
@@ -269,7 +281,7 @@ def grammar_log(header, where, text):
 def read_both(text, header):
     """read_columns' result on ``text`` and the checked parser's: columns as
     (type, value) pairs, floats by ``float.hex``, or the SpecError text."""
-    limit = ANGLE_LIMITS["wheel"] if "theta" in header else None
+    limit = (PI, "wheel angle {} outside [-pi, pi]") if "theta" in header else None  # the wheel chart's
 
     def run(read):
         try:
@@ -375,7 +387,7 @@ class TestTwoStageReader:
         assert stream.read() == text
         # So does a calibration log's, read by ingest_log.
         stream = io.BytesIO(b"t,theta,v0\n0,0.1,500\n0.01,0.2,501\n")
-        assert len(ingest_log(stream, "tilt")) == 2
+        assert len(ingest_log(stream, TILT)) == 2
         gc.collect()
         assert not stream.closed
 
@@ -478,7 +490,7 @@ class TestTrimAndShift:
 
     def test_tilt_passes_through(self):
         ds = CalibrationDataset(
-            "tilt", t=np.array([0.0, 0.1]), theta=np.array([-0.3, 0.4]), counts=np.array([[200], [700]])
+            (None,), t=np.array([0.0, 0.1]), theta=np.array([-0.3, 0.4]), counts=np.array([[200], [700]])
         )
         pairs = trim_and_shift(ds)
         assert len(pairs) == 1
@@ -979,3 +991,24 @@ class TestCalibratePipeline:
         assert again.models == bundle.models
         assert again.valid_ranges == bundle.valid_ranges
         assert again.filter_params == bundle.filter_params
+
+    def test_bundle_wipers_are_all_gapped_or_none(self):
+        (valid,) = compute_valid_ranges(WHEEL_TRUTH_W0, tracks=WHEEL_TRACKS[:1])
+        with pytest.raises(SpecError, match="all ride gapped tracks, or none"):
+            ModelBundle((WHEEL_TRACKS[0], None), (WHEEL_TRUTH_W0, TILT_TRUTH), (valid,), FitReport(()))
+
+    @pytest.mark.parametrize("preset", sorted(SENSOR_PRESETS))
+    def test_reference_bundle_writes_no_gaps(self, preset):
+        ds = synthesize_sweep_dataset(SENSOR_PRESETS[preset](), 14.0, 50.0, np.random.default_rng(11))
+        assert not [key for key in characterize.bundle_to_dict(calibrate(ds)) if key.startswith("gap")]
+
+    def test_custom_gaps_survive_save_and_load(self, tmp_path):
+        gaps = {"gap_w0": [1.5, 2.0], "gap_w1": [-2.9, -2.5]}
+        spec = sensor_spec_from_dict({**sensor_spec_to_dict(reference_wheel_spec()), **gaps})
+        bundle = calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(11)))
+        characterize.save_bundle(bundle, tmp_path / "bundle.json")
+        data = json.loads((tmp_path / "bundle.json").read_text())
+        assert {key: data[key] for key in data if key.startswith("gap")} == gaps
+        again = characterize.load_bundle(tmp_path / "bundle.json")
+        assert again.tracks == spec.tracks
+        assert (again.models, again.valid_ranges) == (bundle.models, bundle.valid_ranges)

@@ -76,6 +76,14 @@ class TestSweep:
         assert "cubic coefficients must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_noise_is_config_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**sensor_spec_to_dict(reference_wheel_spec()), "noise_std": math.inf}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
+        assert "noise_std must be >= 0 and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_file_roundtrip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         save_sensor_spec(reference_wheel_spec(noise_std=0.5), spec_path)
@@ -103,8 +111,9 @@ class TestSweep:
             {"gap_w0": [1.5, 2.0], "gap_w1": [-2.9, -2.5]},
             {"gap_w1": [-2.0, -1.5]},
             {"angle_limit": 1.25, "noise_std": 2.0},
+            {"angle_limit": 2.0},
         ],
-        ids=["both_gaps", "gap_w1", "tilt_limit"],
+        ids=["both_gaps", "gap_w1", "tilt_limit", "wide_tilt_limit"],
     )
     def test_non_default_spec_round_trips_and_sweeps_its_gaps(self, tmp_path, edit):
         preset = "tilt_reference" if "angle_limit" in edit else "wheel_reference"
@@ -123,7 +132,11 @@ class TestSweep:
                 lo, hi = data[f"gap_w{wiper}"]
                 assert np.array_equal(rows[:, 2 + wiper] == 0, (theta >= lo) & (theta <= hi))
         else:
-            assert theta.min() == -1.25 and theta.max() == 1.25
+            assert theta.min() == -data["angle_limit"] and theta.max() == data["angle_limit"]
+        # Calibrated on its own spec, the bundle carries its tracks.
+        bundle = tmp_path / "bundle.json"
+        assert run_cli("calibrate", "--in", str(out), "--spec", str(spec_path), "--out", str(bundle)) == 0
+        assert load_bundle(bundle).tracks == spec.tracks
 
 
 class TestCalibrate:
@@ -602,6 +615,22 @@ class TestExperiment:
                        str(tmp_path / "run")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run_trace.csv").exists()
+
+    def test_custom_gap_sensor_meets_the_preset_bound(self, tmp_path):
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["sensor"].update(gap_w0=[1.5, 2.0], gap_w1=[-2.9, -2.5])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "run")) == 0
+        assert json.loads((tmp_path / "run_summary.json").read_text())["avg_abs_error"] < 0.09
+
+    def test_explicit_models_with_other_gaps_are_config_error(self, tmp_path, wheel_bundle, capsys):
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["models"] = {**json.loads(Path(wheel_bundle).read_text()), "gap_w0": [1.5, 2.0]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "run")) == 2
+        assert "does not match the observation model" in capsys.readouterr().err
 
     def test_tilt_trace_never_reports_a_second_wiper(self, tmp_path):
         prefix = tmp_path / "tilt"

@@ -32,7 +32,7 @@ from paintpot.estimate import (
     update_tilt,
     update_wheel,
 )
-from paintpot.geometry import shift_state_for_wiper
+from paintpot.geometry import WHEEL_TRACKS, geometry_from_dict
 from paintpot.presets import (
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
@@ -66,12 +66,12 @@ WIDE_RANGES = (ValidRange(1, 1000), ValidRange(1, 1000))
 def wheel_obs(m0, m1, r0, r1, ranges):
     """The observation model of a wheel bundle with these models, r and ranges."""
     params = {"r0": r0, "r1": r1}
-    return observation_from_bundle(ModelBundle("wheel", (m0, m1), ranges, FitReport(()), 1023, params))
+    return observation_from_bundle(ModelBundle(WHEEL_TRACKS, (m0, m1), ranges, FitReport(()), 1023, params))
 
 
 def tilt_obs(model, r):
     """The observation model of a tilt bundle with this model and r."""
-    return observation_from_bundle(ModelBundle("tilt", (model,), (), FitReport(()), 1023, {"r": r}))
+    return observation_from_bundle(ModelBundle((None,), (model,), (), FitReport(()), 1023, {"r": r}))
 
 
 def exact_obs(r0=1e-4, r1=1e-4):
@@ -173,15 +173,15 @@ class TestObservationFromBundle:
 
     def test_fit_report_gives_r_when_the_parameters_name_none(self):
         stats = (WiperFitStats(100, 0.02, 0.05), WiperFitStats(100, 0.03, 0.05))
-        bundle = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(stats))
+        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(stats))
         rs = [w.r for w in observation_from_bundle(bundle).wipers]
         assert rs == [default_measurement_variance(m, s) for m, s in zip((EXACT_M0, EXACT_M1), stats)]
-        bare = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()))
+        bare = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()))
         with pytest.raises(SpecError, match="neither r0, r1 nor a fit report"):
             observation_from_bundle(bare)
 
     def test_one_wheel_r_alone_rejected(self):
-        bundle = ModelBundle("wheel", (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()), 1023, {"r0": 1e-4})
+        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()), 1023, {"r0": 1e-4})
         with pytest.raises(SpecError, match="need all of r0, r1"):
             observation_from_bundle(bundle)
 
@@ -361,18 +361,18 @@ class TestPredictedFeatureMeasurement:
     """A wiper's predicted measurement: the mean on its shifted chart."""
 
     def test_wiper0_shifts_down_past_edge(self):
-        assert shift_state_for_wiper(0.9 * PI, 0) == pytest.approx(
+        assert WHEEL_TRACKS[0].shift(0.9 * PI) == pytest.approx(
             0.9 * PI - TWO_PI, abs=1e-12
         )
 
     def test_wiper1_shifts_up_past_edge(self):
-        assert shift_state_for_wiper(-0.9 * PI, 1) == pytest.approx(
+        assert WHEEL_TRACKS[1].shift(-0.9 * PI) == pytest.approx(
             -0.9 * PI + TWO_PI, abs=1e-12
         )
 
     def test_interior_is_identity(self):
-        assert shift_state_for_wiper(0.0, 0) == 0.0
-        assert shift_state_for_wiper(0.0, 1) == 0.0
+        assert WHEEL_TRACKS[0].shift(0.0) == 0.0
+        assert WHEEL_TRACKS[1].shift(0.0) == 0.0
 
     def test_matches_five_region_oracle_through_truth_inversion(self):
         # One interior point per region: availability pattern and the
@@ -389,9 +389,32 @@ class TestPredictedFeatureMeasurement:
                 assert voltage is not None
                 truth = spec.wipers[wiper].truth
                 assert truth.evaluate(voltage) == pytest.approx(want, abs=1e-9)
-                assert shift_state_for_wiper(theta, wiper) == pytest.approx(
+                assert WHEEL_TRACKS[wiper].shift(theta) == pytest.approx(
                     want, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("tracks", ["custom", "reference"])
+    def test_step_shifts_by_the_model_tracks(self, tracks):
+        # Past the custom edge 2.0, inside the reference wiper 0's window:
+        # the custom model predicts mu - 2*pi, the reference one mu.
+        gaps = {"gap_w0": [1.5, 2.0], "gap_w1": [-2.9, -2.5]} if tracks == "custom" else {}
+        track0, track1 = geometry_from_dict("wheel", gaps)[0]
+        mu = 2.01
+        used = []
+        for z in (mu - TWO_PI + 1e-3, mu + 1e-3):
+            wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, z, (0.0, 1023.0)), 1e-4, 0, 0, track0)  # chart[0] == z
+            obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, track1)), wrap=True)
+            estimator = WheelEstimator(obs, TransitionModel(k=1.0, dt=0.01, q=0.0), belief=GaussianBelief(mu, 1e-4))
+            used.append(estimator.step(0.0, (AdcReading(0, 0, True), AdcReading(1, 0, False))).used)
+        assert used == ([(True, False), (False, False)] if tracks == "custom" else [(False, False), (True, False)])
+
+    @pytest.mark.parametrize("obs", [
+        ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(EXACT_M1, 1e-4, 0, 0)), wrap=True),
+        ObservationModel((Wiper(TILT_TRUTH, 1e-4, 0, 1023),), wrap=False),
+    ], ids=["untracked", "tilt"])
+    def test_step_needs_two_tracked_wipers(self, obs):
+        with pytest.raises(SpecError, match="two wipers on gapped tracks"):
+            WheelEstimator(obs, TransitionModel(k=1.0, dt=0.01, q=0.0))
 
 
 class TestUpdateWheel:
@@ -447,7 +470,7 @@ class TestUpdateWheel:
             seq = update_wheel(
                 first,
                 [Feature(1, z1, r1)],
-                [shift_state_for_wiper(first.mu, 1)],
+                [WHEEL_TRACKS[1].shift(first.mu)],
             )
             assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
             assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)
@@ -666,7 +689,7 @@ class TestFloatStepMatchesReference:
             readings = []
             for index, (wiper, chart) in enumerate(zip(obs.wipers, charts)):
                 # A count tracking the prediction, one beyond the gate, or an edge count.
-                near = int(np.argmin(np.abs(chart - shift_state_for_wiper(mu_bar, index))))
+                near = int(np.argmin(np.abs(chart - WHEEL_TRACKS[index].shift(mu_bar))))
                 count = data.draw(st.one_of(
                     st.integers(-3, 3).map(lambda d, near=near: near + d),
                     st.sampled_from([-1, 1]).map(lambda s, near=near: near + s * 200),

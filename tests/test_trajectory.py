@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paintpot.characterize import FitReport, ModelBundle, compute_valid_ranges
+from paintpot.geometry import WHEEL_TRACKS
 from paintpot.errors import SpecError
 from paintpot.estimate import TransitionModel, observation_from_bundle
 from paintpot.presets import (
@@ -116,7 +117,7 @@ def wheel_config(seed=0, noise_std=1.0, plant_q=0.02, x0=PI, xf=0.0):
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     r = 1e-4 if noise_std > 0 else 2.5e-5
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    obs = observation_from_bundle(ModelBundle("wheel", truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
+    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
     tm = TransitionModel(k=0.2, dt=0.01, q=0.05)
     return ExperimentConfig(
         sensor=spec,
@@ -172,7 +173,7 @@ class TestRunExperiment:
 
     def test_observation_model_of_the_other_joint_rejected(self):
         config = wheel_config()
-        tilt = ModelBundle("tilt", (TILT_TRUTH,), (), FitReport(()), 1023, {"r": 1e-4})
+        tilt = ModelBundle((None,), (TILT_TRUTH,), (), FitReport(()), 1023, {"r": 1e-4})
         bad = ExperimentConfig(
             sensor=config.sensor,
             obs=observation_from_bundle(tilt),
