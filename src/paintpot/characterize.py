@@ -8,6 +8,12 @@ making angle a continuous function of voltage.  A cubic is then fitted per
 wiper, and a gapped wiper's valid range is the voltage window whose image
 stays on its usable chart.  A tilt's one wiper has no gap and keeps every
 sample.
+
+The fit is one scaled least-squares solve on counts mapped onto [-1, 1],
+carried back to raw counts by Horner's rule: the operations of
+``numpy.polynomial.Polynomial.fit(...).convert()`` without its objects, so
+its coefficients equal numpy.polynomial's bit for bit, which a test holds
+against that path.
 """
 
 from __future__ import annotations
@@ -212,9 +218,9 @@ def _plain_blocks(handle):
         yield block
 
 
-def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> list[list] | None:
-    """The columns of a plainly valid log, its rows read by one ``np.loadtxt``
-    call and checked by numpy, or None.
+def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
+    """The value arrays of a plainly valid log, its rows read by one
+    ``np.loadtxt`` call and checked by numpy, or None.
 
     The header is found by the checked parser's rule.  A log that fails to
     load raises ValueError, ``csv.Error`` or a warning, and one whose header
@@ -240,7 +246,7 @@ def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> 
         and all(((v >= 0) & (v <= adc_max)).all() for v in counts)
         and (theta_limit is None or (np.abs(values[header.index("theta")]) <= theta_limit[0]).all())
     )
-    return [v.tolist() for v in values] if valid else None
+    return values if valid else None
 
 
 def _not_utf8(source, what: str, exc: UnicodeDecodeError) -> SpecError:
@@ -286,6 +292,17 @@ def read_columns(
     exceeds ``limit`` (the error is ``text`` formatted with it).  ``what``
     names the file when it holds no rows, or a stream that is not UTF-8.
     """
+    return [column.tolist() for column in _read_arrays(source, header, adc_max, what, theta_limit)]
+
+
+def _read_arrays(
+    source: str | Path | IO[str] | IO[bytes],
+    header: Sequence[str],
+    adc_max: int,
+    what: str,
+    theta_limit: tuple[float, str] | None,
+) -> list[np.ndarray]:
+    """:func:`read_columns`' columns as arrays: int64 counts, float64 otherwise."""
     header = list(header)
     handle, owned = _open_text(source)
     try:
@@ -310,8 +327,9 @@ def read_columns(
 
 def _read_columns_checked(
     handle: IO[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
-) -> list[list]:
-    """:func:`read_columns`'s line-by-line parser, over an open text stream."""
+) -> list[np.ndarray]:
+    """:func:`read_columns`' line-by-line parser, over an open text stream;
+    it returns the arrays it checks, with the counts cast to int64."""
     width = len(header)
     converters = [int if name in COUNT_COLUMNS else float for name in header]
     columns: list[list] = [[] for _ in header]
@@ -358,7 +376,8 @@ def _read_columns_checked(
     if malformed is not None:
         error = SpecError(f"line {lines[len(columns[0])]}: {malformed}")
 
-    # Counts stay Python ints (object arrays), so no count overflows.
+    # Counts stay Python ints (object arrays) until their range is checked,
+    # so no count overflows.
     values = [np.array(c, dtype=object if f is int else float) for f, c in zip(converters, columns)]
     t = values[0]
     finite = [np.isfinite(v) for f, v in zip(converters, values) if f is float]
@@ -382,7 +401,7 @@ def _read_columns_checked(
         raise SpecError(f"line {lines[row]}: {describe(row)}")
     if error is not None:
         raise error
-    return columns
+    return [v.astype(np.int64) if f is int else v for f, v in zip(converters, values)]
 
 
 def ingest_log(source: str | Path | IO[str] | IO[bytes], spec: SensorSpec) -> CalibrationDataset:
@@ -396,15 +415,10 @@ def ingest_log(source: str | Path | IO[str] | IO[bytes], spec: SensorSpec) -> Ca
     limit = math.pi if spec.wrap else spec.angle_limit
     name = {math.pi: "pi", TILT_LIMIT: "pi/2"}.get(limit, repr(limit))
     check = (limit, f"{spec.kind} angle {{}} outside [-{name}, {name}]")
-    t, theta, *counts = read_columns(source, header, spec.adc_max, "calibration", check)
-    theta = np.array(theta, dtype=float)
+    t, theta, *counts = _read_arrays(source, header, spec.adc_max, "calibration", check)
     theta[theta == -math.pi] = math.pi
     return CalibrationDataset(
-        tracks=spec.tracks,
-        t=np.array(t, dtype=float),
-        theta=theta,
-        counts=np.array(counts, dtype=np.int64).T,
-        adc_max=spec.adc_max,
+        tracks=spec.tracks, t=t, theta=theta, counts=np.array(counts).T, adc_max=spec.adc_max
     )
 
 
@@ -428,13 +442,22 @@ def trim_and_shift(dataset: CalibrationDataset) -> list[ShiftedPairs]:
 
 
 def fit_cubic(shifted_theta, v, adc_max: int = 1023) -> CubicModel:
-    """Least-squares cubic of angle against count.
+    """Least-squares cubic of angle against count; the window is the data hull.
 
-    Counts are rescaled to [-1, 1] for the solve (raw-count Vandermonde
-    systems are hopelessly conditioned) and the coefficients mapped back to
-    raw counts; the window is the data hull.
+    Solved as ``numpy.polynomial.Polynomial.fit(v, theta, 3).convert()``
+    solves it, on plain arrays and floats.  The counts are mapped onto
+    [-1, 1] (raw-count Vandermonde systems are hopelessly conditioned), the
+    Vandermonde columns scaled to unit norm, the system solved by one
+    ``np.linalg.lstsq`` call, and the coefficients carried back to raw
+    counts by Horner's rule on that map.  Every step is numpy.polynomial's
+    own operation in its order, so the coefficients equal its bit for bit
+    (``tests/oracles.py::fit_cubic_reference`` holds the two together).
+    Warns with numpy's ``RankWarning`` when the scaled system's rank is
+    below 4, as numpy.polynomial does.
 
     Raises:
+        SpecError: inputs that are not 1-D of one length, or a non-finite
+            angle or count.
         FitError: fewer than 8 pairs, fewer than 4 distinct counts, data
             hull narrower than half the ADC window, or a non-monotone fit.
     """
@@ -442,8 +465,11 @@ def fit_cubic(shifted_theta, v, adc_max: int = 1023) -> CubicModel:
     counts = np.asarray(v, dtype=float)
     if theta.shape != counts.shape or theta.ndim != 1:
         raise SpecError("shifted_theta and v must be 1-D arrays of equal length")
-    if theta.size < MIN_FIT_SAMPLES:
-        raise FitError(f"need at least {MIN_FIT_SAMPLES} pairs, got {theta.size}")
+    if not (np.isfinite(theta).all() and np.isfinite(counts).all()):
+        raise SpecError("shifted_theta and v must be finite")
+    n = theta.size
+    if n < MIN_FIT_SAMPLES:
+        raise FitError(f"need at least {MIN_FIT_SAMPLES} pairs, got {n}")
     if np.unique(counts).size < 4:
         raise FitError("need at least 4 distinct voltage values to fit a cubic")
     v_lo, v_hi = float(counts.min()), float(counts.max())
@@ -452,12 +478,33 @@ def fit_cubic(shifted_theta, v, adc_max: int = 1023) -> CubicModel:
             f"voltage span {v_hi - v_lo:.1f} covers less than "
             f"{MIN_WINDOW_SPAN_FRACTION:.0%} of the ADC window"
         )
-    series = np.polynomial.Polynomial.fit(counts, theta, deg=3)
-    coef = series.convert().coef
-    c = np.zeros(4)
-    c[: coef.size] = coef
+    # x = off + scl*V maps [v_lo, v_hi] onto [-1, 1].
+    off = (-v_hi - v_lo) / (v_hi - v_lo)
+    scl = 2.0 / (v_hi - v_lo)
+    x = off + scl * counts
+    lhs = np.empty((4, n))  # the Vandermonde matrix, transposed
+    lhs[0] = 1.0  # numpy's x*0 + 1, for a finite x
+    lhs[1] = x
+    np.multiply(x, x, out=lhs[2])
+    np.multiply(lhs[2], x, out=lhs[3])
+    norms = np.sqrt(np.square(lhs).sum(1))
+    norms[norms == 0.0] = 1.0
+    scaled, _, rank, _ = np.linalg.lstsq(lhs.T / norms, theta, n * np.finfo(float).eps)
+    if rank != 4:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    d3, d2, d1, d0 = (scaled / norms).tolist()[::-1]  # the cubic in x
+    # Horner's rule, d3 -> d3*x + d2 -> ..., with x = off + scl*V: each
+    # coefficient is a sum of at most two products, in any order the same.
+    a1, a0 = d3 * scl, d2 + d3 * off
+    b2, b1, b0 = a1 * scl, a0 * scl + a1 * off, d1 + a0 * off
+    c = [b2 * scl, b1 * scl + b2 * off, b0 * scl + b1 * off, d0 + b0 * off]
+    # numpy.polynomial drops zero top coefficients, and they come back as +0.0.
+    top = 0
+    while top < 3 and c[top] == 0.0:
+        c[top] = 0.0
+        top += 1
     try:
-        return CubicModel(float(c[3]), float(c[2]), float(c[1]), float(c[0]), (v_lo, v_hi))
+        return CubicModel(*c, (v_lo, v_hi))
     except FitError as exc:
         raise FitError(f"fitted cubic rejected: {exc}") from exc
 
@@ -505,7 +552,11 @@ def compute_valid_ranges(
 
 def fit_report(dataset: CalibrationDataset, models: tuple[CubicModel, ...]) -> FitReport:
     """Residual summary of ``models`` on the dataset's trimmed/shifted pairs."""
-    pairs = trim_and_shift(dataset)
+    return _report(trim_and_shift(dataset), models)
+
+
+def _report(pairs: list[ShiftedPairs], models: tuple[CubicModel, ...]) -> FitReport:
+    """:func:`fit_report` on pairs already trimmed and shifted."""
     if len(models) != len(pairs):
         raise SpecError(f"{len(pairs)} wiper partitions but {len(models)} models")
     stats = []
@@ -529,7 +580,7 @@ def calibrate(dataset: CalibrationDataset) -> ModelBundle:
         tracks=dataset.tracks,
         models=models,
         valid_ranges=compute_valid_ranges(*models, adc_max=dataset.adc_max, tracks=dataset.tracks),
-        report=fit_report(dataset, models),
+        report=_report(pairs, models),
         adc_max=dataset.adc_max,
     )
 

@@ -6,7 +6,9 @@ The exceptions are the references the package's fast paths must match bit
 for bit: :func:`wheel_step_reference` and :func:`tilt_step_reference`, the
 filter steps composed from the package's own reference functions, and
 :func:`invert_cubic_reference`, :func:`wiper_voltage` and
-:func:`read_reference`, the simulated read as a composition of small steps.
+:func:`read_reference`, the simulated read as a composition of small steps,
+and :func:`fit_cubic_reference`, the calibration fit through
+``numpy.polynomial``.
 """
 
 import csv
@@ -335,3 +337,32 @@ def read_reference(theta, spec, noise):
         count = quantize((0.0 if voltage is None else voltage) + draw, spec.adc_max)
         readings.append(AdcReading(index, count, voltage is not None))
     return tuple(readings)
+
+
+def fit_cubic_reference(shifted_theta, v, adc_max=1023):
+    """A frozen copy of ``characterize.fit_cubic`` as it stood on
+    ``numpy.polynomial.Polynomial.fit(...).convert()``, with its checks and
+    error texts.  On finite pairs the library's fit must match it bit for
+    bit, coefficients and window."""
+    from paintpot.cubic import CubicModel
+    from paintpot.errors import FitError, SpecError
+
+    theta = np.asarray(shifted_theta, dtype=float)
+    counts = np.asarray(v, dtype=float)
+    if theta.shape != counts.shape or theta.ndim != 1:
+        raise SpecError("shifted_theta and v must be 1-D arrays of equal length")
+    if theta.size < 8:
+        raise FitError(f"need at least 8 pairs, got {theta.size}")
+    if np.unique(counts).size < 4:
+        raise FitError("need at least 4 distinct voltage values to fit a cubic")
+    v_lo, v_hi = float(counts.min()), float(counts.max())
+    if (v_hi - v_lo) < 0.5 * adc_max:
+        raise FitError(f"voltage span {v_hi - v_lo:.1f} covers less than 50% of the ADC window")
+    series = np.polynomial.Polynomial.fit(counts, theta, deg=3)
+    coef = series.convert().coef
+    c = np.zeros(4)
+    c[: coef.size] = coef
+    try:
+        return CubicModel(float(c[3]), float(c[2]), float(c[1]), float(c[0]), (v_lo, v_hi))
+    except FitError as exc:
+        raise FitError(f"fitted cubic rejected: {exc}") from exc

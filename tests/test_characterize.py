@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from oracles import (
     ReferenceLogError,
     bisect_root,
     cubic_value,
+    fit_cubic_reference,
     ingest_log_reference,
     invert_cubic_reference,
     monotone_on_grid,
@@ -279,8 +281,9 @@ def grammar_log(header, where, text):
 
 
 def read_both(text, header):
-    """read_columns' result on ``text`` and the checked parser's: columns as
-    (type, value) pairs, floats by ``float.hex``, or the SpecError text."""
+    """read_columns' result on ``text`` and the checked parser's arrays as
+    lists: columns as (type, value) pairs, floats by ``float.hex``, or the
+    SpecError text."""
     limit = (PI, "wheel angle {} outside [-pi, pi]") if "theta" in header else None  # the wheel chart's
 
     def run(read):
@@ -290,7 +293,7 @@ def read_both(text, header):
             return str(exc)
         return [[(type(x), x.hex() if type(x) is float else x) for x in c] for c in columns]
 
-    return run(read_columns), run(_read_columns_checked)
+    return run(read_columns), run(lambda *args: [c.tolist() for c in _read_columns_checked(*args)])
 
 
 # Where np.loadtxt's grammar and the checked parser's differ, or might
@@ -561,6 +564,17 @@ class TestFitCubic:
         with pytest.raises(FitError, match="span"):
             fit_cubic(0.001 * v, v)
 
+    @pytest.mark.parametrize(
+        "column,value", [("theta", math.nan), ("theta", math.inf), ("v", math.nan), ("v", -math.inf)]
+    )
+    def test_non_finite_pair_rejected_before_the_solve(self, capfd, column, value):
+        v = np.linspace(0.0, 1000.0, 20)
+        theta = 0.003 * v - 1.5
+        (theta if column == "theta" else v)[7] = value
+        with pytest.raises(SpecError, match="^shifted_theta and v must be finite$"):
+            fit_cubic(theta, v)
+        assert capfd.readouterr().err == ""  # LAPACK never saw it
+
     def test_reordering_does_not_change_the_curve(self):
         rng = np.random.default_rng(6)
         v = rng.uniform(0.0, 1023.0, 300)
@@ -583,6 +597,82 @@ class TestFitCubic:
         assert m0.evaluate(bundle.valid_ranges[0].v_max) == pytest.approx(
             2.0 * PI / 3.0, abs=0.05
         )
+
+
+def fit_outcome(fit, theta, v):
+    """``fit``'s model as ``float.hex`` of c3..c0 and of its window, or its
+    error's type and text; with the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model = fit(theta, v)
+            result = tuple(x.hex() for x in (model.c3, model.c2, model.c1, model.c0, *model.v_window))
+        except (FitError, SpecError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def _respec(spec, **changes):
+    return sensor_spec_from_dict({**sensor_spec_to_dict(spec), **changes})
+
+
+FIT_SENSORS = {
+    "wheel": WHEEL,
+    "wheel_gaps": _respec(WHEEL, gap_w0=[1.5, 2.0], gap_w1=[-2.9, -2.5]),
+    "tilt": TILT,
+    "tilt_wide": _respec(TILT, angle_limit=2.0),
+}
+
+
+class TestFitCubicMatchesNumpyPolynomial:
+    """fit_cubic against numpy.polynomial's Polynomial.fit(...).convert(),
+    bit for bit: coefficients, window, warnings and errors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sensor=st.sampled_from(sorted(FIT_SENSORS)), seed=st.integers(0, 2**32 - 1), permute=st.booleans())
+    def test_sweeps_of_the_reference_sensors(self, sensor, seed, permute):
+        rng = np.random.default_rng(seed)
+        for theta, v in trim_and_shift(synthesize_sweep_dataset(FIT_SENSORS[sensor], 14.0, 50.0, rng)):
+            if permute:
+                order = rng.permutation(v.size)
+                theta, v = theta[order], v[order]
+            assert fit_outcome(fit_cubic, theta, v) == fit_outcome(fit_cubic_reference, theta, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(8, 300),
+        lo=st.integers(0, 500),
+        span=st.integers(500, 1023),
+        coefficients=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        noise=st.sampled_from([0.0, 1e-6, 0.01, 0.5]),
+        # The smallest scales make the top converted coefficients underflow to 0.
+        scale=st.sampled_from([1.0, 1e-3, 1e3, 1e-300, 1e-310, 1e-318]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_on_windows_anywhere(self, n, lo, span, coefficients, noise, scale, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(lo, lo + span + 1, n).astype(float)
+        v[rng.permutation(n)[:2]] = lo, lo + span  # the hull is the whole window, in any order
+        x = (v - lo) / span
+        c3, c2, c1, c0 = coefficients
+        theta = scale * ((((c3 * x + c2) * x + c1) * x + c0) + noise * rng.standard_normal(n))
+        assert fit_outcome(fit_cubic, theta, v) == fit_outcome(fit_cubic_reference, theta, v)
+
+    def test_zero_top_coefficients_are_positive_zeros(self):
+        # numpy.polynomial trims the zeros the underflow leaves on top and
+        # pads them back as +0.0.
+        v = np.linspace(100.0, 900.0, 20)
+        theta = -1e-310 * v
+        assert fit_outcome(fit_cubic, theta, v) == fit_outcome(fit_cubic_reference, theta, v)
+        model = fit_cubic(theta, v)
+        assert (math.copysign(1.0, model.c3), math.copysign(1.0, model.c2)) == (1.0, 1.0)
+        assert model.c1 < 0.0
+
+    def test_rank_below_four_warns_as_numpy_does(self):
+        v = np.array([0.0, 1e-9, 2e-9, 3e-9, 1000.0, 1000.0, 1000.0, 1000.0])
+        result, caught = fit_outcome(fit_cubic, v / 1000.0, v)
+        assert caught == ["RankWarning: The fit may be poorly conditioned"]
+        assert (result, caught) == fit_outcome(fit_cubic_reference, v / 1000.0, v)
 
 
 def slope_shaped_cubic(c3, m, q, window):

@@ -885,3 +885,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
+
+    def test_calibrate_and_experiment_leave_numpy_polynomial_unloaded(self, tmp_path):
+        # The fit solves numpy.polynomial's system without importing it.
+        script = (
+            "import sys\n"
+            "from paintpot import cli\n"
+            "cli.run_sweep('wheel_reference', 'sweep.csv', 1, 14.0, 50.0)\n"
+            "cli.run_calibrate('sweep.csv', 'wheel', 'bundle.json')\n"
+            "cli.run_experiment_command('pan_pi_to_0', 'pan')\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert (tmp_path / "bundle.json").exists() and (tmp_path / "pan_summary.json").exists()
