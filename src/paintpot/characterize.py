@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError, check_adc_max
+from paintpot.errors import FitError, SpecError, check_adc_max, read_json, write_json
 from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack, geometry_from_dict
 from paintpot.sensor_sim import SensorSpec
 
@@ -156,65 +155,38 @@ def _open_text(source: str | Path | IO[str] | IO[bytes]):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
-# The checked parser converts raw fields every 256 rows, so the text of a
-# long log is never held in memory at once, only its values.  The row
-# lists of a chunk are alive together; 256 stays well under the 700 net
-# container allocations that start a young garbage collection, so a log
-# it reads seldom starts one, and few row lists survive into an older
-# generation to bring on a full collection.
-_CHUNK_ROWS = 256
 # The fast stage hands np.loadtxt a log's lines in blocks of about this many
-# characters, so it too never holds the whole text.
+# characters, so it never holds the whole text.
 _BLOCK_CHARS = 1 << 16
 # Columns of integer ADC counts; every other column holds floats.
 COUNT_COLUMNS = ("v0", "v1")
 
 
-def _malformed(fields: list[str], converters) -> ValueError | None:
-    """The error of the first field, left to right, that fails to convert."""
-    for convert, text in zip(converters, fields):
-        try:
-            convert(text.strip())
-        except ValueError as exc:
-            return exc
-    return None
-
-
-def _convert_rows(rows: list[list[str]], converters, columns: list[list]) -> ValueError | None:
-    """Append the fields of ``rows``, converted, to ``columns``, one column each.
-
-    Stops before the first row with a malformed field and returns its error.
-    """
-    # Stripped as in _malformed: int and float keep the separators \x1c-\x1f
-    # that str.strip removes, so a field padded with one would fail here and
-    # pass there.
-    fields = [list(map(str.strip, c)) for c in zip(*rows)]
-    try:
-        converted = [list(map(f, c)) for f, c in zip(converters, fields)]
-        error = None
-    except ValueError:
-        n, error = next(
-            (n, exc) for n, exc in enumerate(_malformed(row, converters) for row in rows) if exc
-        )
-        converted = [list(map(f, c[:n])) for f, c in zip(converters, fields)]
-    for column, values in zip(columns, converted):
-        column.extend(values)
-    return error
-
-
 def _plain_blocks(handle):
-    """The rest of ``handle``'s lines, a list at a time.
+    """The rest of ``handle``'s lines, a list at a time, less comment lines
+    (``#`` first past any whitespace: the judge's rule).
 
-    Raises ValueError at a block with a line that only the checked parser
-    may judge: one longer than ``csv.reader``'s field limit, which may hold
-    a field it rejects, or one with non-ASCII text, since numpy 2.4's int64
-    parser reads some non-ASCII letters as digits (U+01FE then ``5``
-    loads as 4625).
+    Raises ValueError at a block that only the judge may read: a line over
+    ``csv.reader``'s field limit, which may hold a field it rejects;
+    non-ASCII text, since numpy 2.4's int64 parser reads some non-ASCII
+    letters as digits (U+01FE then ``5`` loads as 4625); or a comment line
+    that csv may read as more or less than one row, one holding a quote
+    (which may open a field running on into the next line), a NUL (Python
+    3.10's csv rejects it) or a line break before its end.
     """
     limit = csv.field_size_limit()
     while block := handle.readlines(_BLOCK_CHARS):
-        if max(map(len, block)) > limit or not all(map(str.isascii, block)):
-            raise ValueError("a line for the checked parser")
+        text = "".join(block)
+        if max(map(len, block)) > limit or not text.isascii():
+            raise ValueError("a line for the judge")
+        if "#" in text:
+            kept = []
+            for line in block:
+                if not line.lstrip().startswith("#"):
+                    kept.append(line)
+                elif any(c in line.rstrip("\r\n") for c in '"\0\r\n'):
+                    raise ValueError("a comment line for the judge")
+            block = kept
         yield block
 
 
@@ -222,7 +194,7 @@ def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> 
     """The value arrays of a plainly valid log, its rows read by one
     ``np.loadtxt`` call and checked by numpy, or None.
 
-    The header is found by the checked parser's rule.  A log that fails to
+    The header is found by the judge's rule.  A log that fails to
     load raises ValueError, ``csv.Error`` or a warning, and one whose header
     or values fail a check returns None: either way, no error is decided.
     """
@@ -276,13 +248,14 @@ def read_columns(
     The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold
     ints, every other one floats.  The source (a path, a text stream or a
     byte stream) is read in two stages.  A seekable source is first read
-    in C: the header by the checked parser's rule, then every row by one
-    ``np.loadtxt`` call, with numpy checking the values.  That stage can
-    only accept.  Any load error, failed check, empty body or unseekable
-    source rewinds the source, and the checked parser reads it line by line
-    with ``csv.reader``, converting rows a chunk at a time; it alone decides
-    every error.  Lines starting with ``#`` are skipped but counted, so
-    errors name the physical line.
+    in C: the header by the judge's rule, then every row by one
+    ``np.loadtxt`` call, fed the lines less their comment lines, with numpy
+    checking the values.  That stage can only accept.  Any load error,
+    failed check, empty body or unseekable source rewinds the source, as
+    does a line that only the judge may read (see :func:`_plain_blocks`),
+    and the checked parser, the judge, reads it one row at a time with
+    ``csv.reader``; it alone decides every error.  Lines starting with
+    ``#`` are skipped but counted, so errors name the physical line.
 
     Raises :class:`SpecError` naming the line of the first bad row.  A row
     is checked for, in this order: a line ``csv.reader`` cannot split, its
@@ -328,80 +301,57 @@ def _read_arrays(
 def _read_columns_checked(
     handle: IO[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
 ) -> list[np.ndarray]:
-    """:func:`read_columns`' line-by-line parser, over an open text stream;
-    it returns the arrays it checks, with the counts cast to int64."""
-    width = len(header)
+    """:func:`read_columns`' judge over an open text stream: one row at a
+    time, it splits the line, counts and converts the fields, then checks
+    the values, and raises at the first bad row.  It returns the columns as
+    arrays, the counts as int64."""
     converters = [int if name in COUNT_COLUMNS else float for name in header]
+    floats = [i for i, convert in enumerate(converters) if convert is float]
+    counts = [i for i, convert in enumerate(converters) if convert is int]
+    theta = header.index("theta") if theta_limit is not None else None
     columns: list[list] = [[] for _ in header]
-    lines: list[int] = []  # physical line of each row
-    rows: list[list[str]] = []
-    # The first row with a wrong field count, a malformed field or a line
-    # csv.reader cannot split ends the rows that are value-checked; its
-    # error is raised if none of them fails.
-    error = malformed = None
+    last_t = -math.inf
+    found = False
     reader = csv.reader(handle)
-    found = None
     try:
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if found is None:
-                found = [f.strip() for f in row]
-                if found != header:
+            line = reader.line_num
+            if not found:
+                fields = [f.strip() for f in row]
+                if fields != header:
                     raise SpecError(
-                        f"line {reader.line_num}: header must be {','.join(header)!r}, "
-                        f"got {','.join(found)!r}"
+                        f"line {line}: header must be {','.join(header)!r}, got {','.join(fields)!r}"
                     )
-            elif len(row) != width:
-                error = SpecError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-                break
-            else:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _CHUNK_ROWS:
-                    malformed = _convert_rows(rows, converters, columns)
-                    rows = []
-                    if malformed is not None:
-                        break
+                found = True
+                continue
+            if len(row) != len(header):
+                raise SpecError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                # str.strip removes the separators \x1c-\x1f, which int and float keep.
+                values = [convert(text.strip()) for convert, text in zip(converters, row)]
+            except ValueError as exc:
+                raise SpecError(f"line {line}: {exc}") from None
+            if not all(math.isfinite(values[i]) for i in floats):
+                raise SpecError(f"line {line}: non-finite value")
+            if values[0] < last_t:
+                raise SpecError(f"line {line}: timestamp {values[0]} decreases")
+            for i in counts:
+                if not 0 <= values[i] <= adc_max:
+                    raise SpecError(f"line {line}: count {values[i]} outside [0, {adc_max}]")
+            if theta is not None and abs(values[theta]) > theta_limit[0]:
+                raise SpecError(f"line {line}: {theta_limit[1].format(values[theta])}")
+            last_t = values[0]
+            for column, value in zip(columns, values):
+                column.append(value)
     except csv.Error as exc:  # a field over the size limit, or a newline inside one
-        error = SpecError(f"line {reader.line_num}: {exc}")
-        if found is None:
-            raise error from None
-    if found is None:
+        raise SpecError(f"line {reader.line_num}: {exc}") from None
+    if not found:
         raise SpecError(f"empty {what} file")
-    if not lines and error is None:
+    if not columns[0]:
         raise SpecError(f"{what} file has a header but no data rows")
-    if malformed is None:
-        malformed = _convert_rows(rows, converters, columns)
-    if malformed is not None:
-        error = SpecError(f"line {lines[len(columns[0])]}: {malformed}")
-
-    # Counts stay Python ints (object arrays) until their range is checked,
-    # so no count overflows.
-    values = [np.array(c, dtype=object if f is int else float) for f, c in zip(converters, columns)]
-    t = values[0]
-    finite = [np.isfinite(v) for f, v in zip(converters, values) if f is float]
-    checks = [
-        (~np.logical_and.reduce(finite), lambda row: "non-finite value"),
-        (t < np.concatenate(([-np.inf], t[:-1])), lambda row: f"timestamp {columns[0][row]} decreases"),
-    ]
-    for convert, v, column in zip(converters, values, columns):
-        if convert is int:
-            checks.append(
-                ((v < 0) | (v > adc_max), lambda row, c=column: f"count {c[row]} outside [0, {adc_max}]")
-            )
-    if theta_limit is not None:
-        limit, text = theta_limit
-        theta = header.index("theta")
-        checks.append((np.abs(values[theta]) > limit, lambda row: text.format(columns[theta][row])))
-    failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-    if failing.size:
-        row = int(failing[0])
-        describe = next(describe for mask, describe in checks if mask[row])
-        raise SpecError(f"line {lines[row]}: {describe(row)}")
-    if error is not None:
-        raise error
-    return [v.astype(np.int64) if f is int else v for f, v in zip(converters, values)]
+    return [np.array(c, dtype=np.int64 if f is int else float) for f, c in zip(converters, columns)]
 
 
 def ingest_log(source: str | Path | IO[str] | IO[bytes], spec: SensorSpec) -> CalibrationDataset:
@@ -633,17 +583,8 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path, manifest: dict | None = None) -> None:
-    text = json.dumps(bundle_to_dict(bundle, manifest), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+    write_json(path, bundle_to_dict(bundle, manifest))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
-    return bundle_from_dict(data)
+    return bundle_from_dict(read_json(path))

@@ -28,6 +28,8 @@ from paintpot.errors import (
     InitializationError,
     InversionError,
     SpecError,
+    read_json,
+    write_json,
 )
 from paintpot.geometry import wrap_angle
 
@@ -212,14 +214,7 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
 def _resolve_experiment_config(ref: str) -> dict:
     if ref in presets.EXPERIMENT_PRESETS:
         return json.loads(json.dumps(presets.EXPERIMENT_PRESETS[ref]))
-    path = Path(ref)
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
+    return read_json(Path(ref))
 
 
 def _config_number(
@@ -315,14 +310,12 @@ def run_experiment_command(config_ref: str, out_prefix: str) -> trajectory.Exper
         "config": cfg,
         **result.summary_dict(),
     }
-    try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # the summary echoes the config
+    try:  # before the trace: the summary echoes the config, which may hold a NaN
+        write_json(summary_path, summary)
+    except ValueError as exc:
         raise SpecError(f"{config_ref}: the config holds a non-finite number: {exc}") from exc
     with open(trace_path, "w", encoding="utf-8", newline="\n") as handle:
         result.write_trace(handle, comment=manifest.comment())
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
     return result
 
 

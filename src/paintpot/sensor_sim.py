@@ -16,7 +16,6 @@ scaled, so a sweep or a run draws all of it in one call.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, FitError, SpecError, check_adc_max
+from paintpot.errors import DomainError, FitError, SpecError, check_adc_max, read_json, write_json
 from paintpot.geometry import WiperTrack, geometry_from_dict, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
@@ -218,17 +217,8 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
 
 
 def load_sensor_spec(path: str | Path) -> SensorSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
-    return sensor_spec_from_dict(data)
+    return sensor_spec_from_dict(read_json(path))
 
 
 def save_sensor_spec(spec: SensorSpec, path: str | Path) -> None:
-    text = json.dumps(sensor_spec_to_dict(spec), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+    write_json(path, sensor_spec_to_dict(spec))

@@ -301,7 +301,15 @@ def read_both(text, header):
 GRAMMAR_CASES = [
     ("line", "   ", False),
     ("row_end", "#x", False),
-    ("line", "# note", False),
+    ("line", "# note", True),
+    ("line", "  # indented note", True),
+    # A comment line csv might read as more or less than one row: a quote
+    # that opens a field running on through a data line, a NUL (which
+    # Python 3.10's csv rejects), non-ASCII text, a manifest's JSON.
+    ("line", '# a,"b\n0.005,0,500,500\n# c"', False),
+    ("line", "# a\x00b", False),
+    ("line", "# \u00e9t\u00e9", False),
+    ("line", '# manifest {"k": 1}', False),
     ("t", "1_0", False),
     ("v0", "1_0", False),
     ("t", "\u0665", False),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
@@ -330,7 +338,8 @@ GRAMMAR_CASES = [
     ("rows", "1", True),
 ]
 GRAMMAR_IDS = [
-    "whitespace_line", "hash_after_row", "comment_line", "underscore_float", "underscore_count",
+    "whitespace_line", "hash_after_row", "comment_line", "indented_comment", "comment_quote_spans_lines",
+    "comment_nul", "non_ascii_comment", "comment_manifest_json", "underscore_float", "underscore_count",
     "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count", "23_digit_count",
     "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400", "over_field_limit",
     "crlf", "bare_cr", "no_final_newline", "bom", "comment_preamble", "padded_float", "separator_padded_float",
@@ -338,14 +347,20 @@ GRAMMAR_IDS = [
 ]
 
 
+@pytest.fixture
+def checked(monkeypatch):
+    """A list that grows by one at each call of the checked parser."""
+    calls = []
+    monkeypatch.setattr(
+        characterize, "_read_columns_checked", lambda *args: calls.append(1) or _read_columns_checked(*args)
+    )
+    return calls
+
+
 class TestTwoStageReader:
     @pytest.mark.parametrize("header", [READINGS, CALIBRATION], ids=["readings", "calibration"])
     @pytest.mark.parametrize("where,text,fast", GRAMMAR_CASES, ids=GRAMMAR_IDS)
-    def test_same_columns_or_error_as_the_checked_parser(self, monkeypatch, header, where, text, fast):
-        checked = []
-        monkeypatch.setattr(
-            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
-        )
+    def test_same_columns_or_error_as_the_checked_parser(self, checked, header, where, text, fast):
         got, want = read_both(grammar_log(header, where, text), header)
         assert got == want
         assert not checked if fast else checked
@@ -360,27 +375,19 @@ class TestTwoStageReader:
                 [0.0, 0.01, 0.02], [500, 501, 502], [500, 501, 502], [0.5, 0.5, 0.5]
             ]
 
-    def test_unseekable_source_goes_to_the_checked_parser(self, monkeypatch):
+    def test_unseekable_source_goes_to_the_checked_parser(self, checked):
         class Unseekable(io.BytesIO):
             def seekable(self):
                 return False
 
-        checked = []
-        monkeypatch.setattr(
-            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
-        )
         text = grammar_log(READINGS, "rows", "1").encode("utf-8")
         assert read_columns(Unseekable(text), READINGS, 1023, "log") == [[0.0], [500], [500], [0.5]]
         assert checked
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast_stage", "checked_parser"])
-    def test_a_callers_byte_stream_stays_open(self, monkeypatch, fast):
-        checked = []
-        monkeypatch.setattr(
-            characterize, "_read_columns_checked", lambda *args: checked.append(1) or _read_columns_checked(*args)
-        )
-        # A comment line mid-body is left to the checked parser.
-        text = b"t,v0,omega\n0,5,0\n0.01,6,0\n" if fast else b"t,v0,omega\n0,5,0\n# note\n0.01,6,0\n"
+    def test_a_callers_byte_stream_stays_open(self, checked, fast):
+        # A comment line with a quote mid-body is left to the checked parser.
+        text = b"t,v0,omega\n0,5,0\n# note\n0.01,6,0\n" if fast else b't,v0,omega\n0,5,0\n# "note"\n0.01,6,0\n'
         stream = io.BytesIO(text)
         assert read_columns(stream, ["t", "v0", "omega"], 1023, "readings") == [[0.0, 0.01], [5, 6], [0.0, 0.0]]
         assert not checked if fast else checked
@@ -409,6 +416,14 @@ class TestTwoStageReader:
         with pytest.raises(SpecError, match=r"^line 2: new-line character seen in unquoted field"):
             read_columns(io.StringIO(text), READINGS, 1023, "readings")
 
+    @pytest.mark.parametrize("header", [READINGS, CALIBRATION], ids=["readings", "calibration"])
+    def test_comment_with_a_bare_cr_in_a_stream_that_keeps_it_goes_to_the_checked_parser(self, checked, header):
+        # csv ends the comment's row at the \r and rejects the rest of the line.
+        text = grammar_log(header, "line", "# a\r0.005,0,500,500")
+        with pytest.raises(SpecError, match=r"^line 3: new-line character seen in unquoted field"):
+            read_columns(io.StringIO(text), header, 1023, "log")
+        assert checked
+
     def test_log_that_is_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         lines = grammar_log(READINGS, "newline", "\r\n").encode("utf-8").split(b"\r\n")
@@ -426,7 +441,7 @@ MUTANT_FIELDS = [
     " 5", "+5", "05", "5.", ".5", "-0", "1e3", "1E-3", "nan", "-inf", "1_0", "\u0665", '"5"', "",
     "5.0", "\u01fe", "1" * 23, "0x10", "1e", "9" * 19,
 ]
-MUTANT_LINES = ["", "   ", "# note", ",,,", "0,1", "  # indented note"]
+MUTANT_LINES = ["", "   ", "# note", ",,,", "0,1", "  # indented note", '# a,"b', "#\x00"]
 MUTANT_CHARS = [
     ",", "#", " ", "\t", "\x0b", "\x1c", "\r", "\n", '"', "_", "e", ".", "-", "+", "0", "9",
     "\ufeff", "\u0665", "\u01fe", "\xa0",

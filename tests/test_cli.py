@@ -763,30 +763,7 @@ def _calibration_not_utf8(tmp_path, bundle):
     )
 
 
-def _bundle_not_utf8(tmp_path, bundle):
-    edited, readings = tmp_path / "edited.json", tmp_path / "r.csv"
-    _spoiled(edited, bundle.read_text(), 1)
-    write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
-    return ["estimate", "--model", str(edited), "--readings", str(readings), "--out", str(tmp_path / "t.csv")], (
-        f"{edited}: not UTF-8"
-    )
-
-
-def _config_not_utf8(tmp_path, bundle):
-    config = _spoiled(tmp_path / "config.json", json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]), 1)
-    return ["experiment", "--config", config, "--out-prefix", str(tmp_path / "x")], f"{config}: not UTF-8"
-
-
-def _spec_not_utf8(tmp_path, bundle):
-    save_sensor_spec(reference_tilt_spec(), tmp_path / "spec.json")
-    spec = _spoiled(tmp_path / "spec.json", (tmp_path / "spec.json").read_text(), 1)
-    return ["sweep", "--spec", spec, "--out", str(tmp_path / "s.csv")], f"{spec}: not UTF-8"
-
-
-@pytest.mark.parametrize(
-    "argv", [_readings_not_utf8, _calibration_not_utf8, _bundle_not_utf8, _config_not_utf8, _spec_not_utf8],
-    ids=["readings", "calibration", "bundle", "experiment_config", "sensor_spec"],
-)
+@pytest.mark.parametrize("argv", [_readings_not_utf8, _calibration_not_utf8], ids=["readings", "calibration"])
 def test_input_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, wheel_bundle, capsys, argv):
     out = tmp_path / "out"
     out.mkdir()
@@ -795,6 +772,41 @@ def test_input_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, wheel_
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and message in err
+
+
+def _json_reader(tmp_path, bundle, kind):
+    """A command that reads one JSON file of ``kind``, that file's path, and a valid text for it."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "bundle":
+        readings = tmp_path / "r.csv"
+        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+        argv = ["estimate", "--model", str(path), "--readings", str(readings), "--out", str(tmp_path / "t.csv")]
+        return argv, path, bundle.read_text()
+    if kind == "sensor_spec":
+        save_sensor_spec(reference_tilt_spec(), path)
+        return ["sweep", "--spec", str(path), "--out", str(tmp_path / "s.csv")], path, path.read_text()
+    text = json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"], indent=2)
+    return ["experiment", "--config", str(path), "--out-prefix", str(tmp_path / "x")], path, text
+
+
+@pytest.mark.parametrize("kind", ["bundle", "sensor_spec", "experiment_config"])
+@pytest.mark.parametrize("fault", ["malformed_json", "not_utf8"])
+def test_json_file_that_does_not_parse_is_config_error_naming_it(tmp_path, wheel_bundle, capsys, kind, fault):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, path, text = _json_reader(out, wheel_bundle, kind)
+    middle = len(text) // 2
+    if fault == "malformed_json":
+        path.write_text(text[:middle], encoding="utf-8")
+        message = f"paintpot: configuration error: {path}: invalid JSON: "
+    else:
+        _spoiled(path, text, middle)
+        message = f"paintpot: configuration error: {path}: not UTF-8: invalid start byte\n"
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert {p.name for p in out.iterdir()} <= {path.name, "r.csv"}  # no output written
 
 
 def _tilt_config(path, value):
