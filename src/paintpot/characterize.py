@@ -163,30 +163,18 @@ COUNT_COLUMNS = ("v0", "v1")
 
 
 def _plain_blocks(handle):
-    """The rest of ``handle``'s lines, a list at a time, less comment lines
-    (``#`` first past any whitespace: the judge's rule).
+    """The rest of ``handle``'s lines, a list at a time.
 
-    Raises ValueError at a block that only the judge may read: a line over
-    ``csv.reader``'s field limit, which may hold a field it rejects;
-    non-ASCII text, since numpy 2.4's int64 parser reads some non-ASCII
-    letters as digits (U+01FE then ``5`` loads as 4625); or a comment line
-    that csv may read as more or less than one row, one holding a quote
-    (which may open a field running on into the next line), a NUL (Python
-    3.10's csv rejects it) or a line break before its end.
+    Raises ValueError at a block with a line that only the judge may read:
+    one longer than ``csv.reader``'s field limit, which may hold a field it
+    rejects, or one with non-ASCII text, since numpy 2.4's int64 parser
+    reads some non-ASCII letters as digits (U+01FE then ``5`` loads as
+    4625).
     """
     limit = csv.field_size_limit()
     while block := handle.readlines(_BLOCK_CHARS):
-        text = "".join(block)
-        if max(map(len, block)) > limit or not text.isascii():
+        if max(map(len, block)) > limit or not all(map(str.isascii, block)):
             raise ValueError("a line for the judge")
-        if "#" in text:
-            kept = []
-            for line in block:
-                if not line.lstrip().startswith("#"):
-                    kept.append(line)
-                elif any(c in line.rstrip("\r\n") for c in '"\0\r\n'):
-                    raise ValueError("a comment line for the judge")
-            block = kept
         yield block
 
 
@@ -249,8 +237,8 @@ def read_columns(
     ints, every other one floats.  The source (a path, a text stream or a
     byte stream) is read in two stages.  A seekable source is first read
     in C: the header by the judge's rule, then every row by one
-    ``np.loadtxt`` call, fed the lines less their comment lines, with numpy
-    checking the values.  That stage can only accept.  Any load error,
+    ``np.loadtxt`` call, with numpy checking the values.  That stage can
+    only accept.  Any load error (a comment line below the header is one),
     failed check, empty body or unseekable source rewinds the source, as
     does a line that only the judge may read (see :func:`_plain_blocks`),
     and the checked parser, the judge, reads it one row at a time with

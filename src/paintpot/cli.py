@@ -310,12 +310,13 @@ def run_experiment_command(config_ref: str, out_prefix: str) -> trajectory.Exper
         "config": cfg,
         **result.summary_dict(),
     }
-    try:  # before the trace: the summary echoes the config, which may hold a NaN
-        write_json(summary_path, summary)
-    except ValueError as exc:
+    try:
+        json.dumps(summary, allow_nan=False)
+    except ValueError as exc:  # the summary echoes the config
         raise SpecError(f"{config_ref}: the config holds a non-finite number: {exc}") from exc
     with open(trace_path, "w", encoding="utf-8", newline="\n") as handle:
         result.write_trace(handle, comment=manifest.comment())
+    write_json(summary_path, summary)  # last: its presence shows the run finished
     return result
 
 

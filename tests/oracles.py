@@ -153,8 +153,9 @@ class ReferenceLogError(ValueError):
 def ingest_log_reference(text, sensor_kind, adc_max=1023):
     """Calibration-log parser that checks one row at a time.
 
-    The package's parser before it read logs by columns, kept as the
-    reference for that one.  Returns the columns ``(t, theta, v0, v1)``
+    The package's parser before it read logs by columns, frozen as the
+    reference for the package's per-row judge
+    (``characterize._read_columns_checked``) and its fast stage.  Returns the columns ``(t, theta, v0, v1)``
     (``v1`` is None for a tilt log) or raises :class:`ReferenceLogError`
     with the package's error text.
     """

@@ -652,6 +652,13 @@ class TestExperiment:
         assert "non-finite number" in capsys.readouterr().err
         assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
 
+    def test_summary_is_written_last(self, tmp_path, capsys):
+        # A summary shows that the run finished: none is left when the trace cannot be written.
+        (tmp_path / "x_trace.csv").mkdir()
+        assert run_cli("experiment", "--config", "tilt_sweep", "--out-prefix", str(tmp_path / "x")) == 4
+        assert "x_trace.csv" in capsys.readouterr().err
+        assert not (tmp_path / "x_summary.json").exists()
+
     def test_kind_mismatch_is_config_error(self, tmp_path):
         config = {
             "kind": "tilt",
