@@ -23,14 +23,13 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError, check_adc_max, read_json, write_json
+from paintpot.errors import FitError, SpecError, check_adc_max, not_utf8, read_json, write_json
 from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack, geometry_from_dict
 from paintpot.sensor_sim import SensorSpec
 
@@ -146,39 +145,11 @@ class ModelBundle:
         return replace(self, filter_params=dict(params))
 
 
-def _open_text(source: str | Path | IO[str] | IO[bytes]):
-    """Normalize a path / text stream / byte stream into text lines."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-
-
-# The fast stage hands np.loadtxt a log's lines in blocks of about this many
-# characters, so it never holds the whole text.
-_BLOCK_CHARS = 1 << 16
 # Columns of integer ADC counts; every other column holds floats.
 COUNT_COLUMNS = ("v0", "v1")
 
 
-def _plain_blocks(handle):
-    """The rest of ``handle``'s lines, a list at a time.
-
-    Raises ValueError at a block with a line that only the judge may read:
-    one longer than ``csv.reader``'s field limit, which may hold a field it
-    rejects, or one with non-ASCII text, since numpy 2.4's int64 parser
-    reads some non-ASCII letters as digits (U+01FE then ``5`` loads as
-    4625).
-    """
-    limit = csv.field_size_limit()
-    while block := handle.readlines(_BLOCK_CHARS):
-        if max(map(len, block)) > limit or not all(map(str.isascii, block)):
-            raise ValueError("a line for the judge")
-        yield block
-
-
-def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
+def _read_columns_fast(lines, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
     """The value arrays of a plainly valid log, its rows read by one
     ``np.loadtxt`` call and checked by numpy, or None.
 
@@ -186,17 +157,21 @@ def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> 
     load raises ValueError, ``csv.Error`` or a warning, and one whose header
     or values fail a check returns None: either way, no error is decided.
     """
-    rows = csv.reader(iter(handle.readline, ""))
+    lines = iter(lines)
+    rows = csv.reader(lines)
     found = next((row for row in rows if row and not row[0].lstrip().startswith("#")), None)
     if found is None or [f.strip() for f in found] != header:
         return None
     dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
+    # A body line that only the judge may read becomes "?", which fails the
+    # load: one longer than csv.reader's field limit, which may hold a field
+    # it rejects, or one with non-ASCII text, since numpy 2.4's int64 parser
+    # reads some non-ASCII letters as digits (U+01FE then ``5`` loads as 4625).
+    limit = csv.field_size_limit()
+    body = (line if len(line) <= limit and line.isascii() else "?" for line in lines)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a body with no rows only warns
-        values = np.loadtxt(
-            chain.from_iterable(_plain_blocks(handle)),
-            dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True,
-        )
+        values = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
     floats = [v for name, v in zip(header, values) if name not in COUNT_COLUMNS]
     counts = [v for name, v in zip(header, values) if name in COUNT_COLUMNS]
     t = values[0]
@@ -207,21 +182,6 @@ def _read_columns_fast(handle, header: list[str], adc_max: int, theta_limit) -> 
         and (theta_limit is None or (np.abs(values[header.index("theta")]) <= theta_limit[0]).all())
     )
     return values if valid else None
-
-
-def _not_utf8(source, what: str, exc: UnicodeDecodeError) -> SpecError:
-    """The error for a log that is not UTF-8; for a file it names the
-    physical line of the first byte that is not."""
-    where = f"{what} stream"
-    if isinstance(source, (str, Path)):
-        where = str(source)
-        try:
-            Path(source).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as first:
-            head = first.object[: first.start].decode("utf-8")
-            line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
-            where, exc = f"{where}: line {line}", first
-    return SpecError(f"{where}: not UTF-8: {exc.reason}")
 
 
 def read_columns(
@@ -235,23 +195,26 @@ def read_columns(
 
     The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold
     ints, every other one floats.  The source (a path, a text stream or a
-    byte stream) is read in two stages.  A seekable source is first read
-    in C: the header by the judge's rule, then every row by one
-    ``np.loadtxt`` call, with numpy checking the values.  That stage can
-    only accept.  Any load error (a comment line below the header is one),
-    failed check, empty body or unseekable source rewinds the source, as
-    does a line that only the judge may read (see :func:`_plain_blocks`),
-    and the checked parser, the judge, reads it one row at a time with
-    ``csv.reader``; it alone decides every error.  Lines starting with
-    ``#`` are skipped but counted, so errors name the physical line.
+    byte stream) is read once, into its bytes or, for a text stream, its
+    lines, and two stages read that one buffer.  The first reads in C: the
+    header by the judge's rule, then every row by one ``np.loadtxt`` call,
+    with numpy checking the values.  That stage can only accept.  A log it
+    fails to load (a comment line below the header is one), or whose values
+    fail a check, or with no rows, or with a line that only the judge may
+    read (see :func:`_read_columns_fast`), goes to the checked parser, the
+    judge, which reads it one row at a time with ``csv.reader``; it alone
+    decides every error.  Lines starting with ``#`` are skipped but counted,
+    so errors name the physical line.
 
     Raises :class:`SpecError` naming the line of the first bad row.  A row
     is checked for, in this order: a line ``csv.reader`` cannot split, its
     field count, malformed fields (left to right), non-finite floats, a
     decreasing ``t``, counts outside [0, adc_max] (left to right) and,
     given ``theta_limit = (limit, text)``, a ``theta`` whose magnitude
-    exceeds ``limit`` (the error is ``text`` formatted with it).  ``what``
-    names the file when it holds no rows, or a stream that is not UTF-8.
+    exceeds ``limit`` (the error is ``text`` formatted with it).  A log
+    that is not UTF-8 raises naming the path, or ``what`` for a byte
+    stream, and the line of its first byte that is not.  ``what`` also
+    names the file when it holds no rows.
     """
     return [column.tolist() for column in _read_arrays(source, header, adc_max, what, theta_limit)]
 
@@ -265,31 +228,32 @@ def _read_arrays(
 ) -> list[np.ndarray]:
     """:func:`read_columns`' columns as arrays: int64 counts, float64 otherwise."""
     header = list(header)
-    handle, owned = _open_text(source)
+    if isinstance(source, io.TextIOBase):
+        try:
+            text = source.readlines()  # keeps the stream's own newline rule
+        except UnicodeDecodeError as exc:  # the stream decoded its own bytes: no line to name
+            raise SpecError(f"{what} stream: not UTF-8: {exc.reason}") from None
+        lines = lambda: text  # noqa: E731
+    else:
+        data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+        lines = lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")  # noqa: E731
     try:
-        if handle.seekable():
-            start = handle.tell()
-            try:
-                columns = _read_columns_fast(handle, header, adc_max, theta_limit)
-            except (ValueError, csv.Error, Warning):  # the checked parser judges it
-                columns = None
-            if columns is not None:
-                return columns
-            handle.seek(start)
-        return _read_columns_checked(handle, header, adc_max, what, theta_limit)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(source, what, exc) from None
-    finally:
-        if owned:
-            handle.close()
-        elif handle is not source:  # our wrapper of the caller's byte stream: leave that open
-            handle.detach()
+        columns = _read_columns_fast(lines(), header, adc_max, theta_limit)
+    except (ValueError, csv.Error, Warning):  # the checked parser judges it
+        columns = None
+    if columns is not None:
+        return columns
+    try:
+        return _read_columns_checked(lines(), header, adc_max, what, theta_limit)
+    except UnicodeDecodeError:
+        where = source if isinstance(source, (str, Path)) else f"{what} stream"
+        raise not_utf8(where, data) from None
 
 
 def _read_columns_checked(
-    handle: IO[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
+    lines: Iterable[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
 ) -> list[np.ndarray]:
-    """:func:`read_columns`' judge over an open text stream: one row at a
+    """:func:`read_columns`' judge over a log's lines: one row at a
     time, it splits the line, counts and converts the fields, then checks
     the values, and raises at the first bad row.  It returns the columns as
     arrays, the counts as int64."""
@@ -300,7 +264,7 @@ def _read_columns_checked(
     columns: list[list] = [[] for _ in header]
     last_t = -math.inf
     found = False
-    reader = csv.reader(handle)
+    reader = csv.reader(lines)
     try:
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):

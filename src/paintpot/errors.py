@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, the ADC-width check, and
-the one reader and writer of the package's JSON files."""
+"""Exception hierarchy shared across the package, the ADC-width check, the
+error for an input that is not UTF-8, and the one reader and writer of the
+package's JSON files."""
 
 import json
+from pathlib import Path
 
 
 class PaintPotError(Exception):
@@ -34,16 +36,32 @@ def check_adc_max(adc_max: int) -> None:
         raise SpecError(f"adc_max must be 2**bits - 1 with bits >= 1, got {adc_max}")
 
 
-def read_json(path):
-    """The JSON value in the file at ``path``; a file that is not UTF-8 or
-    not JSON raises :class:`SpecError` naming ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SpecError(f"{path}: not UTF-8: {exc.reason}") from exc
+def not_utf8(where, data: bytes) -> SpecError:
+    """The error for ``data``, read from ``where``, which must not be UTF-8:
+    it names the physical line (ended by LF, CR or CRLF) of the first byte
+    that is not."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return SpecError(f"{where}: line {line}: not UTF-8: {exc.reason}")
+    raise ValueError(f"{where} is UTF-8")
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``; a file that is not UTF-8,
+    not JSON or not an object raises :class:`SpecError` naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError:
+        raise not_utf8(path, Path(path).read_bytes()) from None
+    if not isinstance(data, dict):
+        raise SpecError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def write_json(path, data) -> None:

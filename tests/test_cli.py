@@ -808,11 +808,31 @@ def test_json_file_that_does_not_parse_is_config_error_naming_it(tmp_path, wheel
         message = f"paintpot: configuration error: {path}: invalid JSON: "
     else:
         _spoiled(path, text, middle)
-        message = f"paintpot: configuration error: {path}: not UTF-8: invalid start byte\n"
+        line = text[:middle].count("\n") + 1
+        message = f"paintpot: configuration error: {path}: line {line}: not UTF-8: invalid start byte\n"
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+    assert {p.name for p in out.iterdir()} <= {path.name, "r.csv"}  # no output written
+
+
+@pytest.mark.parametrize("kind", ["bundle", "sensor_spec", "calibrate_spec", "experiment_config"])
+@pytest.mark.parametrize("text,name", [("[1, 2]", "list"), ("null", "NoneType")], ids=["list", "null"])
+def test_json_file_that_is_not_an_object_is_config_error_naming_it(tmp_path, wheel_bundle, capsys, kind, text, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "calibrate_spec":
+        path = out / "spec.json"
+        sweep = str(wheel_bundle.parent / "sweep.csv")
+        argv = ["calibrate", "--in", sweep, "--spec", str(path), "--out", str(out / "b.json")]
+    else:
+        argv, path, _ = _json_reader(out, wheel_bundle, kind)
+    path.write_text(text + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"paintpot: configuration error: {path}: expected a JSON object, got {name}\n"
     assert {p.name for p in out.iterdir()} <= {path.name, "r.csv"}  # no output written
 
 
@@ -904,6 +924,24 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_estimate_reads_a_pipe_as_it_reads_the_file(self, tmp_path, wheel_bundle):
+        # A pipe cannot seek; a `< file` redirection would make /dev/stdin seekable.
+        rows = [line.split(",") for line in (wheel_bundle.parent / "sweep.csv").read_text().splitlines()[2:]]
+        log = "t,v0,v1,omega\n" + "".join(f"{t},{v0},{v1},0\n" for t, _, v0, v1 in rows)
+        readings = tmp_path / "readings.csv"
+        readings.write_text(log, encoding="utf-8")
+        assert run_cli("estimate", "--model", str(wheel_bundle), "--readings", str(readings),
+                       "--out", str(tmp_path / "file.csv")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "paintpot", "estimate", "--model", str(wheel_bundle),
+             "--readings", "/dev/stdin", "--out", str(tmp_path / "pipe.csv")],
+            input=log.encode("utf-8"), capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        past_manifest = [(tmp_path / name).read_bytes().split(b"\n", 1)[1] for name in ("file.csv", "pipe.csv")]
+        assert len(rows) > 500 and past_manifest[0] == past_manifest[1]
 
     def test_calibrate_and_experiment_leave_numpy_polynomial_unloaded(self, tmp_path):
         # The fit solves numpy.polynomial's system without importing it.
