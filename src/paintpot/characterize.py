@@ -24,14 +24,13 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError, check_adc_max, not_utf8, read_json, write_json
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, WiperTrack, geometry_from_dict
-from paintpot.sensor_sim import SensorSpec
+from paintpot.errors import FitError, SpecError, check_adc_max, read_json, read_text, write_json
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict
 
 MIN_FIT_SAMPLES = 8
 MIN_WINDOW_SPAN_FRACTION = 0.5
@@ -150,14 +149,13 @@ COUNT_COLUMNS = ("v0", "v1")
 
 
 def _read_columns_fast(lines, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
-    """The value arrays of a plainly valid log, its rows read by one
-    ``np.loadtxt`` call and checked by numpy, or None.
+    """The value arrays of a plainly valid log, the text stream ``lines``,
+    its rows read by one ``np.loadtxt`` call and checked by numpy, or None.
 
     The header is found by the judge's rule.  A log that fails to
     load raises ValueError, ``csv.Error`` or a warning, and one whose header
     or values fail a check returns None: either way, no error is decided.
     """
-    lines = iter(lines)
     rows = csv.reader(lines)
     found = next((row for row in rows if row and not row[0].lstrip().startswith("#")), None)
     if found is None or [f.strip() for f in found] != header:
@@ -185,69 +183,44 @@ def _read_columns_fast(lines, header: list[str], adc_max: int, theta_limit) -> l
 
 
 def read_columns(
-    source: str | Path | IO[str] | IO[bytes],
-    header: Sequence[str],
+    path: str | Path,
+    header: list[str],
     adc_max: int,
     what: str,
     theta_limit: tuple[float, str] | None = None,
-) -> list[list]:
-    """Parse a UTF-8 CSV log with the given header into one list per column.
+) -> list[np.ndarray]:
+    """Parse the UTF-8 CSV log at ``path`` with the given header into one array per column.
 
-    The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold
-    ints, every other one floats.  The source (a path, a text stream or a
-    byte stream) is read once, into its bytes or, for a text stream, its
-    lines, and two stages read that one buffer.  The first reads in C: the
-    header by the judge's rule, then every row by one ``np.loadtxt`` call,
-    with numpy checking the values.  That stage can only accept.  A log it
-    fails to load (a comment line below the header is one), or whose values
-    fail a check, or with no rows, or with a line that only the judge may
-    read (see :func:`_read_columns_fast`), goes to the checked parser, the
-    judge, which reads it one row at a time with ``csv.reader``; it alone
-    decides every error.  Lines starting with ``#`` are skipped but counted,
-    so errors name the physical line.
+    The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold int64
+    counts, every other one floats.  The file (a pipe too, as ``/dev/stdin``) is
+    read and decoded once by :func:`~paintpot.errors.read_text`, so a log that
+    is not UTF-8 raises naming ``path`` and the line of its first byte that is
+    not, before any row is checked.  Two stages read that one text.  The first
+    reads in C: the header by the judge's rule, then every row by one
+    ``np.loadtxt`` call, with numpy checking the values.  That stage can only
+    accept.  A log it fails to load (a comment line below the header is one), or
+    whose values fail a check, or with no rows, or with a line that only the
+    judge may read (see :func:`_read_columns_fast`), goes to the checked parser,
+    the judge, which reads it one row at a time with ``csv.reader``; it alone
+    decides every row's error.  Lines starting with ``#`` are skipped but
+    counted, so errors name the physical line.
 
     Raises :class:`SpecError` naming the line of the first bad row.  A row
     is checked for, in this order: a line ``csv.reader`` cannot split, its
     field count, malformed fields (left to right), non-finite floats, a
     decreasing ``t``, counts outside [0, adc_max] (left to right) and,
     given ``theta_limit = (limit, text)``, a ``theta`` whose magnitude
-    exceeds ``limit`` (the error is ``text`` formatted with it).  A log
-    that is not UTF-8 raises naming the path, or ``what`` for a byte
-    stream, and the line of its first byte that is not.  ``what`` also
+    exceeds ``limit`` (the error is ``text`` formatted with it).  ``what``
     names the file when it holds no rows.
     """
-    return [column.tolist() for column in _read_arrays(source, header, adc_max, what, theta_limit)]
-
-
-def _read_arrays(
-    source: str | Path | IO[str] | IO[bytes],
-    header: Sequence[str],
-    adc_max: int,
-    what: str,
-    theta_limit: tuple[float, str] | None,
-) -> list[np.ndarray]:
-    """:func:`read_columns`' columns as arrays: int64 counts, float64 otherwise."""
-    header = list(header)
-    if isinstance(source, io.TextIOBase):
-        try:
-            text = source.readlines()  # keeps the stream's own newline rule
-        except UnicodeDecodeError as exc:  # the stream decoded its own bytes: no line to name
-            raise SpecError(f"{what} stream: not UTF-8: {exc.reason}") from None
-        lines = lambda: text  # noqa: E731
-    else:
-        data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-        lines = lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")  # noqa: E731
+    text = read_text(path)
     try:
-        columns = _read_columns_fast(lines(), header, adc_max, theta_limit)
+        columns = _read_columns_fast(io.StringIO(text, newline=""), header, adc_max, theta_limit)
     except (ValueError, csv.Error, Warning):  # the checked parser judges it
         columns = None
-    if columns is not None:
-        return columns
-    try:
-        return _read_columns_checked(lines(), header, adc_max, what, theta_limit)
-    except UnicodeDecodeError:
-        where = source if isinstance(source, (str, Path)) else f"{what} stream"
-        raise not_utf8(where, data) from None
+    if columns is None:
+        columns = _read_columns_checked(io.StringIO(text, newline=""), header, adc_max, what, theta_limit)
+    return columns
 
 
 def _read_columns_checked(
@@ -306,21 +279,23 @@ def _read_columns_checked(
     return [np.array(c, dtype=np.int64 if f is int else float) for f, c in zip(converters, columns)]
 
 
-def ingest_log(source: str | Path | IO[str] | IO[bytes], spec: SensorSpec) -> CalibrationDataset:
-    """Parse and validate a calibration CSV ``t,theta,v0[,v1]`` of the sensor ``spec``.
+def ingest_log(path: str | Path, sensor: Geometry) -> CalibrationDataset:
+    """Parse and validate the calibration CSV ``t,theta,v0[,v1]`` at ``path``
+    of a sensor with the given geometry.
 
-    Applies :func:`read_columns`'s checks with the spec's ADC width, and its
-    angle range as the last one: [-pi, pi] for a wheel, where -pi is stored
-    as pi, and +-``angle_limit`` for a tilt.
+    ``sensor`` (a :class:`~paintpot.geometry.Geometry` or a ``SensorSpec``)
+    gives the tracks.  Applies :func:`read_columns`'s checks with its ADC
+    width, and its angle range as the last one: [-pi, pi] for a wheel, where
+    -pi is stored as pi, and +-``angle_limit`` for a tilt.
     """
-    header = ["t", "theta", *(f"v{i}" for i in range(len(spec.wipers)))]
-    limit = math.pi if spec.wrap else spec.angle_limit
+    header = ["t", "theta", *(f"v{i}" for i in range(len(sensor.tracks)))]
+    kind, limit = ("wheel", math.pi) if sensor.angle_limit is None else ("tilt", sensor.angle_limit)
     name = {math.pi: "pi", TILT_LIMIT: "pi/2"}.get(limit, repr(limit))
-    check = (limit, f"{spec.kind} angle {{}} outside [-{name}, {name}]")
-    t, theta, *counts = _read_arrays(source, header, spec.adc_max, "calibration", check)
+    check = (limit, f"{kind} angle {{}} outside [-{name}, {name}]")
+    t, theta, *counts = read_columns(path, header, sensor.adc_max, "calibration", check)
     theta[theta == -math.pi] = math.pi
     return CalibrationDataset(
-        tracks=spec.tracks, t=t, theta=theta, counts=np.array(counts).T, adc_max=spec.adc_max
+        tracks=sensor.tracks, t=t, theta=theta, counts=np.array(counts).T, adc_max=sensor.adc_max
     )
 
 
@@ -511,7 +486,7 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
 
 def bundle_from_dict(data: dict) -> ModelBundle:
     try:
-        tracks, _ = geometry_from_dict(data["sensor_kind"], data)
+        tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
         models = tuple(CubicModel.from_dict(m) for m in data["models"])
         ranges = tuple(
             ValidRange(int(r["v_min"]), int(r["v_max"])) for r in data.get("valid_ranges", [])
@@ -525,7 +500,7 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             models=models,
             valid_ranges=ranges,
             report=FitReport(wipers),
-            adc_max=int(data.get("adc_max", 1023)),
+            adc_max=adc_max,
             filter_params=dict(data.get("filter", {})),
         )
     except (KeyError, TypeError, ValueError, FitError) as exc:

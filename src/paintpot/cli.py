@@ -63,11 +63,10 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _resolve_sensor_spec(ref: str) -> tuple[sensor_sim.SensorSpec, dict]:
-    """The sensor a preset, a kind (its reference sensor) or a spec file names, and its dict."""
+def _resolve_sensor(ref: str, parse=sensor_sim.sensor_spec_from_dict):
+    """The sensor a preset or a kind (its reference sensor) names, or ``parse`` of the spec file ``ref``."""
     preset = presets.SENSOR_PRESETS.get(ref) or presets.SENSOR_PRESETS.get(f"{ref}_reference")
-    spec = preset() if preset else sensor_sim.load_sensor_spec(ref)
-    return spec, sensor_sim.sensor_spec_to_dict(spec)
+    return preset() if preset else parse(read_json(ref))
 
 
 def synthesize_sweep_dataset(
@@ -127,7 +126,8 @@ def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: fl
     """``sweep``: synthesize a calibration log for a sensor spec."""
     if seed < 0:
         raise SpecError("seed must be >= 0")
-    spec, spec_dict = _resolve_sensor_spec(spec_ref)
+    spec = _resolve_sensor(spec_ref)
+    spec_dict = sensor_sim.sensor_spec_to_dict(spec)
     config = {"spec": spec_dict, "rate_hz": rate_hz, "duration_s": duration_s, "seed": seed}
     manifest = RunManifest("sweep", {"spec": spec_ref}, (out,), seed, _config_hash(config))
     rng = np.random.default_rng(seed)
@@ -158,8 +158,8 @@ def run_calibrate(
     """``calibrate``: trim/shift, fit, windows, residual report, to JSON."""
     estimate.TransitionModel(k, dt, q)  # checks k, dt and q
     _check_sigma0(sigma0, "sigma0")
-    spec, _ = _resolve_sensor_spec(spec_ref)
-    dataset = characterize.ingest_log(in_csv, spec)
+    geometry = _resolve_sensor(spec_ref, sensor_sim.sensor_geometry_from_dict)  # no truth cubics
+    dataset = characterize.ingest_log(in_csv, geometry)
     bundle = characterize.calibrate(dataset)
     bundle = bundle.with_filter_params(_filter_params(bundle, k, dt, q, sigma0))
     config = {"kind": bundle.sensor_kind, "filter": bundle.filter_params}
@@ -180,7 +180,8 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     sigma0 = estimate.filter_value(bundle.filter_params, "sigma0", estimate.DEFAULT_SIGMA0)
     _check_sigma0(sigma0, "filter.sigma0")
     header = ["t", *(f"v{i}" for i in range(len(bundle.models))), "omega"]
-    t, *counts, omega = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
+    columns = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
+    t, *counts, omega = (column.tolist() for column in columns)
     obs = estimate.observation_from_bundle(bundle)
     inputs = {"model": model_json, "readings": readings_csv}
     config_sha256 = _config_hash(characterize.bundle_to_dict(bundle))

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, the ADC-width check, the
-error for an input that is not UTF-8, and the one reader and writer of the
-package's JSON files."""
+one reader of every input file (log, bundle, spec or config), which decodes
+it once and rejects one that is not UTF-8 before anything parses it, and
+the one reader and writer of the package's JSON files."""
 
 import json
 from pathlib import Path
@@ -36,29 +37,28 @@ def check_adc_max(adc_max: int) -> None:
         raise SpecError(f"adc_max must be 2**bits - 1 with bits >= 1, got {adc_max}")
 
 
-def not_utf8(where, data: bytes) -> SpecError:
-    """The error for ``data``, read from ``where``, which must not be UTF-8:
-    it names the physical line (ended by LF, CR or CRLF) of the first byte
-    that is not."""
+def read_text(path) -> str:
+    """The text of the file at ``path``, its bytes read once and decoded
+    once as UTF-8.  A file that is not UTF-8 raises :class:`SpecError`
+    naming ``path`` and the physical line (ended by LF, CR or CRLF) of the
+    first byte that is not."""
+    data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return SpecError(f"{where}: line {line}: not UTF-8: {exc.reason}")
-    raise ValueError(f"{where} is UTF-8")
+        raise SpecError(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
 
 
 def read_json(path) -> dict:
-    """The JSON object in the file at ``path``; a file that is not UTF-8,
-    not JSON or not an object raises :class:`SpecError` naming ``path``."""
+    """The JSON object in the file at ``path``; a file that is not UTF-8
+    (:func:`read_text`), not JSON or not an object raises :class:`SpecError`
+    naming ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-    except UnicodeDecodeError:
-        raise not_utf8(path, Path(path).read_bytes()) from None
     if not isinstance(data, dict):
         raise SpecError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from paintpot.errors import SpecError
+from paintpot.errors import SpecError, check_adc_max
 
 TWO_PI = math.tau
 
@@ -91,13 +92,29 @@ def wrapped_difference(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-def geometry_from_dict(kind: object, data: dict) -> tuple[tuple[WiperTrack | None, ...], float | None]:
-    """A ``kind`` file's wiper tracks and angle limit: a wheel has :data:`WHEEL_TRACKS`, each
-    with the file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and
-    the file's ``angle_limit``, by default :data:`TILT_LIMIT`."""
+class Geometry(NamedTuple):
+    """What calibration needs of a sensor: its wipers' tracks, its angle
+    limit (None for a wheel, which wraps) and its ADC's top count."""
+
+    tracks: tuple[WiperTrack | None, ...]
+    angle_limit: float | None
+    adc_max: int
+
+
+def geometry_from_dict(kind: object, data: dict) -> Geometry:
+    """A ``kind`` file's geometry, checked: a wheel has :data:`WHEEL_TRACKS`, each with the
+    file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and the file's
+    ``angle_limit`` in (0, pi], by default :data:`TILT_LIMIT`.  Either has the file's
+    ``adc_max``, by default 1023, which must be ``2**bits - 1``."""
+    adc_max = int(data.get("adc_max", 1023))
+    check_adc_max(adc_max)
     if kind == "wheel":
         gaps = [data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi)) for i, t in enumerate(WHEEL_TRACKS)]
-        return tuple(WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)), None
+        tracks = tuple(WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS))
+        return Geometry(tracks, None, adc_max)
     if kind == "tilt":
-        return (None,), float(data.get("angle_limit", TILT_LIMIT))
+        limit = float(data.get("angle_limit", TILT_LIMIT))
+        if not 0.0 < limit <= math.pi:
+            raise SpecError("angle_limit must lie in (0, pi]")
+        return Geometry((None,), limit, adc_max)
     raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, FitError, SpecError, check_adc_max, read_json, write_json
-from paintpot.geometry import WiperTrack, geometry_from_dict, wrap_angle
+from paintpot.errors import DomainError, FitError, SpecError, check_adc_max, write_json
+from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
 # low rail, which the valid-range test downstream rejects.
@@ -196,28 +196,32 @@ def sensor_spec_to_dict(spec: SensorSpec) -> dict:
     return data
 
 
-def sensor_spec_from_dict(data: dict) -> SensorSpec:
-    """Inverse of :func:`sensor_spec_to_dict`, with schema validation; the
-    reference sensor its ``kind`` names fills the tracks and angle limit it
-    leaves out (:func:`~paintpot.geometry.geometry_from_dict`)."""
+def sensor_geometry_from_dict(data: dict) -> Geometry:
+    """A sensor file's tracks, angle limit and ADC width, checked: all that
+    calibration reads of it.  The reference sensor its ``kind`` names fills
+    the tracks and angle limit it leaves out
+    (:func:`~paintpot.geometry.geometry_from_dict`)."""
     try:
-        tracks, limit = geometry_from_dict(data["kind"], data)
-        names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
-        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
-        return SensorSpec(
-            wipers,
-            limit,
-            adc_max=int(data.get("adc_max", 1023)),
-            noise_std=float(data.get("noise_std", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError, FitError) as exc:
+        return geometry_from_dict(data["kind"], data)
+    except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"malformed sensor spec: {exc}") from exc
 
 
-def load_sensor_spec(path: str | Path) -> SensorSpec:
-    return sensor_spec_from_dict(read_json(path))
+def sensor_spec_from_dict(data: dict) -> SensorSpec:
+    """Inverse of :func:`sensor_spec_to_dict`, with schema validation: the
+    file's geometry (:func:`sensor_geometry_from_dict`), and a truth cubic
+    per wiper, which only the simulator reads."""
+    tracks, limit, adc_max = sensor_geometry_from_dict(data)
+    names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
+    try:
+        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
+        return SensorSpec(wipers, limit, adc_max=adc_max, noise_std=float(data.get("noise_std", 1.0)))
+    except (KeyError, TypeError, ValueError, FitError) as exc:
+        if isinstance(exc, SpecError):
+            raise
+        raise SpecError(f"malformed sensor spec: {exc}") from exc
 
 
 def save_sensor_spec(spec: SensorSpec, path: str | Path) -> None:

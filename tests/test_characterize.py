@@ -1,9 +1,10 @@
-import gc
 import io
 import json
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ TWO_PI = 2.0 * math.pi
 WHEEL, TILT = reference_wheel_spec(), reference_tilt_spec()
 
 
+def on_file(read, text, *args):
+    """``read(path, *args)`` on a file that holds ``text`` as UTF-8, its line
+    endings kept: the log reader reads only files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return read(path, *args)
+
+
 def wheel_dataset(rows):
     t, theta, v0, v1 = zip(*rows)
     return CalibrationDataset(
@@ -69,7 +79,7 @@ def wheel_dataset(rows):
 class TestIngestLog:
     def test_parses_wheel_rows(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n0.1,0.2,505,515\n0.2,0.3,511,520\n"
-        ds = ingest_log(io.StringIO(csv), WHEEL)
+        ds = on_file(ingest_log, csv, WHEEL)
         assert len(ds) == 3
         assert ds.counts.shape == (3, 2)
         assert ds.theta[1] == pytest.approx(0.2)
@@ -77,32 +87,32 @@ class TestIngestLog:
     def test_count_out_of_range_names_line(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n0.1,0.2,1500,515\n"
         with pytest.raises(SpecError, match="line 3"):
-            ingest_log(io.StringIO(csv), WHEEL)
+            on_file(ingest_log, csv, WHEEL)
 
     def test_tilt_without_v1_accepted(self):
         csv = "t,theta,v0\n0.0,-0.5,200\n0.1,0.0,500\n"
-        ds = ingest_log(io.StringIO(csv), TILT)
+        ds = on_file(ingest_log, csv, TILT)
         assert ds.tracks == (None,)
         assert ds.counts.shape == (2, 1)
 
     def test_decreasing_timestamp_rejected(self):
         csv = "t,theta,v0,v1\n0.0,0.1,500,510\n-0.1,0.2,505,515\n"
         with pytest.raises(SpecError, match="line 3"):
-            ingest_log(io.StringIO(csv), WHEEL)
+            on_file(ingest_log, csv, WHEEL)
 
     def test_wrong_header_rejected(self):
         csv = "time,angle,v0,v1\n0.0,0.1,500,510\n"
         with pytest.raises(SpecError, match="header"):
-            ingest_log(io.StringIO(csv), WHEEL)
+            on_file(ingest_log, csv, WHEEL)
 
     def test_comment_lines_skipped(self):
         csv = "# manifest {}\nt,theta,v0\n0.0,0.0,500\n"
-        assert len(ingest_log(io.StringIO(csv), TILT)) == 1
+        assert len(on_file(ingest_log, csv, TILT)) == 1
 
     def test_malformed_field_names_line(self):
         csv = "t,theta,v0,v1\n0.0,0.1,50x,510\n"
         with pytest.raises(SpecError, match="line 2"):
-            ingest_log(io.StringIO(csv), WHEEL)
+            on_file(ingest_log, csv, WHEEL)
 
 
 def log_text(rows, kind="wheel"):
@@ -116,9 +126,9 @@ def ingest_both(text, kind):
         want = ingest_log_reference(text, kind)
     except ReferenceLogError as exc:
         with pytest.raises(SpecError) as got:
-            ingest_log(io.StringIO(text), SENSOR_PRESETS[f"{kind}_reference"]())
+            on_file(ingest_log, text, SENSOR_PRESETS[f"{kind}_reference"]())
         return str(got.value), str(exc)
-    return ingest_log(io.StringIO(text), SENSOR_PRESETS[f"{kind}_reference"]()), want
+    return on_file(ingest_log, text, SENSOR_PRESETS[f"{kind}_reference"]()), want
 
 
 GOOD = (0.0, 0.1, 500, 510)
@@ -175,20 +185,13 @@ class TestIngestLogFaults:
         assert ingest_both(text, "tilt") == ("calibration file has a header but no data rows",) * 2
 
     def test_wheel_minus_pi_is_stored_as_pi(self):
-        ds = ingest_log(io.StringIO(log_text([(0.0, -math.pi, 500, 510)])), WHEEL)
+        ds = on_file(ingest_log, log_text([(0.0, -math.pi, 500, 510)]), WHEEL)
         assert ds.theta.tolist() == [math.pi]
 
-    def test_path_text_stream_and_byte_stream_read_alike(self, tmp_path):
-        text = log_text([GOOD, (0.01, -0.2, 501, 511)])
+    def test_str_and_path_read_alike(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text(text, encoding="utf-8")
-        datasets = [
-            ingest_log(str(path), WHEEL),
-            ingest_log(path, WHEEL),
-            ingest_log(io.StringIO(text), WHEEL),
-            ingest_log(io.BytesIO(text.encode("utf-8")), WHEEL),
-        ]
-        for ds in datasets:
+        path.write_text(log_text([GOOD, (0.01, -0.2, 501, 511)]), encoding="utf-8")
+        for ds in (ingest_log(str(path), WHEEL), ingest_log(path, WHEEL)):
             assert ds.t.tolist() == [0.0, 0.01] and ds.theta.tolist() == [0.1, -0.2]
             assert ds.counts.tolist() == [[500, 510], [501, 511]]
 
@@ -286,14 +289,14 @@ def read_both(text, header):
     SpecError text."""
     limit = (PI, "wheel angle {} outside [-pi, pi]") if "theta" in header else None  # the wheel chart's
 
-    def run(read):
+    def run(source, read):
         try:
-            columns = read(io.StringIO(text, newline=""), header, 1023, "log", limit)
+            columns = read(source, header, 1023, "log", limit)
         except SpecError as exc:
             return str(exc)
-        return [[(type(x), x.hex() if type(x) is float else x) for x in c] for c in columns]
+        return [[(type(x), x.hex() if type(x) is float else x) for x in c.tolist()] for c in columns]
 
-    return run(read_columns), run(lambda *args: [c.tolist() for c in _read_columns_checked(*args)])
+    return on_file(run, text, read_columns), run(io.StringIO(text, newline=""), _read_columns_checked)
 
 
 # Where np.loadtxt's grammar and the checked parser's differ, or might
@@ -356,41 +359,14 @@ class TestTwoStageReader:
         assert got == want
         assert not checked if fast else checked
 
-    def test_sources_read_alike_and_plain_logs_stay_in_the_fast_stage(self, monkeypatch, tmp_path):
+    def test_str_and_path_read_alike_and_plain_logs_stay_in_the_fast_stage(self, monkeypatch, tmp_path):
         monkeypatch.setattr(characterize, "_read_columns_checked", None)
-        text = grammar_log(READINGS, "newline", "\r\n")
         path = tmp_path / "log.csv"
-        path.write_bytes(text.encode("utf-8"))
-        for source in (path, str(path), io.BytesIO(text.encode("utf-8")), io.StringIO(text, newline="")):
-            assert read_columns(source, READINGS, 1023, "log") == [
+        path.write_bytes(grammar_log(READINGS, "newline", "\r\n").encode("utf-8"))
+        for source in (path, str(path)):
+            assert [c.tolist() for c in read_columns(source, READINGS, 1023, "log")] == [
                 [0.0, 0.01, 0.02], [500, 501, 502], [500, 501, 502], [0.5, 0.5, 0.5]
             ]
-
-    def test_unseekable_source_stays_in_the_fast_stage(self, checked):
-        class Unseekable(io.BytesIO):
-            def seekable(self):
-                return False
-
-        text = grammar_log(READINGS, "rows", "1").encode("utf-8")
-        assert read_columns(Unseekable(text), READINGS, 1023, "log") == [[0.0], [500], [500], [0.5]]
-        assert not checked
-
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast_stage", "checked_parser"])
-    def test_a_callers_byte_stream_stays_open(self, checked, fast):
-        # A comment line mid-body is left to the checked parser.
-        text = b"t,v0,omega\n0,5,0\n0.01,6,0\n" if fast else b"t,v0,omega\n0,5,0\n# note\n0.01,6,0\n"
-        stream = io.BytesIO(text)
-        assert read_columns(stream, ["t", "v0", "omega"], 1023, "readings") == [[0.0, 0.01], [5, 6], [0.0, 0.0]]
-        assert not checked if fast else checked
-        gc.collect()  # collects the text wrapper the reader put around the stream
-        assert not stream.closed
-        stream.seek(0)
-        assert stream.read() == text
-        # So does a calibration log's, read by ingest_log.
-        stream = io.BytesIO(b"t,theta,v0\n0,0.1,500\n0.01,0.2,501\n")
-        assert len(ingest_log(stream, TILT)) == 2
-        gc.collect()
-        assert not stream.closed
 
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -400,22 +376,28 @@ class TestTwoStageReader:
         # It ends the rows as a short row does: an earlier bad value is named first.
         text = grammar_log(READINGS, "v0", "0" * 131072 + "5").replace("0.01,501", "0.01,-7")
         with pytest.raises(SpecError, match=r"^line 3: count -7 outside \[0, 1023\]$"):
-            read_columns(io.StringIO(text, newline=""), READINGS, 1023, "readings")
+            on_file(read_columns, text, READINGS, 1023, "readings")
 
-    def test_bare_cr_in_a_stream_that_keeps_it_names_its_line(self):
-        text = grammar_log(READINGS, "row_end", "\r0.005,500,500,0.5")
-        with pytest.raises(SpecError, match=r"^line 2: new-line character seen in unquoted field"):
-            read_columns(io.StringIO(text), READINGS, 1023, "readings")
-
-    def test_log_that_is_not_utf8_names_its_line(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_log_that_is_not_utf8_names_its_line(self, tmp_path, newline):
         path = tmp_path / "bad.csv"
-        lines = grammar_log(READINGS, "newline", "\r\n").encode("utf-8").split(b"\r\n")
+        lines = grammar_log(READINGS, "newline", newline).encode("utf-8").split(newline.encode())
         lines[2] = lines[2].replace(b"0.01", b"0.0\xff")
-        path.write_bytes(b"\r\n".join(lines))
+        path.write_bytes(newline.encode().join(lines))
         with pytest.raises(SpecError, match=rf"^{re.escape(str(path))}: line 3: not UTF-8: invalid start byte$"):
             read_columns(path, READINGS, 1023, "readings")
-        with pytest.raises(SpecError, match=r"^readings stream: line 3: not UTF-8: invalid start byte$"):
-            read_columns(io.BytesIO(path.read_bytes()), READINGS, 1023, "readings")
+
+    @pytest.mark.parametrize("rows", [3, 1000], ids=["small", "past_8_kib"])
+    def test_encoding_is_judged_before_the_rows_at_any_size(self, tmp_path, rows):
+        # A bad count on line 2, and a byte that is not UTF-8 on the last line.
+        lines = ["t,v0,v1,omega", "0.00,5x0,510,0.0", *(f"{i * 0.01:.2f},500,510,0.0" for i in range(1, rows))]
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        at = data.rindex(b"\n", 0, -1) + 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        message = rf"^{re.escape(str(path))}: line {rows + 1}: not UTF-8: invalid start byte$"
+        with pytest.raises(SpecError, match=message):
+            read_columns(path, READINGS, 1023, "readings")
 
 
 # Texts a mutation puts in place of a field, inserts as a line or inserts

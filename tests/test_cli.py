@@ -192,6 +192,55 @@ class TestCalibrate:
         assert code == 3
 
 
+def _geometry_only(path, preset, **edit):
+    """Write ``preset``'s spec file to ``path`` with ``edit`` and without its truth cubics."""
+    data = {**sensor_spec_to_dict(presets.SENSOR_PRESETS[preset]()), **edit}
+    path.write_text(json.dumps({key: value for key, value in data.items() if not key.startswith("truth")}))
+    return str(path)
+
+
+class TestCalibrateOnGeometry:
+    """``calibrate --spec`` reads a sensor file's tracks, angle limit and ADC
+    width, and no truth cubic; ``sweep --spec`` needs the truths."""
+
+    @pytest.mark.parametrize("preset", sorted(presets.SENSOR_PRESETS))
+    def test_spec_without_truths_calibrates_to_the_same_bytes(self, tmp_path, capsys, preset):
+        spec, sweep, bundle = tmp_path / "spec.json", tmp_path / "sweep.csv", tmp_path / "bundle.json"
+        save_sensor_spec(presets.SENSOR_PRESETS[preset](), spec)
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(sweep), "--seed", "2") == 0
+        written = []
+        for ref in (str(spec), _geometry_only(tmp_path / "geometry.json", preset)):
+            assert run_cli("calibrate", "--in", str(sweep), "--spec", ref, "--out", str(bundle)) == 0
+            written.append(bundle.read_bytes())
+        assert written[0] == written[1]
+        capsys.readouterr()
+        assert run_cli("sweep", "--spec", str(tmp_path / "geometry.json"), "--out", str(sweep)) == 2
+        truth = "truth_w0" if preset == "wheel_reference" else "truth"
+        assert capsys.readouterr().err == f"paintpot: configuration error: malformed sensor spec: '{truth}'\n"
+
+    @pytest.mark.parametrize(
+        "preset,edit,message",
+        [
+            ("wheel_reference", {"gap_w0": [2.0, 1.5]}, "malformed sensor spec: empty interval: [2.0, 1.5]"),
+            ("wheel_reference", {"gap_w1": [-0.5, 0.5]}, "gap [-0.5, 0.5] turning by"),
+            ("wheel_reference", {"adc_max": 1000}, "adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
+            ("tilt_reference", {"adc_max": "ten"}, "malformed sensor spec: invalid literal for int()"),
+            ("tilt_reference", {"angle_limit": 4.0}, "angle_limit must lie in (0, pi]"),
+            ("tilt_reference", {"angle_limit": 0.0}, "angle_limit must lie in (0, pi]"),
+        ],
+        ids=["empty_gap", "gap_across_zero", "adc_max_1000", "adc_max_text", "limit_above_pi", "limit_zero"],
+    )
+    def test_bad_geometry_is_config_error(self, tmp_path, capsys, preset, edit, message):
+        sweep, bundle = tmp_path / "sweep.csv", tmp_path / "bundle.json"
+        assert run_cli("sweep", "--spec", preset, "--out", str(sweep), "--seed", "2") == 0
+        capsys.readouterr()
+        spec = _geometry_only(tmp_path / "geometry.json", preset, **edit)
+        assert run_cli("calibrate", "--in", str(sweep), "--spec", spec, "--out", str(bundle)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"paintpot: configuration error: {message}") and "Traceback" not in err
+        assert not bundle.exists()
+
+
 def write_readings_csv(path, rows, wheel=True):
     header = "t,v0,v1,omega" if wheel else "t,v0,omega"
     with open(path, "w", newline="\n") as handle:
