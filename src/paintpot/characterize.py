@@ -148,25 +148,24 @@ class ModelBundle:
 COUNT_COLUMNS = ("v0", "v1")
 
 
-def _read_columns_fast(lines, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
-    """The value arrays of a plainly valid log, the text stream ``lines``,
-    its rows read by one ``np.loadtxt`` call and checked by numpy, or None.
+def _read_columns_fast(text: str, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
+    """The value arrays of a plainly valid log ``text``, its rows read by
+    one ``np.loadtxt`` call and checked by numpy, or None.
 
-    The header is found by the judge's rule.  A log that fails to
-    load raises ValueError, ``csv.Error`` or a warning, and one whose header
+    The header is found by the judge's rule.  A log that fails to load
+    raises ValueError, ``csv.Error`` or a warning, and one whose text, header
     or values fail a check returns None: either way, no error is decided.
     """
-    rows = csv.reader(lines)
-    found = next((row for row in rows if row and not row[0].lstrip().startswith("#")), None)
-    if found is None or [f.strip() for f in found] != header:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # StringIO(text, newline="")'s lines
+    rows = csv.reader(body := iter(lines))
+    n, found = next(((i, r) for i, r in enumerate(rows, 1) if r and not r[0].lstrip().startswith("#")),
+                    (0, None))
+    # The judge's: non-ASCII text (numpy 2.4's int64 parser reads U+01FE then ``5`` as 4625), a line over
+    # csv's field limit, whose field csv may reject, and a quoted line end before the header, lost here.
+    if (not text.isascii() or max(map(len, lines)) > csv.field_size_limit() or n != rows.line_num
+            or [f.strip() for f in found] != header):
         return None
     dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
-    # A body line that only the judge may read becomes "?", which fails the
-    # load: one longer than csv.reader's field limit, which may hold a field
-    # it rejects, or one with non-ASCII text, since numpy 2.4's int64 parser
-    # reads some non-ASCII letters as digits (U+01FE then ``5`` loads as 4625).
-    limit = csv.field_size_limit()
-    body = (line if len(line) <= limit and line.isascii() else "?" for line in lines)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a body with no rows only warns
         values = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
@@ -199,8 +198,8 @@ def read_columns(
     reads in C: the header by the judge's rule, then every row by one
     ``np.loadtxt`` call, with numpy checking the values.  That stage can only
     accept.  A log it fails to load (a comment line below the header is one), or
-    whose values fail a check, or with no rows, or with a line that only the
-    judge may read (see :func:`_read_columns_fast`), goes to the checked parser,
+    whose values fail a check, or with no rows, or with non-ASCII text or a line
+    over ``csv.field_size_limit()`` anywhere, goes to the checked parser,
     the judge, which reads it one row at a time with ``csv.reader``; it alone
     decides every row's error.  Lines starting with ``#`` are skipped but
     counted, so errors name the physical line.
@@ -215,7 +214,7 @@ def read_columns(
     """
     text = read_text(path)
     try:
-        columns = _read_columns_fast(io.StringIO(text, newline=""), header, adc_max, theta_limit)
+        columns = _read_columns_fast(text, header, adc_max, theta_limit)
     except (ValueError, csv.Error, Warning):  # the checked parser judges it
         columns = None
     if columns is None:

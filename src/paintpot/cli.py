@@ -194,12 +194,11 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     readings = zip(*(map(table.__getitem__, column) for table, column in zip(by_count, counts)))
     estimator = (estimate.WheelEstimator if obs.wrap else estimate.TiltEstimator)(obs, tm, sigma0)
     first = next(readings)
-    beliefs = [estimator.initialize(first)]
-    n_features = [len(estimate.extract_features(first, obs))]
+    (mu, sigma), n = estimator.initialize(first), len(t)  # no per-row belief outlives its step
+    mus, sigmas, n_features = [mu] * n, [sigma] * n, [len(estimate.extract_features(first, obs))] * n
     n_used = sum if obs.wrap else int  # a wheel step reports a flag per wiper
-    for belief, used in map(estimator.step, omega[1:], readings):
-        beliefs.append(belief)
-        n_features.append(n_used(used))
+    for row, ((mu, sigma), used) in enumerate(map(estimator.step, omega[1:], readings), 1):
+        mus[row], sigmas[row], n_features[row] = mu, sigma, n_used(used)
     sigma_text: dict[float, str] = {}  # the variance settles and repeats: format each value once
     digits = [str(n) for n in range(len(obs.wipers) + 1)]
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
@@ -208,7 +207,7 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
         handle.writelines([
             "%.17g,%.17g,%s,%s\n"
             % (t_i, mu, sigma_text.get(sigma) or sigma_text.setdefault(sigma, "%.17g" % sigma), digits[n])
-            for t_i, (mu, sigma), n in zip(t, beliefs, n_features)
+            for t_i, mu, sigma, n in zip(t, mus, sigmas, n_features)
         ])
 
 

@@ -1,17 +1,17 @@
 """Scalar Kalman filters over converted angle measurements.
 
-Raw counts are pushed through the fitted cubics into angle-space
-"features", which makes the observation model linear: each admitted
-feature measures the per-wiper shifted state directly, so no linearization
-of the cubic is ever needed.  One :class:`ObservationModel` describes every
-joint: a tuple of wipers, each with its cubic, its variance ``r``, the
-counts it admits, its track and a count-to-angle table, plus a ``wrap``
-flag.  A wheel is two tracked wipers with a wrap: its filter fuses up to
-two features per step and keeps its mean on the wrapped chart (-pi, pi].
-A tilt is one wiper with neither.  Both steps predict on floats in the
-operation order of :func:`predict`; the wheel step then gates the features
-of :func:`extract_features` against the mean shifted by each track and
-fuses them as :func:`update_wheel` does, the tilt step through
+Raw counts are pushed through the fitted cubics into angle-space "features",
+which makes the observation model linear: each admitted feature measures the
+per-wiper shifted state directly, so no linearization of the cubic is ever
+needed.  One :class:`ObservationModel` describes every joint: a tuple of
+wipers, each with its cubic, its variance ``r``, the counts it admits, its
+track and a count-to-angle table, plus a ``wrap`` flag; it tables the
+:class:`Feature` of each count a wiper admits.  A wheel is two tracked wipers
+with a wrap: its filter fuses up to two features per step and keeps its mean
+on the wrapped chart (-pi, pi].  A tilt is one wiper with neither.  Both
+steps predict on floats in :func:`predict`'s order; the wheel step then gates
+the features of :func:`extract_features` against the mean shifted by each
+track and fuses them as :func:`update_wheel` does, the tilt step through
 :func:`update_tilt`.  Each belief is built past the class call.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
-from paintpot.geometry import WiperTrack, wrap_angle
+from paintpot.geometry import TWO_PI, WiperTrack, wrap_angle
 from paintpot.sensor_sim import AdcReading
 
 DEFAULT_SIGMA0 = 1e-4
@@ -42,6 +43,7 @@ class TransitionModel:
     k: float
     dt: float
     q: float
+    _products: tuple[float, float] = field(init=False, repr=False, compare=False)  # (k*dt, dt*dt*q)
 
     def __post_init__(self) -> None:
         for name in ("k", "dt", "q"):
@@ -52,6 +54,7 @@ class TransitionModel:
             raise SpecError("dt must be positive")
         if self.q < 0.0:
             raise SpecError("q must be >= 0")
+        object.__setattr__(self, "_products", (self.k * self.dt, self.dt * self.dt * self.q))
 
     @property
     def u_gain(self) -> float:
@@ -131,8 +134,8 @@ def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
 class Wiper:
     """One wiper's converted measurement.
 
-    The wiper admits the counts ``lo..hi`` (inclusive); ``chart[count]`` is its cubic
-    at ``count``, the state on its ``track`` if any, tabled for every count from 0 to ``hi``.
+    The wiper admits the counts ``lo..hi``; ``chart[count]``, for every count from 0 to ``hi``, is
+    its cubic at ``count``, the state on its ``track`` if any.  Its observation model tables its features.
     """
 
     model: CubicModel
@@ -162,16 +165,22 @@ class ObservationModel:
 
     wipers: tuple[Wiper, ...]
     wrap: bool
+    # [i][count]: wiper i's Feature at each admitted count, None below lo; a chart is finite, so unchecked.
+    _features: tuple[tuple[Feature | None, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.wipers:
             raise SpecError("an observation model needs at least one wiper")
+        tables = []
         for index, wiper in enumerate(self.wipers):
             if not (math.isfinite(wiper.r) and wiper.r > 0.0):
                 raise SpecError(
                     f"wiper {index}: measurement variance r must be finite and positive, "
                     f"got {wiper.r!r}"
                 )
+            row = zip(repeat(index), wiper.chart[wiper.lo:], repeat(wiper.r))
+            tables.append((None,) * wiper.lo + tuple(map(tuple.__new__, repeat(Feature), row)))
+        object.__setattr__(self, "_features", tuple(tables))
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
@@ -190,15 +199,14 @@ def extract_features(
     is flagged available and its count is in its wiper's ``lo..hi``.  An
     empty list is legal; the update then degenerates to the prediction.
     """
-    wipers = obs.wipers
+    wipers, tables = obs.wipers, obs._features
     features: list[Feature] = []
     for index, count, available in readings:
         if not 0 <= index < len(wipers):
             raise SpecError(f"wiper index must be in 0..{len(wipers) - 1}, got {index}")
         wiper = wipers[index]
         if available and wiper.lo <= count <= wiper.hi:
-            # A chart is finite by construction, so z needs no second check.
-            features.append(tuple.__new__(Feature, (index, wiper.chart[count], wiper.r)))
+            features.append(tables[index][count])
     return features
 
 
@@ -323,29 +331,31 @@ class WheelEstimator:
         if self.belief is None:
             raise InitializationError("call initialize() before step()")
         mu, sigma = self.belief
-        tm = self.tm
-        mu = mu + tm.k * tm.dt * u
-        sigma = sigma + tm.dt * tm.dt * tm.q
+        k_dt, dt_dt_q = self.tm._products
+        mu = mu + k_dt * u
+        sigma = sigma + dt_dt_q
         if not (sigma > 0.0 and math.isfinite(mu)):
             GaussianBelief(mu, sigma)  # raises the belief's own error
         # Each wiper's predicted measurement: the mean on its shifted chart (WiperTrack.shift).
         (edge0, turn0), (edge1, turn1) = self._shifts
         z_bar0 = mu + turn0 if (mu - edge0) * turn0 < 0.0 else mu
         z_bar1 = mu + turn1 if (mu - edge1) * turn1 < 0.0 else mu
-        kept: list[tuple[float, float]] = []
+        kept = 0
         used = [False, False]
         for index, z, r in extract_features(readings, self.obs):
             nu = z - (z_bar1 if index else z_bar0)
             if abs(nu) <= self.gate_sigmas * math.sqrt(sigma + r):
-                kept.append((nu, r))
+                if kept:
+                    nu1, r1 = nu, r
+                else:
+                    nu0, r0 = nu, r
+                kept += 1
                 used[index] = True
-        if len(kept) == 1:
-            ((nu, r),) = kept
-            gain = sigma / (sigma + r)
-            mu = mu + gain * nu
+        if kept == 1:
+            gain = sigma / (sigma + r0)
+            mu = mu + gain * nu0
             sigma = sigma - gain * sigma
-        elif len(kept) == 2:
-            (nu0, r0), (nu1, r1) = kept
+        elif kept == 2:
             det = sigma * r0 + sigma * r1 + r0 * r1
             k0 = sigma * r1 / det
             k1 = sigma * r0 / det
@@ -353,7 +363,8 @@ class WheelEstimator:
             sigma = sigma - (k0 + k1) * sigma
         elif kept:
             raise SpecError("a wheel update takes at most two features")
-        self.belief = belief = _belief(wrap_angle(mu), sigma)
+        mu = math.remainder(mu, TWO_PI)  # wrap_angle, inline
+        self.belief = belief = _belief(math.pi if mu == -math.pi else mu, sigma)
         return tuple.__new__(WheelStep, (belief, (used[0], used[1])))
 
 
@@ -377,8 +388,8 @@ class TiltEstimator:
             raise InitializationError("call initialize() before step()")
         (reading,) = readings
         mu, sigma = self.belief
-        tm = self.tm
-        belief_bar = _belief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
+        k_dt, dt_dt_q = self.tm._products
+        belief_bar = _belief(mu + k_dt * u, sigma + dt_dt_q)
         step = tuple.__new__(TiltStep, update_tilt(belief_bar, reading, self.obs))
         self.belief = step[0]
         return step

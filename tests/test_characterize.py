@@ -368,6 +368,41 @@ class TestTwoStageReader:
                 [0.0, 0.01, 0.02], [500, 501, 502], [500, 501, 502], [0.5, 0.5, 0.5]
             ]
 
+    @pytest.mark.parametrize("edit,fast", [
+        ("lf", True),
+        ("crlf", True),
+        ("cr", True),
+        ("bare_cr_mid_body", True),
+        ("non_ascii_last_line", False),
+        ("field_over_limit_mid_body", False),
+        ("crlf_note_mid_body", False),
+    ])
+    def test_whole_text_checks_route_a_large_log(self, checked, edit, fast):
+        # Over 128 KiB, so no per-block or per-chunk rule could see all of it.
+        lines = ["t,v0,v1,omega", *(f"{i / 100!r},{500 + i % 7},{510 - i % 5},0.5" for i in range(8000))]
+        if edit == "non_ascii_last_line":
+            lines[-1] = "79.99,\u01fe,510,0.5"  # numpy's int64 parser reads it as 462
+        elif edit == "field_over_limit_mid_body":
+            lines[4000] = "40.0," + "0" * 131072 + "5,510,0.5"
+        elif edit == "crlf_note_mid_body":
+            lines.insert(4000, "# note")
+        newline = {"crlf": "\r\n", "crlf_note_mid_body": "\r\n", "cr": "\r"}.get(edit, "\n")
+        text = newline.join(lines) + newline
+        if edit == "bare_cr_mid_body":
+            text = text.replace("\n", "\r", 1000)
+        assert len(text) > 128 * 1024
+        got, want = read_both(text, READINGS)
+        assert got == want
+        assert not checked if fast else checked
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_header_row_read_from_two_lines_is_the_judges(self, checked, newline):
+        # The fast stage's lines lack their ends, so its csv.reader would join
+        # the quoted "v" and "0" into the header name v0.
+        got, want = read_both(newline.join(['t,"v', '0",v1,omega', "0.0,500,510,0.5"]) + newline, READINGS)
+        assert got == want == f"line 2: header must be 't,v0,v1,omega', got {f't,v{newline}0,v1,omega'!r}"
+        assert checked
+
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text(grammar_log(READINGS, "v0", "0" * 131072 + "5"), encoding="utf-8")

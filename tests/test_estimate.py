@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -12,8 +13,10 @@ from paintpot.characterize import (
     ModelBundle,
     ValidRange,
     WiperFitStats,
+    calibrate,
     compute_valid_ranges,
 )
+from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
 from paintpot.estimate import (
@@ -32,14 +35,15 @@ from paintpot.estimate import (
     update_tilt,
     update_wheel,
 )
-from paintpot.geometry import WHEEL_TRACKS, geometry_from_dict
+from paintpot.geometry import WHEEL_TRACKS, geometry_from_dict, wrap_angle
 from paintpot.presets import (
+    SENSOR_PRESETS,
     TILT_TRUTH,
     WHEEL_TRUTH_W0,
     WHEEL_TRUTH_W1,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import AdcReading, read_wheel
+from paintpot.sensor_sim import AdcReading, read_wheel, sensor_spec_from_dict, sensor_spec_to_dict
 
 from oracles import (
     cubic_value,
@@ -350,6 +354,29 @@ class TestExtractFeatures:
         (feature,) = extract_features((AdcReading(0, 384, True),), exact_obs(r0=2e-4))
         assert type(feature) is Feature and feature == (0, 0.5, 2e-4)
 
+    @pytest.mark.parametrize("preset,gaps", [
+        ("wheel_reference", {}),
+        ("tilt_reference", {}),
+        ("wheel_reference", {"gap_w0": [1.5, 2.0], "gap_w1": [-2.9, -2.5]}),
+    ], ids=["wheel", "tilt", "custom_gaps"])
+    def test_every_count_gives_its_charted_feature_exactly_when_admitted(self, preset, gaps):
+        spec = sensor_spec_from_dict({**sensor_spec_to_dict(SENSOR_PRESETS[preset]()), **gaps})
+        obs = observation_from_bundle(calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(11))))
+        hexed = lambda f: (type(f), f.index, f.z.hex(), f.r.hex())  # noqa: E731
+        for index, wiper in enumerate(obs.wipers):
+            for count in range(spec.adc_max + 1):
+                for available in (True, False):
+                    got = extract_features((AdcReading(index, count, available),), obs)
+                    admitted = available and wiper.lo <= count <= wiper.hi
+                    want = [Feature(index, wiper.chart[count], wiper.r)] if admitted else []
+                    assert list(map(hexed, got)) == list(map(hexed, want))
+                    # Each count's feature is tabled once and handed out again.
+                    again = extract_features((AdcReading(index, count, True),), obs)
+                    assert all(map(operator.is_, got, again))
+        top = len(obs.wipers) - 1
+        with pytest.raises(SpecError, match=f"^wiper index must be in 0..{top}, got {top + 1}$"):
+            extract_features((AdcReading(top + 1, 500, True),), obs)
+
     def test_initial_belief_skips_a_wiper0_count_outside_lo_hi(self):
         obs = exact_obs()
         for count in (-1, obs.wipers[0].hi + 1):
@@ -495,6 +522,13 @@ class TestWrapWheelBelief:
         far = wheel_belief(7.3 * PI, 1e-3)
         assert wheel_belief(*far) == far
         assert far.mu == pytest.approx(wrap_brute(7.3 * PI), abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [-PI, 3.0 * PI, -PI + 1e-12])
+    def test_step_wraps_its_mean_onto_the_chart(self, mu):
+        # No feature and no motion: the step's mean is the belief's, wrapped, and -pi is stored as pi.
+        estimator = WheelEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0), belief=GaussianBelief(mu, 1e-4))
+        step = estimator.step(0.0, (AdcReading(0, 500, False), AdcReading(1, 500, False)))
+        assert step == ((wrap_angle(mu), 1e-4), (False, False)) and step.belief.mu in (PI, -PI + 1e-12)
 
 
 class TestUpdateTilt:
