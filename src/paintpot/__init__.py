@@ -11,21 +11,11 @@ Four pieces, usable separately or as one pipeline:
 - :mod:`paintpot.trajectory` -- quintic references, a velocity controller,
   and the closed-loop experiment harness.
 
+The names below drive the pipeline; each module keeps its per-phase parts.
 The ``paintpot`` CLI wires these together; see the README.
 """
 
-from paintpot.characterize import (
-    CalibrationDataset,
-    FitReport,
-    ModelBundle,
-    ValidRange,
-    calibrate,
-    compute_valid_ranges,
-    fit_cubic,
-    fit_report,
-    ingest_log,
-    trim_and_shift,
-)
+from paintpot.characterize import CalibrationDataset, ModelBundle, calibrate, fit_cubic, ingest_log
 from paintpot.cubic import CubicModel, invert_cubic
 from paintpot.errors import (
     DomainError,
@@ -36,36 +26,21 @@ from paintpot.errors import (
     SpecError,
 )
 from paintpot.estimate import (
-    Feature,
     GaussianBelief,
     ObservationModel,
     TiltEstimator,
     TransitionModel,
     WheelEstimator,
-    Wiper,
-    extract_features,
-    predict,
-    update_tilt,
-    update_wheel,
 )
-from paintpot.geometry import wrap_angle, wrapped_difference
-from paintpot.sensor_sim import (
-    AdcReading,
-    SensorSpec,
-    quantize,
-    read_tilt,
-    read_wheel,
-    simulate_plant_step,
-)
+from paintpot.geometry import wrap_angle
+from paintpot.sensor_sim import AdcReading, SensorSpec
 from paintpot.trajectory import (
     ControllerGains,
     ExperimentConfig,
     ExperimentResult,
     QuinticTrajectory,
-    control_step,
     plan_quintic,
     run_experiment,
-    sample,
 )
 
 __version__ = "0.1.0"
@@ -78,9 +53,7 @@ __all__ = [
     "DomainError",
     "ExperimentConfig",
     "ExperimentResult",
-    "Feature",
     "FitError",
-    "FitReport",
     "GaussianBelief",
     "InitializationError",
     "InversionError",
@@ -92,28 +65,12 @@ __all__ = [
     "SpecError",
     "TiltEstimator",
     "TransitionModel",
-    "ValidRange",
     "WheelEstimator",
-    "Wiper",
     "calibrate",
-    "compute_valid_ranges",
-    "control_step",
-    "extract_features",
     "fit_cubic",
-    "fit_report",
     "ingest_log",
     "invert_cubic",
     "plan_quintic",
-    "predict",
-    "quantize",
-    "read_tilt",
-    "read_wheel",
     "run_experiment",
-    "sample",
-    "simulate_plant_step",
-    "trim_and_shift",
-    "update_tilt",
-    "update_wheel",
     "wrap_angle",
-    "wrapped_difference",
 ]

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError, check_adc_max, read_json, read_text, write_json
+from paintpot.errors import FitError, SpecError, as_int, check_adc_max, read_json, read_text, write_json
 from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict
 
 MIN_FIT_SAMPLES = 8
@@ -404,7 +404,7 @@ def _padded_for_inversion(model: CubicModel, adc_max: int) -> CubicModel:
 
 
 def compute_valid_ranges(
-    *models: CubicModel, adc_max: int = 1023, tracks: Sequence[WiperTrack | None] = WHEEL_TRACKS
+    *models: CubicModel, adc_max: int, tracks: Sequence[WiperTrack | None]
 ) -> tuple[ValidRange, ...]:
     """Integer count windows inside which each gapped wiper's reading is usable.
 
@@ -426,13 +426,8 @@ def compute_valid_ranges(
     return tuple(ranges)
 
 
-def fit_report(dataset: CalibrationDataset, models: tuple[CubicModel, ...]) -> FitReport:
-    """Residual summary of ``models`` on the dataset's trimmed/shifted pairs."""
-    return _report(trim_and_shift(dataset), models)
-
-
-def _report(pairs: list[ShiftedPairs], models: tuple[CubicModel, ...]) -> FitReport:
-    """:func:`fit_report` on pairs already trimmed and shifted."""
+def fit_report(pairs: list[ShiftedPairs], models: tuple[CubicModel, ...]) -> FitReport:
+    """Residual summary of ``models`` on their trimmed/shifted training pairs."""
     if len(models) != len(pairs):
         raise SpecError(f"{len(pairs)} wiper partitions but {len(models)} models")
     stats = []
@@ -456,7 +451,7 @@ def calibrate(dataset: CalibrationDataset) -> ModelBundle:
         tracks=dataset.tracks,
         models=models,
         valid_ranges=compute_valid_ranges(*models, adc_max=dataset.adc_max, tracks=dataset.tracks),
-        report=_report(pairs, models),
+        report=fit_report(pairs, models),
         adc_max=dataset.adc_max,
     )
 
@@ -484,15 +479,18 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
 
 
 def bundle_from_dict(data: dict) -> ModelBundle:
+    """Inverse of :func:`bundle_to_dict`, with schema validation; its count
+    fields must be integers (:func:`~paintpot.errors.as_int`)."""
     try:
         tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
         models = tuple(CubicModel.from_dict(m) for m in data["models"])
         ranges = tuple(
-            ValidRange(int(r["v_min"]), int(r["v_max"])) for r in data.get("valid_ranges", [])
+            ValidRange(*(as_int(r[k], f"valid_ranges[{i}].{k}") for k in ("v_min", "v_max")))
+            for i, r in enumerate(data.get("valid_ranges", []))
         )
         wipers = tuple(
-            WiperFitStats(int(s["n"]), float(s["rms"]), float(s["max_abs"]))
-            for s in data.get("fit_report", {}).get("wipers", [])
+            WiperFitStats(as_int(s["n"], f"fit_report.wipers[{i}].n"), float(s["rms"]), float(s["max_abs"]))
+            for i, s in enumerate(data.get("fit_report", {}).get("wipers", []))
         )
         return ModelBundle(
             tracks=tracks,

@@ -28,6 +28,7 @@ from paintpot.errors import (
     InitializationError,
     InversionError,
     SpecError,
+    as_int,
     read_json,
     write_json,
 )
@@ -220,26 +221,27 @@ def _resolve_experiment_config(ref: str) -> dict:
 def _config_number(
     cfg: dict, path: str, default: float | None = None, integer: bool = False, low: str = ""
 ):
-    """The finite number, or with ``integer`` the int, at the dotted key
-    ``path`` of an experiment config, else ``default``; ``low``, ``"> 0"`` or
-    ``">= 0"``, bounds it from below.  Faults name ``path``."""
+    """The finite number, or with ``integer`` the int
+    (:func:`~paintpot.errors.as_int`), at the dotted key ``path`` of an
+    experiment config, else ``default``; ``low``, ``"> 0"`` or ``">= 0"``,
+    bounds it from below.  Faults name ``path``."""
     *sections, key = path.split(".")
     for section in sections:
         cfg = cfg.get(section, {})
         if not isinstance(cfg, dict):
             raise SpecError(f"{section} must be a JSON object, got {cfg!r}")
     value = cfg.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number) or (integer and not number.is_integer()):
-        expected = "an integer" if integer else "a finite number"
-        raise SpecError(f"{path} must be {expected}, got {value!r}")
+    if integer:  # an int as given: a float would round a seed above 2**53
+        number = as_int(value, path)
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise SpecError(f"{path} must be a finite number, got {value!r}")
     if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
         raise SpecError(f"{path} must be {low}, got {value!r}")
-    if integer:  # an int as given: a float would round a seed above 2**53
-        return int(value) if isinstance(value, int) else int(number)
     return number
 
 

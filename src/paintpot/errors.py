@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, the ADC-width check, the
-one reader of every input file (log, bundle, spec or config), which decodes
-it once and rejects one that is not UTF-8 before anything parses it, and
-the one reader and writer of the package's JSON files."""
+"""Exception hierarchy shared across the package, the rule for integer
+fields of input files, the ADC-width check, the one reader of every input
+file (log, bundle, spec or config), which decodes it once and rejects one
+that is not UTF-8 before anything parses it, and the one reader and writer
+of the package's JSON files."""
 
 import json
+import numbers
 from pathlib import Path
 
 
@@ -29,6 +31,15 @@ class InversionError(PaintPotError, RuntimeError):
 
 class InitializationError(PaintPotError, RuntimeError):
     """No valid feature was available to seed a filter."""
+
+
+def as_int(value: object, key: str) -> int:
+    """``value`` as an int: an integer, or a float that is a whole number,
+    and never a bool.  Anything else raises :class:`SpecError` naming ``key``."""
+    whole = isinstance(value, float) and value.is_integer()
+    if whole or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise SpecError(f"{key} must be an integer, got {value!r}")
 
 
 def check_adc_max(adc_max: int) -> None:

@@ -150,9 +150,6 @@ class Wiper:
             raise SpecError(f"admitted counts must start at a count >= 0, got {self.lo}")
         object.__setattr__(self, "chart", _count_chart(self.model, self.hi))
 
-    def admits(self, count: int) -> bool:
-        return self.lo <= count <= self.hi
-
 
 @dataclass(frozen=True)
 class ObservationModel:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from paintpot.errors import SpecError, check_adc_max
+from paintpot.errors import SpecError, as_int, check_adc_max
 
 TWO_PI = math.tau
 
@@ -87,11 +87,6 @@ def wrap_angle(theta: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-def wrapped_difference(a: float, b: float) -> float:
-    """Signed angular difference a - b, wrapped into (-pi, pi]."""
-    return wrap_angle(a - b)
-
-
 class Geometry(NamedTuple):
     """What calibration needs of a sensor: its wipers' tracks, its angle
     limit (None for a wheel, which wraps) and its ADC's top count."""
@@ -105,8 +100,8 @@ def geometry_from_dict(kind: object, data: dict) -> Geometry:
     """A ``kind`` file's geometry, checked: a wheel has :data:`WHEEL_TRACKS`, each with the
     file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and the file's
     ``angle_limit`` in (0, pi], by default :data:`TILT_LIMIT`.  Either has the file's
-    ``adc_max``, by default 1023, which must be ``2**bits - 1``."""
-    adc_max = int(data.get("adc_max", 1023))
+    ``adc_max``, by default 1023, which must be an integer ``2**bits - 1``."""
+    adc_max = as_int(data.get("adc_max", 1023), "adc_max")
     check_adc_max(adc_max)
     if kind == "wheel":
         gaps = [data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi)) for i, t in enumerate(WHEEL_TRACKS)]

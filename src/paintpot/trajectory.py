@@ -25,7 +25,7 @@ from paintpot.estimate import (
     WheelEstimator,
     extract_features,
 )
-from paintpot.geometry import wrap_angle, wrapped_difference
+from paintpot.geometry import wrap_angle
 from paintpot.sensor_sim import SensorSpec, read, simulate_plant_step
 from paintpot.sensor_sim import read_tilt, read_wheel  # noqa: F401  (bench/tracing.py hooks these names)
 
@@ -104,13 +104,13 @@ def control_step(
 ) -> float:
     """Motor speed command: feedforward velocity plus P position correction.
 
-    A wrapping joint's position error is the wrapped difference so a seam
+    A wrapping joint's position error is wrapped onto (-pi, pi] so a seam
     crossing never produces a full-turn correction; otherwise it is the
     plain difference.
     """
     if tm.k == 0.0:
         raise SpecError("transmission ratio must be nonzero to command the motor")
-    err = wrapped_difference(ref_pos, est_mu) if wrap else ref_pos - est_mu
+    err = wrap_angle(ref_pos - est_mu) if wrap else ref_pos - est_mu
     omega = (ref_vel + gains.kp * err) / tm.k
     return min(max(omega, -gains.omega_max), gains.omega_max)
 

@@ -155,7 +155,7 @@ def test_criterion_3_characterization_round_trip():
 
 def test_criterion_4_feature_availability_and_branch_structure():
     spec = reference_wheel_spec(noise_std=0.0)
-    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
     params = {"r0": 1e-4, "r1": 1e-4}
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, params))

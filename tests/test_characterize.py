@@ -997,7 +997,7 @@ class TestComputeValidRanges:
         slope = TWO_PI * (23.0 / 24.0) / 1023.0
         m0 = CubicModel(0.0, 0.0, slope, -7.0 * PI / 6.0, (0.0, 1023.0))
         m1 = CubicModel(0.0, 0.0, slope, -0.75 * PI, (0.0, 1023.0))
-        r0, r1 = compute_valid_ranges(m0, m1)
+        r0, r1 = compute_valid_ranges(m0, m1, adc_max=1023, tracks=WHEEL_TRACKS)
         # Oracle: closed-form inversion of the affine map.
         expect0 = sorted(
             ((t - m0.c0) / m0.c1 for t in (5.0 * PI / 6.0 - TWO_PI, 2.0 * PI / 3.0))
@@ -1010,7 +1010,7 @@ class TestComputeValidRanges:
         assert r0.v_min < r0.v_max and r1.v_min < r1.v_max
 
     def test_reference_upper_edge_residual(self):
-        r0, _ = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+        r0, _ = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         v = bisect_root(
             lambda x: cubic_value(5.0281e-9, -1.2255e-5, 1.7856e-2, -7.2750, x)
             - 2.0 * PI / 3.0,
@@ -1020,11 +1020,18 @@ class TestComputeValidRanges:
         )
         assert r0.v_max == math.ceil(v)
 
+    def test_adc_width_and_tracks_have_no_default(self):
+        # A left-out ``tracks`` would silently take the reference wheel's gaps.
+        with pytest.raises(TypeError, match="adc_max"):
+            compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, tracks=WHEEL_TRACKS)
+        with pytest.raises(TypeError, match="tracks"):
+            compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023)
+
     def test_degenerate_model_raises(self):
         shallow = CubicModel(0.0, 0.0, 0.001, -1.0, (0.0, 1023.0))
         wide = CubicModel(0.0, 0.0, TWO_PI * 0.96 / 1023.0, -0.75 * PI, (0.0, 1023.0))
         with pytest.raises(InversionError):
-            compute_valid_ranges(shallow, wide)
+            compute_valid_ranges(shallow, wide, adc_max=1023, tracks=WHEEL_TRACKS)
 
     def test_noiseless_grid_voltages_fall_inside_truth_ranges(self):
         # The continuous (pre-quantization) voltage of every non-gap angle
@@ -1032,7 +1039,7 @@ class TestComputeValidRanges:
         # can push boundary counts onto the outward-rounded edge, which the
         # strict test legitimately drops (the other wiper covers there).
         spec = reference_wheel_spec(noise_std=0.0)
-        ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+        ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
         for theta in thetas:
             for wiper, valid in zip(spec.wipers, ranges):
@@ -1047,7 +1054,7 @@ class TestFitReport:
         ds = synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(2))
         pairs = trim_and_shift(ds)
         # Evaluate the generating truth itself: residual is pure quantization.
-        report = fit_report(ds, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1))
+        report = fit_report(trim_and_shift(ds), (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1))
         grid = np.linspace(0.0, 1023.0, 2048)
         lsb = float(np.max(np.abs(WHEEL_TRUTH_W0.derivative(grid))))
         assert all(s.rms <= lsb for s in report.wipers)
@@ -1070,10 +1077,15 @@ class TestFitReport:
         rms = float(np.sqrt(np.mean(residual**2)))
         assert 0.007 <= rms <= 0.013
 
+    def test_one_model_per_wiper(self):
+        pairs = trim_and_shift(synthesize_sweep_dataset(reference_wheel_spec(), 14.0, 50.0, np.random.default_rng(2)))
+        with pytest.raises(SpecError, match="^2 wiper partitions but 1 models$"):
+            fit_report(pairs, (WHEEL_TRUTH_W0,))
+
     def test_empty_partition_propagates(self):
         ds = wheel_dataset([(0.0, 0.75 * PI, 850, 100), (0.1, 0.8 * PI, 860, 120)])
         with pytest.raises(FitError):
-            fit_report(ds, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1))
+            fit_report(trim_and_shift(ds), (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1))
 
 
 class TestCalibratePipeline:
@@ -1098,7 +1110,7 @@ class TestCalibratePipeline:
         assert again.filter_params == bundle.filter_params
 
     def test_bundle_wipers_are_all_gapped_or_none(self):
-        (valid,) = compute_valid_ranges(WHEEL_TRUTH_W0, tracks=WHEEL_TRACKS[:1])
+        (valid,) = compute_valid_ranges(WHEEL_TRUTH_W0, adc_max=1023, tracks=WHEEL_TRACKS[:1])
         with pytest.raises(SpecError, match="all ride gapped tracks, or none"):
             ModelBundle((WHEEL_TRACKS[0], None), (WHEEL_TRUTH_W0, TILT_TRUTH), (valid,), FitReport(()))
 

@@ -224,7 +224,7 @@ class TestCalibrateOnGeometry:
             ("wheel_reference", {"gap_w0": [2.0, 1.5]}, "malformed sensor spec: empty interval: [2.0, 1.5]"),
             ("wheel_reference", {"gap_w1": [-0.5, 0.5]}, "gap [-0.5, 0.5] turning by"),
             ("wheel_reference", {"adc_max": 1000}, "adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
-            ("tilt_reference", {"adc_max": "ten"}, "malformed sensor spec: invalid literal for int()"),
+            ("tilt_reference", {"adc_max": "ten"}, "adc_max must be an integer, got 'ten'"),
             ("tilt_reference", {"angle_limit": 4.0}, "angle_limit must lie in (0, pi]"),
             ("tilt_reference", {"angle_limit": 0.0}, "angle_limit must lie in (0, pi]"),
         ],
@@ -389,9 +389,9 @@ class TestEstimate:
         mus = np.array([float(l.split(",")[1]) for l in lines[1:]])
         n_feats = np.array([int(l.split(",")[3]) for l in lines[1:]])
         assert (n_feats == 1).any()  # wiper 0 rejected across the gap
-        from paintpot.geometry import wrapped_difference
+        from paintpot.geometry import wrap_angle
 
-        jumps = [abs(wrapped_difference(a, b)) for a, b in zip(mus[1:], mus[:-1])]
+        jumps = [abs(wrap_angle(a - b)) for a, b in zip(mus[1:], mus[:-1])]
         assert max(jumps) < 0.05
 
     def test_tilt_readings_trace(self, tmp_path):
@@ -908,6 +908,8 @@ BAD_CONFIG_VALUES = [
     ("trajectory.x0", "abc"),
     ("calibration.rate_hz", "abc"),
     ("seed", 1.5),
+    ("seed", True),
+    ("seed", "7"),
 ]
 
 
@@ -959,6 +961,61 @@ def test_whole_number_seed_is_accepted(tmp_path):
     assert (tmp_path / "int_trace.csv").read_text().splitlines()[1:] == (
         (tmp_path / "float_trace.csv").read_text().splitlines()[1:]
     )
+
+
+# JSON count fields take one rule (errors.as_int): an int, or a float that
+# is a whole number, and never a bool.  Each fault exits 2 naming its key.
+@pytest.mark.parametrize("value", [1023.9, True, "1023"], ids=["fraction", "bool", "text"])
+def test_sweep_spec_adc_max_must_be_an_integer(tmp_path, capsys, value):
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({**sensor_spec_to_dict(reference_tilt_spec()), "adc_max": value}))
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"paintpot: configuration error: adc_max must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_whole_number_adc_max_sweeps_as_that_integer(tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    written = []
+    for adc_max in (1023, 1023.0):
+        spec.write_text(json.dumps({**sensor_spec_to_dict(reference_tilt_spec()), "adc_max": adc_max}))
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--seed", "2", "--duration-s", "10") == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+BUNDLE_COUNT_FAULTS = [
+    (("valid_ranges", 0, "v_min"), 100.9, "valid_ranges[0].v_min"),
+    (("valid_ranges", 1, "v_max"), True, "valid_ranges[1].v_max"),
+    (("fit_report", "wipers", 0, "n"), 3.5, "fit_report.wipers[0].n"),
+    (("adc_max",), True, "adc_max"),
+]
+
+
+@pytest.mark.parametrize("keys,value,name", BUNDLE_COUNT_FAULTS, ids=[n for _, _, n in BUNDLE_COUNT_FAULTS])
+def test_estimate_bundle_count_must_be_an_integer(tmp_path, wheel_bundle, capsys, keys, value, name):
+    data = json.loads(Path(wheel_bundle).read_text())
+    _set(*keys, value)(data)
+    bundle, readings, out = tmp_path / "edited.json", tmp_path / "r.csv", tmp_path / "t.csv"
+    bundle.write_text(json.dumps(data))
+    write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
+    capsys.readouterr()
+    assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"paintpot: configuration error: {name} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_whole_number_valid_range_estimates_as_that_integer(tmp_path, wheel_bundle):
+    data = json.loads(Path(wheel_bundle).read_text())
+    bundle, readings, out = tmp_path / "edited.json", tmp_path / "r.csv", tmp_path / "t.csv"
+    write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 501, 509, 1.0)])
+    traces = []
+    for convert in (int, float):
+        data["valid_ranges"] = [{k: convert(v) for k, v in r.items()} for r in data["valid_ranges"]]
+        bundle.write_text(json.dumps(data))
+        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings), "--out", str(out)) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
 
 
 class TestConsoleEntry:

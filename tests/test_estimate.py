@@ -83,7 +83,7 @@ def exact_obs(r0=1e-4, r1=1e-4):
 
 
 def truth_obs(r0=1e-4, r1=1e-4):
-    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
     return wheel_obs(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, r0, r1, ranges)
 
 
@@ -192,7 +192,7 @@ class TestObservationFromBundle:
 
 class TestCountCharts:
     def test_charts_equal_scalar_evaluation_bit_for_bit(self):
-        ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+        ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         obs = wheel_obs(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, 1e-4, 1e-4, ranges)
         for wiper, valid in zip(obs.wipers, ranges):
             # The chart ends at the highest admitted count, v_max - 1.

@@ -4,16 +4,41 @@
 wrappers, and ``bench/workloads.py::count_invariants`` holds the counts to
 one ``read_wheel``/``read_tilt`` call per reading and at most two
 inversions per wheel read.  These tests count through the same attributes,
-so a leaner read cannot quietly drop or add a hooked call.
+so a leaner read cannot quietly drop or add a hooked call, and hold the
+tracer's hooks and the public API to what exists.
 """
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paintpot import cli, presets, sensor_sim, trajectory
+import paintpot
+from paintpot import cli, geometry, presets, sensor_sim, trajectory
 from paintpot.cubic import CubicModel
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_every_tracer_hook_resolves_and_is_put_back():
+    """A hooked attribute that is renamed or deleted fails here, not only in the bench."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        geometry.wrap_angle(4.0)
+    assert len(tracer._originals) == len(tracing.HOOKS)
+    assert tracer.hooks_removed()
+    assert tracer.counts["geometry.wrap_angle"] == 1
+
+
+def test_public_api_is_small_and_resolves():
+    assert len(paintpot.__all__) <= 32
+    assert len(set(paintpot.__all__)) == len(paintpot.__all__)
+    for name in paintpot.__all__:
+        assert getattr(paintpot, name) is not None
 
 
 @pytest.fixture

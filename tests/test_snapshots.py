@@ -146,7 +146,8 @@ def estimate_case(tmp_path, kind, seed):
     sweep, bundle_path = tmp_path / "sweep.csv", tmp_path / "bundle.json"
     cli.run_sweep(spec_ref, str(sweep), seed, 14.0, 50.0)
     cli.run_calibrate(str(sweep), kind, str(bundle_path), k=0.2, dt=0.01)
-    admits = [wiper.admits for wiper in observation_from_bundle(load_bundle(bundle_path)).wipers]
+    wipers = observation_from_bundle(load_bundle(bundle_path)).wipers
+    admits = [lambda count, w=w: w.lo <= count <= w.hi for w in wipers]
     spec = presets.SENSOR_PRESETS[spec_ref]()
     rng = np.random.default_rng(seed)
     plant_std = math.sqrt(0.02)  # the plant variance 0.02 as a draw scale

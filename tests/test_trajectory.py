@@ -114,7 +114,7 @@ class TestControlStep:
 
 def wheel_config(seed=0, noise_std=1.0, plant_q=0.02, x0=PI, xf=0.0):
     spec = reference_wheel_spec(noise_std=noise_std)
-    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
+    ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
     r = 1e-4 if noise_std > 0 else 2.5e-5
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
     obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
