@@ -28,9 +28,11 @@ from paintpot.errors import (
     InitializationError,
     InversionError,
     SpecError,
+    as_float,
     as_int,
     read_json,
     write_json,
+    write_rows,
 )
 from paintpot.geometry import wrap_angle
 
@@ -120,7 +122,7 @@ def _write_sweep_csv(dataset: CalibrationDataset, path: Path, manifest: RunManif
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
         handle.write(header + "\n")
-        handle.writelines(row_format % row for row in zip(*columns))
+        write_rows(handle, row_format, columns)
 
 
 def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: float) -> None:
@@ -175,6 +177,11 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     is marked available: a wiper riding its gap reports a rail count, and
     only the counts its wiper admits (the wheel's valid ranges, the tilt
     model's window) keep it out of the update.
+
+    The filter steps once per row, keeping each row's mean, variance and
+    feature count in flat columns; the trace then goes out through
+    :func:`~paintpot.errors.write_rows` a block of rows at a time, each
+    distinct variance formatted once.
     """
     bundle = characterize.load_bundle(model_json)
     tm = estimate.transition_from_bundle(bundle)
@@ -197,19 +204,23 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     first = next(readings)
     (mu, sigma), n = estimator.initialize(first), len(t)  # no per-row belief outlives its step
     mus, sigmas, n_features = [mu] * n, [sigma] * n, [len(estimate.extract_features(first, obs))] * n
-    n_used = sum if obs.wrap else int  # a wheel step reports a flag per wiper
-    for row, ((mu, sigma), used) in enumerate(map(estimator.step, omega[1:], readings), 1):
-        mus[row], sigmas[row], n_features[row] = mu, sigma, n_used(used)
+    # A belief is a tuple subclass, which indexes faster than it unpacks.
+    steps = enumerate(map(estimator.step, omega[1:], readings), 1)
+    if obs.wrap:  # a wheel step reports a flag per wiper
+        for row, (belief, (used0, used1)) in steps:
+            mus[row], sigmas[row], n_features[row] = belief[0], belief[1], used0 + used1
+    else:
+        for row, (belief, used) in steps:
+            mus[row], sigmas[row], n_features[row] = belief[0], belief[1], used
     sigma_text: dict[float, str] = {}  # the variance settles and repeats: format each value once
     digits = [str(n) for n in range(len(obs.wipers) + 1)]
+    # Each text column replaces its number column, so the two are never both kept while writing.
+    sigmas = [sigma_text.get(sigma) or sigma_text.setdefault(sigma, "%.17g" % sigma) for sigma in sigmas]
+    n_features = list(map(digits.__getitem__, n_features))  # a bool indexes as 0 or 1
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# {manifest.comment()}\n")
         handle.write("t,mu,sigma,n_features\n")
-        handle.writelines([
-            "%.17g,%.17g,%s,%s\n"
-            % (t_i, mu, sigma_text.get(sigma) or sigma_text.setdefault(sigma, "%.17g" % sigma), digits[n])
-            for t_i, mu, sigma, n in zip(t, mus, sigmas, n_features)
-        ])
+        write_rows(handle, "%.17g,%.17g,%s,%s\n", [t, mus, sigmas, n_features])
 
 
 def _resolve_experiment_config(ref: str) -> dict:
@@ -221,25 +232,18 @@ def _resolve_experiment_config(ref: str) -> dict:
 def _config_number(
     cfg: dict, path: str, default: float | None = None, integer: bool = False, low: str = ""
 ):
-    """The finite number, or with ``integer`` the int
-    (:func:`~paintpot.errors.as_int`), at the dotted key ``path`` of an
-    experiment config, else ``default``; ``low``, ``"> 0"`` or ``">= 0"``,
-    bounds it from below.  Faults name ``path``."""
+    """The finite number (:func:`~paintpot.errors.as_float`), or with
+    ``integer`` the int (:func:`~paintpot.errors.as_int`), at the dotted key
+    ``path`` of an experiment config, else ``default``; ``low``, ``"> 0"``
+    or ``">= 0"``, bounds it from below.  Faults name ``path``."""
     *sections, key = path.split(".")
     for section in sections:
         cfg = cfg.get(section, {})
         if not isinstance(cfg, dict):
             raise SpecError(f"{section} must be a JSON object, got {cfg!r}")
     value = cfg.get(key, default)
-    if integer:  # an int as given: a float would round a seed above 2**53
-        number = as_int(value, path)
-    else:
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise SpecError(f"{path} must be a finite number, got {value!r}")
+    # An int as given: a float would round a seed above 2**53.
+    number = as_int(value, path) if integer else as_float(value, path)
     if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
         raise SpecError(f"{path} must be {low}, got {value!r}")
     return number

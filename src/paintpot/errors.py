@@ -1,12 +1,18 @@
-"""Exception hierarchy shared across the package, the rule for integer
-fields of input files, the ADC-width check, the one reader of every input
-file (log, bundle, spec or config), which decodes it once and rejects one
-that is not UTF-8 before anything parses it, and the one reader and writer
-of the package's JSON files."""
+"""Exception hierarchy shared across the package, the rules for integer
+and float fields of input files, the ADC-width check, the one reader of
+every input file (log, bundle, spec or config), which decodes it once and
+rejects one that is not UTF-8 before anything parses it, the one reader and
+writer of the package's JSON files, and the one writer of CSV rows, which
+formats a block of :data:`ROWS_PER_WRITE` rows with one ``%`` and writes it
+at once."""
 
 import json
+import math
 import numbers
 from pathlib import Path
+from typing import IO, Sequence
+
+ROWS_PER_WRITE = 1_024
 
 
 class PaintPotError(Exception):
@@ -40,6 +46,19 @@ def as_int(value: object, key: str) -> int:
     if whole or isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise SpecError(f"{key} must be an integer, got {value!r}")
+
+
+def as_float(value: object, key: str) -> float:
+    """``value`` as a float: an integer or a float, never a bool or a
+    string, and finite.  Anything else raises :class:`SpecError` naming ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the largest float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SpecError(f"{key} must be a finite number, got {value!r}")
 
 
 def check_adc_max(adc_max: int) -> None:
@@ -81,3 +100,23 @@ def write_json(path, data) -> None:
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text + "\n")
+
+
+def write_rows(handle: IO[str], row_format: str, columns: Sequence[Sequence]) -> None:
+    """Write one ``row_format`` line per row of ``columns``, equal-length
+    sequences of the rows' values in field order.
+
+    Each block of :data:`ROWS_PER_WRITE` rows is one ``%`` on
+    ``row_format`` repeated for the block and one write; the columns are
+    interleaved into the ``%`` arguments one block at a time, so no
+    argument list of the whole table exists.
+    """
+    width, n = len(columns), len(columns[0])
+    values: list = []
+    for start in range(0, n, ROWS_PER_WRITE):
+        rows = min(n - start, ROWS_PER_WRITE)
+        if len(values) != width * rows:  # the first block, and a short last one
+            block_format, values = row_format * rows, [None] * (width * rows)
+        for field, column in enumerate(columns):
+            values[field::width] = column[start:start + rows]
+        handle.write(block_format % tuple(values))

@@ -5,8 +5,10 @@ which makes the observation model linear: each admitted feature measures the
 per-wiper shifted state directly, so no linearization of the cubic is ever
 needed.  One :class:`ObservationModel` describes every joint: a tuple of
 wipers, each with its cubic, its variance ``r``, the counts it admits, its
-track and a count-to-angle table, plus a ``wrap`` flag; it tables the
-:class:`Feature` of each count a wiper admits.  A wheel is two tracked wipers
+track and a count-to-angle table, plus a ``wrap`` flag.  It keeps one
+``(lo, hi, table)`` tuple per wiper, the table holding the :class:`Feature`
+of each count the wiper admits, so a reading becomes a feature by one index,
+one unpack and one table lookup.  A wheel is two tracked wipers
 with a wrap: its filter fuses up to two features per step and keeps its mean
 on the wrapped chart (-pi, pi].  A tilt is one wiper with neither.  Both
 steps predict on floats in :func:`predict`'s order; the wheel step then gates
@@ -26,7 +28,7 @@ import numpy as np
 
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
-from paintpot.errors import InitializationError, SpecError
+from paintpot.errors import InitializationError, SpecError, as_float
 from paintpot.geometry import TWO_PI, WiperTrack, wrap_angle
 from paintpot.sensor_sim import AdcReading
 
@@ -34,6 +36,9 @@ DEFAULT_SIGMA0 = 1e-4
 DEFAULT_PROCESS_NOISE = 0.05
 DEFAULT_TRANSMISSION_RATIO = 1.0
 DEFAULT_TIMESTEP = 0.01
+
+# Looked up once for the beliefs and step tuples built past their class call on every step.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class GaussianBelief(_Belief):
 def _belief(mu: float, sigma: float) -> GaussianBelief:
     """``GaussianBelief(mu, sigma)`` built past the class call, after one float test."""
     if sigma > 0.0 and math.isfinite(mu):
-        return tuple.__new__(GaussianBelief, (mu, sigma))
+        return _new_tuple(GaussianBelief, (mu, sigma))
     return GaussianBelief(mu, sigma)  # raises the belief's own error
 
 
@@ -162,13 +167,16 @@ class ObservationModel:
 
     wipers: tuple[Wiper, ...]
     wrap: bool
-    # [i][count]: wiper i's Feature at each admitted count, None below lo; a chart is finite, so unchecked.
-    _features: tuple[tuple[Feature | None, ...], ...] = field(init=False, repr=False, compare=False)
+    # [i]: wiper i's (lo, hi, table), table[count] its Feature at each admitted count and None
+    # below lo; a chart is finite, so unchecked.
+    _admits: tuple[tuple[int, int, tuple[Feature | None, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.wipers:
             raise SpecError("an observation model needs at least one wiper")
-        tables = []
+        admits = []
         for index, wiper in enumerate(self.wipers):
             if not (math.isfinite(wiper.r) and wiper.r > 0.0):
                 raise SpecError(
@@ -176,8 +184,9 @@ class ObservationModel:
                     f"got {wiper.r!r}"
                 )
             row = zip(repeat(index), wiper.chart[wiper.lo:], repeat(wiper.r))
-            tables.append((None,) * wiper.lo + tuple(map(tuple.__new__, repeat(Feature), row)))
-        object.__setattr__(self, "_features", tuple(tables))
+            table = (None,) * wiper.lo + tuple(map(tuple.__new__, repeat(Feature), row))
+            admits.append((wiper.lo, wiper.hi, table))
+        object.__setattr__(self, "_admits", tuple(admits))
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
@@ -196,14 +205,14 @@ def extract_features(
     is flagged available and its count is in its wiper's ``lo..hi``.  An
     empty list is legal; the update then degenerates to the prediction.
     """
-    wipers, tables = obs.wipers, obs._features
+    admits = obs._admits
     features: list[Feature] = []
     for index, count, available in readings:
-        if not 0 <= index < len(wipers):
-            raise SpecError(f"wiper index must be in 0..{len(wipers) - 1}, got {index}")
-        wiper = wipers[index]
-        if available and wiper.lo <= count <= wiper.hi:
-            features.append(tables[index][count])
+        if not 0 <= index < len(admits):
+            raise SpecError(f"wiper index must be in 0..{len(admits) - 1}, got {index}")
+        lo, hi, table = admits[index]
+        if available and lo <= count <= hi:
+            features.append(table[count])
     return features
 
 
@@ -325,12 +334,12 @@ class WheelEstimator:
         return self.belief
 
     def step(self, u: float, readings: Sequence[AdcReading]) -> WheelStep:
-        if self.belief is None:
+        belief = self.belief
+        if belief is None:
             raise InitializationError("call initialize() before step()")
-        mu, sigma = self.belief
         k_dt, dt_dt_q = self.tm._products
-        mu = mu + k_dt * u
-        sigma = sigma + dt_dt_q
+        mu = belief[0] + k_dt * u
+        sigma = belief[1] + dt_dt_q
         if not (sigma > 0.0 and math.isfinite(mu)):
             GaussianBelief(mu, sigma)  # raises the belief's own error
         # Each wiper's predicted measurement: the mean on its shifted chart (WiperTrack.shift).
@@ -338,7 +347,7 @@ class WheelEstimator:
         z_bar0 = mu + turn0 if (mu - edge0) * turn0 < 0.0 else mu
         z_bar1 = mu + turn1 if (mu - edge1) * turn1 < 0.0 else mu
         kept = 0
-        used = [False, False]
+        used0 = used1 = False
         for index, z, r in extract_features(readings, self.obs):
             nu = z - (z_bar1 if index else z_bar0)
             if abs(nu) <= self.gate_sigmas * math.sqrt(sigma + r):
@@ -347,7 +356,10 @@ class WheelEstimator:
                 else:
                     nu0, r0 = nu, r
                 kept += 1
-                used[index] = True
+                if index:
+                    used1 = True
+                else:
+                    used0 = True
         if kept == 1:
             gain = sigma / (sigma + r0)
             mu = mu + gain * nu0
@@ -361,8 +373,12 @@ class WheelEstimator:
         elif kept:
             raise SpecError("a wheel update takes at most two features")
         mu = math.remainder(mu, TWO_PI)  # wrap_angle, inline
-        self.belief = belief = _belief(math.pi if mu == -math.pi else mu, sigma)
-        return tuple.__new__(WheelStep, (belief, (used[0], used[1])))
+        if mu == -math.pi:
+            mu = math.pi
+        if not (sigma > 0.0 and math.isfinite(mu)):  # _belief's test
+            GaussianBelief(mu, sigma)  # raises the belief's own error
+        self.belief = belief = _new_tuple(GaussianBelief, (mu, sigma))
+        return _new_tuple(WheelStep, (belief, (used0, used1)))
 
 
 @dataclass
@@ -381,13 +397,13 @@ class TiltEstimator:
         return self.belief
 
     def step(self, u: float, readings: Sequence[AdcReading]) -> TiltStep:
-        if self.belief is None:
+        belief = self.belief
+        if belief is None:
             raise InitializationError("call initialize() before step()")
         (reading,) = readings
-        mu, sigma = self.belief
         k_dt, dt_dt_q = self.tm._products
-        belief_bar = _belief(mu + k_dt * u, sigma + dt_dt_q)
-        step = tuple.__new__(TiltStep, update_tilt(belief_bar, reading, self.obs))
+        belief_bar = _belief(belief[0] + k_dt * u, belief[1] + dt_dt_q)
+        step = _new_tuple(TiltStep, update_tilt(belief_bar, reading, self.obs))
         self.belief = step[0]
         return step
 
@@ -401,12 +417,9 @@ def default_measurement_variance(model: CubicModel, stats: WiperFitStats) -> flo
 
 def filter_value(params: dict, key: str, default: float | None = None) -> float:
     """The bundle filter parameter ``key`` (``default`` when it is absent)
-    as a float; the error of a value that is not a number names ``filter.<key>``."""
-    value = params.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"filter.{key} must be a number, got {value!r}") from None
+    as a float (:func:`~paintpot.errors.as_float`); the error of a value
+    that is not a finite number names ``filter.<key>``."""
+    return as_float(params.get(key, default), f"filter.{key}")
 
 
 def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from paintpot.errors import SpecError, as_int, check_adc_max
+from paintpot.errors import SpecError, as_float, as_int, check_adc_max
 
 TWO_PI = math.tau
 
@@ -108,7 +108,7 @@ def geometry_from_dict(kind: object, data: dict) -> Geometry:
         tracks = tuple(WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS))
         return Geometry(tracks, None, adc_max)
     if kind == "tilt":
-        limit = float(data.get("angle_limit", TILT_LIMIT))
+        limit = as_float(data.get("angle_limit", TILT_LIMIT), "angle_limit")
         if not 0.0 < limit <= math.pi:
             raise SpecError("angle_limit must lie in (0, pi]")
         return Geometry((None,), limit, adc_max)

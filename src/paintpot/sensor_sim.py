@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, FitError, SpecError, check_adc_max, write_json
+from paintpot.errors import DomainError, FitError, SpecError, as_float, check_adc_max, write_json
 from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
@@ -217,7 +217,8 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
     names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
     try:
         wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
-        return SensorSpec(wipers, limit, adc_max=adc_max, noise_std=float(data.get("noise_std", 1.0)))
+        noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
+        return SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
     except (KeyError, TypeError, ValueError, FitError) as exc:
         if isinstance(exc, SpecError):
             raise

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from paintpot.errors import SpecError
+from paintpot.errors import SpecError, write_rows
 from paintpot.estimate import (
     ObservationModel,
     TiltEstimator,
@@ -167,10 +167,7 @@ class ExperimentResult:
             self.t, self.theta_true, self.theta_est, self.theta_ref, self.u_cmd,
             self.f0_avail, self.f1_avail,
         )
-        handle.writelines(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % row
-            for row in zip(*(column.tolist() for column in columns))
-        )
+        write_rows(handle, "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n", [column.tolist() for column in columns])
 
     def summary_dict(self) -> dict:
         return {

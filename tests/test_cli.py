@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from paintpot import cli, estimate, presets
 from paintpot.characterize import load_bundle
+from paintpot.errors import ROWS_PER_WRITE, write_rows
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
     WHEEL_TRUTH_W1,
@@ -51,6 +53,19 @@ class TestSweep:
         diffs = np.sign(np.diff(thetas))
         assert (diffs > 0).any() and (diffs < 0).any()
 
+    def test_sweep_past_one_block_is_its_rows_formatted_one_at_a_time(self, tmp_path):
+        # 14 Hz x 100 s: 1,400 rows, across the writer's first block edge.
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "sweep", "--spec", "wheel_reference", "--out", str(out),
+            "--seed", "2", "--rate-hz", "14", "--duration-s", "100",
+        ) == 0
+        dataset = cli.synthesize_sweep_dataset(reference_wheel_spec(), 14.0, 100.0, np.random.default_rng(2))
+        rows = zip(dataset.t.tolist(), dataset.theta.tolist(), *dataset.counts.T.tolist())
+        lines = out.read_text().splitlines(keepends=True)[2:]
+        assert len(lines) == 1_400 > ROWS_PER_WRITE
+        assert lines == ["%.17g,%.17g,%d,%d\n" % row for row in rows]
+
     def test_zero_duration_is_config_error(self, tmp_path):
         code = run_cli(
             "sweep", "--spec", "wheel_reference", "--out", str(tmp_path / "s.csv"),
@@ -81,7 +96,24 @@ class TestSweep:
         spec_path.write_text(json.dumps({**sensor_spec_to_dict(reference_wheel_spec()), "noise_std": math.inf}))
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
-        assert "noise_std must be >= 0 and finite, got inf" in capsys.readouterr().err
+        assert "noise_std must be a finite number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,edit,message",
+        [
+            ("tilt_reference", {"noise_std": True}, "noise_std must be a finite number, got True"),
+            ("tilt_reference", {"angle_limit": True}, "angle_limit must be a finite number, got True"),
+            ("wheel_reference", {"noise_std": "1.0"}, "noise_std must be a finite number, got '1.0'"),
+        ],
+        ids=["bool_noise", "bool_limit", "text_noise"],
+    )
+    def test_non_number_spec_float_is_config_error(self, tmp_path, capsys, preset, edit, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**sensor_spec_to_dict(presets.SENSOR_PRESETS[preset]()), **edit}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"paintpot: configuration error: {message}\n"
         assert not out.exists()
 
     def test_spec_file_roundtrip(self, tmp_path):
@@ -249,6 +281,14 @@ def write_readings_csv(path, rows, wheel=True):
             handle.write(",".join(str(x) for x in row) + "\n")
 
 
+# Trace lengths of the line-by-line trace tests: the first is the log the
+# content checks were written for; the rest sit at the trace writer's block
+# edges (one row, one block, one row past it, two blocks and a row).
+EDGE_ROWS = (1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 1)
+TILT_TRACE_ROWS = (600, *EDGE_ROWS)
+WHEEL_TRACE_ROWS = (500, *EDGE_ROWS)
+
+
 def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
     """Run ``estimate`` on ``rows`` and check each trace line against the
     estimator stepped directly, formatted ``%.17g,%.17g,%.17g,%d``.
@@ -276,6 +316,22 @@ def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
     assert written[1] == "t,mu,sigma,n_features\n"
     assert written[2:] == ["%.17g,%.17g,%.17g,%d\n" % line for line in lines]
     return [line[2] for line in lines], [int(line[3]) for line in lines]
+
+
+@pytest.mark.parametrize("n_rows", (0, *EDGE_ROWS))
+def test_write_rows_writes_each_block_once_as_rows_formatted_one_at_a_time(n_rows):
+    rng = np.random.default_rng(n_rows)
+    columns = [
+        rng.normal(0.0, 1e3, n_rows).tolist(),
+        rng.integers(-5, 1024, n_rows).tolist(),
+        (rng.random(n_rows) < 0.5).tolist(),
+        [str(n % 3) for n in range(n_rows)],
+    ]
+    row_format = "%.17g,%d,%d,%s\n"
+    writes = []
+    write_rows(SimpleNamespace(write=writes.append), row_format, columns)
+    assert "".join(writes) == "".join(row_format % row for row in zip(*columns))
+    assert len(writes) == -(-n_rows // ROWS_PER_WRITE)
 
 
 def _set(*keys_and_value):
@@ -418,7 +474,8 @@ class TestEstimate:
         truth = 0.3 + 0.002 * np.arange(100)
         assert float(np.sqrt(np.mean((mus - truth) ** 2))) < 0.05
 
-    def test_tilt_trace_lines_are_the_steps_formatted(self, tmp_path):
+    @pytest.mark.parametrize("n_rows", TILT_TRACE_ROWS)
+    def test_tilt_trace_lines_are_the_steps_formatted(self, tmp_path, n_rows):
         # The variance settles, so most rows repeat an earlier sigma; every
         # 37th count is a rail count outside the model window.
         from paintpot.sensor_sim import read_tilt
@@ -428,26 +485,29 @@ class TestEstimate:
         assert run_cli("calibrate", "--in", str(sweep), "--kind", "tilt", "--out", str(bundle)) == 0
         spec, rng = reference_tilt_spec(noise_std=1.0), np.random.default_rng(8)
         rows = []
-        for i in range(600):
+        for i in range(n_rows):
             count = read_tilt(0.6 * math.sin(i / 50.0), spec, rng.normal(0.0, 1.0, 1)).count
             rows.append((i * 0.01, 1023 if i % 37 == 36 else count, 1.2 * math.cos(i / 50.0)))
         sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, bundle, rows)
-        assert len(set(sigmas)) < len(sigmas) / 4
-        assert set(n_features) == {0, 1}
+        if n_rows >= TILT_TRACE_ROWS[0]:  # the first 600 rows, as the log has always had
+            assert len(set(sigmas[:600])) < 600 / 4
+            assert set(n_features[:600]) == {0, 1}
 
-    def test_wheel_trace_lines_are_the_steps_formatted(self, tmp_path, wheel_bundle):
+    @pytest.mark.parametrize("n_rows", WHEEL_TRACE_ROWS)
+    def test_wheel_trace_lines_are_the_steps_formatted(self, tmp_path, wheel_bundle, n_rows):
         # Through the gap and round a turn: features come and go.
         from paintpot.sensor_sim import simulate_plant_step
 
         spec, rng = reference_wheel_spec(noise_std=1.0), np.random.default_rng(23)
         theta, rows = 0.45 * PI, []
-        for i in range(500):
+        for i in range(n_rows):
             theta, _ = simulate_plant_step(theta, 4.0, 0.2, 0.01, rng.normal(0.0, 0.0))
             a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
             rows.append((i * 0.01, a.count, b.count, 4.0))
         sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, wheel_bundle, rows)
-        assert len(set(sigmas)) > len(sigmas) / 2
-        assert {1, 2} <= set(n_features)
+        if n_rows >= WHEEL_TRACE_ROWS[0]:  # the first 500 rows, as the log has always had
+            assert len(set(sigmas[:500])) > 500 / 2
+            assert {1, 2} <= set(n_features[:500])
 
     def test_missing_omega_column_is_schema_error(self, tmp_path, wheel_bundle):
         bad = tmp_path / "bad.csv"
@@ -525,16 +585,21 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (_set("filter", "r0", math.nan), "wiper 0: measurement variance r must be finite and positive, got nan"),
-            (_set("filter", "r1", "inf"), "wiper 1: measurement variance r must be finite and positive, got inf"),
+            (_set("filter", "r0", math.nan), "filter.r0 must be a finite number, got nan"),
+            (_set("filter", "r1", "inf"), "filter.r1 must be a finite number, got 'inf'"),
             (_set("filter", "r0", 0.0), "wiper 0: measurement variance r must be finite and positive, got 0.0"),
             (_set("filter", "r1", -1e-4), "wiper 1: measurement variance r must be finite and positive"),
-            (_set("filter", "k", "nan"), "k must be finite, got nan"),
-            (_set("filter", "dt", math.inf), "dt must be finite, got inf"),
-            (_set("filter", "q", "-inf"), "q must be finite, got -inf"),
+            (_set("filter", "k", "nan"), "filter.k must be a finite number, got 'nan'"),
+            (_set("filter", "dt", math.inf), "filter.dt must be a finite number, got inf"),
+            (_set("filter", "q", "-inf"), "filter.q must be a finite number, got '-inf'"),
             (_set("models", 0, "c1", "inf"), "cubic coefficients must be finite"),
+            (_set("filter", "k", True), "filter.k must be a finite number, got True"),
+            (_set("filter", "q", " 5e-2 "), "filter.q must be a finite number, got ' 5e-2 '"),
+            (_set("filter", "sigma0", "1e-4"), "filter.sigma0 must be a finite number, got '1e-4'"),
+            (_set("filter", "r0", 10**400), "filter.r0 must be a finite number, got 1000"),
         ],
-        ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1"],
+        ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
+             "bool_k", "text_q", "text_sigma0", "huge_int_r0"],
     )
     def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
         data = json.loads(Path(wheel_bundle).read_text())
@@ -552,7 +617,7 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (_set("filter", "r", "nan"), "wiper 0: measurement variance r must be finite and positive"),
+            (_set("filter", "r", "nan"), "filter.r must be a finite number, got 'nan'"),
             (_set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
              "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
         ],
@@ -910,6 +975,10 @@ BAD_CONFIG_VALUES = [
     ("seed", 1.5),
     ("seed", True),
     ("seed", "7"),
+    ("rate_hz", True),
+    ("rate_hz", "100"),
+    ("transition.k", False),
+    ("controller.kp", "6"),
 ]
 
 

@@ -131,10 +131,17 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
     def test_observation_model_rejects_bad_r_naming_the_wiper(self, r):
+        wipers = (Wiper(EXACT_M0, 1e-4, 1, 1000, WHEEL_TRACKS[0]), Wiper(EXACT_M1, r, 1, 1000, WHEEL_TRACKS[1]))
         with pytest.raises(SpecError, match="wiper 1: measurement variance r must be finite"):
-            exact_obs(r1=r)
+            ObservationModel(wipers, wrap=True)
         with pytest.raises(SpecError, match="wiper 0: measurement variance r must be finite"):
-            tilt_obs(EXACT_M0, r)
+            ObservationModel((Wiper(EXACT_M0, r, 0, 1023),), wrap=False)
+        # A bundle's r is a filter value first, which must be a finite number.
+        with pytest.raises(SpecError, match=(
+            "wiper 1: measurement variance r must be finite" if math.isfinite(r)
+            else f"filter.r1 must be a finite number, got {r!r}"
+        )):
+            exact_obs(r1=r)
 
     @pytest.mark.parametrize("name", ["k", "dt", "q"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -95,6 +95,22 @@ ESTIMATE_DIGESTS = {
         "7ce5631851e6440da284b2be26990afd2744aa5b0411d2bdcce44412bb9b43a0",
 }
 
+# Recorded with a writer that formatted one row per ``%``, before the
+# writers formatted a block of 1,024 rows per ``%``.  Each output crosses at
+# least one block edge: a 14 Hz, 100 s sweep has 1,400 rows and each
+# estimate log 2,500.
+LONG_SWEEP_DIGESTS = {
+    ("wheel_reference", 5):
+        "7f497aa7e5a779be799050c46924b22565ce3199d673d51e22569fe357006677",
+}
+LONG_ESTIMATE_DIGESTS = {
+    ("wheel", 5):
+        "40790393701983756d88c2ed4c3011af8edf97ed8942aac5c6948c58cc6898b6",
+    ("tilt", 5):
+        "7e2d275ecb78c04afabefd5f12279e16f28b54b7145e1d7353fa163dde05fd61",
+}
+LONG_ESTIMATE_ROWS = 2_500
+
 ESTIMATE_ROWS = 1_200
 RAIL_EVERY = 200  # every 200th row puts every wiper on the low rail
 SPIKE_FROM = 400  # the first fully in-window row from here is spiked
@@ -133,8 +149,9 @@ def trace_digest(tmp_path, preset, seed, **overrides):
     return data_rows_sha256(f"{prefix}_trace.csv")
 
 
-def estimate_case(tmp_path, kind, seed):
-    """Run ``estimate`` on a seeded log: (data-row digest, trace rows, rail rows, spiked row).
+def estimate_case(tmp_path, kind, seed, n_rows=ESTIMATE_ROWS):
+    """Run ``estimate`` on a seeded log of ``n_rows`` rows: (data-row digest,
+    trace rows, rail rows, spiked row).
 
     The bundle is calibrated from a seeded sweep.  The joint moves through
     its range, so a wheel log carries gap-rail counts while a wiper rides
@@ -152,7 +169,7 @@ def estimate_case(tmp_path, kind, seed):
     rng = np.random.default_rng(seed)
     plant_std = math.sqrt(0.02)  # the plant variance 0.02 as a draw scale
     theta, rows, rails, spike = 0.0, [], [], None
-    for i in range(ESTIMATE_ROWS):
+    for i in range(n_rows):
         if kind == "wheel":
             omega = 4.0 + 2.0 * math.sin(2.0 * PI * i / 300.0)
             theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, rng.normal(0.0, plant_std))
@@ -189,6 +206,11 @@ def test_odd_row_count_sweep_matches_snapshot(tmp_path, spec_ref, seed):
     assert sweep_digest(tmp_path, spec_ref, seed, 9.0, 13.0) == ODD_SWEEP_DIGESTS[(spec_ref, seed)]
 
 
+@pytest.mark.parametrize("spec_ref,seed", sorted(LONG_SWEEP_DIGESTS))
+def test_sweep_past_one_block_matches_snapshot(tmp_path, spec_ref, seed):
+    assert sweep_digest(tmp_path, spec_ref, seed, 14.0, 100.0) == LONG_SWEEP_DIGESTS[(spec_ref, seed)]
+
+
 @pytest.mark.parametrize("spec_ref,seed", sorted(BUNDLE_DIGESTS))
 def test_calibrated_bundle_matches_snapshot(tmp_path, spec_ref, seed):
     assert bundle_digest(tmp_path, spec_ref, seed) == BUNDLE_DIGESTS[(spec_ref, seed)]
@@ -216,6 +238,13 @@ def test_estimate_trace_rows_match_snapshot(tmp_path, kind, seed):
     if kind == "wheel":
         assert set(n_features) == {0, 1, 2}  # gap transits leave one wiper
     assert digest == ESTIMATE_DIGESTS[(kind, seed)]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(LONG_ESTIMATE_DIGESTS))
+def test_estimate_past_two_blocks_matches_snapshot(tmp_path, kind, seed):
+    digest, trace, _, _ = estimate_case(tmp_path, kind, seed, LONG_ESTIMATE_ROWS)
+    assert len(trace) == LONG_ESTIMATE_ROWS
+    assert digest == LONG_ESTIMATE_DIGESTS[(kind, seed)]
 
 
 def oracle_count(c3, c2, c1, c0, window, target):
