@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,8 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     manifest = RunManifest("estimate", inputs, (out,), None, config_sha256)
     # One reading per wiper and logged count, shared by every row with it.
     by_count = [
-        [sensor_sim.AdcReading(wiper, count, True) for count in range(max(column) + 1)]
+        list(map(tuple.__new__, repeat(sensor_sim.AdcReading),
+                 zip(repeat(wiper), range(max(column) + 1), repeat(True))))
         for wiper, column in enumerate(counts)
     ]
     readings = zip(*(map(table.__getitem__, column) for table, column in zip(by_count, counts)))

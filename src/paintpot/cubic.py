@@ -9,7 +9,8 @@ knot interval of a chart each model tables once, on first use: the cubic
 at a fixed number of knots across its window.  On the reference sensors
 one regula-falsi point and one Newton step then meet the tolerance, so an
 inversion costs two calls of :meth:`CubicModel.evaluate`; slopes are formed
-inline from the coefficients.
+inline from the coefficients.  A model's first simulated read also tables a
+slack per knot interval (:attr:`CubicModel.slack`) to settle counts without Newton.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ DEFAULT_ANGLE_TOL = 1e-9
 # evaluation); 512 leaves a margin for fitted cubics that bend more.
 CHART_KNOTS = 512
 _COEFFICIENT_FORMAT = ".17e"
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,41 @@ class CubicModel:
         lo, hi = self.v_window
         knots = np.linspace(lo, hi, CHART_KNOTS)
         return tuple(knots.tolist()), tuple(self.evaluate(knots).tolist())
+
+    @cached_property
+    def slack(self) -> tuple:
+        """``(sign, find, low, high, keys, knots, slack)``, to read counts off the chart.
+
+        ``keys``, the chart's angles times ``sign`` (-1 when falling), ascend,
+        and ``find(keys, sign*theta)`` is the knot interval k :func:`invert_cubic`
+        brackets ``theta`` in.  For keys strictly between ``low`` and ``high``
+        (2*tol inside the chart's ends, where its early returns cannot fire),
+        its result lies within ``slack[k]`` volts of interval k's regula-falsi
+        point: the chord misses the cubic by at most ``M2*h**2/8`` (Press et al.,
+        sec. 3.1) and the result misses the target by ``tol``, each plus
+        rounding, over ``m1`` for volts; ``M2`` is the largest ``|f''|`` and ``m1``
+        the smallest ``|f'|`` on the interval.  Doubled, plus 1e-9 V and ulps of
+        ``V``; ``inf`` where ``m1`` is 0.
+        """
+        knots = np.linspace(*self.v_window, CHART_KNOTS)  # the chart's, bit for bit
+        sign, angles = (1.0 if self.increasing else -1.0), self.chart[1]
+        keys = angles if sign > 0.0 else tuple((-np.array(angles)).tolist())
+        a, b = knots[:-1], knots[1:]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # Each interval's ends and the slope's vertex clipped into it (NaN, skipped, when c3 is 0).
+            points = np.array([a, b, np.clip(np.float64(-self.c2) / (3.0 * self.c3), a, b)])
+            m1 = np.fmin.reduce(abs(self.derivative(points)))
+            m2 = abs(6.0 * self.c3 * points[:2] + 2.0 * self.c2).max(axis=0)
+            size = abs(points[:2]).max(axis=0)
+            # Horner's rounding, in the chart and in the result: ulps of sum |c_i|*|V|**i.
+            c3, c2, c1, c0 = abs(self.c3), abs(self.c2), abs(self.c1), abs(self.c0)
+            rounding = 16.0 * _EPS * (((c3 * size + c2) * size + c1) * size + c0)
+            angle_error = m2 * (b - a) ** 2 / 8.0 + DEFAULT_ANGLE_TOL + rounding
+            slack = 2.0 * angle_error / m1 + 1e-9 + 4.0 * _EPS * size
+        slack[~np.isfinite(slack)] = math.inf
+        low, high = keys[0] + 2.0 * DEFAULT_ANGLE_TOL, keys[-1] - 2.0 * DEFAULT_ANGLE_TOL
+        find = bisect_right if sign > 0.0 else bisect_left
+        return sign, find, low, high, keys, self.chart[0], (math.inf, *slack.tolist())
 
     def angle_range(self) -> tuple[float, float]:
         """Angles reachable on the window, ordered (low, high)."""

@@ -7,11 +7,11 @@ validates its angle once; :func:`read_wheel` and :func:`read_tilt` share
 one body that takes each wiper in turn.  While a wiper rides its gap it
 reads the rail voltage, flagged unavailable, so its count is a rail
 artifact.  Elsewhere its state is the angle, one turn on past its shift
-edge, and :func:`~paintpot.cubic.invert_cubic` of its truth cubic at that
-state is the continuous voltage (two cubic evaluations on the reference
-sensors).  The wiper's count-noise draw is added and :func:`quantize`
-makes the count.  Reads and plant steps take their noise already drawn and
-scaled, so a sweep or a run draws all of it in one call.
+edge, and its count is :func:`quantize` of its count-noise draw plus the
+voltage :func:`~paintpot.cubic.invert_cubic` finds for that state on its
+truth cubic; most reads settle it from the cubic's chart and slack, without
+Newton.  Reads and plant steps take their noise already drawn and scaled,
+so a sweep or a run draws all of it in one call.
 """
 
 from __future__ import annotations
@@ -99,19 +99,27 @@ def quantize(voltage: float, adc_max: int) -> int:
     """``voltage`` rounded to a count and clamped to [0, adc_max].
 
     Rounding is half-away-from-zero so results do not depend on the
-    platform's default banker's rounding.
+    platform's default banker's rounding; below 0.5 every count clamps to 0,
+    so rounding half up is the same.  An infinite voltage clamps too.
     """
     # One test on the valid path, which every reading takes.
     if adc_max < 1 or (adc_max + 1) & adc_max:
         check_adc_max(adc_max)
-    rounded = math.floor(voltage + 0.5) if voltage >= 0.0 else math.ceil(voltage - 0.5)
-    return 0 if rounded < 0 else adc_max if rounded > adc_max else rounded
+    half_up = voltage + 0.5
+    return 0 if half_up < 1.0 else adc_max if half_up >= adc_max + 1 else math.floor(half_up)
 
 
 def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcReading]:
     """One reading per wiper at ``theta``: ideal voltage plus its draw, quantized.
 
     A wiper inside its gap reads the rail voltage and is flagged unavailable.
+    Any other count is ``quantize(invert_cubic(truth, state) + draw)``, a
+    voltage within the slack ``E`` of the chart's regula-falsi point ``v``
+    (:attr:`~paintpot.cubic.CubicModel.slack`).  ``fl(x + draw)`` and
+    :func:`quantize` are both non-decreasing, so when ``(v - E) + draw`` and
+    ``(v + E) + draw`` quantize to one count, that is the count: the upper
+    end does when, plus 0.5, it stays below the lower end's count plus one.
+    Otherwise, or off the chart's keys, the state is inverted.
     """
     limit = spec.angle_limit
     if limit is None:
@@ -130,8 +138,22 @@ def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcRea
                 available = False
             elif (theta - track.edge) * track.turn < 0.0:
                 state = theta + track.turn
-        voltage = invert_cubic(truth, state) if available else GAP_RAIL_VOLTAGE
-        readings.append(tuple.__new__(AdcReading, (index, quantize(voltage + draw, adc_max), available)))
+        count = None
+        if available:
+            sign, find, low, high, keys, knots, slack = truth.slack
+            key = sign * state
+            if low < key < high:
+                k = find(keys, key)
+                lo, f_lo = knots[k - 1], keys[k - 1] - key
+                v = lo - f_lo * (knots[k] - lo) / (keys[k] - key - f_lo)
+                e = slack[k]
+                count = quantize(v - e + draw, adc_max)
+                if v + e + draw + 0.5 >= count + 1:  # the upper end may round past count
+                    count = None
+        if count is None:
+            voltage = invert_cubic(truth, state) if available else GAP_RAIL_VOLTAGE
+            count = quantize(voltage + draw, adc_max)
+        readings.append(tuple.__new__(AdcReading, (index, count, available)))
     return readings
 
 
@@ -218,11 +240,19 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
     try:
         wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
         noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
-        return SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
+        spec = SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
     except (KeyError, TypeError, ValueError, FitError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"malformed sensor spec: {exc}") from exc
+    for i, (truth, track) in enumerate(spec.wipers):
+        low, high = truth.angle_range()
+        lo, hi = (-limit, limit) if track is None else track.window
+        if not low <= lo <= hi <= high:
+            keys = "truth and angle_limit" if track is None else f"truth_w{i} and gap_w{i}"
+            raise SpecError(f"{keys} contradict each other: the cubic reaches angles "
+                            f"[{low!r}, {high!r}], not every state in [{lo!r}, {hi!r}]")
+    return spec
 
 
 def save_sensor_spec(spec: SensorSpec, path: str | Path) -> None:

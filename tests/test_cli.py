@@ -11,7 +11,7 @@ import pytest
 
 from paintpot import cli, estimate, presets
 from paintpot.characterize import load_bundle
-from paintpot.errors import ROWS_PER_WRITE, write_rows
+from paintpot.errors import ROWS_PER_WRITE, SpecError, write_rows
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
     WHEEL_TRUTH_W1,
@@ -115,6 +115,38 @@ class TestSweep:
         assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"paintpot: configuration error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,edit,keys,reach,states",
+        [
+            # The truth cubic of wiper 1 tops out at 5.064 rad; this gap's
+            # track window runs to -1.137 + 2*pi = 5.146.
+            ("wheel_reference", {"gap_w1": [-1.137, -0.885]}, "truth_w1 and gap_w1",
+             "[-5.8128, 5.0640061010532]", f"[-0.885, {-1.137 + 2.0 * math.pi!r}]"),
+            ("tilt_reference", {"angle_limit": 2.1}, "truth and angle_limit",
+             "[-2.7173, 2.0765735986339005]", "[-2.1, 2.1]"),
+        ],
+        ids=["gap_w1", "tilt_limit"],
+    )
+    def test_spec_whose_truth_misses_its_states_is_config_error(self, tmp_path, capsys, preset, edit, keys,
+                                                                reach, states):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**sensor_spec_to_dict(presets.SENSOR_PRESETS[preset]()), **edit}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"paintpot: configuration error: {keys} contradict each other: the cubic reaches angles "
+            f"{reach}, not every state in {states}\n"
+        )
+        assert not out.exists()
+
+    def test_spec_whose_truth_just_covers_its_states_sweeps(self, tmp_path):
+        # The tilt truth reaches 2.0765...; a limit at that angle still loads.
+        high = presets.TILT_TRUTH.angle_range()[1]
+        data = {**sensor_spec_to_dict(presets.reference_tilt_spec()), "angle_limit": high}
+        assert sensor_spec_from_dict(data).angle_limit == high
+        with pytest.raises(SpecError, match="^truth and angle_limit contradict each other"):
+            sensor_spec_from_dict({**data, "angle_limit": math.nextafter(high, 4.0)})
 
     def test_spec_file_roundtrip(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -5,10 +5,13 @@ wrappers, and ``bench/workloads.py::count_invariants`` holds the counts to
 one ``read_wheel``/``read_tilt`` call per reading and at most two
 inversions per wheel read.  These tests count through the same attributes,
 so a leaner read cannot quietly drop or add a hooked call, and hold the
-tracer's hooks and the public API to what exists.
+tracer's hooks and the public API to what exists.  A read inverts only the
+readings its chart's slack cannot settle, so the inversion counts of a
+seeded run are pinned exactly.
 """
 
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +21,8 @@ import pytest
 import paintpot
 from paintpot import cli, geometry, presets, sensor_sim, trajectory
 from paintpot.cubic import CubicModel
+
+import oracles
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -69,7 +74,9 @@ def counted(monkeypatch):
     def counting_read(name, original):
         def read(*args, **kwargs):
             calls[name] += 1
+            charts = calls["chart"]
             result = original(*args, **kwargs)
+            calls["chart_in_read"] += calls["chart"] - charts
             readings.extend(result if name == "read_wheel" else (result,))
             return result
 
@@ -90,11 +97,15 @@ def counted(monkeypatch):
     return calls, readings
 
 
-def check_read_counts(calls, readings, reads, wipers):
+def check_read_counts(calls, readings, reads, wipers, inversions):
     assert calls["read_wheel" if wipers == 2 else "read_tilt"] == reads
     assert calls["read_tilt" if wipers == 2 else "read_wheel"] == 0
-    assert len(readings) == calls["quantize"] == wipers * reads
-    assert calls["invert"] == sum(reading.available for reading in readings)
+    assert len(readings) == wipers * reads
+    # Only the readings the slack leaves undecided are inverted.
+    assert calls["invert"] == inversions
+    # A reading quantizes its rail voltage or the low end of its slack, and
+    # its inverted voltage when the slack leaves the count undecided.
+    assert calls["quantize"] == len(readings) + inversions
     # Two evaluations per inversion on the reference sensors: the
     # benchmark's cubic.evals_per_invert.
     assert calls["evaluate_in_invert"] == 2 * calls["invert"]
@@ -104,13 +115,13 @@ def test_wheel_sweep_counts(counted):
     calls, readings = counted
     spec = presets.reference_wheel_spec()
     for wiper in spec.wipers:
-        wiper.truth.chart  # built once per model, outside any inversion
+        wiper.truth.slack  # built once per model, outside any read
     calls.clear()
     dataset = cli.synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(3))
-    check_read_counts(calls, readings, reads=700, wipers=2)
+    check_read_counts(calls, readings, reads=700, wipers=2, inversions=1)
     assert len(dataset.t) == 700
     # The sweep crosses both gaps, so some wiper readings are unavailable.
-    assert 0 < calls["invert"] < 2 * 700
+    assert sum(reading.available for reading in readings) == 1284
     assert calls["evaluate"] == calls["evaluate_in_invert"] and not calls["chart"]
 
 
@@ -124,7 +135,43 @@ def test_tilt_sweep_experiment_counts(counted, tmp_path, monkeypatch):
     result = cli.run_experiment_command("tilt_sweep", "tilt")
     assert len(result) == steps + 1
     # The calibration sweep, the initial read and one read per step.
-    check_read_counts(calls, readings, reads=sweep_rows + steps + 1, wipers=1)
-    assert calls["invert"] == len(readings)
-    # The config's sensor spec holds a new truth cubic, charted on its first inversion.
-    assert calls["chart_in_invert"] == 1
+    check_read_counts(calls, readings, reads=sweep_rows + steps + 1, wipers=1, inversions=3)
+    assert all(reading.available for reading in readings)
+    # The config's sensor spec holds a new truth cubic, charted on its first read.
+    assert calls["chart_in_read"] == 1 and not calls["chart_in_invert"]
+
+
+def draws_at(spec, theta, offset):
+    """Draws that put each wiper's voltage at ``theta`` ``offset`` counts
+    above a whole count (the angles below are off both wheel gaps)."""
+    voltages = [oracles.wiper_voltage(wiper, theta) for wiper in spec.wipers]
+    return [math.floor(voltage) + offset - voltage for voltage in voltages]
+
+
+SPECS = {"wheel": presets.reference_wheel_spec(), "tilt": presets.reference_tilt_spec()}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_a_draw_at_mid_count_makes_no_inversion(counted, name):
+    calls, _ = counted
+    spec = SPECS[name]
+    for theta in (-1.0, 0.3, 1.2):
+        noise = draws_at(spec, theta, 0.0)
+        calls.clear()
+        got = sensor_sim.read(theta, spec, noise)
+        assert calls["quantize"] == len(spec.wipers) and not calls["invert"]
+        assert got == oracles.read_reference(theta, spec, noise)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("hair", [-1e-9, 1e-9])
+def test_a_draw_a_hair_from_a_half_count_makes_one_inversion(counted, name, hair):
+    calls, _ = counted
+    spec = SPECS[name]
+    for theta in (-1.0, 0.3, 1.2):
+        noise = draws_at(spec, theta, 0.5 + hair)
+        calls.clear()
+        got = sensor_sim.read(theta, spec, noise)
+        # One inversion per wiper reading.
+        assert calls["invert"] == len(spec.wipers)
+        assert got == oracles.read_reference(theta, spec, noise)

@@ -1,4 +1,6 @@
+import bisect
 import math
+import operator
 import re
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paintpot.cubic import CubicModel
-from paintpot.errors import DomainError, SpecError
+from paintpot.errors import DomainError, InversionError, SpecError
 from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Interval, WiperTrack
 from paintpot.presets import (
     TILT_TRUTH,
@@ -26,7 +28,14 @@ from paintpot.sensor_sim import (
     simulate_plant_step,
 )
 
-from oracles import bisect_root, cubic_value, read_reference, wiper_voltage, wrap_brute
+from oracles import (
+    bisect_root,
+    cubic_value,
+    invert_cubic_reference,
+    read_reference,
+    wiper_voltage,
+    wrap_brute,
+)
 
 PI = math.pi
 
@@ -117,6 +126,21 @@ class TestQuantize:
 
     def test_clamps_above_max(self):
         assert quantize(2000.0 + noiseless(1)[0], 1023) == 1023
+
+    @pytest.mark.parametrize("adc_max", [1, 1023])
+    def test_rounding_edges_match_half_away_from_zero_then_clamp(self, adc_max):
+        # The rounding rule as written before quantize rounded half up.
+        def reference(voltage):
+            rounded = math.floor(voltage + 0.5) if voltage >= 0.0 else math.ceil(voltage - 0.5)
+            return min(max(rounded, 0), adc_max)
+
+        edges = [-1.5, -0.5, -0.0, 0.0, 0.5, 1.5, adc_max - 0.5, adc_max + 0.5, adc_max + 1.5, 1e300, -1e300]
+        for edge in edges:
+            for voltage in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                assert quantize(voltage, adc_max) == reference(voltage)
+        assert quantize(math.inf, adc_max) == adc_max and quantize(-math.inf, adc_max) == 0
+        with pytest.raises(ValueError):
+            quantize(math.nan, adc_max)
 
     def test_noise_statistics(self):
         # Monte-Carlo oracle: mean stays at the input, std gains ~1/12
@@ -323,3 +347,90 @@ class TestReadMatchesReference:
         # On a wheel the angles reach into both gaps.
         for index in range(len(spec.wipers) if spec.wrap else 0):
             assert any(not r[index].available for r in reads)
+
+
+def monotone_cubic(window, a, b, margin, half, center, falling):
+    """A cubic on ``window`` that rises (or falls) by ``2*half`` about
+    ``center``: ``a*u**3 + b*u**2 + c*u`` of ``u = (V - lo)/width``, with
+    ``c`` chosen so the slope in ``u`` is at least ``margin``."""
+    lo, hi = window
+    width = hi - lo
+    ends = [0.0, 3.0 * a + 2.0 * b] + ([-b * b / (3.0 * a)] if a and 0.0 < -b / (3.0 * a) < 1.0 else [])
+    c = margin - min(ends)
+    scale = 2.0 * half / (a + b + c)
+    a3, a2, a1 = scale * a / width**3, scale * b / width**2, scale * c / width
+    coefficients = (a3, a2 - 3.0 * a3 * lo, a1 - 2.0 * a2 * lo + 3.0 * a3 * lo * lo,
+                    center - half - a1 * lo + a2 * lo * lo - a3 * lo**3)
+    sign = -1.0 if falling else 1.0
+    return CubicModel(*(sign * x for x in coefficients), window)
+
+
+# theta = 2**-26 * (V - 512.25)**3: a slope of exactly 0 at V = 512.25,
+# inside a knot interval, with every coefficient and the vertex exact.
+FLAT_POINT = (2.0**-26, -3.0 * 2.0**-26 * 512.25, 3.0 * 2.0**-26 * 512.25**2, -(2.0**-26) * 512.25**3 + 0.1)
+FLAT_CUBICS = [CubicModel(*(sign * x for x in FLAT_POINT), (0.0, 1023.0)) for sign in (1.0, -1.0)]
+
+cubics = st.one_of(
+    st.sampled_from(FLAT_CUBICS),
+    st.builds(
+        monotone_cubic,
+        window=st.tuples(st.floats(-50.0, 50.0), st.floats(100.0, 1100.0)).map(lambda w: (w[0], w[0] + w[1])),
+        a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), margin=st.floats(0.01, 1.0),
+        half=st.floats(0.2, 3.0), center=st.floats(-0.1, 0.1), falling=st.booleans(),
+    ),
+)
+
+
+class TestSlack:
+    """A read takes each count from its chart's regula-falsi point wherever
+    the interval's slack settles it; the count must be the one the
+    inverted voltage makes."""
+
+    @pytest.mark.parametrize("truth", [WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, TILT_TRUTH])
+    def test_reference_truths_have_finite_slack(self, truth):
+        slack = truth.slack[-1]
+        assert len(slack) == len(truth.chart[0]) and all(map(math.isfinite, slack[1:]))
+
+    @pytest.mark.parametrize("truth", FLAT_CUBICS)
+    def test_a_flat_point_has_infinite_slack(self, truth):
+        knots, slack = truth.chart[0], truth.slack[-1]
+        (k,) = [k for k in range(1, len(knots)) if knots[k - 1] < 512.25 < knots[k]]
+        assert truth.derivative(512.25) == 0.0
+        assert slack[k] == math.inf and all(map(math.isfinite, slack[1:k] + slack[k + 1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(truth=cubics, data=st.data())
+    def test_count_is_the_inverted_voltage_quantized(self, truth, data):
+        spec = SensorSpec((WiperSpec(truth),), PI, noise_std=0.0)
+        knots, angles = truth.chart
+        low, high = truth.angle_range()
+        ends = [x for end in (low, high) for x in (math.nextafter(end, -4.0), end, math.nextafter(end, 4.0))]
+        for _ in range(4):
+            theta = data.draw(st.one_of(
+                st.sampled_from(angles), st.sampled_from(ends), st.floats(low, high),
+                st.floats(low - 1e-3, high + 1e-3),
+            ))
+            try:
+                voltage = invert_cubic_reference(truth, theta)
+            except InversionError as exc:
+                with pytest.raises(InversionError, match=f"^{re.escape(str(exc))}$"):
+                    read_tilt(theta, spec, [0.0])
+                continue
+            hair = data.draw(st.sampled_from([-1e-9, 0.0, 1e-9, None]))
+            draw = data.draw(st.floats(-3.0, 3.0)) if hair is None else math.floor(voltage) + 0.5 - voltage + hair
+            assert read_tilt(theta, spec, [draw]).count == quantize(voltage + draw, spec.adc_max)
+            sign, find, low_key, high_key, keys, _, slack = truth.slack
+            key = sign * theta
+            if low + 1e-6 < theta < high - 1e-6:
+                assert low_key < key < high_key
+            if low_key < key < high_key:
+                # The bound itself: the regula-falsi point of the interval
+                # the inversion brackets lies within its slack of the result.
+                k = find(keys, key)
+                rising = truth.derivative(truth.v_window[0]) > 0.0
+                assert k == (bisect.bisect_right(angles, theta) if rising
+                             else bisect.bisect_left(angles, -theta, key=operator.neg))
+                assert keys[k - 1] <= key <= keys[k]
+                f_lo = keys[k - 1] - key
+                v = knots[k - 1] - f_lo * (knots[k] - knots[k - 1]) / (keys[k] - key - f_lo)
+                assert abs(v - voltage) <= slack[k]
