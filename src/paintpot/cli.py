@@ -195,11 +195,9 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     inputs = {"model": model_json, "readings": readings_csv}
     config_sha256 = _config_hash(characterize.bundle_to_dict(bundle))
     manifest = RunManifest("estimate", inputs, (out,), None, config_sha256)
-    # One reading per wiper and logged count, shared by every row with it.
+    # One (wiper, count, available) reading per wiper and logged count, shared by every row with it.
     by_count = [
-        list(map(tuple.__new__, repeat(sensor_sim.AdcReading),
-                 zip(repeat(wiper), range(max(column) + 1), repeat(True))))
-        for wiper, column in enumerate(counts)
+        list(zip(repeat(wiper), range(max(column) + 1), repeat(True))) for wiper, column in enumerate(counts)
     ]
     readings = zip(*(map(table.__getitem__, column) for table, column in zip(by_count, counts)))
     estimator = (estimate.WheelEstimator if obs.wrap else estimate.TiltEstimator)(obs, tm, sigma0)

@@ -5,10 +5,10 @@ which makes the observation model linear: each admitted feature measures the
 per-wiper shifted state directly, so no linearization of the cubic is ever
 needed.  One :class:`ObservationModel` describes every joint: a tuple of
 wipers, each with its cubic, its variance ``r``, the counts it admits, its
-track and a count-to-angle table, plus a ``wrap`` flag.  It keeps one
-``(lo, hi, table)`` tuple per wiper, the table holding the :class:`Feature`
-of each count the wiper admits, so a reading becomes a feature by one index,
-one unpack and one table lookup.  A wheel is two tracked wipers
+track and a count-to-angle chart, plus a ``wrap`` flag.  It keeps one
+``(lo, hi, chart, r)`` tuple per wiper, so a reading becomes a feature, a
+plain ``(index, z, r)`` triple with ``z = chart[count]``, by one index, one
+unpack and one chart lookup.  A wheel is two tracked wipers
 with a wrap: its filter fuses up to two features per step and keeps its mean
 on the wrapped chart (-pi, pi].  A tilt is one wiper with neither.  Both
 steps predict on floats in :func:`predict`'s order; the wheel step then gates
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -97,28 +96,6 @@ def _belief(mu: float, sigma: float) -> GaussianBelief:
     return GaussianBelief(mu, sigma)  # raises the belief's own error
 
 
-class _Feature(NamedTuple):
-    index: int
-    z: float
-    r: float
-
-
-class Feature(_Feature):
-    """An admitted converted measurement from wiper ``index``.
-
-    An immutable tuple.  The measurement ``z`` must be finite.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, index: int, z: float, r: float) -> "Feature":
-        if not math.isfinite(z):
-            raise SpecError("feature measurement must be finite")
-        return tuple.__new__(cls, (index, z, r))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-
 def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
     """``model`` evaluated at every integer count 0..top, indexed by count.
 
@@ -140,7 +117,7 @@ class Wiper:
     """One wiper's converted measurement.
 
     The wiper admits the counts ``lo..hi``; ``chart[count]``, for every count from 0 to ``hi``, is
-    its cubic at ``count``, the state on its ``track`` if any.  Its observation model tables its features.
+    its cubic at ``count``, the state on its ``track`` if any.
     """
 
     model: CubicModel
@@ -167,11 +144,8 @@ class ObservationModel:
 
     wipers: tuple[Wiper, ...]
     wrap: bool
-    # [i]: wiper i's (lo, hi, table), table[count] its Feature at each admitted count and None
-    # below lo; a chart is finite, so unchecked.
-    _admits: tuple[tuple[int, int, tuple[Feature | None, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # [i]: wiper i's (lo, hi, chart, r); no object per count, so none for the collector to track.
+    _admits: tuple[tuple[int, int, tuple[float, ...], float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.wipers:
@@ -183,9 +157,7 @@ class ObservationModel:
                     f"wiper {index}: measurement variance r must be finite and positive, "
                     f"got {wiper.r!r}"
                 )
-            row = zip(repeat(index), wiper.chart[wiper.lo:], repeat(wiper.r))
-            table = (None,) * wiper.lo + tuple(map(tuple.__new__, repeat(Feature), row))
-            admits.append((wiper.lo, wiper.hi, table))
+            admits.append((wiper.lo, wiper.hi, wiper.chart, wiper.r))
         object.__setattr__(self, "_admits", tuple(admits))
 
 
@@ -198,32 +170,35 @@ def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBe
 
 def extract_features(
     readings: Sequence[AdcReading], obs: ObservationModel
-) -> list[Feature]:
-    """Converted measurements of the admitted readings, in reading order.
+) -> list[tuple[int, float, float]]:
+    """Converted measurements ``(index, z, r)`` of the admitted readings, in reading order.
 
     The one place readings become features: a reading is admitted iff it
-    is flagged available and its count is in its wiper's ``lo..hi``.  An
-    empty list is legal; the update then degenerates to the prediction.
+    is flagged available and its count is in its wiper's ``lo..hi``, and
+    its ``z`` is its wiper's ``chart[count]``, finite as every chart entry
+    is.  An empty list is legal; the update then degenerates to the
+    prediction.
     """
     admits = obs._admits
-    features: list[Feature] = []
+    features = []
     for index, count, available in readings:
         if not 0 <= index < len(admits):
             raise SpecError(f"wiper index must be in 0..{len(admits) - 1}, got {index}")
-        lo, hi, table = admits[index]
+        lo, hi, chart, r = admits[index]
         if available and lo <= count <= hi:
-            features.append(table[count])
+            features.append((index, chart[count], r))
     return features
 
 
 def update_wheel(
     belief_bar: GaussianBelief,
-    features: Sequence[Feature],
+    features: Sequence[tuple[int, float, float]],
     predicted: Sequence[float],
 ) -> GaussianBelief:
     """Measurement update for a wheel joint, wrapped into (-pi, pi].
 
-    ``predicted`` aligns with ``features`` and holds each feature's
+    ``features`` are ``(index, z, r)`` triples as :func:`extract_features`
+    returns.  ``predicted`` aligns with them and holds each feature's
     predicted measurement (the predicted mean pushed through that wiper's
     shift).  Innovations are plain differences: both values live on the
     same shifted chart, which is the whole point of the shift machinery.
@@ -261,15 +236,15 @@ def update_tilt(
     beyond calibration data is unbounded) leaves the prediction unchanged,
     with ``accepted=False``.
     """
-    (wiper,) = obs.wipers
+    ((lo, hi, chart, r),) = obs._admits
     index, count, available = reading
     if index != 0:
         raise SpecError(f"wiper index must be in 0..0, got {index}")
-    if not (available and wiper.lo <= count <= wiper.hi):
+    if not (available and lo <= count <= hi):
         return belief_bar, False
     mu, sigma = belief_bar
-    gain = sigma / (sigma + wiper.r)
-    return _belief(mu + gain * (wiper.chart[count] - mu), sigma - gain * sigma), True
+    gain = sigma / (sigma + r)
+    return _belief(mu + gain * (chart[count] - mu), sigma - gain * sigma), True
 
 
 def initial_belief(
@@ -281,12 +256,12 @@ def initial_belief(
     reading's converted value, wrapped onto (-pi, pi] when the model wraps.
     """
     ordered = sorted(readings)
-    if [reading.wiper_index for reading in ordered] != list(range(len(obs.wipers))):
+    if [index for index, _, _ in ordered] != list(range(len(obs.wipers))):
         raise SpecError(f"initialization needs one reading per wiper, got {ordered}")
     for _, z, _ in extract_features(ordered, obs):
         return GaussianBelief(wrap_angle(z) if obs.wrap else z, sigma0)
     raise InitializationError(
-        f"no reading is admitted (counts {[reading.count for reading in ordered]}, admitted "
+        f"no reading is admitted (counts {[count for _, count, _ in ordered]}, admitted "
         f"{[(wiper.lo, wiper.hi) for wiper in obs.wipers]}); "
         "the sensor is miscalibrated or the counts are garbage"
     )

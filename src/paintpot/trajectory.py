@@ -219,7 +219,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     draws = rng.normal(0.0, scales, (n_steps, 1 + width))
     plant_noise, read_noise = draws[:, 0].tolist(), zip(*draws[:, 1:].T.tolist())
     belief = estimator.initialize(readings)
-    admitted = {feature.index for feature in extract_features(readings, obs)}
+    admitted = {index for index, _, _ in extract_features(readings, obs)}
     used = (0 in admitted, 1 in admitted)
 
     size = n_steps + 1  # one list per trace column, made an array after the run

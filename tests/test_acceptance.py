@@ -22,7 +22,6 @@ from paintpot.characterize import (
 )
 from paintpot.cubic import CubicModel
 from paintpot.estimate import (
-    Feature,
     GaussianBelief,
     TransitionModel,
     extract_features,
@@ -93,8 +92,8 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
                 z = mu_bar + float(rng.uniform(-2.0, 2.0)) * math.sqrt(sigma_bar + r)
                 zs.append(z)
                 rs.append(r)
-                feats.append(Feature(i, z, r))
-            z_bars = [WHEEL_TRACKS[f.index].shift(bar.mu) for f in feats]
+                feats.append((i, z, r))
+            z_bars = [WHEEL_TRACKS[i].shift(bar.mu) for i, _, _ in feats]
             posterior = update_wheel(bar, feats, z_bars)
 
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, zs, rs, n_points=1_000_000)
@@ -115,10 +114,10 @@ def test_criterion_2_dual_update_equals_sequential_updates():
         z0 = mu + float(rng.normal(0.0, math.sqrt(sigma + r0)))
         z1 = mu + float(rng.normal(0.0, math.sqrt(sigma + r1)))
         belief = GaussianBelief(mu, sigma)
-        dual = update_wheel(belief, [Feature(0, z0, r0), Feature(1, z1, r1)], [mu, mu])
-        first = update_wheel(belief, [Feature(0, z0, r0)], [mu])
+        dual = update_wheel(belief, [(0, z0, r0), (1, z1, r1)], [mu, mu])
+        first = update_wheel(belief, [(0, z0, r0)], [mu])
         seq = update_wheel(
-            first, [Feature(1, z1, r1)], [WHEEL_TRACKS[1].shift(first.mu)]
+            first, [(1, z1, r1)], [WHEEL_TRACKS[1].shift(first.mu)]
         )
         assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
         assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)
@@ -170,13 +169,13 @@ def test_criterion_4_feature_availability_and_branch_structure():
     for theta in interior:
         expected = five_region_shifted_states(theta)
         readings = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
-        features = {f.index: f for f in extract_features(readings, obs)}
+        features = {i: z for i, z, _ in extract_features(readings, obs)}
         for wiper, want in enumerate(expected):
             if want is None:
                 assert wiper not in features
             else:
                 assert wiper in features
-                assert features[wiper].z == pytest.approx(want, abs=0.02)
+                assert features[wiper] == pytest.approx(want, abs=0.02)
                 assert WHEEL_TRACKS[wiper].shift(theta) == pytest.approx(
                     want, abs=1e-12
                 )
@@ -251,14 +250,14 @@ def test_criterion_7_variance_laws():
 
         n_features = int(rng.integers(0, 3))
         features = [
-            Feature(
+            (
                 i,
                 bar.mu + float(rng.normal(0.0, 0.01)),
                 float(10.0 ** rng.uniform(-6.0, 0.0)),
             )
             for i in range(n_features)
         ]
-        z_bars = [WHEEL_TRACKS[f.index].shift(bar.mu) for f in features]
+        z_bars = [WHEEL_TRACKS[i].shift(bar.mu) for i, _, _ in features]
         posterior = update_wheel(bar, features, z_bars)
         if n_features == 0:
             assert posterior.sigma == bar.sigma

@@ -1,5 +1,5 @@
+import gc
 import math
-import operator
 import re
 
 import numpy as np
@@ -20,7 +20,6 @@ from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
 from paintpot.estimate import (
-    Feature,
     GaussianBelief,
     ObservationModel,
     TiltEstimator,
@@ -105,16 +104,9 @@ class TestValueChecks:
         with pytest.raises(SpecError, match="variance must be positive"):
             GaussianBelief(0.1, sigma)
 
-    @pytest.mark.parametrize("z", [math.nan, math.inf])
-    def test_feature_rejects_non_finite_measurement(self, z):
-        with pytest.raises(SpecError, match="must be finite"):
-            Feature(0, z, 1e-4)
-
     def test_replace_runs_the_checks(self):
         with pytest.raises(SpecError):
             GaussianBelief(0.1, 1e-4)._replace(sigma=0.0)
-        with pytest.raises(SpecError):
-            Feature(1, 0.2, 1e-4)._replace(z=math.nan)
         assert GaussianBelief(0.1, 1e-4)._replace(mu=0.2) == GaussianBelief(0.2, 1e-4)
 
     @pytest.mark.parametrize(
@@ -122,7 +114,6 @@ class TestValueChecks:
         [
             (AdcReading(0, 384, True), "count"),
             (GaussianBelief(0.1, 1e-4), "mu"),
-            (Feature(0, 0.5, 1e-4), "z"),
         ],
     )
     def test_per_step_values_are_immutable(self, value, attribute):
@@ -325,23 +316,23 @@ class TestExtractFeatures:
     def test_both_in_range(self):
         obs = exact_obs()
         readings = (AdcReading(0, 384, True), AdcReading(1, 640, True))
-        features = extract_features(readings, obs)
-        assert [f.index for f in features] == [0, 1]
-        assert features[0].z == 0.5
-        assert features[1].z == 640 * 2.0**-8 - 0.5
-        assert features[0].r == obs.wipers[0].r and features[1].r == obs.wipers[1].r
+        (i0, z0, r0), (i1, z1, r1) = extract_features(readings, obs)
+        assert [i0, i1] == [0, 1]
+        assert z0 == 0.5
+        assert z1 == 640 * 2.0**-8 - 0.5
+        assert r0 == obs.wipers[0].r and r1 == obs.wipers[1].r
 
     def test_boundary_count_excluded(self):
         obs = exact_obs()
         readings = (AdcReading(0, 1, True), AdcReading(1, 640, True))  # 1 == v_min
         features = extract_features(readings, obs)
-        assert [f.index for f in features] == [1]
+        assert [i for i, _, _ in features] == [1]
 
     def test_gap_reading_skipped(self):
         obs = exact_obs()
         readings = (AdcReading(0, 384, True), AdcReading(1, 640, False))
         features = extract_features(readings, obs)
-        assert [f.index for f in features] == [0]
+        assert [i for i, _, _ in features] == [0]
 
     def test_empty_list_is_legal(self):
         obs = exact_obs()
@@ -355,11 +346,11 @@ class TestExtractFeatures:
         other = AdcReading(1 - wiper, 500, True)
         for count in (-1, -500, obs.wipers[wiper].hi + 1, 1023):
             features = extract_features((AdcReading(wiper, count, True), other), obs)
-            assert [f.index for f in features] == [1 - wiper]
+            assert [i for i, _, _ in features] == [1 - wiper]
 
     def test_features_are_feature_tuples(self):
         (feature,) = extract_features((AdcReading(0, 384, True),), exact_obs(r0=2e-4))
-        assert type(feature) is Feature and feature == (0, 0.5, 2e-4)
+        assert type(feature) is tuple and feature == (0, 0.5, 2e-4)
 
     @pytest.mark.parametrize("preset,gaps", [
         ("wheel_reference", {}),
@@ -369,20 +360,38 @@ class TestExtractFeatures:
     def test_every_count_gives_its_charted_feature_exactly_when_admitted(self, preset, gaps):
         spec = sensor_spec_from_dict({**sensor_spec_to_dict(SENSOR_PRESETS[preset]()), **gaps})
         obs = observation_from_bundle(calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(11))))
-        hexed = lambda f: (type(f), f.index, f.z.hex(), f.r.hex())  # noqa: E731
+        hexed = lambda f: (type(f), f[0], f[1].hex(), f[2].hex())  # noqa: E731
         for index, wiper in enumerate(obs.wipers):
             for count in range(spec.adc_max + 1):
                 for available in (True, False):
                     got = extract_features((AdcReading(index, count, available),), obs)
                     admitted = available and wiper.lo <= count <= wiper.hi
-                    want = [Feature(index, wiper.chart[count], wiper.r)] if admitted else []
+                    want = [(index, wiper.chart[count], wiper.r)] if admitted else []
                     assert list(map(hexed, got)) == list(map(hexed, want))
-                    # Each count's feature is tabled once and handed out again.
-                    again = extract_features((AdcReading(index, count, True),), obs)
-                    assert all(map(operator.is_, got, again))
         top = len(obs.wipers) - 1
         with pytest.raises(SpecError, match=f"^wiper index must be in 0..{top}, got {top + 1}$"):
             extract_features((AdcReading(top + 1, 500, True),), obs)
+
+    @pytest.mark.parametrize("preset", ["wheel_reference", "tilt_reference"])
+    def test_observation_model_holds_no_per_count_objects(self, preset):
+        # Each object the collector tracks stays alive with the model, so a
+        # table of one tracked tuple per admitted count (over 700 of them)
+        # would set off young collections and be walked by every full one.
+        spec = SENSOR_PRESETS[preset]()
+        obs = observation_from_bundle(calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(3))))
+        seen, stack, tracked = {id(obs)}, [obs], 0
+        while stack:
+            obj = stack.pop()
+            tracked += gc.is_tracked(obj)
+            if not isinstance(obj, type):  # a class leads on to its module's globals
+                for ref in gc.get_referents(obj):
+                    if id(ref) not in seen:
+                        seen.add(id(ref))
+                        stack.append(ref)
+        assert tracked <= 32
+        readings = [AdcReading(index, (wiper.lo + wiper.hi) // 2, True) for index, wiper in enumerate(obs.wipers)]
+        features = extract_features(readings, obs)
+        assert len(features) == len(obs.wipers) and all(type(feature) is tuple for feature in features)
 
     def test_initial_belief_skips_a_wiper0_count_outside_lo_hi(self):
         obs = exact_obs()
@@ -454,13 +463,13 @@ class TestPredictedFeatureMeasurement:
 class TestUpdateWheel:
     def test_perfect_measurement_limit(self):
         belief = GaussianBelief(0.0, 1.0)
-        out = update_wheel(belief, [Feature(0, 0.3, 1e-12)], [0.0])
+        out = update_wheel(belief, [(0, 0.3, 1e-12)], [0.0])
         assert out.mu == pytest.approx(0.3, abs=1e-6)
         assert out.sigma < 1e-11
 
     def test_scalar_arithmetic_example(self):
         belief = GaussianBelief(0.0, 1e-2)
-        out = update_wheel(belief, [Feature(0, 0.1, 1e-2)], [0.0])
+        out = update_wheel(belief, [(0, 0.1, 1e-2)], [0.0])
         assert out.mu == pytest.approx(0.05, abs=1e-15)
         assert out.sigma == pytest.approx(5e-3, abs=1e-15)
 
@@ -468,9 +477,9 @@ class TestUpdateWheel:
         belief = GaussianBelief(0.2, 4e-3)
         z, r = 0.26, 2e-3
         dual = update_wheel(
-            belief, [Feature(0, z, r), Feature(1, z, r)], [belief.mu, belief.mu]
+            belief, [(0, z, r), (1, z, r)], [belief.mu, belief.mu]
         )
-        single = update_wheel(belief, [Feature(0, z, r / 2.0)], [belief.mu])
+        single = update_wheel(belief, [(0, z, r / 2.0)], [belief.mu])
         assert dual.mu == pytest.approx(single.mu, rel=1e-12)
         assert dual.sigma == pytest.approx(single.sigma, rel=1e-12)
         mu_star, var_star = fuse_information(belief.mu, belief.sigma, [z, z], [r, r])
@@ -484,7 +493,7 @@ class TestUpdateWheel:
 
     def test_posterior_mean_is_wrapped(self):
         belief = GaussianBelief(0.999 * PI, 1e-2)
-        out = update_wheel(belief, [Feature(0, belief.mu + 0.05, 1e-4)], [belief.mu])
+        out = update_wheel(belief, [(0, belief.mu + 0.05, 1e-4)], [belief.mu])
         assert out.mu == pytest.approx(wrap_brute(0.999 * PI + 0.05 * (1e-2 / 1.01e-2)), abs=1e-9)
         assert -PI < out.mu <= PI
 
@@ -497,13 +506,13 @@ class TestUpdateWheel:
             z0 = mu + float(rng.normal(0.0, math.sqrt(sigma + r0)))
             z1 = mu + float(rng.normal(0.0, math.sqrt(sigma + r1)))
             belief = GaussianBelief(mu, sigma)
-            dual = update_wheel(belief, [Feature(0, z0, r0), Feature(1, z1, r1)], [mu, mu])
-            first = update_wheel(belief, [Feature(0, z0, r0)], [mu])
+            dual = update_wheel(belief, [(0, z0, r0), (1, z1, r1)], [mu, mu])
+            first = update_wheel(belief, [(0, z0, r0)], [mu])
             # No predict between: the second innovation is measured against
             # the already-updated mean's predicted measurement.
             seq = update_wheel(
                 first,
-                [Feature(1, z1, r1)],
+                [(1, z1, r1)],
                 [WHEEL_TRACKS[1].shift(first.mu)],
             )
             assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
@@ -594,7 +603,7 @@ class TestVarianceLaws:
             belief = GaussianBelief(float(rng.uniform(-1, 1)), sigma)
             n_features = int(rng.integers(0, 3))
             features = [
-                Feature(i, belief.mu + float(rng.normal(0, 0.01)), float(10.0 ** rng.uniform(-6, 0)))
+                (i, belief.mu + float(rng.normal(0, 0.01)), float(10.0 ** rng.uniform(-6, 0)))
                 for i in range(n_features)
             ]
             out = update_wheel(belief, features, [belief.mu] * n_features)
@@ -617,12 +626,12 @@ class TestGridBayesAgreement:
 
         z0, r0 = 0.62, 2e-4
         z1, r1 = 0.59, 5e-4
-        single = update_wheel(bar, [Feature(0, z0, r0)], [bar.mu])
+        single = update_wheel(bar, [(0, z0, r0)], [bar.mu])
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, [z0], [r0], n_points=400_000)
         assert single.mu == pytest.approx(mean, rel=1e-6)
         assert single.sigma == pytest.approx(var, rel=1e-6)
 
-        dual = update_wheel(bar, [Feature(0, z0, r0), Feature(1, z1, r1)], [bar.mu, bar.mu])
+        dual = update_wheel(bar, [(0, z0, r0), (1, z1, r1)], [bar.mu, bar.mu])
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, [z0, z1], [r0, r1], n_points=400_000)
         assert dual.mu == pytest.approx(mean, rel=1e-6)
         assert dual.sigma == pytest.approx(var, rel=1e-6)
@@ -645,10 +654,10 @@ class TestFeatureConsistencyOnGrid:
             readings = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
             features = extract_features(readings, obs)
             assert len(features) >= 1
-            for f in features:
-                want = five_region_shifted_states(float(theta))[f.index]
+            for index, z, _ in features:
+                want = five_region_shifted_states(float(theta))[index]
                 assert want is not None
-                assert abs(f.z - want) <= lsb
+                assert abs(z - want) <= lsb
 
 
 # One step of a reading stream: the motor command and, per wiper, a count
