@@ -29,7 +29,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
-from paintpot.errors import FitError, SpecError, as_int, check_adc_max, read_json, read_text, write_json
+from paintpot.errors import (
+    FitError, SpecError, as_float, as_int, check_adc_max, json_text, malformed, object_at, read_json, read_text,
+    write_text,
+)
 from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict
 
 MIN_FIT_SAMPLES = 8
@@ -480,17 +483,19 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
 
 def bundle_from_dict(data: dict) -> ModelBundle:
     """Inverse of :func:`bundle_to_dict`, with schema validation; its count
-    fields must be integers (:func:`~paintpot.errors.as_int`)."""
-    try:
+    fields must be integers (:func:`~paintpot.errors.as_int`), its other
+    numbers JSON numbers (:func:`~paintpot.errors.as_float`)."""
+    with malformed("model bundle"):
         tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
-        models = tuple(CubicModel.from_dict(m) for m in data["models"])
+        models = tuple(CubicModel.from_dict(m, f"models[{i}]") for i, m in enumerate(data["models"]))
         ranges = tuple(
             ValidRange(*(as_int(r[k], f"valid_ranges[{i}].{k}") for k in ("v_min", "v_max")))
             for i, r in enumerate(data.get("valid_ranges", []))
         )
+        fields = ((as_int, "n"), (as_float, "rms"), (as_float, "max_abs"))
         wipers = tuple(
-            WiperFitStats(as_int(s["n"], f"fit_report.wipers[{i}].n"), float(s["rms"]), float(s["max_abs"]))
-            for i, s in enumerate(data.get("fit_report", {}).get("wipers", []))
+            WiperFitStats(*(check(s[k], f"fit_report.wipers[{i}].{k}") for check, k in fields))
+            for i, s in enumerate(object_at(data, "fit_report").get("wipers", []))
         )
         return ModelBundle(
             tracks=tracks,
@@ -498,16 +503,12 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             valid_ranges=ranges,
             report=FitReport(wipers),
             adc_max=adc_max,
-            filter_params=dict(data.get("filter", {})),
+            filter_params=dict(object_at(data, "filter")),
         )
-    except (KeyError, TypeError, ValueError, FitError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"malformed model bundle: {exc}") from exc
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path, manifest: dict | None = None) -> None:
-    write_json(path, bundle_to_dict(bundle, manifest))
+    write_text(path, json_text(bundle_to_dict(bundle, manifest), path))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

@@ -11,60 +11,34 @@ range, exits 2 naming its key path.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from paintpot import characterize, estimate, presets, sensor_sim, trajectory
-from paintpot.characterize import CalibrationDataset, ModelBundle
+from paintpot.characterize import CalibrationDataset
 from paintpot.errors import (
     DomainError,
     FitError,
     InitializationError,
     InversionError,
     SpecError,
-    as_float,
-    as_int,
+    json_text,
+    malformed,
+    number_at,
+    object_at,
     read_json,
-    write_json,
-    write_rows,
+    run_manifest,
+    write_csv,
+    write_text,
 )
 from paintpot.geometry import wrap_angle
 
 _SWEEP_STREAM = 1  # rng substream for in-experiment calibration sweeps
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproduction record echoed into every command output."""
-
-    command: str
-    inputs: dict
-    outputs: tuple[str, ...]
-    seed: int | None
-    config_sha256: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "outputs": list(self.outputs),
-            "seed": self.seed,
-            "config_sha256": self.config_sha256,
-        }
-
-    def comment(self) -> str:
-        return "manifest " + json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _resolve_sensor(ref: str, parse=sensor_sim.sensor_spec_from_dict):
@@ -115,17 +89,6 @@ def synthesize_sweep_dataset(
     )
 
 
-def _write_sweep_csv(dataset: CalibrationDataset, path: Path, manifest: RunManifest) -> None:
-    width = dataset.counts.shape[1]
-    header = ",".join(["t", "theta", *(f"v{i}" for i in range(width))])
-    row_format = "%.17g,%.17g" + ",%d" * width + "\n"
-    columns = [dataset.t.tolist(), dataset.theta.tolist(), *dataset.counts.T.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {manifest.comment()}\n")
-        handle.write(header + "\n")
-        write_rows(handle, row_format, columns)
-
-
 def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: float) -> None:
     """``sweep``: synthesize a calibration log for a sensor spec."""
     if seed < 0:
@@ -133,21 +96,13 @@ def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: fl
     spec = _resolve_sensor(spec_ref)
     spec_dict = sensor_sim.sensor_spec_to_dict(spec)
     config = {"spec": spec_dict, "rate_hz": rate_hz, "duration_s": duration_s, "seed": seed}
-    manifest = RunManifest("sweep", {"spec": spec_ref}, (out,), seed, _config_hash(config))
+    manifest = run_manifest("sweep", {"spec": spec_ref}, (out,), seed, config)
     rng = np.random.default_rng(seed)
     dataset = synthesize_sweep_dataset(spec, rate_hz, duration_s, rng)
-    _write_sweep_csv(dataset, Path(out), manifest)
-
-
-def _check_sigma0(sigma0: float, name: str) -> None:
-    if not 0.0 < sigma0 < math.inf:
-        raise SpecError(f"{name} must be positive and finite, got {sigma0!r}")
-
-
-def _filter_params(bundle: ModelBundle, k: float, dt: float, q: float, sigma0: float) -> dict:
-    keys = estimate.variance_keys(len(bundle.models))
-    rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
-    return {"k": k, "dt": dt, "q": q, "sigma0": sigma0, **dict(zip(keys, rs))}
+    width = len(spec.wipers)
+    header = ",".join(["t", "theta", *(f"v{i}" for i in range(width))])
+    columns = [dataset.t.tolist(), dataset.theta.tolist(), *dataset.counts.T.tolist()]
+    write_csv(out, manifest, header, "%.17g,%.17g" + ",%d" * width + "\n", columns)
 
 
 def run_calibrate(
@@ -160,15 +115,17 @@ def run_calibrate(
     sigma0: float = estimate.DEFAULT_SIGMA0,
 ) -> None:
     """``calibrate``: trim/shift, fit, windows, residual report, to JSON."""
+    params = {"k": k, "dt": dt, "q": q, "sigma0": sigma0}
     estimate.TransitionModel(k, dt, q)  # checks k, dt and q
-    _check_sigma0(sigma0, "sigma0")
+    number_at(params, "sigma0", low="> 0")  # and sigma0
     geometry = _resolve_sensor(spec_ref, sensor_sim.sensor_geometry_from_dict)  # no truth cubics
     dataset = characterize.ingest_log(in_csv, geometry)
     bundle = characterize.calibrate(dataset)
-    bundle = bundle.with_filter_params(_filter_params(bundle, k, dt, q, sigma0))
+    rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
+    bundle = bundle.with_filter_params({**params, **dict(zip(estimate.variance_keys(len(bundle.models)), rs))})
     config = {"kind": bundle.sensor_kind, "filter": bundle.filter_params}
-    manifest = RunManifest("calibrate", {"log": in_csv}, (out,), None, _config_hash(config))
-    characterize.save_bundle(bundle, Path(out), manifest=manifest.to_dict())
+    manifest = run_manifest("calibrate", {"log": in_csv}, (out,), None, config)
+    characterize.save_bundle(bundle, out, manifest=manifest)
 
 
 def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
@@ -181,20 +138,18 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
 
     The filter steps once per row, keeping each row's mean, variance and
     feature count in flat columns; the trace then goes out through
-    :func:`~paintpot.errors.write_rows` a block of rows at a time, each
+    :func:`~paintpot.errors.write_csv` a block of rows at a time, each
     distinct variance formatted once.
     """
     bundle = characterize.load_bundle(model_json)
     tm = estimate.transition_from_bundle(bundle)
-    sigma0 = estimate.filter_value(bundle.filter_params, "sigma0", estimate.DEFAULT_SIGMA0)
-    _check_sigma0(sigma0, "filter.sigma0")
+    sigma0 = number_at({"filter": bundle.filter_params}, "filter.sigma0", estimate.DEFAULT_SIGMA0, low="> 0")
     header = ["t", *(f"v{i}" for i in range(len(bundle.models))), "omega"]
     columns = characterize.read_columns(readings_csv, header, bundle.adc_max, "readings")
     t, *counts, omega = (column.tolist() for column in columns)
     obs = estimate.observation_from_bundle(bundle)
     inputs = {"model": model_json, "readings": readings_csv}
-    config_sha256 = _config_hash(characterize.bundle_to_dict(bundle))
-    manifest = RunManifest("estimate", inputs, (out,), None, config_sha256)
+    manifest = run_manifest("estimate", inputs, (out,), None, characterize.bundle_to_dict(bundle))
     # One (wiper, count, available) reading per wiper and logged count, shared by every row with it.
     by_count = [
         list(zip(repeat(wiper), range(max(column) + 1), repeat(True))) for wiper, column in enumerate(counts)
@@ -217,10 +172,7 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     # Each text column replaces its number column, so the two are never both kept while writing.
     sigmas = [sigma_text.get(sigma) or sigma_text.setdefault(sigma, "%.17g" % sigma) for sigma in sigmas]
     n_features = list(map(digits.__getitem__, n_features))  # a bool indexes as 0 or 1
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {manifest.comment()}\n")
-        handle.write("t,mu,sigma,n_features\n")
-        write_rows(handle, "%.17g,%.17g,%s,%s\n", [t, mus, sigmas, n_features])
+    write_csv(out, manifest, "t,mu,sigma,n_features", "%.17g,%.17g,%s,%s\n", [t, mus, sigmas, n_features])
 
 
 def _resolve_experiment_config(ref: str) -> dict:
@@ -229,59 +181,36 @@ def _resolve_experiment_config(ref: str) -> dict:
     return read_json(Path(ref))
 
 
-def _config_number(
-    cfg: dict, path: str, default: float | None = None, integer: bool = False, low: str = ""
-):
-    """The finite number (:func:`~paintpot.errors.as_float`), or with
-    ``integer`` the int (:func:`~paintpot.errors.as_int`), at the dotted key
-    ``path`` of an experiment config, else ``default``; ``low``, ``"> 0"``
-    or ``">= 0"``, bounds it from below.  Faults name ``path``."""
-    *sections, key = path.split(".")
-    for section in sections:
-        cfg = cfg.get(section, {})
-        if not isinstance(cfg, dict):
-            raise SpecError(f"{section} must be a JSON object, got {cfg!r}")
-    value = cfg.get(key, default)
-    # An int as given: a float would round a seed above 2**53.
-    number = as_int(value, path) if integer else as_float(value, path)
-    if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
-        raise SpecError(f"{path} must be {low}, got {value!r}")
-    return number
-
-
 def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
-    """The run an experiment config describes; each number goes through :func:`_config_number`."""
-    try:
-        kind = cfg["kind"]
-        sensor = sensor_sim.sensor_spec_from_dict(cfg["sensor"])
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"experiment config missing field: {exc}") from exc
-    seed = _config_number(cfg, "seed", 0, integer=True, low=">= 0")
-    rate_hz = _config_number(cfg, "rate_hz", 100.0, low="> 0")
+    """The run an experiment config describes; each number goes through
+    :func:`~paintpot.errors.number_at`."""
+    with malformed("experiment config"):
+        kind, sensor = cfg["kind"], sensor_sim.sensor_spec_from_dict(cfg["sensor"])
+    seed = number_at(cfg, "seed", 0, integer=True, low=">= 0")
+    rate_hz = number_at(cfg, "rate_hz", 100.0, low="> 0")
     tm = estimate.TransitionModel(
-        k=_config_number(cfg, "transition.k", estimate.DEFAULT_TRANSMISSION_RATIO),
+        k=number_at(cfg, "transition.k", estimate.DEFAULT_TRANSMISSION_RATIO),
         dt=1.0 / rate_hz,
-        q=_config_number(cfg, "transition.q", estimate.DEFAULT_PROCESS_NOISE, low=">= 0"),
+        q=number_at(cfg, "transition.q", estimate.DEFAULT_PROCESS_NOISE, low=">= 0"),
     )
-    sigma0 = _config_number(cfg, "sigma0", estimate.DEFAULT_SIGMA0)
-    _check_sigma0(sigma0, "sigma0")
-    plant_q = None if cfg.get("plant_q") is None else _config_number(cfg, "plant_q")
+    sigma0 = number_at(cfg, "sigma0", estimate.DEFAULT_SIGMA0, low="> 0")
+    plant_q = None if cfg.get("plant_q") is None else number_at(cfg, "plant_q")
     traj = trajectory.plan_quintic(
-        _config_number(cfg, "trajectory.x0"),
-        _config_number(cfg, "trajectory.xf"),
-        _config_number(cfg, "trajectory.t_total", low="> 0"),
+        number_at(cfg, "trajectory.x0"),
+        number_at(cfg, "trajectory.xf"),
+        number_at(cfg, "trajectory.t_total", low="> 0"),
     )
     gains = trajectory.ControllerGains(
-        kp=_config_number(cfg, "controller.kp", 6.0, low=">= 0"),
-        omega_max=_config_number(cfg, "controller.omega_max", 10.0, low="> 0"),
+        kp=number_at(cfg, "controller.kp", 6.0, low=">= 0"),
+        omega_max=number_at(cfg, "controller.omega_max", 10.0, low="> 0"),
     )
 
     if "models" in cfg:
-        bundle = characterize.bundle_from_dict(cfg["models"])
+        bundle = characterize.bundle_from_dict(object_at(cfg, "models"))
     else:
         sweep_rng = np.random.default_rng((seed, _SWEEP_STREAM))
-        rate = _config_number(cfg, "calibration.rate_hz", 14.0, low="> 0")
-        duration = _config_number(cfg, "calibration.duration_s", 50.0, low="> 0")
+        rate = number_at(cfg, "calibration.rate_hz", 14.0, low="> 0")
+        duration = number_at(cfg, "calibration.duration_s", 50.0, low="> 0")
         try:
             dataset = synthesize_sweep_dataset(sensor, rate, duration, sweep_rng)
         except SpecError as exc:  # a sweep too short: its length comes from both keys
@@ -310,19 +239,13 @@ def run_experiment_command(config_ref: str, out_prefix: str) -> trajectory.Exper
     trace_path = Path(f"{out_prefix}_trace.csv")
     summary_path = Path(f"{out_prefix}_summary.json")
     inputs, outputs = {"config": config_ref}, (str(trace_path), str(summary_path))
-    manifest = RunManifest("experiment", inputs, outputs, config.seed, _config_hash(cfg))
-    summary = {
-        "manifest": manifest.to_dict(),
-        "config": cfg,
-        **result.summary_dict(),
-    }
-    try:
-        json.dumps(summary, allow_nan=False)
-    except ValueError as exc:  # the summary echoes the config
-        raise SpecError(f"{config_ref}: the config holds a non-finite number: {exc}") from exc
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as handle:
-        result.write_trace(handle, comment=manifest.comment())
-    write_json(summary_path, summary)  # last: its presence shows the run finished
+    manifest = run_manifest("experiment", inputs, outputs, config.seed, cfg)
+    # The summary echoes the config, so its text is made, and checked, before any output.
+    summary = json_text({"manifest": manifest, "config": cfg, **result.summary_dict()}, config_ref)
+    names = ("t", "theta_true", "theta_est", "theta_ref", "u_cmd", "f0_avail", "f1_avail")
+    columns = [getattr(result, name).tolist() for name in names]
+    write_csv(trace_path, manifest, ",".join(names), "%.17g," * 5 + "%d,%d\n", columns)
+    write_text(summary_path, summary)  # last: its presence shows the run finished
     return result
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from paintpot.errors import FitError, InversionError
+from paintpot.errors import FitError, InversionError, as_float, malformed
 
 DEFAULT_ANGLE_TOL = 1e-9
 # Knots in every model's inversion chart, whatever its window's width, so a
@@ -153,15 +153,17 @@ class CubicModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CubicModel":
-        window = data["v_window"]
-        return cls(
-            float(data["c3"]),
-            float(data["c2"]),
-            float(data["c1"]),
-            float(data["c0"]),
-            (float(window[0]), float(window[1])),
-        )
+    def from_dict(cls, data: dict, key: str) -> "CubicModel":
+        """The cubic of a file's object at ``key``: coefficients ``c3..c0``
+        as decimal strings or JSON numbers, ``v_window`` two JSON numbers
+        (:func:`~paintpot.errors.as_float`).  Faults name ``key``."""
+        with malformed(key):
+            coefficients = [
+                float(data[n]) if isinstance(data[n], str) else as_float(data[n], f"{key}.{n}")
+                for n in ("c3", "c2", "c1", "c0")
+            ]
+            lo, hi = (as_float(data["v_window"][i], f"{key}.v_window") for i in (0, 1))
+            return cls(*coefficients, (lo, hi))
 
 
 def invert_cubic(

@@ -1,14 +1,22 @@
-"""Exception hierarchy shared across the package, the rules for integer
-and float fields of input files, the ADC-width check, the one reader of
-every input file (log, bundle, spec or config), which decodes it once and
-rejects one that is not UTF-8 before anything parses it, the one reader and
-writer of the package's JSON files, and the one writer of CSV rows, which
-formats a block of :data:`ROWS_PER_WRITE` rows with one ``%`` and writes it
-at once."""
+"""The package's exceptions and its file layer.
 
+Every input file is read and decoded once (:func:`read_text`).  A JSON file
+is read by :func:`read_json` and its fields by the rules here; a CSV log's
+rows are checked by :func:`paintpot.characterize.read_columns`.  A JSON count
+goes through :func:`as_int` and a JSON number through :func:`as_float`, each
+read at a dotted key path by :func:`number_at` (a nested object by
+:func:`object_at`), and a JSON object that lacks a key or holds a wrong type
+raises :class:`SpecError` (:func:`malformed`); each fault names its key path.
+Every output embeds a :func:`run_manifest`: :func:`write_csv` writes it and
+then the rows, a block at a time (:func:`write_rows`), and :func:`write_text`
+writes the JSON text of :func:`json_text`, which refuses a non-finite float.
+"""
+
+import hashlib
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -61,6 +69,44 @@ def as_float(value: object, key: str) -> float:
     raise SpecError(f"{key} must be a finite number, got {value!r}")
 
 
+def object_at(data: dict, key: str) -> dict:
+    """The JSON object at ``key`` of ``data``, ``{}`` when there is none;
+    anything else raises :class:`SpecError` naming ``key``."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SpecError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def number_at(data: dict, path: str, default: float | None = None, integer: bool = False, low: str = ""):
+    """The finite number (:func:`as_float`), or with ``integer`` the int
+    (:func:`as_int`), at the dotted key ``path`` of ``data``, else
+    ``default``; ``low``, ``"> 0"`` or ``">= 0"``, bounds it from below.
+    Faults name ``path``."""
+    *sections, key = path.split(".")
+    for section in sections:
+        data = object_at(data, section)
+    value = data.get(key, default)
+    # An int as given: a float would round a seed above 2**53.
+    number = as_int(value, path) if integer else as_float(value, path)
+    if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
+        raise SpecError(f"{path} must be {low}, got {value!r}")
+    return number
+
+
+@contextmanager
+def malformed(what: str):
+    """Raise the KeyError, TypeError, ValueError or :class:`FitError` of a
+    JSON object that lacks a key or holds a wrong type or value as
+    :class:`SpecError` ``malformed <what>: ...``; a SpecError passes."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError, FitError) as exc:
+        raise SpecError(f"malformed {what}: {exc}") from exc
+
+
 def check_adc_max(adc_max: int) -> None:
     """Raise :class:`SpecError` unless ``adc_max`` is ``2**bits - 1``, bits >= 1."""
     if adc_max < 1 or (adc_max + 1) & adc_max != 0:
@@ -94,12 +140,36 @@ def read_json(path) -> dict:
     return data
 
 
-def write_json(path, data) -> None:
-    """Write ``data`` to ``path`` as indented JSON with sorted keys; a
-    non-finite float raises ValueError before the file is opened."""
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+def json_text(data, source) -> str:
+    """``data`` as indented JSON with sorted keys and a final newline; a
+    non-finite float, which JSON cannot hold, raises :class:`SpecError`
+    naming ``source``."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SpecError(f"{source} holds a non-finite number: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+        handle.write(text)
+
+
+def run_manifest(command: str, inputs: dict, outputs: Sequence[str], seed: int | None, config) -> dict:
+    """The reproduction record every output of a run of ``command`` embeds:
+    its input and output paths as given, its seed, and the sha256 of
+    ``config`` as sorted-key JSON."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    return {"command": command, "inputs": inputs, "outputs": list(outputs), "seed": seed, "config_sha256": digest}
+
+
+def write_csv(path, manifest: dict, header: str, row_format: str, columns: Sequence[Sequence]) -> None:
+    """Write a CSV to ``path``: ``manifest`` as a ``# manifest`` comment
+    line, the ``header`` line, then :func:`write_rows` of ``columns``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"# manifest {json.dumps(manifest, sort_keys=True)}\n{header}\n")
+        write_rows(handle, row_format, columns)
 
 
 def write_rows(handle: IO[str], row_format: str, columns: Sequence[Sequence]) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
-from paintpot.errors import InitializationError, SpecError, as_float
+from paintpot.errors import InitializationError, SpecError, number_at
 from paintpot.geometry import TWO_PI, WiperTrack, wrap_angle
 from paintpot.sensor_sim import AdcReading
 
@@ -390,19 +390,12 @@ def default_measurement_variance(model: CubicModel, stats: WiperFitStats) -> flo
     return max(stats.rms * stats.rms, mean_slope * mean_slope)
 
 
-def filter_value(params: dict, key: str, default: float | None = None) -> float:
-    """The bundle filter parameter ``key`` (``default`` when it is absent)
-    as a float (:func:`~paintpot.errors.as_float`); the error of a value
-    that is not a finite number names ``filter.<key>``."""
-    return as_float(params.get(key, default), f"filter.{key}")
-
-
 def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:
-    params = bundle.filter_params
+    params = {"filter": bundle.filter_params}  # the file's key paths, which errors name
     return TransitionModel(
-        k=filter_value(params, "k", DEFAULT_TRANSMISSION_RATIO),
-        dt=filter_value(params, "dt", DEFAULT_TIMESTEP),
-        q=filter_value(params, "q", DEFAULT_PROCESS_NOISE),
+        k=number_at(params, "filter.k", DEFAULT_TRANSMISSION_RATIO),
+        dt=number_at(params, "filter.dt", DEFAULT_TIMESTEP),
+        q=number_at(params, "filter.q", DEFAULT_PROCESS_NOISE),
     )
 
 
@@ -425,7 +418,7 @@ def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
     if any(key in params for key in keys):
         if not all(key in params for key in keys):
             raise SpecError(f"bundle filter parameters need all of {', '.join(keys)}")
-        rs = [filter_value(params, key) for key in keys]
+        rs = [number_at({"filter": params}, f"filter.{key}") for key in keys]
     elif len(bundle.report.wipers) == len(models):
         rs = [default_measurement_variance(m, s) for m, s in zip(models, bundle.report.wipers)]
     else:

@@ -100,12 +100,14 @@ def geometry_from_dict(kind: object, data: dict) -> Geometry:
     """A ``kind`` file's geometry, checked: a wheel has :data:`WHEEL_TRACKS`, each with the
     file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and the file's
     ``angle_limit`` in (0, pi], by default :data:`TILT_LIMIT`.  Either has the file's
-    ``adc_max``, by default 1023, which must be an integer ``2**bits - 1``."""
+    ``adc_max``, by default 1023, which must be an integer ``2**bits - 1``.  A gap's ends and
+    the limit are JSON numbers (:func:`~paintpot.errors.as_float`)."""
     adc_max = as_int(data.get("adc_max", 1023), "adc_max")
     check_adc_max(adc_max)
     if kind == "wheel":
-        gaps = [data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi)) for i, t in enumerate(WHEEL_TRACKS)]
-        tracks = tuple(WiperTrack(Interval(*map(float, g)), t.turn) for g, t in zip(gaps, WHEEL_TRACKS))
+        gaps = [[as_float(end, f"gap_w{i}") for end in data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))]
+                for i, t in enumerate(WHEEL_TRACKS)]
+        tracks = tuple(WiperTrack(Interval(*g), t.turn) for g, t in zip(gaps, WHEEL_TRACKS))
         return Geometry(tracks, None, adc_max)
     if kind == "tilt":
         limit = as_float(data.get("angle_limit", TILT_LIMIT), "angle_limit")

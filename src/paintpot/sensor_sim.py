@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, FitError, SpecError, as_float, check_adc_max, write_json
+from paintpot.errors import DomainError, SpecError, as_float, check_adc_max, json_text, malformed, write_text
 from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
@@ -223,12 +223,8 @@ def sensor_geometry_from_dict(data: dict) -> Geometry:
     calibration reads of it.  The reference sensor its ``kind`` names fills
     the tracks and angle limit it leaves out
     (:func:`~paintpot.geometry.geometry_from_dict`)."""
-    try:
+    with malformed("sensor spec"):
         return geometry_from_dict(data["kind"], data)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"malformed sensor spec: {exc}") from exc
 
 
 def sensor_spec_from_dict(data: dict) -> SensorSpec:
@@ -237,14 +233,10 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
     per wiper, which only the simulator reads."""
     tracks, limit, adc_max = sensor_geometry_from_dict(data)
     names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
-    try:
-        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n]), t) for n, t in zip(names, tracks))
+    with malformed("sensor spec"):
+        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n], n), t) for n, t in zip(names, tracks))
         noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
         spec = SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
-    except (KeyError, TypeError, ValueError, FitError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"malformed sensor spec: {exc}") from exc
     for i, (truth, track) in enumerate(spec.wipers):
         low, high = truth.angle_range()
         lo, hi = (-limit, limit) if track is None else track.window
@@ -256,4 +248,4 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
 
 
 def save_sensor_spec(spec: SensorSpec, path: str | Path) -> None:
-    write_json(path, sensor_spec_to_dict(spec))
+    write_text(path, json_text(sensor_spec_to_dict(spec), path))

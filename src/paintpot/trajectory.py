@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from paintpot.errors import SpecError, write_rows
+from paintpot.errors import SpecError
 from paintpot.estimate import (
     ObservationModel,
     TiltEstimator,
@@ -158,16 +157,6 @@ class ExperimentResult:
         """|wrapped change in estimate| between consecutive steps (below pi,
         which a tilt never moves in a step, wrapping changes no difference)."""
         return np.abs([wrap_angle(d) for d in np.diff(self.theta_est).tolist()])
-
-    def write_trace(self, handle: IO[str], comment: str | None = None) -> None:
-        if comment is not None:
-            handle.write(f"# {comment}\n")
-        handle.write("t,theta_true,theta_est,theta_ref,u_cmd,f0_avail,f1_avail\n")
-        columns = (
-            self.t, self.theta_true, self.theta_est, self.theta_ref, self.u_cmd,
-            self.f0_avail, self.f1_avail,
-        )
-        write_rows(handle, "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n", [column.tolist() for column in columns])
 
     def summary_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import pytest
 
 from paintpot import cli, estimate, presets
 from paintpot.characterize import load_bundle
-from paintpot.errors import ROWS_PER_WRITE, SpecError, write_rows
+from paintpot.errors import ROWS_PER_WRITE, SpecError, number_at, write_rows
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
     WHEEL_TRUTH_W1,
@@ -105,8 +105,13 @@ class TestSweep:
             ("tilt_reference", {"noise_std": True}, "noise_std must be a finite number, got True"),
             ("tilt_reference", {"angle_limit": True}, "angle_limit must be a finite number, got True"),
             ("wheel_reference", {"noise_std": "1.0"}, "noise_std must be a finite number, got '1.0'"),
+            ("wheel_reference", {"gap_w0": [True, 2.0]}, "gap_w0 must be a finite number, got True"),
+            ("wheel_reference", {"truth_w1": {**WHEEL_TRUTH_W1.to_dict(), "c3": True}},
+             "truth_w1.c3 must be a finite number, got True"),
+            ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "v_window": ["0", "1023"]}},
+             "truth.v_window must be a finite number, got '0'"),
         ],
-        ids=["bool_noise", "bool_limit", "text_noise"],
+        ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window"],
     )
     def test_non_number_spec_float_is_config_error(self, tmp_path, capsys, preset, edit, message):
         spec_path = tmp_path / "spec.json"
@@ -287,12 +292,14 @@ class TestCalibrateOnGeometry:
         [
             ("wheel_reference", {"gap_w0": [2.0, 1.5]}, "malformed sensor spec: empty interval: [2.0, 1.5]"),
             ("wheel_reference", {"gap_w1": [-0.5, 0.5]}, "gap [-0.5, 0.5] turning by"),
+            ("wheel_reference", {"gap_w0": [True, 2.0]}, "gap_w0 must be a finite number, got True"),
             ("wheel_reference", {"adc_max": 1000}, "adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
             ("tilt_reference", {"adc_max": "ten"}, "adc_max must be an integer, got 'ten'"),
             ("tilt_reference", {"angle_limit": 4.0}, "angle_limit must lie in (0, pi]"),
             ("tilt_reference", {"angle_limit": 0.0}, "angle_limit must lie in (0, pi]"),
         ],
-        ids=["empty_gap", "gap_across_zero", "adc_max_1000", "adc_max_text", "limit_above_pi", "limit_zero"],
+        ids=["empty_gap", "gap_across_zero", "bool_gap", "adc_max_1000", "adc_max_text", "limit_above_pi",
+             "limit_zero"],
     )
     def test_bad_geometry_is_config_error(self, tmp_path, capsys, preset, edit, message):
         sweep, bundle = tmp_path / "sweep.csv", tmp_path / "bundle.json"
@@ -334,7 +341,7 @@ def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
                    "--out", str(out)) == 0
     bundle = load_bundle(bundle_path)
     obs = estimate.observation_from_bundle(bundle)
-    sigma0 = estimate.filter_value(bundle.filter_params, "sigma0", estimate.DEFAULT_SIGMA0)
+    sigma0 = number_at({"filter": bundle.filter_params}, "filter.sigma0", estimate.DEFAULT_SIGMA0)
     estimator = (estimate.WheelEstimator if wheel else estimate.TiltEstimator)(
         obs, estimate.transition_from_bundle(bundle), sigma0
     )
@@ -377,8 +384,8 @@ def _set(*keys_and_value):
     return edit
 
 
-# Bundle edits that put a count window outside [0, adc_max], and the field
-# each error names.
+# Bundle edits that put a count window outside [0, adc_max] or a fit report
+# that is not an object in the file, and the field each error names.
 BUNDLE_EDITS = [
     (_set("adc_max", 1000), "adc_max must be 2**bits - 1"),
     (_set("adc_max", 0), "adc_max must be 2**bits - 1"),
@@ -389,10 +396,13 @@ BUNDLE_EDITS = [
     (lambda data: data["valid_ranges"].pop(),
      "wheel bundle has (models, valid ranges) = (2, 1), expected (2, 2)"),
     (lambda data: data["models"].pop(), "wheel bundle has (models, valid ranges) = (1, 2), expected (2, 2)"),
+    (_set("fit_report", []), "fit_report must be a JSON object, got []"),
+    (_set("fit_report", None), "fit_report must be a JSON object, got None"),
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
-    "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model",
+    "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "list_fit_report",
+    "null_fit_report",
 ]
 
 
@@ -624,14 +634,21 @@ class TestEstimate:
             (_set("filter", "k", "nan"), "filter.k must be a finite number, got 'nan'"),
             (_set("filter", "dt", math.inf), "filter.dt must be a finite number, got inf"),
             (_set("filter", "q", "-inf"), "filter.q must be a finite number, got '-inf'"),
-            (_set("models", 0, "c1", "inf"), "cubic coefficients must be finite"),
+            (_set("models", 0, "c1", "inf"), "models[0]: cubic coefficients must be finite"),
             (_set("filter", "k", True), "filter.k must be a finite number, got True"),
             (_set("filter", "q", " 5e-2 "), "filter.q must be a finite number, got ' 5e-2 '"),
             (_set("filter", "sigma0", "1e-4"), "filter.sigma0 must be a finite number, got '1e-4'"),
             (_set("filter", "r0", 10**400), "filter.r0 must be a finite number, got 1000"),
+            (_set("models", 0, "c3", True), "models[0].c3 must be a finite number, got True"),
+            (_set("models", 1, "v_window", ["0", "1023"]), "models[1].v_window must be a finite number, got '0'"),
+            (_set("fit_report", "wipers", 0, "rms", True), "fit_report.wipers[0].rms must be a finite number, got True"),
+            (_set("fit_report", "wipers", 1, "max_abs", "0.1"),
+             "fit_report.wipers[1].max_abs must be a finite number, got '0.1'"),
+            (_set("gap_w0", [True, 2.0]), "gap_w0 must be a finite number, got True"),
         ],
         ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
-             "bool_k", "text_q", "text_sigma0", "huge_int_r0"],
+             "bool_k", "text_q", "text_sigma0", "huge_int_r0", "bool_c3", "text_v_window", "bool_rms",
+             "text_max_abs", "bool_gap_w0"],
     )
     def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
         data = json.loads(Path(wheel_bundle).read_text())
@@ -1117,6 +1134,44 @@ def test_whole_number_valid_range_estimates_as_that_integer(tmp_path, wheel_bund
         assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings), "--out", str(out)) == 0
         traces.append(out.read_bytes())
     assert traces[0] == traces[1]
+
+
+# Each command's manifest, run in an empty working directory with relative
+# names, as recorded before the manifest became a plain dict: the comment
+# line of each CSV and the "manifest" key of each JSON file, as sorted-key JSON.
+MANIFESTS = {
+    "sweep.csv": '{"command": "sweep", "config_sha256": '
+                 '"e0760f589a977e7a9dd76bd669684e7ace46b60b7ccb4e632779ddf7577cdec4", '
+                 '"inputs": {"spec": "wheel_reference"}, "outputs": ["sweep.csv"], "seed": 3}',
+    "bundle.json": '{"command": "calibrate", "config_sha256": '
+                   '"5fd5e0d60c288163580754a6d1c3df06b984579a8dbb2ac403d0058479bbc5aa", '
+                   '"inputs": {"log": "sweep.csv"}, "outputs": ["bundle.json"], "seed": null}',
+    "estimate.csv": '{"command": "estimate", "config_sha256": '
+                    '"dacf1cd171bd968d18fd994bcdde9b1db4b3399d9f34b4cacedfb09528234fe7", '
+                    '"inputs": {"model": "bundle.json", "readings": "readings.csv"}, '
+                    '"outputs": ["estimate.csv"], "seed": null}',
+    "tilt_trace.csv": '{"command": "experiment", "config_sha256": '
+                      '"cff0fe0a45272e3610d538168eca853dfbb006bc574a80badffab5729564f243", '
+                      '"inputs": {"config": "tilt_sweep"}, "outputs": ["tilt_trace.csv", "tilt_summary.json"], '
+                      '"seed": 103}',
+}
+MANIFESTS["tilt_summary.json"] = MANIFESTS["tilt_trace.csv"]
+
+
+def test_manifests_are_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", "--spec", "wheel_reference", "--out", "sweep.csv", "--seed", "3") == 0
+    assert run_cli("calibrate", "--in", "sweep.csv", "--kind", "wheel", "--out", "bundle.json") == 0
+    rows = [line.split(",") for line in Path("sweep.csv").read_text().splitlines()[2:]]
+    Path("readings.csv").write_text("t,v0,v1,omega\n" + "".join(f"{t},{v0},{v1},0\n" for t, _, v0, v1 in rows))
+    assert run_cli("estimate", "--model", "bundle.json", "--readings", "readings.csv", "--out", "estimate.csv") == 0
+    assert run_cli("experiment", "--config", "tilt_sweep", "--out-prefix", "tilt") == 0
+    for name, manifest in MANIFESTS.items():
+        text = Path(name).read_text()
+        if name.endswith(".csv"):
+            assert text.split("\n", 1)[0] == f"# manifest {manifest}"
+        else:
+            assert json.dumps(json.loads(text)["manifest"], sort_keys=True) == manifest
 
 
 class TestConsoleEntry:

@@ -368,6 +368,9 @@ class TestExtractFeatures:
                     admitted = available and wiper.lo <= count <= wiper.hi
                     want = [(index, wiper.chart[count], wiper.r)] if admitted else []
                     assert list(map(hexed, got)) == list(map(hexed, want))
+                    if not obs.wrap:  # the tilt update admits by its own test, which must agree
+                        reading = AdcReading(index, count, available)
+                        assert update_tilt(GaussianBelief(0.0, 1e-4), reading, obs)[1] == admitted
         top = len(obs.wipers) - 1
         with pytest.raises(SpecError, match=f"^wiper index must be in 0..{top}, got {top + 1}$"):
             extract_features((AdcReading(top + 1, 500, True),), obs)
