@@ -33,7 +33,7 @@ from paintpot.errors import (
     FitError, SpecError, as_float, as_int, check_adc_max, json_text, malformed, object_at, read_json, read_text,
     write_text,
 )
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict, joint_kind
 
 MIN_FIT_SAMPLES = 8
 MIN_WINDOW_SPAN_FRACTION = 0.5
@@ -106,7 +106,7 @@ class ModelBundle:
     One model per track and one valid range per gapped track.  ``adc_max``
     must be ``2**bits - 1``, and every valid range and model window must lie
     inside the counts ``[0, adc_max]``: the filters table each model at
-    every count of its window.
+    every count of its window.  ``sensor_kind`` is its tracks' joint kind.
     """
 
     tracks: tuple[WiperTrack | None, ...]
@@ -115,10 +115,10 @@ class ModelBundle:
     report: FitReport
     adc_max: int = 1023
     filter_params: dict = field(default_factory=dict)
+    sensor_kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if None in self.tracks and any(self.tracks):
-            raise SpecError("a bundle's wipers must all ride gapped tracks, or none")
+        object.__setattr__(self, "sensor_kind", joint_kind(self.tracks))
         shape = (len(self.models), len(self.valid_ranges))
         expected = (len(self.tracks), sum(track is not None for track in self.tracks))
         if shape != expected:
@@ -138,11 +138,6 @@ class ModelBundle:
                     f"models[{i}].v_window [{lo!r}, {hi!r}] outside [0, {self.adc_max}]"
                 )
 
-    @property
-    def sensor_kind(self) -> str:
-        """The bundle's name in files: ``wheel`` when its wipers ride tracks, else ``tilt``."""
-        return "wheel" if any(self.tracks) else "tilt"
-
     def with_filter_params(self, params: dict) -> "ModelBundle":
         return replace(self, filter_params=dict(params))
 
@@ -155,9 +150,11 @@ def _read_columns_fast(text: str, header: list[str], adc_max: int, theta_limit) 
     """The value arrays of a plainly valid log ``text``, its rows read by
     one ``np.loadtxt`` call and checked by numpy, or None.
 
-    The header is found by the judge's rule.  A log that fails to load
-    raises ValueError, ``csv.Error`` or a warning, and one whose text, header
-    or values fail a check returns None: either way, no error is decided.
+    The header is found by the judge's rule, and the body's comment lines
+    (``#`` after leading whitespace), which the judge skips, are dropped.
+    A log that fails to load raises ValueError, ``csv.Error`` or a warning,
+    and one whose text, header, comments or values fail a check returns
+    None: either way, no error is decided.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # StringIO(text, newline="")'s lines
     rows = csv.reader(body := iter(lines))
@@ -168,6 +165,13 @@ def _read_columns_fast(text: str, header: list[str], adc_max: int, theta_limit) 
     if (not text.isascii() or max(map(len, lines)) > csv.field_size_limit() or n != rows.line_num
             or [f.strip() for f in found] != header):
         return None
+    if text.count("#") > sum(line.count("#") for line in lines[:n]):  # a '#' below the header
+        body = list(body)
+        comments = [line for line in body if line.lstrip().startswith("#")]
+        # A quote may open a field that csv reads on past the line end, and csv before Python 3.11 refuses a NUL.
+        if any('"' in line or "\0" in line for line in comments):
+            return None
+        body = [line for line in body if not line.lstrip().startswith("#")]
     dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a body with no rows only warns

@@ -181,9 +181,29 @@ def _resolve_experiment_config(ref: str) -> dict:
     return read_json(Path(ref))
 
 
+# The keys an experiment config may hold: at its top level ("") and in each section read here.
+_EXPERIMENT_KEYS = {
+    "": ("kind", "sensor", "seed", "rate_hz", "transition", "sigma0", "plant_q", "trajectory", "controller",
+         "models", "calibration"),
+    "trajectory": ("x0", "xf", "t_total"),
+    "controller": ("kp", "omega_max"),
+    "transition": ("k", "q"),
+    "calibration": ("rate_hz", "duration_s"),
+}
+
+
 def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     """The run an experiment config describes; each number goes through
-    :func:`~paintpot.errors.number_at`."""
+    :func:`~paintpot.errors.number_at`, and a key not in ``_EXPERIMENT_KEYS``
+    is refused, so a misspelt key cannot fall back to its default."""
+    unknown = [
+        f"{section}.{key}" if section else key
+        for section, keys in _EXPERIMENT_KEYS.items()
+        for key in (object_at(cfg, section) if section else cfg)
+        if key not in keys
+    ]
+    if unknown:
+        raise SpecError(f"unknown experiment-config key{'s' * (len(unknown) > 1)}: {', '.join(unknown)}")
     with malformed("experiment config"):
         kind, sensor = cfg["kind"], sensor_sim.sensor_spec_from_dict(cfg["sensor"])
     seed = number_at(cfg, "seed", 0, integer=True, low=">= 0")

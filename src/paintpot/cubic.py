@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from paintpot.errors import FitError, InversionError, as_float, malformed
+from paintpot.errors import FitError, InversionError, SpecError, as_float, malformed
 
 DEFAULT_ANGLE_TOL = 1e-9
 # Knots in every model's inversion chart, whatever its window's width, so a
@@ -155,13 +155,18 @@ class CubicModel:
     @classmethod
     def from_dict(cls, data: dict, key: str) -> "CubicModel":
         """The cubic of a file's object at ``key``: coefficients ``c3..c0``
-        as decimal strings or JSON numbers, ``v_window`` two JSON numbers
-        (:func:`~paintpot.errors.as_float`).  Faults name ``key``."""
+        as decimal strings, without ``_`` or padding, or JSON numbers;
+        ``v_window`` two JSON numbers (:func:`~paintpot.errors.as_float`).
+        Faults name ``key``."""
         with malformed(key):
-            coefficients = [
-                float(data[n]) if isinstance(data[n], str) else as_float(data[n], f"{key}.{n}")
-                for n in ("c3", "c2", "c1", "c0")
-            ]
+            coefficients = []
+            for n in ("c3", "c2", "c1", "c0"):
+                value = data[n]
+                if not isinstance(value, str):
+                    value = as_float(value, f"{key}.{n}")
+                elif "_" in value or value != value.strip():  # float() takes both, no JSON number holds either
+                    raise SpecError(f"{key}.{n} must be a decimal string without '_' or padding, got {value!r}")
+                coefficients.append(float(value))
             lo, hi = (as_float(data["v_window"][i], f"{key}.v_window") for i in (0, 1))
             return cls(*coefficients, (lo, hi))
 

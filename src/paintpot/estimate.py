@@ -5,36 +5,37 @@ which makes the observation model linear: each admitted feature measures the
 per-wiper shifted state directly, so no linearization of the cubic is ever
 needed.  One :class:`ObservationModel` describes every joint: a tuple of
 wipers, each with its cubic, its variance ``r``, the counts it admits, its
-track and a count-to-angle chart, plus a ``wrap`` flag.  It keeps one
+track and a count-to-angle chart, whose tracks give its kind.  It keeps one
 ``(lo, hi, chart, r)`` tuple per wiper, so a reading becomes a feature, a
 plain ``(index, z, r)`` triple with ``z = chart[count]``, by one index, one
-unpack and one chart lookup.  A wheel is two tracked wipers
-with a wrap: its filter fuses up to two features per step and keeps its mean
-on the wrapped chart (-pi, pi].  A tilt is one wiper with neither.  Both
-steps predict on floats in :func:`predict`'s order; the wheel step then gates
-the features of :func:`extract_features` against the mean shifted by each
-track and fuses them as :func:`update_wheel` does, the tilt step through
-:func:`update_tilt`.  Each belief is built past the class call.
+unpack and one chart lookup.  A wheel is two tracked wipers with a wrap: its
+filter fuses up to two features per step and keeps its mean on the wrapped
+chart (-pi, pi].  A tilt is one wiper with neither.  The two estimators share
+one shell; each steps on floats in :func:`predict`'s order, then the wheel's
+gates the features of :func:`extract_features` against the mean shifted by
+each track and fuses them as :func:`update_wheel` does, the tilt's updates
+through :func:`update_tilt`.  Each belief is built past the class call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from paintpot.characterize import ModelBundle, WiperFitStats
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError, number_at
-from paintpot.geometry import TWO_PI, WiperTrack, wrap_angle
+from paintpot.geometry import TWO_PI, WiperTrack, joint_kind, wrap_angle
 from paintpot.sensor_sim import AdcReading
 
 DEFAULT_SIGMA0 = 1e-4
 DEFAULT_PROCESS_NOISE = 0.05
 DEFAULT_TRANSMISSION_RATIO = 1.0
 DEFAULT_TIMESTEP = 0.01
+GATE_SIGMAS = 6.0  # the wheel gate's width, in predicted standard deviations
 
 # Looked up once for the beliefs and step tuples built past their class call on every step.
 _new_tuple = tuple.__new__
@@ -135,21 +136,20 @@ class Wiper:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """A joint's wipers, and whether its angle wraps onto (-pi, pi].
+    """A joint's wipers, whose tracks give its ``kind`` (:func:`~paintpot.geometry.joint_kind`).
 
     A wheel is two wipers, each admitting its valid range's strict
-    interior, with a wrap; a tilt is one wiper, admitting the counts inside
-    its model window, without.
+    interior, and its angle wraps onto (-pi, pi]; a tilt is one wiper,
+    admitting the counts inside its model window, and does not wrap.
     """
 
     wipers: tuple[Wiper, ...]
-    wrap: bool
+    kind: str = field(init=False, repr=False, compare=False)
     # [i]: wiper i's (lo, hi, chart, r); no object per count, so none for the collector to track.
     _admits: tuple[tuple[int, int, tuple[float, ...], float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.wipers:
-            raise SpecError("an observation model needs at least one wiper")
+        object.__setattr__(self, "kind", joint_kind([wiper.track for wiper in self.wipers]))
         admits = []
         for index, wiper in enumerate(self.wipers):
             if not (math.isfinite(wiper.r) and wiper.r > 0.0):
@@ -159,6 +159,10 @@ class ObservationModel:
                 )
             admits.append((wiper.lo, wiper.hi, wiper.chart, wiper.r))
         object.__setattr__(self, "_admits", tuple(admits))
+
+    @property
+    def wrap(self) -> bool:
+        return self.kind == "wheel"
 
 
 def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
@@ -267,48 +271,49 @@ def initial_belief(
     )
 
 
-class WheelStep(NamedTuple):
+class Step(NamedTuple):
     belief: GaussianBelief
-    used: tuple[bool, bool]
-
-
-class TiltStep(NamedTuple):
-    belief: GaussianBelief
-    used: bool
+    used: tuple[bool, bool] | bool  # a flag per wiper for a wheel, one for a tilt
 
 
 @dataclass
-class WheelEstimator:
-    """Stateful convenience wrapper: predict, extract, gate, update, wrap.
+class Estimator:
+    """Both filters' shell: a model of the class's ``kind``, and the belief that
+    :meth:`initialize` seeds (or a caller sets) and each subclass's ``step`` advances."""
+
+    kind: ClassVar[str]
+    obs: ObservationModel
+    tm: TransitionModel
+    sigma0: float = DEFAULT_SIGMA0
+    belief: GaussianBelief | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        if self.obs.kind != self.kind:
+            raise SpecError(f"a {self.kind} estimator needs a {self.kind} observation model, got a {self.obs.kind}")
+        # Each tracked wiper's shift edge and turn, read once for every step.
+        self._shifts = [(wiper.track.edge, wiper.track.turn) for wiper in self.obs.wipers if wiper.track]
+
+    def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
+        self.belief = initial_belief(readings, self.obs, self.sigma0)
+        return self.belief
+
+
+class WheelEstimator(Estimator):
+    """Predict, extract, gate, update, wrap.
 
     A step works on floats and builds one belief; it equals
     :func:`predict`, :func:`extract_features`, the gate and
     :func:`update_wheel` bit for bit.  The gate drops any feature whose
-    innovation exceeds ``gate_sigmas`` predicted standard deviations.
+    innovation exceeds :data:`GATE_SIGMAS` predicted standard deviations.
     Right at a chart edge the true state and a lagging predicted mean can
     sit on opposite shift branches, which hands the linear update a
     full-turn-corrupted innovation; such a feature is unusable for one step
     and the filter rides the other wiper.
     """
 
-    obs: ObservationModel
-    tm: TransitionModel
-    sigma0: float = DEFAULT_SIGMA0
-    gate_sigmas: float = 6.0
-    belief: GaussianBelief | None = None
+    kind = "wheel"
 
-    def __post_init__(self) -> None:
-        tracks = [wiper.track for wiper in self.obs.wipers]
-        if len(tracks) != 2 or None in tracks:
-            raise SpecError("a wheel estimator needs two wipers on gapped tracks")
-        # Each wiper's shift edge and turn, read once for every step.
-        self._shifts = [(track.edge, track.turn) for track in tracks]
-
-    def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
-        self.belief = initial_belief(readings, self.obs, self.sigma0)
-        return self.belief
-
-    def step(self, u: float, readings: Sequence[AdcReading]) -> WheelStep:
+    def step(self, u: float, readings: Sequence[AdcReading]) -> Step:
         belief = self.belief
         if belief is None:
             raise InitializationError("call initialize() before step()")
@@ -325,7 +330,7 @@ class WheelEstimator:
         used0 = used1 = False
         for index, z, r in extract_features(readings, self.obs):
             nu = z - (z_bar1 if index else z_bar0)
-            if abs(nu) <= self.gate_sigmas * math.sqrt(sigma + r):
+            if abs(nu) <= GATE_SIGMAS * math.sqrt(sigma + r):
                 if kept:
                     nu1, r1 = nu, r
                 else:
@@ -353,32 +358,22 @@ class WheelEstimator:
         if not (sigma > 0.0 and math.isfinite(mu)):  # _belief's test
             GaussianBelief(mu, sigma)  # raises the belief's own error
         self.belief = belief = _new_tuple(GaussianBelief, (mu, sigma))
-        return _new_tuple(WheelStep, (belief, (used0, used1)))
+        return _new_tuple(Step, (belief, (used0, used1)))
 
 
-@dataclass
-class TiltEstimator:
-    """Stateful convenience wrapper: predict on floats, then :func:`update_tilt`.
+class TiltEstimator(Estimator):
+    """Predict on floats, then update: :func:`predict`, then :func:`update_tilt`, bit for bit."""
 
-    A step equals :func:`predict`, then :func:`update_tilt`, bit for bit."""
+    kind = "tilt"
 
-    obs: ObservationModel
-    tm: TransitionModel
-    sigma0: float = DEFAULT_SIGMA0
-    belief: GaussianBelief | None = None
-
-    def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
-        self.belief = initial_belief(readings, self.obs, self.sigma0)
-        return self.belief
-
-    def step(self, u: float, readings: Sequence[AdcReading]) -> TiltStep:
+    def step(self, u: float, readings: Sequence[AdcReading]) -> Step:
         belief = self.belief
         if belief is None:
             raise InitializationError("call initialize() before step()")
         (reading,) = readings
         k_dt, dt_dt_q = self.tm._products
         belief_bar = _belief(belief[0] + k_dt * u, belief[1] + dt_dt_q)
-        step = _new_tuple(TiltStep, update_tilt(belief_bar, reading, self.obs))
+        step = _new_tuple(Step, update_tilt(belief_bar, reading, self.obs))
         self.belief = step[0]
         return step
 
@@ -405,14 +400,10 @@ def variance_keys(n_wipers: int) -> tuple[str, ...]:
 
 
 def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
-    """The bundle's observation model.
-
-    A bundle with valid ranges describes a wheel: each wiper admits its
-    valid range's strict interior, and the angle wraps.  Otherwise each
-    wiper admits the counts inside its model window.  Each ``r`` comes from
-    the filter parameters (see :func:`variance_keys`) or, when they name
-    none, from the fit report.
-    """
+    """The bundle's observation model: a wheel's wipers admit their valid
+    ranges' strict interiors, a tilt's wiper the counts inside its model
+    window.  Each ``r`` comes from the filter parameters (see
+    :func:`variance_keys`) or, when they name none, from the fit report."""
     models, params = bundle.models, bundle.filter_params
     keys = variance_keys(len(models))
     if any(key in params for key in keys):
@@ -428,4 +419,4 @@ def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
     else:
         admitted = [(math.ceil(m.v_window[0]), math.floor(m.v_window[1])) for m in models]
     wipers = tuple(Wiper(m, r, lo, hi, t) for m, r, (lo, hi), t in zip(models, rs, admitted, bundle.tracks))
-    return ObservationModel(wipers, wrap=bool(bundle.valid_ranges))
+    return ObservationModel(wipers)

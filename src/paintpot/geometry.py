@@ -4,15 +4,17 @@ Wheel angles live on the wrapped chart (-pi, pi]; tilt angles on the closed
 interval [-angle_limit, angle_limit].  Each wheel wiper rides a track with a
 gap, inside which its voltage is meaningless, and its characterization is
 continued past the gap by a full turn so angle stays a single-valued
-function of voltage (the "shifted state").  A sensor file's ``kind`` names
-the reference sensor whose tracks and angle limit fill the keys it omits.
+function of voltage (the "shifted state").  Every joint is a wheel or a tilt
+(:func:`joint_kind`).  A sensor file's ``kind`` names the reference sensor
+whose tracks and angle limit fill the keys it omits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import EllipsisType
+from typing import NamedTuple, Sequence
 
 from paintpot.errors import SpecError, as_float, as_int, check_adc_max
 
@@ -81,6 +83,25 @@ WHEEL_TRACKS = (
 TILT_LIMIT = math.pi / 2.0
 
 
+def joint_kind(tracks: Sequence[WiperTrack | None], angle_limit: float | None | EllipsisType = ...) -> str:
+    """The kind of joint whose wipers ride ``tracks``: ``"wheel"`` for exactly
+    two wipers on gapped tracks, which wraps and so has no angle limit, and
+    ``"tilt"`` for exactly one trackless wiper, whose limit lies in (0, pi].
+    Any other shape raises :class:`SpecError`, as does an ``angle_limit``
+    that does not fit the kind; a caller that holds no limit leaves it out."""
+    if len(tracks) == 2 and None not in tracks:
+        if angle_limit not in (..., None):
+            raise SpecError(f"a wheel wraps, so it has no angle_limit, got {angle_limit!r}")
+        return "wheel"
+    if len(tracks) != 1 or tracks[0] is not None:
+        raise SpecError("a joint's wipers must all ride gapped tracks, or none: a wheel has two wipers on gapped "
+                        f"tracks, a tilt one trackless wiper; got {len(tracks)} wipers, "
+                        f"{sum(t is not None for t in tracks)} on tracks")
+    if angle_limit is not ... and (angle_limit is None or not 0.0 < angle_limit <= math.pi):
+        raise SpecError("angle_limit must lie in (0, pi]")
+    return "tilt"
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce ``theta`` modulo 2*pi into (-pi, pi]."""
     wrapped = math.remainder(theta, TWO_PI)
@@ -107,11 +128,10 @@ def geometry_from_dict(kind: object, data: dict) -> Geometry:
     if kind == "wheel":
         gaps = [[as_float(end, f"gap_w{i}") for end in data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))]
                 for i, t in enumerate(WHEEL_TRACKS)]
-        tracks = tuple(WiperTrack(Interval(*g), t.turn) for g, t in zip(gaps, WHEEL_TRACKS))
-        return Geometry(tracks, None, adc_max)
-    if kind == "tilt":
-        limit = as_float(data.get("angle_limit", TILT_LIMIT), "angle_limit")
-        if not 0.0 < limit <= math.pi:
-            raise SpecError("angle_limit must lie in (0, pi]")
-        return Geometry((None,), limit, adc_max)
-    raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")
+        tracks, limit = tuple(WiperTrack(Interval(*g), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)), None
+    elif kind == "tilt":
+        tracks, limit = (None,), as_float(data.get("angle_limit", TILT_LIMIT), "angle_limit")
+    else:
+        raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")
+    joint_kind(tracks, limit)  # checks the limit
+    return Geometry(tracks, limit, adc_max)

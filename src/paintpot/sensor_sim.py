@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
 from paintpot.errors import DomainError, SpecError, as_float, check_adc_max, json_text, malformed, write_text
-from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, wrap_angle
+from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, joint_kind, wrap_angle
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
 # low rail, which the valid-range test downstream rejects.
@@ -43,23 +43,19 @@ class WiperSpec(NamedTuple):
 class SensorSpec:
     """A simulated sensor: its wipers, its ADC and noise, and its angle range.
 
-    Without an ``angle_limit`` it is a wheel: angles wrap on (-pi, pi], -pi
-    read as pi, and every wiper rides a gapped track.  With one it is a
-    tilt, stopping at +-``angle_limit``, and no wiper has a gap.
+    Its ``kind`` (:func:`~paintpot.geometry.joint_kind`) is a wheel, two wipers
+    on gapped tracks whose angles wrap on (-pi, pi], -pi read as pi, or a
+    tilt, one trackless wiper stopping at +-``angle_limit``.
     """
 
     wipers: tuple[WiperSpec, ...]
     angle_limit: float | None = None
     adc_max: int = 1023
     noise_std: float = 1.0
+    kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.wipers:
-            raise SpecError("a sensor needs at least one wiper")
-        if any((wiper.track is None) == self.wrap for wiper in self.wipers):
-            raise SpecError("each wiper of a wheel needs a gapped track, and no wiper of a tilt has one")
-        if not (self.wrap or 0.0 < self.angle_limit <= math.pi):
-            raise SpecError("angle_limit must lie in (0, pi]")
+        object.__setattr__(self, "kind", joint_kind(self.tracks, self.angle_limit))
         check_adc_max(self.adc_max)
         if not 0.0 <= self.noise_std < math.inf:
             raise SpecError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
@@ -71,11 +67,6 @@ class SensorSpec:
     @property
     def tracks(self) -> tuple[WiperTrack | None, ...]:
         return tuple(wiper.track for wiper in self.wipers)
-
-    @property
-    def kind(self) -> str:
-        """The sensor's name in files: ``wheel`` when it wraps, else ``tilt``."""
-        return "wheel" if self.wrap else "tilt"
 
 
 class AdcReading(NamedTuple):

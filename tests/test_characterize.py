@@ -304,7 +304,11 @@ def read_both(text, header):
 GRAMMAR_CASES = [
     ("line", "   ", False),
     ("row_end", "#x", False),
-    ("line", "# note", False),
+    ("line", "# note", True),
+    ("line", " \t# note", True),
+    ("line", '# note, "quoted"', False),  # a quote may open a field that runs past the line end
+    ("line", '# a,"\n0.005,1,500,1\n#"', False),  # and here it does: three lines, one comment row
+    ("line", "# a\0b", False),
     ("t", "1_0", False),
     ("v0", "1_0", False),
     ("t", "\u0665", False),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
@@ -333,7 +337,8 @@ GRAMMAR_CASES = [
     ("rows", "1", True),
 ]
 GRAMMAR_IDS = [
-    "whitespace_line", "hash_after_row", "comment_line", "underscore_float", "underscore_count",
+    "whitespace_line", "hash_after_row", "comment_line", "indented_comment_line", "quoted_comment_line",
+    "comment_quote_over_lines", "nul_comment_line", "underscore_float", "underscore_count",
     "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count", "23_digit_count",
     "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400", "over_field_limit",
     "crlf", "bare_cr", "no_final_newline", "bom", "comment_preamble", "padded_float", "separator_padded_float",
@@ -375,7 +380,8 @@ class TestTwoStageReader:
         ("bare_cr_mid_body", True),
         ("non_ascii_last_line", False),
         ("field_over_limit_mid_body", False),
-        ("crlf_note_mid_body", False),
+        ("crlf_note_mid_body", True),
+        ("quoted_note_mid_body", False),
     ])
     def test_whole_text_checks_route_a_large_log(self, checked, edit, fast):
         # Over 128 KiB, so no per-block or per-chunk rule could see all of it.
@@ -386,6 +392,8 @@ class TestTwoStageReader:
             lines[4000] = "40.0," + "0" * 131072 + "5,510,0.5"
         elif edit == "crlf_note_mid_body":
             lines.insert(4000, "# note")
+        elif edit == "quoted_note_mid_body":
+            lines.insert(4000, '# note "quoted"')
         newline = {"crlf": "\r\n", "crlf_note_mid_body": "\r\n", "cr": "\r"}.get(edit, "\n")
         text = newline.join(lines) + newline
         if edit == "bare_cr_mid_body":

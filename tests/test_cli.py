@@ -110,8 +110,14 @@ class TestSweep:
              "truth_w1.c3 must be a finite number, got True"),
             ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "v_window": ["0", "1023"]}},
              "truth.v_window must be a finite number, got '0'"),
+            # float() reads both, but no JSON number holds an underscore or padding.
+            ("wheel_reference", {"truth_w0": {**WHEEL_TRUTH_W0.to_dict(), "c0": " -7.2_75e+00 "}},
+             "truth_w0.c0 must be a decimal string without '_' or padding, got ' -7.2_75e+00 '"),
+            ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "c1": "8.6756e-03\n"}},
+             "truth.c1 must be a decimal string without '_' or padding, got '8.6756e-03\\n'"),
         ],
-        ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window"],
+        ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window", "underscored_padded_c0",
+             "padded_c1"],
     )
     def test_non_number_spec_float_is_config_error(self, tmp_path, capsys, preset, edit, message):
         spec_path = tmp_path / "spec.json"
@@ -645,10 +651,16 @@ class TestEstimate:
             (_set("fit_report", "wipers", 1, "max_abs", "0.1"),
              "fit_report.wipers[1].max_abs must be a finite number, got '0.1'"),
             (_set("gap_w0", [True, 2.0]), "gap_w0 must be a finite number, got True"),
+            (_set("models", 0, "c0", " -2.7_1630221539936167e+00 "),
+             "models[0].c0 must be a decimal string without '_' or padding, got ' -2.7_1630221539936167e+00 '"),
+            (_set("models", 1, "c2", "-1.2_409e-05"),
+             "models[1].c2 must be a decimal string without '_' or padding, got '-1.2_409e-05'"),
+            (_set("models", 0, "c3", "\t5.0281e-09"),
+             "models[0].c3 must be a decimal string without '_' or padding, got '\\t5.0281e-09'"),
         ],
         ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
              "bool_k", "text_q", "text_sigma0", "huge_int_r0", "bool_c3", "text_v_window", "bool_rms",
-             "text_max_abs", "bool_gap_w0"],
+             "text_max_abs", "bool_gap_w0", "underscored_padded_c0", "underscored_c2", "tab_padded_c3"],
     )
     def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
         data = json.loads(Path(wheel_bundle).read_text())
@@ -806,9 +818,10 @@ class TestExperiment:
         assert any(row[5] == "1" for row in rows)  # f0_avail column
 
     def test_non_finite_number_in_an_unused_key_is_config_error(self, tmp_path, capsys):
-        # The summary echoes the config and is written without NaN.
+        # The summary echoes the config and is written without NaN.  An unknown
+        # key of the config itself is refused first; the sensor spec's are not read.
         config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
-        config["note"] = math.nan
+        config["sensor"]["note"] = math.nan
         cfg_path = tmp_path / "nan.json"
         cfg_path.write_text(json.dumps(config))
         assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "x")) == 2
@@ -1066,6 +1079,35 @@ def test_out_of_range_experiment_config_value_names_its_key(tmp_path, capsys, pa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("paintpot: configuration error: ") and path in err
+    assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
+
+
+# Keys no experiment config reads, each of which would otherwise fall back to
+# its default, and the error that names them in the order they are checked.
+UNKNOWN_CONFIG_KEYS = [
+    (("sigma_0",), "unknown experiment-config key: sigma_0"),
+    (("controller.kP",), "unknown experiment-config key: controller.kP"),
+    (("trajectory.x_0",), "unknown experiment-config key: trajectory.x_0"),
+    (("transition.dt",), "unknown experiment-config key: transition.dt"),
+    (("calibration.rate",), "unknown experiment-config key: calibration.rate"),
+    (("controller.kP", "sigma_0"), "unknown experiment-config keys: sigma_0, controller.kP"),
+]
+
+
+@pytest.mark.parametrize("paths,message", UNKNOWN_CONFIG_KEYS, ids=["+".join(p) for p, _ in UNKNOWN_CONFIG_KEYS])
+def test_unknown_experiment_config_key_is_config_error_naming_it(tmp_path, capsys, paths, message):
+    config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
+    for path in paths:
+        *sections, key = path.split(".")
+        table = config
+        for section in sections:
+            table = table[section]
+        table[key] = 0.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", str(path), "--out-prefix", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err == f"paintpot: configuration error: {message}\n"
     assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
 
 

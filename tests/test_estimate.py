@@ -34,7 +34,7 @@ from paintpot.estimate import (
     update_tilt,
     update_wheel,
 )
-from paintpot.geometry import WHEEL_TRACKS, geometry_from_dict, wrap_angle
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, geometry_from_dict, wrap_angle
 from paintpot.presets import (
     SENSOR_PRESETS,
     TILT_TRUTH,
@@ -42,7 +42,14 @@ from paintpot.presets import (
     WHEEL_TRUTH_W1,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import AdcReading, read_wheel, sensor_spec_from_dict, sensor_spec_to_dict
+from paintpot.sensor_sim import (
+    AdcReading,
+    SensorSpec,
+    WiperSpec,
+    read_wheel,
+    sensor_spec_from_dict,
+    sensor_spec_to_dict,
+)
 
 from oracles import (
     cubic_value,
@@ -88,8 +95,8 @@ def truth_obs(r0=1e-4, r1=1e-4):
 
 def wheel_belief(mu, sigma):
     """The belief a wheel filter seeds from a wiper-0 reading converting to ``mu``."""
-    wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, mu, (0.0, 1023.0)), 1e-4, 0, 0)  # chart[0] == mu
-    obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0)), wrap=True)
+    wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, mu, (0.0, 1023.0)), 1e-4, 0, 0, WHEEL_TRACKS[0])  # chart[0] == mu
+    obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, WHEEL_TRACKS[1])))
     return initial_belief((AdcReading(0, 0, True), AdcReading(1, 0, True)), obs, sigma0=sigma)
 
 
@@ -124,9 +131,9 @@ class TestValueChecks:
     def test_observation_model_rejects_bad_r_naming_the_wiper(self, r):
         wipers = (Wiper(EXACT_M0, 1e-4, 1, 1000, WHEEL_TRACKS[0]), Wiper(EXACT_M1, r, 1, 1000, WHEEL_TRACKS[1]))
         with pytest.raises(SpecError, match="wiper 1: measurement variance r must be finite"):
-            ObservationModel(wipers, wrap=True)
+            ObservationModel(wipers)
         with pytest.raises(SpecError, match="wiper 0: measurement variance r must be finite"):
-            ObservationModel((Wiper(EXACT_M0, r, 0, 1023),), wrap=False)
+            ObservationModel((Wiper(EXACT_M0, r, 0, 1023),))
         # A bundle's r is a filter value first, which must be a finite number.
         with pytest.raises(SpecError, match=(
             "wiper 1: measurement variance r must be finite" if math.isfinite(r)
@@ -140,6 +147,32 @@ class TestValueChecks:
         params = {"k": 0.2, "dt": 0.01, "q": 0.05, name: value}
         with pytest.raises(SpecError, match=f"^{name} must be finite"):
             TransitionModel(**params)
+
+    # A wheel is exactly two wipers on gapped tracks and wraps; a tilt is
+    # exactly one trackless wiper with an angle limit.  Any other shape is
+    # refused where it is built, not at its first read or step.
+    @pytest.mark.parametrize("build,message", [
+        (lambda: SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, WHEEL_TRUTH_W0),
+                                      (*WHEEL_TRACKS, WHEEL_TRACKS[0])))), "got 3 wipers, 3 on tracks"),
+        (lambda: SensorSpec((WiperSpec(TILT_TRUTH), WiperSpec(TILT_TRUTH)), TILT_LIMIT), "got 2 wipers, 0 on tracks"),
+        (lambda: SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), WHEEL_TRACKS)), TILT_LIMIT),
+         "a wheel wraps, so it has no angle_limit, got 1.5707963267948966"),
+        (lambda: SensorSpec((WiperSpec(TILT_TRUTH),)), r"angle_limit must lie in \(0, pi\]"),
+        (lambda: ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1, WHEEL_TRACKS[0]), Wiper(EXACT_M1, 1e-4, 0, 0))),
+         "got 2 wipers, 1 on tracks"),
+        (lambda: ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(EXACT_M1, 1e-4, 0, 0))),
+         "two wipers on gapped tracks, a tilt one trackless wiper; got 2 wipers, 0 on tracks"),
+        (lambda: ObservationModel(()), "got 0 wipers"),
+        (lambda: TiltEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0)),
+         "^a tilt estimator needs a tilt observation model, got a wheel$"),
+        (lambda: WheelEstimator(tilt_obs(TILT_TRUTH, 1e-4), TransitionModel(k=1.0, dt=0.01, q=0.0)),
+         "^a wheel estimator needs a wheel observation model, got a tilt$"),
+    ], ids=["three_wiper_wheel_spec", "two_wiper_tilt_spec", "wheel_spec_with_limit", "tilt_spec_without_limit",
+            "mixed_tracks_model", "untracked_pair_model", "no_wiper_model", "tilt_estimator_on_wheel",
+            "wheel_estimator_on_tilt"])
+    def test_joint_shape_refused_at_construction(self, build, message):
+        with pytest.raises(SpecError, match=message):
+            build()
 
     def test_reading_of_an_unknown_wiper_rejected(self):
         with pytest.raises(SpecError, match="wiper index must be in 0..1, got 2"):
@@ -156,7 +189,8 @@ class TestValueChecks:
             update_tilt(belief, AdcReading(5, 500, available), obs)
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got -1$"):
             update_tilt(belief, AdcReading(-1, 500, available), obs)
-        estimator = TiltEstimator(obs, TransitionModel(k=0.2, dt=0.01, q=0.05), belief=belief)
+        estimator = TiltEstimator(obs, TransitionModel(k=0.2, dt=0.01, q=0.05))
+        estimator.belief = belief
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 7$"):
             estimator.step(0.0, (AdcReading(7, 600, available),))
         assert estimator.belief is belief
@@ -273,7 +307,7 @@ class TestInitWheel:
     @given(st.floats(-PI, 2.99 * PI, exclude_min=True))
     def test_wiper1_agrees_with_the_turn_rule_within_a_turn(self, value):
         m1 = CubicModel(0.0, 0.0, 1.0, value, (0.0, 1023.0))
-        obs = ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(m1, 1e-4, 0, 0)), wrap=True)
+        obs = ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1, WHEEL_TRACKS[0]), Wiper(m1, 1e-4, 0, 0, WHEEL_TRACKS[1])))
         readings = (AdcReading(0, 0, True), AdcReading(1, 0, True))  # wiper 0 not admitted
         assert initial_belief(readings, obs).mu == per_wiper_turn_rule(value, 1)
 
@@ -449,18 +483,11 @@ class TestPredictedFeatureMeasurement:
         used = []
         for z in (mu - TWO_PI + 1e-3, mu + 1e-3):
             wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, z, (0.0, 1023.0)), 1e-4, 0, 0, track0)  # chart[0] == z
-            obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, track1)), wrap=True)
-            estimator = WheelEstimator(obs, TransitionModel(k=1.0, dt=0.01, q=0.0), belief=GaussianBelief(mu, 1e-4))
+            estimator = WheelEstimator(ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, track1))),
+                                       TransitionModel(k=1.0, dt=0.01, q=0.0))
+            estimator.belief = GaussianBelief(mu, 1e-4)
             used.append(estimator.step(0.0, (AdcReading(0, 0, True), AdcReading(1, 0, False))).used)
         assert used == ([(True, False), (False, False)] if tracks == "custom" else [(False, False), (True, False)])
-
-    @pytest.mark.parametrize("obs", [
-        ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(EXACT_M1, 1e-4, 0, 0)), wrap=True),
-        ObservationModel((Wiper(TILT_TRUTH, 1e-4, 0, 1023),), wrap=False),
-    ], ids=["untracked", "tilt"])
-    def test_step_needs_two_tracked_wipers(self, obs):
-        with pytest.raises(SpecError, match="two wipers on gapped tracks"):
-            WheelEstimator(obs, TransitionModel(k=1.0, dt=0.01, q=0.0))
 
 
 class TestUpdateWheel:
@@ -545,7 +572,8 @@ class TestWrapWheelBelief:
     @pytest.mark.parametrize("mu", [-PI, 3.0 * PI, -PI + 1e-12])
     def test_step_wraps_its_mean_onto_the_chart(self, mu):
         # No feature and no motion: the step's mean is the belief's, wrapped, and -pi is stored as pi.
-        estimator = WheelEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0), belief=GaussianBelief(mu, 1e-4))
+        estimator = WheelEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0))
+        estimator.belief = GaussianBelief(mu, 1e-4)
         step = estimator.step(0.0, (AdcReading(0, 500, False), AdcReading(1, 500, False)))
         assert step == ((wrap_angle(mu), 1e-4), (False, False)) and step.belief.mu in (PI, -PI + 1e-12)
 
