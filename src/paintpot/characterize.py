@@ -168,8 +168,10 @@ def _read_columns_fast(text: str, header: list[str], adc_max: int, theta_limit) 
     if text.count("#") > sum(line.count("#") for line in lines[:n]):  # a '#' below the header
         body = list(body)
         comments = [line for line in body if line.lstrip().startswith("#")]
-        # A quote may open a field that csv reads on past the line end, and csv before Python 3.11 refuses a NUL.
-        if any('"' in line or "\0" in line for line in comments):
+        # csv opens a quoted field, which it reads on past the line end, only at a quote that starts a field:
+        # in a comment line, one after a comma.  json.dumps puts a space there, so a manifest line opens
+        # none.  csv before Python 3.11 refuses a NUL.
+        if any(',"' in line or "\0" in line for line in comments):
             return None
         body = [line for line in body if not line.lstrip().startswith("#")]
     dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
@@ -204,9 +206,11 @@ def read_columns(
     not, before any row is checked.  Two stages read that one text.  The first
     reads in C: the header by the judge's rule, then every row by one
     ``np.loadtxt`` call, with numpy checking the values.  That stage can only
-    accept.  A log it fails to load (a comment line below the header is one), or
-    whose values fail a check, or with no rows, or with non-ASCII text or a line
-    over ``csv.field_size_limit()`` anywhere, goes to the checked parser,
+    accept.  It drops the ``#`` comment lines below the header (such as a
+    ``# manifest`` line) first.  A log it fails to load, or with a comment line
+    below the header holding ``,"`` (where csv may open a quoted field) or a
+    NUL, or whose values fail a check, or with no rows, or with non-ASCII text
+    or a line over ``csv.field_size_limit()`` anywhere, goes to the checked parser,
     the judge, which reads it one row at a time with ``csv.reader``; it alone
     decides every row's error.  Lines starting with ``#`` are skipped but
     counted, so errors name the physical line.

@@ -155,7 +155,7 @@ class CubicModel:
     @classmethod
     def from_dict(cls, data: dict, key: str) -> "CubicModel":
         """The cubic of a file's object at ``key``: coefficients ``c3..c0``
-        as decimal strings, without ``_`` or padding, or JSON numbers;
+        as ASCII decimal strings, without ``_`` or padding, or JSON numbers;
         ``v_window`` two JSON numbers (:func:`~paintpot.errors.as_float`).
         Faults name ``key``."""
         with malformed(key):
@@ -164,8 +164,8 @@ class CubicModel:
                 value = data[n]
                 if not isinstance(value, str):
                     value = as_float(value, f"{key}.{n}")
-                elif "_" in value or value != value.strip():  # float() takes both, no JSON number holds either
-                    raise SpecError(f"{key}.{n} must be a decimal string without '_' or padding, got {value!r}")
+                elif "_" in value or value != value.strip() or not value.isascii():  # float() takes all three
+                    raise SpecError(f"{key}.{n} must be an ASCII decimal string without '_' or padding, got {value!r}")
                 coefficients.append(float(value))
             lo, hi = (as_float(data["v_window"][i], f"{key}.v_window") for i in (0, 1))
             return cls(*coefficients, (lo, hi))

@@ -306,8 +306,11 @@ GRAMMAR_CASES = [
     ("row_end", "#x", False),
     ("line", "# note", True),
     ("line", " \t# note", True),
-    ("line", '# note, "quoted"', False),  # a quote may open a field that runs past the line end
-    ("line", '# a,"\n0.005,1,500,1\n#"', False),  # and here it does: three lines, one comment row
+    ("line", '# note, "quoted"', True),  # csv opens a quoted field only at a field's start
+    # As errors.write_csv writes one: json.dumps puts a space after each comma.
+    ("line", '# manifest {"command": "sweep", "inputs": {"spec": "a.json"}, "outputs": ["s.csv"], "seed": 3}', True),
+    ("line", '# manifest {"inputs": {"spec": "a,"}}', False),  # a string ending in a comma: csv opens a field
+    ("line", '# a,"\n0.005,1,500,1\n#"', False),  # and here it runs past the line end: three lines, one comment row
     ("line", "# a\0b", False),
     ("t", "1_0", False),
     ("v0", "1_0", False),
@@ -338,9 +341,10 @@ GRAMMAR_CASES = [
 ]
 GRAMMAR_IDS = [
     "whitespace_line", "hash_after_row", "comment_line", "indented_comment_line", "quoted_comment_line",
-    "comment_quote_over_lines", "nul_comment_line", "underscore_float", "underscore_count",
-    "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count", "23_digit_count",
-    "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400", "over_field_limit",
+    "manifest_line", "manifest_comma_quote", "comment_quote_over_lines", "nul_comment_line", "underscore_float",
+    "underscore_count", "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count",
+    "23_digit_count", "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400",
+    "over_field_limit",
     "crlf", "bare_cr", "no_final_newline", "bom", "comment_preamble", "padded_float", "separator_padded_float",
     "signed_zero_padded_count", "header_only", "single_row",
 ]
@@ -381,7 +385,8 @@ class TestTwoStageReader:
         ("non_ascii_last_line", False),
         ("field_over_limit_mid_body", False),
         ("crlf_note_mid_body", True),
-        ("quoted_note_mid_body", False),
+        ("quoted_note_mid_body", True),
+        ("comma_quoted_note_mid_body", False),
     ])
     def test_whole_text_checks_route_a_large_log(self, checked, edit, fast):
         # Over 128 KiB, so no per-block or per-chunk rule could see all of it.
@@ -394,6 +399,8 @@ class TestTwoStageReader:
             lines.insert(4000, "# note")
         elif edit == "quoted_note_mid_body":
             lines.insert(4000, '# note "quoted"')
+        elif edit == "comma_quoted_note_mid_body":
+            lines.insert(4000, '# note,"quoted"')
         newline = {"crlf": "\r\n", "crlf_note_mid_body": "\r\n", "cr": "\r"}.get(edit, "\n")
         text = newline.join(lines) + newline
         if edit == "bare_cr_mid_body":
@@ -449,7 +456,7 @@ MUTANT_FIELDS = [
     " 5", "+5", "05", "5.", ".5", "-0", "1e3", "1E-3", "nan", "-inf", "1_0", "\u0665", '"5"', "",
     "5.0", "\u01fe", "1" * 23, "0x10", "1e", "9" * 19,
 ]
-MUTANT_LINES = ["", "   ", "# note", ",,,", "0,1", "  # indented note"]
+MUTANT_LINES = ["", "   ", "# note", ",,,", "0,1", "  # indented note", '# manifest {"a": "b", "c": [1, 2]}']
 MUTANT_CHARS = [
     ",", "#", " ", "\t", "\x0b", "\x1c", "\r", "\n", '"', "_", "e", ".", "-", "+", "0", "9",
     "\ufeff", "\u0665", "\u01fe", "\xa0",

@@ -110,14 +110,16 @@ class TestSweep:
              "truth_w1.c3 must be a finite number, got True"),
             ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "v_window": ["0", "1023"]}},
              "truth.v_window must be a finite number, got '0'"),
-            # float() reads both, but no JSON number holds an underscore or padding.
+            # float() reads all three, but no JSON number holds an underscore, padding or a non-ASCII digit.
             ("wheel_reference", {"truth_w0": {**WHEEL_TRUTH_W0.to_dict(), "c0": " -7.2_75e+00 "}},
-             "truth_w0.c0 must be a decimal string without '_' or padding, got ' -7.2_75e+00 '"),
+             "truth_w0.c0 must be an ASCII decimal string without '_' or padding, got ' -7.2_75e+00 '"),
             ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "c1": "8.6756e-03\n"}},
-             "truth.c1 must be a decimal string without '_' or padding, got '8.6756e-03\\n'"),
+             "truth.c1 must be an ASCII decimal string without '_' or padding, got '8.6756e-03\\n'"),
+            ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "c0": "\u0665.0"}},  # ARABIC-INDIC FIVE
+             "truth.c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
         ],
         ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window", "underscored_padded_c0",
-             "padded_c1"],
+             "padded_c1", "arabic_digit_c0"],
     )
     def test_non_number_spec_float_is_config_error(self, tmp_path, capsys, preset, edit, message):
         spec_path = tmp_path / "spec.json"
@@ -652,15 +654,18 @@ class TestEstimate:
              "fit_report.wipers[1].max_abs must be a finite number, got '0.1'"),
             (_set("gap_w0", [True, 2.0]), "gap_w0 must be a finite number, got True"),
             (_set("models", 0, "c0", " -2.7_1630221539936167e+00 "),
-             "models[0].c0 must be a decimal string without '_' or padding, got ' -2.7_1630221539936167e+00 '"),
+             "models[0].c0 must be an ASCII decimal string without '_' or padding, got ' -2.7_1630221539936167e+00 '"),
             (_set("models", 1, "c2", "-1.2_409e-05"),
-             "models[1].c2 must be a decimal string without '_' or padding, got '-1.2_409e-05'"),
+             "models[1].c2 must be an ASCII decimal string without '_' or padding, got '-1.2_409e-05'"),
             (_set("models", 0, "c3", "\t5.0281e-09"),
-             "models[0].c3 must be a decimal string without '_' or padding, got '\\t5.0281e-09'"),
+             "models[0].c3 must be an ASCII decimal string without '_' or padding, got '\\t5.0281e-09'"),
+            (_set("models", 1, "c0", "\u0665.0"),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
+             "models[1].c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
         ],
         ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
              "bool_k", "text_q", "text_sigma0", "huge_int_r0", "bool_c3", "text_v_window", "bool_rms",
-             "text_max_abs", "bool_gap_w0", "underscored_padded_c0", "underscored_c2", "tab_padded_c3"],
+             "text_max_abs", "bool_gap_w0", "underscored_padded_c0", "underscored_c2", "tab_padded_c3",
+             "arabic_digit_c0"],
     )
     def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
         data = json.loads(Path(wheel_bundle).read_text())
