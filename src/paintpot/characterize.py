@@ -18,22 +18,23 @@ against that path.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from paintpot.cubic import CubicModel, invert_cubic  # noqa: F401  (re-export)
 from paintpot.errors import (
     FitError, SpecError, as_float, as_int, check_adc_max, json_text, malformed, object_at, read_json, read_text,
-    write_text,
+    refuse_unknown_keys, write_text,
 )
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict, joint_kind
+from paintpot.geometry import (
+    GEOMETRY_KEYS, TILT_LIMIT, WHEEL_TRACKS, Geometry, WiperTrack, geometry_from_dict, joint_kind,
+)
 
 MIN_FIT_SAMPLES = 8
 MIN_WINDOW_SPAN_FRACTION = 0.5
@@ -146,38 +147,33 @@ class ModelBundle:
 COUNT_COLUMNS = ("v0", "v1")
 
 
-def _read_columns_fast(text: str, header: list[str], adc_max: int, theta_limit) -> list[np.ndarray] | None:
-    """The value arrays of a plainly valid log ``text``, its rows read by
-    one ``np.loadtxt`` call and checked by numpy, or None.
+def _read_columns_fast(
+    text: str, lines: list[str], header: list[str], adc_max: int, theta_limit
+) -> list[np.ndarray] | None:
+    """The value arrays of a plainly valid log ``text``, split into ``lines``,
+    its rows read by one ``np.loadtxt`` call and checked by numpy, or None.
 
     The header is found by the judge's rule, and the body's comment lines
     (``#`` after leading whitespace), which the judge skips, are dropped.
-    A log that fails to load raises ValueError, ``csv.Error`` or a warning,
-    and one whose text, header, comments or values fail a check returns
-    None: either way, no error is decided.
+    A log that fails to load, or whose text, header or values fail a check,
+    returns None: no error is decided here.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # StringIO(text, newline="")'s lines
-    rows = csv.reader(body := iter(lines))
-    n, found = next(((i, r) for i, r in enumerate(rows, 1) if r and not r[0].lstrip().startswith("#")),
-                    (0, None))
-    # The judge's: non-ASCII text (numpy 2.4's int64 parser reads U+01FE then ``5`` as 4625), a line over
-    # csv's field limit, whose field csv may reject, and a quoted line end before the header, lost here.
-    if (not text.isascii() or max(map(len, lines)) > csv.field_size_limit() or n != rows.line_num
-            or [f.strip() for f in found] != header):
+    n = next((i for i, line in enumerate(lines) if line and not line.lstrip().startswith("#")), 0)  # 0: no header
+    # The judge's: non-ASCII text (numpy 2.4's int64 parser reads U+01FE then ``5`` as 4625), and a line
+    # long enough to hold a count over int()'s digit limit, which np.loadtxt reads (a zero-padded 5 as 5).
+    if (not text.isascii() or max(map(len, lines)) > sys.get_int_max_str_digits()
+            or [f.strip() for f in lines[n].split(",")] != header):
         return None
-    if text.count("#") > sum(line.count("#") for line in lines[:n]):  # a '#' below the header
-        body = list(body)
-        comments = [line for line in body if line.lstrip().startswith("#")]
-        # csv opens a quoted field, which it reads on past the line end, only at a quote that starts a field:
-        # in a comment line, one after a comma.  json.dumps puts a space there, so a manifest line opens
-        # none.  csv before Python 3.11 refuses a NUL.
-        if any(',"' in line or "\0" in line for line in comments):
-            return None
+    body = lines[n + 1:]
+    if text.count("#") > sum(line.count("#") for line in lines[:n + 1]):  # a '#' below the header
         body = [line for line in body if not line.lstrip().startswith("#")]
     dtype = [(name, np.int64 if name in COUNT_COLUMNS else np.float64) for name in header]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a body with no rows only warns
-        values = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a body with no rows only warns
+            values = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
+    except (ValueError, Warning):
+        return None
     floats = [v for name, v in zip(header, values) if name not in COUNT_COLUMNS]
     counts = [v for name, v in zip(header, values) if name in COUNT_COLUMNS]
     t = values[0]
@@ -197,44 +193,42 @@ def read_columns(
     what: str,
     theta_limit: tuple[float, str] | None = None,
 ) -> list[np.ndarray]:
-    """Parse the UTF-8 CSV log at ``path`` with the given header into one array per column.
+    """Parse the UTF-8 log at ``path`` with the given header into one array per column.
 
-    The first column is ``t``; the columns named in ``COUNT_COLUMNS`` hold int64
-    counts, every other one floats.  The file (a pipe too, as ``/dev/stdin``) is
-    read and decoded once by :func:`~paintpot.errors.read_text`, so a log that
-    is not UTF-8 raises naming ``path`` and the line of its first byte that is
-    not, before any row is checked.  Two stages read that one text.  The first
-    reads in C: the header by the judge's rule, then every row by one
-    ``np.loadtxt`` call, with numpy checking the values.  That stage can only
-    accept.  It drops the ``#`` comment lines below the header (such as a
-    ``# manifest`` line) first.  A log it fails to load, or with a comment line
-    below the header holding ``,"`` (where csv may open a quoted field) or a
-    NUL, or whose values fail a check, or with no rows, or with non-ASCII text
-    or a line over ``csv.field_size_limit()`` anywhere, goes to the checked parser,
-    the judge, which reads it one row at a time with ``csv.reader``; it alone
-    decides every row's error.  Lines starting with ``#`` are skipped but
-    counted, so errors name the physical line.
+    A log is lines of comma-separated fields, with no quoting: a quote is an
+    ordinary character, so a quoted field is a bad field.  Lines end at
+    ``\\r\\n``, ``\\r`` or ``\\n``; blank lines and lines starting with ``#``
+    (after leading whitespace) are skipped but counted, so errors name the
+    physical line.  The first column is ``t``; the columns named in
+    ``COUNT_COLUMNS`` hold int64 counts, every other one floats.  The file (a
+    pipe too, as ``/dev/stdin``) is read and decoded once by
+    :func:`~paintpot.errors.read_text`, so a log that is not UTF-8 raises
+    naming ``path`` and the line of its first byte that is not, before any
+    row is checked.  The text is split into lines once, and two stages read
+    those lines.  The first reads in C: the header by the judge's rule, then
+    every row below it, its ``#`` lines (such as a ``# manifest`` line)
+    dropped, by one ``np.loadtxt`` call, with numpy checking the values.
+    That stage can only accept.  A log it fails to load, or whose values
+    fail a check, or with no rows, or with non-ASCII text or a line longer
+    than ``sys.get_int_max_str_digits()`` anywhere, goes to the checked
+    parser, the judge, which reads it one row at a time; it alone decides
+    every row's error.
 
     Raises :class:`SpecError` naming the line of the first bad row.  A row
-    is checked for, in this order: a line ``csv.reader`` cannot split, its
-    field count, malformed fields (left to right), non-finite floats, a
-    decreasing ``t``, counts outside [0, adc_max] (left to right) and,
-    given ``theta_limit = (limit, text)``, a ``theta`` whose magnitude
-    exceeds ``limit`` (the error is ``text`` formatted with it).  ``what``
-    names the file when it holds no rows.
+    is checked for, in this order: its field count, malformed fields (left
+    to right), non-finite floats, a decreasing ``t``, counts outside [0,
+    adc_max] (left to right) and, given ``theta_limit = (limit, text)``, a
+    ``theta`` whose magnitude exceeds ``limit`` (the error is ``text``
+    formatted with it).  ``what`` names the file when it holds no rows.
     """
     text = read_text(path)
-    try:
-        columns = _read_columns_fast(text, header, adc_max, theta_limit)
-    except (ValueError, csv.Error, Warning):  # the checked parser judges it
-        columns = None
-    if columns is None:
-        columns = _read_columns_checked(io.StringIO(text, newline=""), header, adc_max, what, theta_limit)
-    return columns
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return (_read_columns_fast(text, lines, header, adc_max, theta_limit)
+            or _read_columns_checked(lines, header, adc_max, what, theta_limit))
 
 
 def _read_columns_checked(
-    lines: Iterable[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
+    lines: list[str], header: list[str], adc_max: int, what: str, theta_limit: tuple[float, str] | None
 ) -> list[np.ndarray]:
     """:func:`read_columns`' judge over a log's lines: one row at a
     time, it splits the line, counts and converts the fields, then checks
@@ -247,41 +241,34 @@ def _read_columns_checked(
     columns: list[list] = [[] for _ in header]
     last_t = -math.inf
     found = False
-    reader = csv.reader(lines)
-    try:
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            line = reader.line_num
-            if not found:
-                fields = [f.strip() for f in row]
-                if fields != header:
-                    raise SpecError(
-                        f"line {line}: header must be {','.join(header)!r}, got {','.join(fields)!r}"
-                    )
-                found = True
-                continue
-            if len(row) != len(header):
-                raise SpecError(f"line {line}: expected {len(header)} fields, got {len(row)}")
-            try:
-                # str.strip removes the separators \x1c-\x1f, which int and float keep.
-                values = [convert(text.strip()) for convert, text in zip(converters, row)]
-            except ValueError as exc:
-                raise SpecError(f"line {line}: {exc}") from None
-            if not all(math.isfinite(values[i]) for i in floats):
-                raise SpecError(f"line {line}: non-finite value")
-            if values[0] < last_t:
-                raise SpecError(f"line {line}: timestamp {values[0]} decreases")
-            for i in counts:
-                if not 0 <= values[i] <= adc_max:
-                    raise SpecError(f"line {line}: count {values[i]} outside [0, {adc_max}]")
-            if theta is not None and abs(values[theta]) > theta_limit[0]:
-                raise SpecError(f"line {line}: {theta_limit[1].format(values[theta])}")
-            last_t = values[0]
-            for column, value in zip(columns, values):
-                column.append(value)
-    except csv.Error as exc:  # a field over the size limit, or a newline inside one
-        raise SpecError(f"line {reader.line_num}: {exc}") from None
+    for number, line in enumerate(lines, 1):
+        if not line or line.lstrip().startswith("#"):
+            continue
+        # str.strip removes the separators \x1c-\x1f, which int and float keep.
+        row = [field.strip() for field in line.split(",")]
+        if not found:
+            if row != header:
+                raise SpecError(f"line {number}: header must be {','.join(header)!r}, got {','.join(row)!r}")
+            found = True
+            continue
+        if len(row) != len(header):
+            raise SpecError(f"line {number}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values = [convert(field) for convert, field in zip(converters, row)]
+        except ValueError as exc:
+            raise SpecError(f"line {number}: {exc}") from None
+        if not all(math.isfinite(values[i]) for i in floats):
+            raise SpecError(f"line {number}: non-finite value")
+        if values[0] < last_t:
+            raise SpecError(f"line {number}: timestamp {values[0]} decreases")
+        for i in counts:
+            if not 0 <= values[i] <= adc_max:
+                raise SpecError(f"line {number}: count {values[i]} outside [0, {adc_max}]")
+        if theta is not None and abs(values[theta]) > theta_limit[0]:
+            raise SpecError(f"line {number}: {theta_limit[1].format(values[theta])}")
+        last_t = values[0]
+        for column, value in zip(columns, values):
+            column.append(value)
     if not found:
         raise SpecError(f"empty {what} file")
     if not columns[0]:
@@ -467,6 +454,16 @@ def calibrate(dataset: CalibrationDataset) -> ModelBundle:
     )
 
 
+def variance_keys(n_wipers: int) -> tuple[str, ...]:
+    """Filter-parameter names of the wipers' ``r``: ``r`` alone, else ``r0``, ``r1``, ..."""
+    return ("r",) if n_wipers == 1 else tuple(f"r{i}" for i in range(n_wipers))
+
+
+# The keys a bundle file holds besides its geometry's, and those of its filter besides each wiper's r.
+_BUNDLE_KEYS = ("sensor_kind", "models", "valid_ranges", "fit_report", "filter", "manifest")
+_FILTER_KEYS = ("k", "dt", "q", "sigma0")
+
+
 def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
     """JSON-ready dict form of a bundle, with a spec file's ``gap_w<i>``
     keys where its gaps are not those of the reference wheel."""
@@ -492,9 +489,13 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
 def bundle_from_dict(data: dict) -> ModelBundle:
     """Inverse of :func:`bundle_to_dict`, with schema validation; its count
     fields must be integers (:func:`~paintpot.errors.as_int`), its other
-    numbers JSON numbers (:func:`~paintpot.errors.as_float`)."""
+    numbers JSON numbers (:func:`~paintpot.errors.as_float`), and a key it
+    does not read, at its top level or in its ``filter``, is refused."""
     with malformed("model bundle"):
         tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
+        known = {"": (*_BUNDLE_KEYS, *GEOMETRY_KEYS[data["sensor_kind"]]),
+                 "filter": (*_FILTER_KEYS, *variance_keys(len(tracks)))}
+        refuse_unknown_keys(data, known, "model-bundle")
         models = tuple(CubicModel.from_dict(m, f"models[{i}]") for i, m in enumerate(data["models"]))
         ranges = tuple(
             ValidRange(*(as_int(r[k], f"valid_ranges[{i}].{k}") for k in ("v_min", "v_max")))

@@ -32,6 +32,7 @@ from paintpot.errors import (
     number_at,
     object_at,
     read_json,
+    refuse_unknown_keys,
     run_manifest,
     write_csv,
     write_text,
@@ -122,7 +123,7 @@ def run_calibrate(
     dataset = characterize.ingest_log(in_csv, geometry)
     bundle = characterize.calibrate(dataset)
     rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
-    bundle = bundle.with_filter_params({**params, **dict(zip(estimate.variance_keys(len(bundle.models)), rs))})
+    bundle = bundle.with_filter_params({**params, **dict(zip(characterize.variance_keys(len(bundle.models)), rs))})
     config = {"kind": bundle.sensor_kind, "filter": bundle.filter_params}
     manifest = run_manifest("calibrate", {"log": in_csv}, (out,), None, config)
     characterize.save_bundle(bundle, out, manifest=manifest)
@@ -195,15 +196,8 @@ _EXPERIMENT_KEYS = {
 def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     """The run an experiment config describes; each number goes through
     :func:`~paintpot.errors.number_at`, and a key not in ``_EXPERIMENT_KEYS``
-    is refused, so a misspelt key cannot fall back to its default."""
-    unknown = [
-        f"{section}.{key}" if section else key
-        for section, keys in _EXPERIMENT_KEYS.items()
-        for key in (object_at(cfg, section) if section else cfg)
-        if key not in keys
-    ]
-    if unknown:
-        raise SpecError(f"unknown experiment-config key{'s' * (len(unknown) > 1)}: {', '.join(unknown)}")
+    is refused (:func:`~paintpot.errors.refuse_unknown_keys`)."""
+    refuse_unknown_keys(cfg, _EXPERIMENT_KEYS, "experiment-config")
     with malformed("experiment config"):
         kind, sensor = cfg["kind"], sensor_sim.sensor_spec_from_dict(cfg["sensor"])
     seed = number_at(cfg, "seed", 0, integer=True, low=">= 0")

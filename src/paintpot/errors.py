@@ -1,12 +1,15 @@
 """The package's exceptions and its file layer.
 
 Every input file is read and decoded once (:func:`read_text`).  A JSON file
-is read by :func:`read_json` and its fields by the rules here; a CSV log's
-rows are checked by :func:`paintpot.characterize.read_columns`.  A JSON count
-goes through :func:`as_int` and a JSON number through :func:`as_float`, each
-read at a dotted key path by :func:`number_at` (a nested object by
-:func:`object_at`), and a JSON object that lacks a key or holds a wrong type
-raises :class:`SpecError` (:func:`malformed`); each fault names its key path.
+is read by :func:`read_json` and its fields by the rules here; a log, lines
+of comma-separated fields with no quoting, has its rows checked by
+:func:`paintpot.characterize.read_columns`.  A JSON count goes through
+:func:`as_int` and a JSON number through :func:`as_float`, each read at a
+dotted key path by :func:`number_at` (a nested object by :func:`object_at`);
+a JSON object that lacks a key or holds a wrong type raises
+:class:`SpecError` (:func:`malformed`), and so does one that holds a key its
+reader does not read (:func:`refuse_unknown_keys`); each fault names its key
+path.
 Every output embeds a :func:`run_manifest`: :func:`write_csv` writes it and
 then the rows, a block at a time (:func:`write_rows`), and :func:`write_text`
 writes the JSON text of :func:`json_text`, which refuses a non-finite float.
@@ -92,6 +95,21 @@ def number_at(data: dict, path: str, default: float | None = None, integer: bool
     if low and not (number > 0.0 or number == 0.0 and low == ">= 0"):
         raise SpecError(f"{path} must be {low}, got {value!r}")
     return number
+
+
+def refuse_unknown_keys(data: dict, known: dict, what: str) -> None:
+    """Raise :class:`SpecError` naming, by dotted path, each key of the JSON
+    object ``data`` that ``known`` does not list: ``known[""]`` lists the keys
+    of ``data`` itself, and ``known[section]`` those of the object at
+    ``section``.  So a misspelt key cannot fall back to its default."""
+    unknown = [
+        f"{section}.{key}" if section else key
+        for section, keys in known.items()
+        for key in (object_at(data, section) if section else data)
+        if key not in keys
+    ]
+    if unknown:
+        raise SpecError(f"unknown {what} key{'s' * (len(unknown) > 1)}: {', '.join(unknown)}")
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from paintpot.characterize import ModelBundle, WiperFitStats
+from paintpot.characterize import ModelBundle, WiperFitStats, variance_keys
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError, number_at
 from paintpot.geometry import TWO_PI, WiperTrack, joint_kind, wrap_angle
@@ -392,11 +392,6 @@ def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:
         dt=number_at(params, "filter.dt", DEFAULT_TIMESTEP),
         q=number_at(params, "filter.q", DEFAULT_PROCESS_NOISE),
     )
-
-
-def variance_keys(n_wipers: int) -> tuple[str, ...]:
-    """Filter-parameter names of the wipers' ``r``: ``r`` alone, else ``r0``, ``r1``, ..."""
-    return ("r",) if n_wipers == 1 else tuple(f"r{i}" for i in range(n_wipers))
 
 
 def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:

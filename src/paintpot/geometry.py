@@ -82,14 +82,21 @@ WHEEL_TRACKS = (
 
 TILT_LIMIT = math.pi / 2.0
 
+# The keys :func:`geometry_from_dict` reads of a file, by kind.
+GEOMETRY_KEYS = {"wheel": ("adc_max", "gap_w0", "gap_w1"), "tilt": ("adc_max", "angle_limit")}
+
 
 def joint_kind(tracks: Sequence[WiperTrack | None], angle_limit: float | None | EllipsisType = ...) -> str:
     """The kind of joint whose wipers ride ``tracks``: ``"wheel"`` for exactly
-    two wipers on gapped tracks, which wraps and so has no angle limit, and
-    ``"tilt"`` for exactly one trackless wiper, whose limit lies in (0, pi].
+    two wipers on gapped tracks, wiper 0's turning by -2*pi and wiper 1's by
+    2*pi as a sensor file holds them, which wraps and so has no angle limit,
+    and ``"tilt"`` for exactly one trackless wiper, whose limit lies in (0, pi].
     Any other shape raises :class:`SpecError`, as does an ``angle_limit``
     that does not fit the kind; a caller that holds no limit leaves it out."""
     if len(tracks) == 2 and None not in tracks:
+        if (tracks[0].turn, tracks[1].turn) != (-TWO_PI, TWO_PI):
+            raise SpecError(f"a wheel's wiper 0 must turn by -2*pi and its wiper 1 by 2*pi, got "
+                            f"{tracks[0].turn!r} and {tracks[1].turn!r}")
         if angle_limit not in (..., None):
             raise SpecError(f"a wheel wraps, so it has no angle_limit, got {angle_limit!r}")
         return "wheel"

@@ -23,8 +23,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from paintpot.cubic import CubicModel, invert_cubic
-from paintpot.errors import DomainError, SpecError, as_float, check_adc_max, json_text, malformed, write_text
-from paintpot.geometry import Geometry, WiperTrack, geometry_from_dict, joint_kind, wrap_angle
+from paintpot.errors import (
+    DomainError, SpecError, as_float, check_adc_max, json_text, malformed, refuse_unknown_keys, write_text,
+)
+from paintpot.geometry import GEOMETRY_KEYS, Geometry, WiperTrack, geometry_from_dict, joint_kind, wrap_angle
+
+# Each kind's truth-cubic keys in a sensor file, one per wiper.
+TRUTH_KEYS = {"wheel": ("truth_w0", "truth_w1"), "tilt": ("truth",)}
 
 # Floating-pin convention while a wiper rides its gap: the ADC sags to the
 # low rail, which the valid-range test downstream rejects.
@@ -213,9 +218,13 @@ def sensor_geometry_from_dict(data: dict) -> Geometry:
     """A sensor file's tracks, angle limit and ADC width, checked: all that
     calibration reads of it.  The reference sensor its ``kind`` names fills
     the tracks and angle limit it leaves out
-    (:func:`~paintpot.geometry.geometry_from_dict`)."""
+    (:func:`~paintpot.geometry.geometry_from_dict`).  A key no sensor file
+    holds is refused."""
     with malformed("sensor spec"):
-        return geometry_from_dict(data["kind"], data)
+        geometry = geometry_from_dict(data["kind"], data)
+        keys = ("kind", "noise_std", *TRUTH_KEYS[data["kind"]], *GEOMETRY_KEYS[data["kind"]])
+        refuse_unknown_keys(data, {"": keys}, "sensor-spec")
+        return geometry
 
 
 def sensor_spec_from_dict(data: dict) -> SensorSpec:
@@ -223,8 +232,8 @@ def sensor_spec_from_dict(data: dict) -> SensorSpec:
     file's geometry (:func:`sensor_geometry_from_dict`), and a truth cubic
     per wiper, which only the simulator reads."""
     tracks, limit, adc_max = sensor_geometry_from_dict(data)
-    names = [f"truth_w{i}" for i in range(len(tracks))] if limit is None else ["truth"]
     with malformed("sensor spec"):
+        names = TRUTH_KEYS[data["kind"]]
         wipers = tuple(WiperSpec(CubicModel.from_dict(data[n], n), t) for n, t in zip(names, tracks))
         noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
         spec = SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)

@@ -11,9 +11,8 @@ and :func:`fit_cubic_reference`, the calibration fit through
 ``numpy.polynomial``.
 """
 
-import csv
-import io
 import math
+import re
 
 import numpy as np
 
@@ -155,20 +154,20 @@ def ingest_log_reference(text, sensor_kind, adc_max=1023):
 
     The frozen reference for the package's per-row judge
     (``characterize._read_columns_checked``), which decides every log
-    error.  Returns the columns ``(t, theta, v0, v1)`` (``v1`` is None for
+    error.  A log is lines ended by CRLF, CR or LF, of fields split at
+    every comma, with no quoting; blank and ``#`` lines are skipped but
+    counted.  Returns the columns ``(t, theta, v0, v1)`` (``v1`` is None for
     a tilt log) or raises :class:`ReferenceLogError` with the package's
     error text.
     """
     expected = ["t", "theta", "v0"] + (["v1"] if sensor_kind == "wheel" else [])
-    reader = csv.reader(io.StringIO(text, newline=""))
     header = None
     columns = ([], [], [], [])  # t, theta, v0, v1
     last_t = -math.inf
-    for row in reader:
-        line = reader.line_num
-        if not row or row[0].lstrip().startswith("#"):
+    for line, text_line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        if not text_line or text_line.lstrip().startswith("#"):
             continue
-        fields = [f.strip() for f in row]
+        fields = [f.strip() for f in text_line.split(",")]
         if header is None:
             if fields != expected:
                 raise ReferenceLogError(

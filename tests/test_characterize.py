@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import re
@@ -284,9 +283,9 @@ def grammar_log(header, where, text):
 
 
 def read_both(text, header):
-    """read_columns' result on ``text`` and the checked parser's arrays as
-    lists: columns as (type, value) pairs, floats by ``float.hex``, or the
-    SpecError text."""
+    """read_columns' result on ``text`` and the checked parser's on its
+    lines, ended by CRLF, CR or LF, as lists: columns as (type, value)
+    pairs, floats by ``float.hex``, or the SpecError text."""
     limit = (PI, "wheel angle {} outside [-pi, pi]") if "theta" in header else None  # the wheel chart's
 
     def run(source, read):
@@ -296,7 +295,7 @@ def read_both(text, header):
             return str(exc)
         return [[(type(x), x.hex() if type(x) is float else x) for x in c.tolist()] for c in columns]
 
-    return on_file(run, text, read_columns), run(io.StringIO(text, newline=""), _read_columns_checked)
+    return on_file(run, text, read_columns), run(re.split(r"\r\n|\r|\n", text), _read_columns_checked)
 
 
 # Where np.loadtxt's grammar and the checked parser's differ, or might
@@ -306,12 +305,13 @@ GRAMMAR_CASES = [
     ("row_end", "#x", False),
     ("line", "# note", True),
     ("line", " \t# note", True),
-    ("line", '# note, "quoted"', True),  # csv opens a quoted field only at a field's start
-    # As errors.write_csv writes one: json.dumps puts a space after each comma.
+    ("line", '# note, "quoted"', True),
+    # As errors.write_csv writes one.
     ("line", '# manifest {"command": "sweep", "inputs": {"spec": "a.json"}, "outputs": ["s.csv"], "seed": 3}', True),
-    ("line", '# manifest {"inputs": {"spec": "a,"}}', False),  # a string ending in a comma: csv opens a field
-    ("line", '# a,"\n0.005,1,500,1\n#"', False),  # and here it runs past the line end: three lines, one comment row
-    ("line", "# a\0b", False),
+    ("line", '# manifest {"inputs": {"spec": "a,"}}', True),
+    ("line", '# a,"\n0.005,1,500,1\n#"', True),  # a quote carries nothing past its line: one row between two comments
+    ("line", "# a\0b", True),
+    ("v0", "5\0", False),
     ("t", "1_0", False),
     ("v0", "1_0", False),
     ("t", "\u0665", False),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
@@ -327,7 +327,9 @@ GRAMMAR_CASES = [
     ("t", "inf", False),
     ("t", "Infinity", False),
     ("t", "1e400", False),
-    ("v0", "0" * 131072 + "5", False),  # a field over csv's size limit
+    # Counts that int() refuses, over its 4,300-digit limit, and np.loadtxt reads as 5.
+    ("v0", "0" * 4300 + "5", False),
+    ("v0", "0" * 131072 + "5", False),
     ("newline", "\r\n", True),
     ("newline", "\r", True),
     ("end", "", True),
@@ -341,10 +343,10 @@ GRAMMAR_CASES = [
 ]
 GRAMMAR_IDS = [
     "whitespace_line", "hash_after_row", "comment_line", "indented_comment_line", "quoted_comment_line",
-    "manifest_line", "manifest_comma_quote", "comment_quote_over_lines", "nul_comment_line", "underscore_float",
-    "underscore_count", "arabic_float", "arabic_count", "quoted_float", "quoted_count", "non_ascii_count",
-    "23_digit_count", "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity", "1e400",
-    "over_field_limit",
+    "manifest_line", "manifest_comma_quote", "comment_quote_over_lines", "nul_comment_line", "nul_count",
+    "underscore_float", "underscore_count", "arabic_float", "arabic_count", "quoted_float", "quoted_count",
+    "non_ascii_count", "23_digit_count", "trailing_comma", "count_5.0", "count_1e2", "nan", "inf", "Infinity",
+    "1e400", "4301_digit_count", "131073_digit_count",
     "crlf", "bare_cr", "no_final_newline", "bom", "comment_preamble", "padded_float", "separator_padded_float",
     "signed_zero_padded_count", "header_only", "single_row",
 ]
@@ -383,17 +385,17 @@ class TestTwoStageReader:
         ("cr", True),
         ("bare_cr_mid_body", True),
         ("non_ascii_last_line", False),
-        ("field_over_limit_mid_body", False),
+        ("over_digit_limit_mid_body", False),
         ("crlf_note_mid_body", True),
         ("quoted_note_mid_body", True),
-        ("comma_quoted_note_mid_body", False),
+        ("comma_quoted_note_mid_body", True),
     ])
     def test_whole_text_checks_route_a_large_log(self, checked, edit, fast):
         # Over 128 KiB, so no per-block or per-chunk rule could see all of it.
         lines = ["t,v0,v1,omega", *(f"{i / 100!r},{500 + i % 7},{510 - i % 5},0.5" for i in range(8000))]
         if edit == "non_ascii_last_line":
             lines[-1] = "79.99,\u01fe,510,0.5"  # numpy's int64 parser reads it as 462
-        elif edit == "field_over_limit_mid_body":
+        elif edit == "over_digit_limit_mid_body":
             lines[4000] = "40.0," + "0" * 131072 + "5,510,0.5"
         elif edit == "crlf_note_mid_body":
             lines.insert(4000, "# note")
@@ -411,17 +413,25 @@ class TestTwoStageReader:
         assert not checked if fast else checked
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_header_row_read_from_two_lines_is_the_judges(self, checked, newline):
-        # The fast stage's lines lack their ends, so its csv.reader would join
-        # the quoted "v" and "0" into the header name v0.
+    def test_quoted_line_end_does_not_join_two_header_lines(self, checked, newline):
         got, want = read_both(newline.join(['t,"v', '0",v1,omega', "0.0,500,510,0.5"]) + newline, READINGS)
-        assert got == want == f"line 2: header must be 't,v0,v1,omega', got {f't,v{newline}0,v1,omega'!r}"
+        assert got == want == """line 1: header must be 't,v0,v1,omega', got 't,"v'"""
         assert checked
 
-    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+    @pytest.mark.parametrize("header", [READINGS, CALIBRATION], ids=["readings", "calibration"])
+    @pytest.mark.parametrize("where,message", [
+        ("t", """line 4: could not convert string to float: '"5"'"""),
+        ("v0", """line 4: invalid literal for int() with base 10: '"5"'"""),
+    ], ids=["quoted_float", "quoted_count"])
+    def test_quoted_field_is_a_bad_field_naming_its_line(self, header, where, message):
+        assert read_both(grammar_log(header, where, '"5"'), header) == (message, message)
+
+    def test_count_over_the_int_digit_limit_names_its_line(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text(grammar_log(READINGS, "v0", "0" * 131072 + "5"), encoding="utf-8")
-        with pytest.raises(SpecError, match=r"^line 4: field larger than field limit \(131072\)$"):
+        with pytest.raises(ValueError) as refused:
+            int("0" * 131072 + "5")
+        with pytest.raises(SpecError, match=rf"^line 4: {re.escape(str(refused.value))}$"):
             read_columns(path, READINGS, 1023, "readings")
         # It ends the rows as a short row does: an earlier bad value is named first.
         text = grammar_log(READINGS, "v0", "0" * 131072 + "5").replace("0.01,501", "0.01,-7")
@@ -1123,6 +1133,19 @@ class TestCalibratePipeline:
         assert again.models == bundle.models
         assert again.valid_ranges == bundle.valid_ranges
         assert again.filter_params == bundle.filter_params
+
+    @pytest.mark.parametrize("preset,keys,r", [
+        ("wheel_reference", ("adc_max", "gap_w0", "gap_w1"), ("r0", "r1")),
+        ("tilt_reference", ("adc_max", "angle_limit"), ("r",)),
+    ], ids=["wheel", "tilt"])
+    def test_bundle_with_every_key_its_readers_read_loads(self, preset, keys, r):
+        spec = SENSOR_PRESETS[preset]()
+        bundle = calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(11)))
+        data = {**characterize.bundle_to_dict(bundle, {"command": "calibrate"}),
+                **{key: sensor_spec_to_dict(spec)[key] for key in keys}}
+        data["filter"] = dict.fromkeys(("k", "dt", "q", "sigma0", *r), 0.5)
+        again = characterize.bundle_from_dict(data)
+        assert (again.models, again.filter_params) == (bundle.models, data["filter"])
 
     def test_bundle_wipers_are_all_gapped_or_none(self):
         (valid,) = compute_valid_ranges(WHEEL_TRUTH_W0, adc_max=1023, tracks=WHEEL_TRACKS[:1])

@@ -117,11 +117,16 @@ class TestSweep:
              "truth.c1 must be an ASCII decimal string without '_' or padding, got '8.6756e-03\\n'"),
             ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "c0": "\u0665.0"}},  # ARABIC-INDIC FIVE
              "truth.c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
+            # A key no sensor file holds, which would otherwise fall back to its default.
+            ("tilt_reference", {"noise_sd": 5.0}, "unknown sensor-spec key: noise_sd"),
+            ("wheel_reference", {"angle_limit": 1.0, "truth": presets.TILT_TRUTH.to_dict()},
+             "unknown sensor-spec keys: angle_limit, truth"),
+            ("tilt_reference", {"gap_w0": [1.5, 2.0]}, "unknown sensor-spec key: gap_w0"),
         ],
         ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window", "underscored_padded_c0",
-             "padded_c1", "arabic_digit_c0"],
+             "padded_c1", "arabic_digit_c0", "misspelt_noise", "tilt_keys_on_wheel", "gap_on_tilt"],
     )
-    def test_non_number_spec_float_is_config_error(self, tmp_path, capsys, preset, edit, message):
+    def test_spec_fault_is_config_error_naming_its_key(self, tmp_path, capsys, preset, edit, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**sensor_spec_to_dict(presets.SENSOR_PRESETS[preset]()), **edit}))
         out = tmp_path / "sweep.csv"
@@ -392,8 +397,9 @@ def _set(*keys_and_value):
     return edit
 
 
-# Bundle edits that put a count window outside [0, adc_max] or a fit report
-# that is not an object in the file, and the field each error names.
+# Bundle edits that put a count window outside [0, adc_max], a fit report
+# that is not an object or a key no bundle reader reads in the file, and the
+# field each error names.
 BUNDLE_EDITS = [
     (_set("adc_max", 1000), "adc_max must be 2**bits - 1"),
     (_set("adc_max", 0), "adc_max must be 2**bits - 1"),
@@ -406,11 +412,15 @@ BUNDLE_EDITS = [
     (lambda data: data["models"].pop(), "wheel bundle has (models, valid ranges) = (1, 2), expected (2, 2)"),
     (_set("fit_report", []), "fit_report must be a JSON object, got []"),
     (_set("fit_report", None), "fit_report must be a JSON object, got None"),
+    (_set("filter", "Q", 0.5), "unknown model-bundle key: filter.Q"),
+    (_set("sigma_0", 5.0), "unknown model-bundle key: sigma_0"),
+    (_set("filter", "r", 1e-4), "unknown model-bundle key: filter.r"),  # a wheel's are r0 and r1
+    (_set("angle_limit", 1.0), "unknown model-bundle key: angle_limit"),  # a wheel wraps
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
     "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "list_fit_report",
-    "null_fit_report",
+    "null_fit_report", "misspelt_filter_q", "misspelt_sigma0", "tilt_r_on_wheel", "limit_on_wheel",
 ]
 
 
@@ -579,6 +589,9 @@ class TestEstimate:
              "line 3: invalid literal for int() with base 10: '1.5'"),
             ([(0.0, 500, 510, 0.0), (0.01, 500, "", 0.0)],
              "line 3: invalid literal for int() with base 10: ''"),
+            # A log has no quoting: a quoted count is a bad field.
+            ([(0.0, 500, 510, 0.0), (0.01, '"500"', 510, 0.0)],
+             """line 3: invalid literal for int() with base 10: '"500"'"""),
             ([(0.0, 500, 510, 0.0), (0.01, "9" * 400, 510, 0.0)],
              f"line 3: count {'9' * 400} outside"),
             ([(i * 0.01, 500, 510, 0.0) for i in range(500)] + [(5.0, 500, 510)],
@@ -600,7 +613,7 @@ class TestEstimate:
         ],
         ids=[
             "nan_omega", "inf_t", "negative_count", "count_above_adc_max", "decreasing_t",
-            "fractional_count", "empty_count", "huge_count", "late_short_row", "late_malformed",
+            "fractional_count", "empty_count", "quoted_count", "huge_count", "late_short_row", "late_malformed",
             "value_then_short_row", "short_row_then_value", "malformed_then_value",
             "value_then_malformed", "decreasing_t_and_bad_count", "two_bad_counts",
         ],
@@ -617,7 +630,7 @@ class TestEstimate:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit,message", BUNDLE_EDITS, ids=BUNDLE_EDIT_IDS)
-    def test_bundle_outside_the_adc_window_is_schema_error(
+    def test_bundle_fault_is_schema_error_naming_its_key(
         self, tmp_path, wheel_bundle, capsys, edit, message
     ):
         data = json.loads(Path(wheel_bundle).read_text())
@@ -686,8 +699,10 @@ class TestEstimate:
             (_set("filter", "r", "nan"), "filter.r must be a finite number, got 'nan'"),
             (_set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
              "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
+            (_set("filter", "r0", 1e-4), "unknown model-bundle key: filter.r0"),  # a tilt's is r
+            (_set("gap_w0", [1.5, 2.0]), "unknown model-bundle key: gap_w0"),
         ],
-        ids=["nan_r", "valid_range"],
+        ids=["nan_r", "valid_range", "wheel_r0_on_tilt", "gap_on_tilt"],
     )
     def test_bad_tilt_bundle_is_schema_error(self, tmp_path, capsys, edit, message):
         sweep, bundle = tmp_path / "tsweep.csv", tmp_path / "tbundle.json"
@@ -824,9 +839,9 @@ class TestExperiment:
 
     def test_non_finite_number_in_an_unused_key_is_config_error(self, tmp_path, capsys):
         # The summary echoes the config and is written without NaN.  An unknown
-        # key of the config itself is refused first; the sensor spec's are not read.
+        # key of the config or of its sensor spec is refused first; a cubic's are not read.
         config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
-        config["sensor"]["note"] = math.nan
+        config["sensor"]["truth"]["note"] = math.nan
         cfg_path = tmp_path / "nan.json"
         cfg_path.write_text(json.dumps(config))
         assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "x")) == 2

@@ -34,7 +34,7 @@ from paintpot.estimate import (
     update_tilt,
     update_wheel,
 )
-from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, geometry_from_dict, wrap_angle
+from paintpot.geometry import TILT_LIMIT, WHEEL_TRACKS, Interval, WiperTrack, geometry_from_dict, wrap_angle
 from paintpot.presets import (
     SENSOR_PRESETS,
     TILT_TRUTH,
@@ -71,6 +71,9 @@ TWO_PI = 2.0 * math.pi
 EXACT_M0 = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (0.0, 1023.0))
 EXACT_M1 = CubicModel(0.0, 0.0, 2.0**-8, -0.5, (0.0, 1023.0))
 WIDE_RANGES = (ValidRange(1, 1000), ValidRange(1, 1000))
+# A wheel's wiper 0 turns by -2*pi and its wiper 1 by 2*pi, as its file holds them.
+TRACK_ORDER = r"^a wheel's wiper 0 must turn by -2\*pi and its wiper 1 by 2\*pi, got "
+SWAPPED = TRACK_ORDER + r"6\.283185307179586 and -6\.283185307179586$"
 
 
 def wheel_obs(m0, m1, r0, r1, ranges):
@@ -163,12 +166,23 @@ class TestValueChecks:
         (lambda: ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1), Wiper(EXACT_M1, 1e-4, 0, 0))),
          "two wipers on gapped tracks, a tilt one trackless wiper; got 2 wipers, 0 on tracks"),
         (lambda: ObservationModel(()), "got 0 wipers"),
+        (lambda: SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W1, WHEEL_TRUTH_W0), WHEEL_TRACKS[::-1]))),
+         SWAPPED),
+        (lambda: SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1),
+                                      (WHEEL_TRACKS[0], WiperTrack(Interval(0.5, 1.0), -TWO_PI))))),
+         TRACK_ORDER + r"-6\.283185307179586 and -6\.283185307179586$"),
+        (lambda: ObservationModel(tuple(Wiper(m, 1e-4, 1, 1000, t) for m, t in zip((EXACT_M1, EXACT_M0),
+                                                                                  WHEEL_TRACKS[::-1]))),
+         SWAPPED),
+        (lambda: ModelBundle(WHEEL_TRACKS[::-1], (EXACT_M1, EXACT_M0), WIDE_RANGES, FitReport(())),
+         SWAPPED),
         (lambda: TiltEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0)),
          "^a tilt estimator needs a tilt observation model, got a wheel$"),
         (lambda: WheelEstimator(tilt_obs(TILT_TRUTH, 1e-4), TransitionModel(k=1.0, dt=0.01, q=0.0)),
          "^a wheel estimator needs a wheel observation model, got a tilt$"),
     ], ids=["three_wiper_wheel_spec", "two_wiper_tilt_spec", "wheel_spec_with_limit", "tilt_spec_without_limit",
-            "mixed_tracks_model", "untracked_pair_model", "no_wiper_model", "tilt_estimator_on_wheel",
+            "mixed_tracks_model", "untracked_pair_model", "no_wiper_model", "swapped_wheel_spec",
+            "same_turn_wheel_spec", "swapped_wheel_model", "swapped_wheel_bundle", "tilt_estimator_on_wheel",
             "wheel_estimator_on_tilt"])
     def test_joint_shape_refused_at_construction(self, build, message):
         with pytest.raises(SpecError, match=message):
