@@ -26,7 +26,6 @@ from paintpot.errors import (
     SpecError,
 )
 from paintpot.estimate import (
-    GaussianBelief,
     ObservationModel,
     TiltEstimator,
     TransitionModel,
@@ -54,7 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FitError",
-    "GaussianBelief",
     "InitializationError",
     "InversionError",
     "ModelBundle",

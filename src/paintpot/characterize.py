@@ -486,31 +486,35 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
     return data
 
 
-def bundle_from_dict(data: dict) -> ModelBundle:
+def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
     """Inverse of :func:`bundle_to_dict`, with schema validation; its count
     fields must be integers (:func:`~paintpot.errors.as_int`), its other
     numbers JSON numbers (:func:`~paintpot.errors.as_float`), and a key it
-    does not read, at its top level or in its ``filter``, is refused."""
+    does not read, at its top level, in its ``filter``, ``fit_report`` or
+    a wiper's fit statistics, or in a cubic, is refused, named by its path
+    after ``path``, the path of the bundle in the file that holds it
+    (``"models."`` in an experiment config)."""
     with malformed("model bundle"):
         tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
         known = {"": (*_BUNDLE_KEYS, *GEOMETRY_KEYS[data["sensor_kind"]]),
-                 "filter": (*_FILTER_KEYS, *variance_keys(len(tracks)))}
-        refuse_unknown_keys(data, known, "model-bundle")
-        models = tuple(CubicModel.from_dict(m, f"models[{i}]") for i, m in enumerate(data["models"]))
+                 "filter": (*_FILTER_KEYS, *variance_keys(len(tracks))), "fit_report": ("wipers",)}
+        refuse_unknown_keys(data, known, "model-bundle", path)
+        models = tuple(CubicModel.from_dict(m, f"{path}models[{i}]") for i, m in enumerate(data["models"]))
         ranges = tuple(
             ValidRange(*(as_int(r[k], f"valid_ranges[{i}].{k}") for k in ("v_min", "v_max")))
             for i, r in enumerate(data.get("valid_ranges", []))
         )
         fields = ((as_int, "n"), (as_float, "rms"), (as_float, "max_abs"))
-        wipers = tuple(
-            WiperFitStats(*(check(s[k], f"fit_report.wipers[{i}].{k}") for check, k in fields))
-            for i, s in enumerate(object_at(data, "fit_report").get("wipers", []))
-        )
+        wipers = []
+        for i, stats in enumerate(object_at(data, "fit_report").get("wipers", [])):
+            at = f"fit_report.wipers[{i}]."
+            wipers.append(WiperFitStats(*(check(stats[k], at + k) for check, k in fields)))
+            refuse_unknown_keys(stats, {"": [k for _, k in fields]}, "model-bundle", path + at)
         return ModelBundle(
             tracks=tracks,
             models=models,
             valid_ranges=ranges,
-            report=FitReport(wipers),
+            report=FitReport(tuple(wipers)),
             adc_max=adc_max,
             filter_params=dict(object_at(data, "filter")),
         )

@@ -160,14 +160,13 @@ def run_estimate(model_json: str, readings_csv: str, out: str) -> None:
     first = next(readings)
     (mu, sigma), n = estimator.initialize(first), len(t)  # no per-row belief outlives its step
     mus, sigmas, n_features = [mu] * n, [sigma] * n, [len(estimate.extract_features(first, obs))] * n
-    # A belief is a tuple subclass, which indexes faster than it unpacks.
     steps = enumerate(map(estimator.step, omega[1:], readings), 1)
     if obs.wrap:  # a wheel step reports a flag per wiper
-        for row, (belief, (used0, used1)) in steps:
-            mus[row], sigmas[row], n_features[row] = belief[0], belief[1], used0 + used1
+        for row, ((mu, sigma), (used0, used1)) in steps:
+            mus[row], sigmas[row], n_features[row] = mu, sigma, used0 + used1
     else:
-        for row, (belief, used) in steps:
-            mus[row], sigmas[row], n_features[row] = belief[0], belief[1], used
+        for row, ((mu, sigma), used) in steps:
+            mus[row], sigmas[row], n_features[row] = mu, sigma, used
     sigma_text: dict[float, str] = {}  # the variance settles and repeats: format each value once
     digits = [str(n) for n in range(len(obs.wipers) + 1)]
     # Each text column replaces its number column, so the two are never both kept while writing.
@@ -199,7 +198,7 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     is refused (:func:`~paintpot.errors.refuse_unknown_keys`)."""
     refuse_unknown_keys(cfg, _EXPERIMENT_KEYS, "experiment-config")
     with malformed("experiment config"):
-        kind, sensor = cfg["kind"], sensor_sim.sensor_spec_from_dict(cfg["sensor"])
+        kind, sensor = cfg["kind"], sensor_sim.sensor_spec_from_dict(cfg["sensor"], "sensor.")
     seed = number_at(cfg, "seed", 0, integer=True, low=">= 0")
     rate_hz = number_at(cfg, "rate_hz", 100.0, low="> 0")
     tm = estimate.TransitionModel(
@@ -220,7 +219,7 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
     )
 
     if "models" in cfg:
-        bundle = characterize.bundle_from_dict(object_at(cfg, "models"))
+        bundle = characterize.bundle_from_dict(object_at(cfg, "models"), "models.")
     else:
         sweep_rng = np.random.default_rng((seed, _SWEEP_STREAM))
         rate = number_at(cfg, "calibration.rate_hz", 14.0, low="> 0")

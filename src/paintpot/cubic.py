@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from paintpot.errors import FitError, InversionError, SpecError, as_float, malformed
+from paintpot.errors import FitError, InversionError, SpecError, as_float, malformed, refuse_unknown_keys
 
 DEFAULT_ANGLE_TOL = 1e-9
 # Knots in every model's inversion chart, whatever its window's width, so a
@@ -33,6 +33,8 @@ DEFAULT_ANGLE_TOL = 1e-9
 # evaluation); 512 leaves a margin for fitted cubics that bend more.
 CHART_KNOTS = 512
 _COEFFICIENT_FORMAT = ".17e"
+# The keys of a cubic's file object, all of which from_dict reads.
+_CUBIC_KEYS = {"": ("c3", "c2", "c1", "c0", "v_window")}
 _EPS = math.ulp(1.0)
 
 
@@ -156,8 +158,8 @@ class CubicModel:
     def from_dict(cls, data: dict, key: str) -> "CubicModel":
         """The cubic of a file's object at ``key``: coefficients ``c3..c0``
         as ASCII decimal strings, without ``_`` or padding, or JSON numbers;
-        ``v_window`` two JSON numbers (:func:`~paintpot.errors.as_float`).
-        Faults name ``key``."""
+        ``v_window`` two JSON numbers (:func:`~paintpot.errors.as_float`);
+        any other key is refused.  Faults name ``key``."""
         with malformed(key):
             coefficients = []
             for n in ("c3", "c2", "c1", "c0"):
@@ -168,6 +170,7 @@ class CubicModel:
                     raise SpecError(f"{key}.{n} must be an ASCII decimal string without '_' or padding, got {value!r}")
                 coefficients.append(float(value))
             lo, hi = (as_float(data["v_window"][i], f"{key}.v_window") for i in (0, 1))
+            refuse_unknown_keys(data, _CUBIC_KEYS, "cubic", f"{key}.")
             return cls(*coefficients, (lo, hi))
 
 

@@ -97,13 +97,14 @@ def number_at(data: dict, path: str, default: float | None = None, integer: bool
     return number
 
 
-def refuse_unknown_keys(data: dict, known: dict, what: str) -> None:
+def refuse_unknown_keys(data: dict, known: dict, what: str, path: str = "") -> None:
     """Raise :class:`SpecError` naming, by dotted path, each key of the JSON
     object ``data`` that ``known`` does not list: ``known[""]`` lists the keys
     of ``data`` itself, and ``known[section]`` those of the object at
-    ``section``.  So a misspelt key cannot fall back to its default."""
+    ``section``.  So a misspelt key cannot fall back to its default.  Each
+    path begins with ``path``, the path ``data`` was reached by, if any."""
     unknown = [
-        f"{section}.{key}" if section else key
+        path + (f"{section}.{key}" if section else key)
         for section, keys in known.items()
         for key in (object_at(data, section) if section else data)
         if key not in keys

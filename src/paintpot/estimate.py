@@ -14,7 +14,9 @@ chart (-pi, pi].  A tilt is one wiper with neither.  The two estimators share
 one shell; each steps on floats in :func:`predict`'s order, then the wheel's
 gates the features of :func:`extract_features` against the mean shifted by
 each track and fuses them as :func:`update_wheel` does, the tilt's updates
-through :func:`update_tilt`.  Each belief is built past the class call.
+through :func:`update_tilt`.  A belief is a plain ``(mu, sigma)`` pair of
+floats, a finite mean (rad) and a positive variance (rad^2), and every
+function that makes one returns it through one check (:func:`_belief`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ DEFAULT_TRANSMISSION_RATIO = 1.0
 DEFAULT_TIMESTEP = 0.01
 GATE_SIGMAS = 6.0  # the wheel gate's width, in predicted standard deviations
 
-# Looked up once for the beliefs and step tuples built past their class call on every step.
+# Looked up once for the step tuples built past their class call on every step.
 _new_tuple = tuple.__new__
 
 
@@ -61,40 +63,15 @@ class TransitionModel:
             raise SpecError("q must be >= 0")
         object.__setattr__(self, "_products", (self.k * self.dt, self.dt * self.dt * self.q))
 
-    @property
-    def u_gain(self) -> float:
-        """Noise gain: one step integrates the rate noise over dt."""
-        return self.dt
 
-
-class _Belief(NamedTuple):
-    mu: float
-    sigma: float
-
-
-class GaussianBelief(_Belief):
-    """Scalar Gaussian over a joint angle: mean (rad) and variance (rad^2).
-
-    An immutable tuple.  The mean must be finite and the variance positive.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, mu: float, sigma: float) -> "GaussianBelief":
-        if not sigma > 0.0:
-            raise SpecError(f"belief variance must be positive, got {sigma!r}")
-        if not math.isfinite(mu):
-            raise SpecError(f"belief mean must be finite, got {mu!r}")
-        return tuple.__new__(cls, (mu, sigma))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-
-def _belief(mu: float, sigma: float) -> GaussianBelief:
-    """``GaussianBelief(mu, sigma)`` built past the class call, after one float test."""
-    if sigma > 0.0 and math.isfinite(mu):
-        return _new_tuple(GaussianBelief, (mu, sigma))
-    return GaussianBelief(mu, sigma)  # raises the belief's own error
+def _belief(mu: float, sigma: float) -> tuple[float, float]:
+    """The belief ``(mu, sigma)``; a variance that is not positive or a mean
+    that is not finite raises :class:`SpecError`."""
+    if not sigma > 0.0:
+        raise SpecError(f"belief variance must be positive, got {sigma!r}")
+    if not math.isfinite(mu):
+        raise SpecError(f"belief mean must be finite, got {mu!r}")
+    return mu, sigma
 
 
 def _count_chart(model: CubicModel, top: int) -> tuple[float, ...]:
@@ -165,11 +142,10 @@ class ObservationModel:
         return self.kind == "wheel"
 
 
-def predict(belief: GaussianBelief, u: float, tm: TransitionModel) -> GaussianBelief:
-    """Prediction step: mean moves by k*dt*u, variance grows by u_gain**2 * q."""
+def predict(belief: tuple[float, float], u: float, tm: TransitionModel) -> tuple[float, float]:
+    """Prediction step: mean moves by k*dt*u, variance grows by dt**2 * q."""
     mu, sigma = belief
-    # u_gain = dt, spelled out: the same products in the same order.
-    return GaussianBelief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
+    return _belief(mu + tm.k * tm.dt * u, sigma + tm.dt * tm.dt * tm.q)
 
 
 def extract_features(
@@ -195,10 +171,10 @@ def extract_features(
 
 
 def update_wheel(
-    belief_bar: GaussianBelief,
+    belief_bar: tuple[float, float],
     features: Sequence[tuple[int, float, float]],
     predicted: Sequence[float],
-) -> GaussianBelief:
+) -> tuple[float, float]:
     """Measurement update for a wheel joint, wrapped into (-pi, pi].
 
     ``features`` are ``(index, z, r)`` triples as :func:`extract_features`
@@ -227,12 +203,12 @@ def update_wheel(
         sigma = sigma - (k0 + k1) * sigma
     elif n:
         raise SpecError("a wheel update takes at most two features")
-    return GaussianBelief(wrap_angle(mu), sigma)
+    return _belief(wrap_angle(mu), sigma)
 
 
 def update_tilt(
-    belief_bar: GaussianBelief, reading: AdcReading, obs: ObservationModel
-) -> tuple[GaussianBelief, bool]:
+    belief_bar: tuple[float, float], reading: AdcReading, obs: ObservationModel
+) -> tuple[tuple[float, float], bool]:
     """Scalar update of a one-wiper model on its reading, without a gate.
 
     A reading of any wiper but 0 raises :class:`SpecError`, as in
@@ -253,7 +229,7 @@ def update_tilt(
 
 def initial_belief(
     readings: Sequence[AdcReading], obs: ObservationModel, sigma0: float = DEFAULT_SIGMA0
-) -> GaussianBelief:
+) -> tuple[float, float]:
     """Seed a belief from the first admitted reading in wiper order.
 
     ``readings`` holds one reading per wiper.  The mean is the admitted
@@ -263,7 +239,7 @@ def initial_belief(
     if [index for index, _, _ in ordered] != list(range(len(obs.wipers))):
         raise SpecError(f"initialization needs one reading per wiper, got {ordered}")
     for _, z, _ in extract_features(ordered, obs):
-        return GaussianBelief(wrap_angle(z) if obs.wrap else z, sigma0)
+        return _belief(wrap_angle(z) if obs.wrap else z, sigma0)
     raise InitializationError(
         f"no reading is admitted (counts {[count for _, count, _ in ordered]}, admitted "
         f"{[(wiper.lo, wiper.hi) for wiper in obs.wipers]}); "
@@ -272,7 +248,7 @@ def initial_belief(
 
 
 class Step(NamedTuple):
-    belief: GaussianBelief
+    belief: tuple[float, float]  # (mu, sigma)
     used: tuple[bool, bool] | bool  # a flag per wiper for a wheel, one for a tilt
 
 
@@ -285,7 +261,7 @@ class Estimator:
     obs: ObservationModel
     tm: TransitionModel
     sigma0: float = DEFAULT_SIGMA0
-    belief: GaussianBelief | None = field(default=None, init=False)
+    belief: tuple[float, float] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.obs.kind != self.kind:
@@ -293,7 +269,7 @@ class Estimator:
         # Each tracked wiper's shift edge and turn, read once for every step.
         self._shifts = [(wiper.track.edge, wiper.track.turn) for wiper in self.obs.wipers if wiper.track]
 
-    def initialize(self, readings: Sequence[AdcReading]) -> GaussianBelief:
+    def initialize(self, readings: Sequence[AdcReading]) -> tuple[float, float]:
         self.belief = initial_belief(readings, self.obs, self.sigma0)
         return self.belief
 
@@ -301,14 +277,14 @@ class Estimator:
 class WheelEstimator(Estimator):
     """Predict, extract, gate, update, wrap.
 
-    A step works on floats and builds one belief; it equals
-    :func:`predict`, :func:`extract_features`, the gate and
-    :func:`update_wheel` bit for bit.  The gate drops any feature whose
-    innovation exceeds :data:`GATE_SIGMAS` predicted standard deviations.
-    Right at a chart edge the true state and a lagging predicted mean can
-    sit on opposite shift branches, which hands the linear update a
-    full-turn-corrupted innovation; such a feature is unusable for one step
-    and the filter rides the other wiper.
+    A step works on plain floats and equals :func:`predict`,
+    :func:`extract_features`, the gate and :func:`update_wheel` bit for
+    bit.  The gate drops any feature whose innovation exceeds
+    :data:`GATE_SIGMAS` predicted standard deviations.  Right at a chart
+    edge the true state and a lagging predicted mean can sit on opposite
+    shift branches, which hands the linear update a full-turn-corrupted
+    innovation; such a feature is unusable for one step and the filter
+    rides the other wiper.
     """
 
     kind = "wheel"
@@ -321,7 +297,7 @@ class WheelEstimator(Estimator):
         mu = belief[0] + k_dt * u
         sigma = belief[1] + dt_dt_q
         if not (sigma > 0.0 and math.isfinite(mu)):
-            GaussianBelief(mu, sigma)  # raises the belief's own error
+            _belief(mu, sigma)  # raises
         # Each wiper's predicted measurement: the mean on its shifted chart (WiperTrack.shift).
         (edge0, turn0), (edge1, turn1) = self._shifts
         z_bar0 = mu + turn0 if (mu - edge0) * turn0 < 0.0 else mu
@@ -355,9 +331,9 @@ class WheelEstimator(Estimator):
         mu = math.remainder(mu, TWO_PI)  # wrap_angle, inline
         if mu == -math.pi:
             mu = math.pi
-        if not (sigma > 0.0 and math.isfinite(mu)):  # _belief's test
-            GaussianBelief(mu, sigma)  # raises the belief's own error
-        self.belief = belief = _new_tuple(GaussianBelief, (mu, sigma))
+        if not (sigma > 0.0 and math.isfinite(mu)):
+            _belief(mu, sigma)  # raises
+        self.belief = belief = (mu, sigma)
         return _new_tuple(Step, (belief, (used0, used1)))
 
 

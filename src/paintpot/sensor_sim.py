@@ -214,27 +214,29 @@ def sensor_spec_to_dict(spec: SensorSpec) -> dict:
     return data
 
 
-def sensor_geometry_from_dict(data: dict) -> Geometry:
+def sensor_geometry_from_dict(data: dict, path: str = "") -> Geometry:
     """A sensor file's tracks, angle limit and ADC width, checked: all that
     calibration reads of it.  The reference sensor its ``kind`` names fills
     the tracks and angle limit it leaves out
     (:func:`~paintpot.geometry.geometry_from_dict`).  A key no sensor file
-    holds is refused."""
+    holds is refused, named by its path after ``path``, the path of the
+    spec in the file that holds it (``"sensor."`` in an experiment config)."""
     with malformed("sensor spec"):
         geometry = geometry_from_dict(data["kind"], data)
         keys = ("kind", "noise_std", *TRUTH_KEYS[data["kind"]], *GEOMETRY_KEYS[data["kind"]])
-        refuse_unknown_keys(data, {"": keys}, "sensor-spec")
+        refuse_unknown_keys(data, {"": keys}, "sensor-spec", path)
         return geometry
 
 
-def sensor_spec_from_dict(data: dict) -> SensorSpec:
+def sensor_spec_from_dict(data: dict, path: str = "") -> SensorSpec:
     """Inverse of :func:`sensor_spec_to_dict`, with schema validation: the
     file's geometry (:func:`sensor_geometry_from_dict`), and a truth cubic
-    per wiper, which only the simulator reads."""
-    tracks, limit, adc_max = sensor_geometry_from_dict(data)
+    per wiper, which only the simulator reads.  ``path`` is as in
+    :func:`sensor_geometry_from_dict`, and begins each cubic's key."""
+    tracks, limit, adc_max = sensor_geometry_from_dict(data, path)
     with malformed("sensor spec"):
         names = TRUTH_KEYS[data["kind"]]
-        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n], n), t) for n, t in zip(names, tracks))
+        wipers = tuple(WiperSpec(CubicModel.from_dict(data[n], path + n), t) for n, t in zip(names, tracks))
         noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
         spec = SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
     for i, (truth, track) in enumerate(spec.wipers):

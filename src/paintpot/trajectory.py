@@ -153,11 +153,6 @@ class ExperimentResult:
     def __len__(self) -> int:
         return len(self.t)
 
-    def estimate_step_jumps(self) -> np.ndarray:
-        """|wrapped change in estimate| between consecutive steps (below pi,
-        which a tilt never moves in a step, wrapping changes no difference)."""
-        return np.abs([wrap_angle(d) for d in np.diff(self.theta_est).tolist()])
-
     def summary_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -215,18 +210,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     logs = [[0.0] * size for _ in range(7)]
     t_log, true_log, est_log, ref_log, u_log, f0_log, f1_log = logs
     traj, gains, tm, step_estimator = config.traj, config.gains, config.tm, estimator.step
-    true_log[0], est_log[0], ref_log[0] = theta, belief.mu, sample(traj, 0.0)[0]
+    true_log[0], est_log[0], ref_log[0] = theta, belief[0], sample(traj, 0.0)[0]
     f0_log[0], f1_log[0] = used
 
     for step, plant_draw, read_draws in zip(range(1, size), plant_noise, read_noise):
         t = step * dt
         ref_pos, ref_vel = sample(traj, t)
-        u = control_step(belief.mu, ref_pos, ref_vel, gains, tm, wheel)
+        u = control_step(belief[0], ref_pos, ref_vel, gains, tm, wheel)
         theta = simulate_plant_step(theta, u, tm.k, dt, plant_draw, limit)[0]
         belief, used = step_estimator(u, read(theta, sensor, read_draws))
         if not wheel:
             used = (used, False)
-        t_log[step], true_log[step], est_log[step] = t, theta, belief.mu
+        t_log[step], true_log[step], est_log[step] = t, theta, belief[0]
         ref_log[step], u_log[step] = ref_pos, u
         f0_log[step], f1_log[step] = used
     t_log, true_log, est_log, ref_log, u_log = (np.array(log, dtype=float) for log in logs[:5])

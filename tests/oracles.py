@@ -55,6 +55,12 @@ def wrap_brute(theta):
     return theta
 
 
+def estimate_step_jumps(theta_est):
+    """|Wrapped change| of an estimate between consecutive steps.  A tilt
+    never moves by pi in a step, so wrapping changes none of its changes."""
+    return np.abs([wrap_brute(d) for d in np.diff(theta_est).tolist()])
+
+
 def grid_bayes_posterior(mu_bar, sigma_bar, zs, rs, n_points=1_000_000, span_sigmas=8.0):
     """Brute-force Bayes on a uniform grid: prior times Gaussian likelihoods.
 

@@ -122,9 +122,14 @@ class TestSweep:
             ("wheel_reference", {"angle_limit": 1.0, "truth": presets.TILT_TRUTH.to_dict()},
              "unknown sensor-spec keys: angle_limit, truth"),
             ("tilt_reference", {"gap_w0": [1.5, 2.0]}, "unknown sensor-spec key: gap_w0"),
+            ("tilt_reference", {"truth": {**presets.TILT_TRUTH.to_dict(), "note": 1.0}},
+             "unknown cubic key: truth.note"),
+            ("wheel_reference", {"truth_w1": {**WHEEL_TRUTH_W1.to_dict(), "c_3": 0.0}},
+             "unknown cubic key: truth_w1.c_3"),
         ],
         ids=["bool_noise", "bool_limit", "text_noise", "bool_gap", "bool_c3", "text_v_window", "underscored_padded_c0",
-             "padded_c1", "arabic_digit_c0", "misspelt_noise", "tilt_keys_on_wheel", "gap_on_tilt"],
+             "padded_c1", "arabic_digit_c0", "misspelt_noise", "tilt_keys_on_wheel", "gap_on_tilt", "cubic_note",
+             "misspelt_cubic_key"],
     )
     def test_spec_fault_is_config_error_naming_its_key(self, tmp_path, capsys, preset, edit, message):
         spec_path = tmp_path / "spec.json"
@@ -360,10 +365,10 @@ def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
     )
     steps = [[AdcReading(i, count, True) for i, count in enumerate(row[1:-1])] for row in rows]
     belief = estimator.initialize(steps[0])
-    lines = [(rows[0][0], belief.mu, belief.sigma, len(estimate.extract_features(steps[0], obs)))]
+    lines = [(rows[0][0], belief[0], belief[1], len(estimate.extract_features(steps[0], obs)))]
     for row, readings_of_row in zip(rows[1:], steps[1:]):
         belief, used = estimator.step(row[-1], readings_of_row)
-        lines.append((row[0], belief.mu, belief.sigma, sum(used) if wheel else used))
+        lines.append((row[0], belief[0], belief[1], sum(used) if wheel else used))
     written = out.read_text().splitlines(keepends=True)
     assert written[1] == "t,mu,sigma,n_features\n"
     assert written[2:] == ["%.17g,%.17g,%.17g,%d\n" % line for line in lines]
@@ -399,7 +404,9 @@ def _set(*keys_and_value):
 
 # Bundle edits that put a count window outside [0, adc_max], a fit report
 # that is not an object or a key no bundle reader reads in the file, and the
-# field each error names.
+# field each error names.  An unknown key, or a cubic's, is named by its
+# path in the file that holds the bundle: "{at}" is "" in a bundle file and
+# "models." in an experiment config.
 BUNDLE_EDITS = [
     (_set("adc_max", 1000), "adc_max must be 2**bits - 1"),
     (_set("adc_max", 0), "adc_max must be 2**bits - 1"),
@@ -412,28 +419,81 @@ BUNDLE_EDITS = [
     (lambda data: data["models"].pop(), "wheel bundle has (models, valid ranges) = (1, 2), expected (2, 2)"),
     (_set("fit_report", []), "fit_report must be a JSON object, got []"),
     (_set("fit_report", None), "fit_report must be a JSON object, got None"),
-    (_set("filter", "Q", 0.5), "unknown model-bundle key: filter.Q"),
-    (_set("sigma_0", 5.0), "unknown model-bundle key: sigma_0"),
-    (_set("filter", "r", 1e-4), "unknown model-bundle key: filter.r"),  # a wheel's are r0 and r1
-    (_set("angle_limit", 1.0), "unknown model-bundle key: angle_limit"),  # a wheel wraps
+    (_set("filter", "Q", 0.5), "unknown model-bundle key: {at}filter.Q"),
+    (_set("sigma_0", 5.0), "unknown model-bundle key: {at}sigma_0"),
+    (_set("filter", "r", 1e-4), "unknown model-bundle key: {at}filter.r"),  # a wheel's are r0 and r1
+    (_set("angle_limit", 1.0), "unknown model-bundle key: {at}angle_limit"),  # a wheel wraps
+    (_set("models", 0, "note", 1.0), "unknown cubic key: {at}models[0].note"),
+    (lambda data: data["fit_report"].update(wiper=data["fit_report"].pop("wipers")),
+     "unknown model-bundle key: {at}fit_report.wiper"),
+    (_set("fit_report", "wipers", 1, "mean", 0.0), "unknown model-bundle key: {at}fit_report.wipers[1].mean"),
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
     "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "list_fit_report",
     "null_fit_report", "misspelt_filter_q", "misspelt_sigma0", "tilt_r_on_wheel", "limit_on_wheel",
+    "cubic_note", "misspelt_fit_report_wipers", "fit_stats_note",
 ]
+# Every bundle fault that `estimate` refuses, by the kind of bundle it is made in: the edits
+# above, then bad values, each naming its key path, and tilt bundle faults.
+BUNDLE_FAULTS = [("wheel", edit, message) for edit, message in BUNDLE_EDITS] + [
+    ("wheel", _set("filter", "r0", math.nan), "filter.r0 must be a finite number, got nan"),
+    ("wheel", _set("filter", "r1", "inf"), "filter.r1 must be a finite number, got 'inf'"),
+    ("wheel", _set("filter", "r0", 0.0), "wiper 0: measurement variance r must be finite and positive, got 0.0"),
+    ("wheel", _set("filter", "r1", -1e-4), "wiper 1: measurement variance r must be finite and positive"),
+    ("wheel", _set("filter", "k", "nan"), "filter.k must be a finite number, got 'nan'"),
+    ("wheel", _set("filter", "dt", math.inf), "filter.dt must be a finite number, got inf"),
+    ("wheel", _set("filter", "q", "-inf"), "filter.q must be a finite number, got '-inf'"),
+    ("wheel", _set("models", 0, "c1", "inf"), "models[0]: cubic coefficients must be finite"),
+    ("wheel", _set("filter", "k", True), "filter.k must be a finite number, got True"),
+    ("wheel", _set("filter", "q", " 5e-2 "), "filter.q must be a finite number, got ' 5e-2 '"),
+    ("wheel", _set("filter", "sigma0", "1e-4"), "filter.sigma0 must be a finite number, got '1e-4'"),
+    ("wheel", _set("filter", "r0", 10**400), "filter.r0 must be a finite number, got 1000"),
+    ("wheel", _set("models", 0, "c3", True), "models[0].c3 must be a finite number, got True"),
+    ("wheel", _set("models", 1, "v_window", ["0", "1023"]), "models[1].v_window must be a finite number, got '0'"),
+    ("wheel", _set("fit_report", "wipers", 0, "rms", True),
+     "fit_report.wipers[0].rms must be a finite number, got True"),
+    ("wheel", _set("fit_report", "wipers", 1, "max_abs", "0.1"),
+     "fit_report.wipers[1].max_abs must be a finite number, got '0.1'"),
+    ("wheel", _set("gap_w0", [True, 2.0]), "gap_w0 must be a finite number, got True"),
+    ("wheel", _set("models", 0, "c0", " -2.7_1630221539936167e+00 "),
+     "models[0].c0 must be an ASCII decimal string without '_' or padding, got ' -2.7_1630221539936167e+00 '"),
+    ("wheel", _set("models", 1, "c2", "-1.2_409e-05"),
+     "models[1].c2 must be an ASCII decimal string without '_' or padding, got '-1.2_409e-05'"),
+    ("wheel", _set("models", 0, "c3", "\t5.0281e-09"),
+     "models[0].c3 must be an ASCII decimal string without '_' or padding, got '\\t5.0281e-09'"),
+    ("wheel", _set("models", 1, "c0", "\u0665.0"),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
+     "models[1].c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
+    ("tilt", _set("filter", "r", "nan"), "filter.r must be a finite number, got 'nan'"),
+    ("tilt", _set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
+     "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
+    ("tilt", _set("filter", "r0", 1e-4), "unknown model-bundle key: filter.r0"),  # a tilt's is r
+    ("tilt", _set("gap_w0", [1.5, 2.0]), "unknown model-bundle key: gap_w0"),
+]
+BUNDLE_FAULT_IDS = BUNDLE_EDIT_IDS + [
+    "nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
+    "bool_k", "text_q", "text_sigma0", "huge_int_r0", "bool_c3", "text_v_window", "bool_rms",
+    "text_max_abs", "bool_gap_w0", "underscored_padded_c0", "underscored_c2", "tab_padded_c3",
+    "arabic_digit_c0", "nan_r", "valid_range", "wheel_r0_on_tilt", "gap_on_tilt",
+]
+
+
+def calibrated_bundle(tmp_path, kind):
+    """``tmp_path/bundle.json``, calibrated by the CLI on ``tmp_path/sweep.csv``,
+    a sweep of the reference sensor of ``kind``."""
+    sweep = tmp_path / "sweep.csv"
+    bundle_path = tmp_path / "bundle.json"
+    assert run_cli("sweep", "--spec", f"{kind}_reference", "--out", str(sweep), "--seed", "4") == 0
+    assert run_cli(
+        "calibrate", "--in", str(sweep), "--kind", kind, "--out", str(bundle_path),
+        "--k", "0.2", "--dt", "0.01", "--q", "0.05",
+    ) == 0
+    return bundle_path
 
 
 @pytest.fixture()
 def wheel_bundle(tmp_path):
-    sweep = tmp_path / "sweep.csv"
-    bundle_path = tmp_path / "bundle.json"
-    assert run_cli("sweep", "--spec", "wheel_reference", "--out", str(sweep), "--seed", "4") == 0
-    assert run_cli(
-        "calibrate", "--in", str(sweep), "--kind", "wheel", "--out", str(bundle_path),
-        "--k", "0.2", "--dt", "0.01", "--q", "0.05",
-    ) == 0
-    return bundle_path
+    return calibrated_bundle(tmp_path, "wheel")
 
 
 class TestEstimate:
@@ -629,93 +689,19 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit,message", BUNDLE_EDITS, ids=BUNDLE_EDIT_IDS)
-    def test_bundle_fault_is_schema_error_naming_its_key(
-        self, tmp_path, wheel_bundle, capsys, edit, message
-    ):
-        data = json.loads(Path(wheel_bundle).read_text())
-        edit(data)
-        bundle = tmp_path / "edited.json"
-        bundle.write_text(json.dumps(data))
-        readings = tmp_path / "r.csv"
-        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
-        out = tmp_path / "t.csv"
-        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
-                       "--out", str(out)) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (_set("filter", "r0", math.nan), "filter.r0 must be a finite number, got nan"),
-            (_set("filter", "r1", "inf"), "filter.r1 must be a finite number, got 'inf'"),
-            (_set("filter", "r0", 0.0), "wiper 0: measurement variance r must be finite and positive, got 0.0"),
-            (_set("filter", "r1", -1e-4), "wiper 1: measurement variance r must be finite and positive"),
-            (_set("filter", "k", "nan"), "filter.k must be a finite number, got 'nan'"),
-            (_set("filter", "dt", math.inf), "filter.dt must be a finite number, got inf"),
-            (_set("filter", "q", "-inf"), "filter.q must be a finite number, got '-inf'"),
-            (_set("models", 0, "c1", "inf"), "models[0]: cubic coefficients must be finite"),
-            (_set("filter", "k", True), "filter.k must be a finite number, got True"),
-            (_set("filter", "q", " 5e-2 "), "filter.q must be a finite number, got ' 5e-2 '"),
-            (_set("filter", "sigma0", "1e-4"), "filter.sigma0 must be a finite number, got '1e-4'"),
-            (_set("filter", "r0", 10**400), "filter.r0 must be a finite number, got 1000"),
-            (_set("models", 0, "c3", True), "models[0].c3 must be a finite number, got True"),
-            (_set("models", 1, "v_window", ["0", "1023"]), "models[1].v_window must be a finite number, got '0'"),
-            (_set("fit_report", "wipers", 0, "rms", True), "fit_report.wipers[0].rms must be a finite number, got True"),
-            (_set("fit_report", "wipers", 1, "max_abs", "0.1"),
-             "fit_report.wipers[1].max_abs must be a finite number, got '0.1'"),
-            (_set("gap_w0", [True, 2.0]), "gap_w0 must be a finite number, got True"),
-            (_set("models", 0, "c0", " -2.7_1630221539936167e+00 "),
-             "models[0].c0 must be an ASCII decimal string without '_' or padding, got ' -2.7_1630221539936167e+00 '"),
-            (_set("models", 1, "c2", "-1.2_409e-05"),
-             "models[1].c2 must be an ASCII decimal string without '_' or padding, got '-1.2_409e-05'"),
-            (_set("models", 0, "c3", "\t5.0281e-09"),
-             "models[0].c3 must be an ASCII decimal string without '_' or padding, got '\\t5.0281e-09'"),
-            (_set("models", 1, "c0", "\u0665.0"),  # ARABIC-INDIC DIGIT FIVE: float() reads 5.0
-             "models[1].c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
-        ],
-        ids=["nan_r0", "inf_r1", "zero_r0", "negative_r1", "nan_k", "inf_dt", "minus_inf_q", "inf_c1",
-             "bool_k", "text_q", "text_sigma0", "huge_int_r0", "bool_c3", "text_v_window", "bool_rms",
-             "text_max_abs", "bool_gap_w0", "underscored_padded_c0", "underscored_c2", "tab_padded_c3",
-             "arabic_digit_c0"],
-    )
-    def test_bad_filter_value_is_schema_error(self, tmp_path, wheel_bundle, capsys, edit, message):
-        data = json.loads(Path(wheel_bundle).read_text())
-        edit(data)
-        bundle = tmp_path / "edited.json"
-        bundle.write_text(json.dumps(data))
-        readings = tmp_path / "r.csv"
-        write_readings_csv(readings, [(0.0, 500, 510, 0.0), (0.01, 500, 510, 0.0)])
-        out = tmp_path / "t.csv"
-        assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
-                       "--out", str(out)) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (_set("filter", "r", "nan"), "filter.r must be a finite number, got 'nan'"),
-            (_set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
-             "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
-            (_set("filter", "r0", 1e-4), "unknown model-bundle key: filter.r0"),  # a tilt's is r
-            (_set("gap_w0", [1.5, 2.0]), "unknown model-bundle key: gap_w0"),
-        ],
-        ids=["nan_r", "valid_range", "wheel_r0_on_tilt", "gap_on_tilt"],
-    )
-    def test_bad_tilt_bundle_is_schema_error(self, tmp_path, capsys, edit, message):
-        sweep, bundle = tmp_path / "tsweep.csv", tmp_path / "tbundle.json"
-        assert run_cli("sweep", "--spec", "tilt_reference", "--out", str(sweep), "--seed", "5") == 0
-        assert run_cli("calibrate", "--in", str(sweep), "--kind", "tilt", "--out", str(bundle)) == 0
+    @pytest.mark.parametrize("kind,edit,message", BUNDLE_FAULTS, ids=BUNDLE_FAULT_IDS)
+    def test_bundle_fault_is_schema_error_naming_its_key(self, tmp_path, capsys, kind, edit, message):
+        bundle = calibrated_bundle(tmp_path, kind)
         data = json.loads(bundle.read_text())
         edit(data)
         bundle.write_text(json.dumps(data))
-        readings = tmp_path / "treadings.csv"
-        write_readings_csv(readings, [(0.0, 500, 0.0), (0.01, 500, 0.0)], wheel=False)
+        counts = (500, 510) if kind == "wheel" else (500,)
+        readings, out = tmp_path / "r.csv", tmp_path / "t.csv"
+        write_readings_csv(readings, [(0.0, *counts, 0.0), (0.01, *counts, 0.0)], wheel=kind == "wheel")
         assert run_cli("estimate", "--model", str(bundle), "--readings", str(readings),
-                       "--out", str(tmp_path / "t.csv")) == 2
-        assert message in capsys.readouterr().err
+                       "--out", str(out)) == 2
+        assert message.format(at="") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_comment_lines_keep_physical_line_numbers(self, tmp_path, wheel_bundle, capsys):
         lines = [
@@ -808,7 +794,7 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(config))
         assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix",
                        str(tmp_path / "run")) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(at="models.") in capsys.readouterr().err
         assert not (tmp_path / "run_trace.csv").exists()
 
     def test_custom_gap_sensor_meets_the_preset_bound(self, tmp_path):
@@ -838,10 +824,10 @@ class TestExperiment:
         assert any(row[5] == "1" for row in rows)  # f0_avail column
 
     def test_non_finite_number_in_an_unused_key_is_config_error(self, tmp_path, capsys):
-        # The summary echoes the config and is written without NaN.  An unknown
-        # key of the config or of its sensor spec is refused first; a cubic's are not read.
+        # The summary echoes the config and is written without NaN.  Every other
+        # key is read or refused as unknown first; no reader reads an inline bundle's manifest.
         config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["tilt_sweep"]))
-        config["sensor"]["truth"]["note"] = math.nan
+        config["models"] = {**json.loads(calibrated_bundle(tmp_path, "tilt").read_text()), "manifest": math.nan}
         cfg_path = tmp_path / "nan.json"
         cfg_path.write_text(json.dumps(config))
         assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "x")) == 2
@@ -1111,6 +1097,8 @@ UNKNOWN_CONFIG_KEYS = [
     (("transition.dt",), "unknown experiment-config key: transition.dt"),
     (("calibration.rate",), "unknown experiment-config key: calibration.rate"),
     (("controller.kP", "sigma_0"), "unknown experiment-config keys: sigma_0, controller.kP"),
+    (("sensor.note",), "unknown sensor-spec key: sensor.note"),
+    (("sensor.truth.note",), "unknown cubic key: sensor.truth.note"),
 ]
 
 

@@ -20,7 +20,6 @@ from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError
 from paintpot.estimate import (
-    GaussianBelief,
     ObservationModel,
     TiltEstimator,
     TransitionModel,
@@ -103,29 +102,42 @@ def wheel_belief(mu, sigma):
     return initial_belief((AdcReading(0, 0, True), AdcReading(1, 0, True)), obs, sigma0=sigma)
 
 
+def stepped(estimator, belief):
+    """``estimator`` stepped once, with no motion and no reading admitted, from ``belief``."""
+    estimator.belief = belief
+    return estimator.step(0.0, tuple(AdcReading(i, 0, False) for i in range(len(estimator.obs.wipers))))
+
+
+STILL = TransitionModel(k=1.0, dt=0.01, q=0.0)
+# Every entry point that makes a belief, given one to start from: each
+# passes a non-finite mean or a variance that is not positive on to the
+# belief it makes.
+BELIEF_MAKERS = {
+    "predict": lambda belief: predict(belief, 0.0, STILL),
+    "update_wheel": lambda belief: update_wheel(belief, [(0, 0.1, 1e-4)], [belief[0]]),
+    "update_tilt": lambda belief: update_tilt(belief, AdcReading(0, 384, True), tilt_obs(EXACT_M0, 1e-4)),
+    "wheel_step": lambda belief: stepped(WheelEstimator(exact_obs(), STILL), belief),
+    "tilt_step": lambda belief: stepped(TiltEstimator(tilt_obs(EXACT_M0, 1e-4), STILL), belief),
+}
+
+
 class TestValueChecks:
+    @pytest.mark.parametrize("make", BELIEF_MAKERS.values(), ids=BELIEF_MAKERS)
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
-    def test_belief_rejects_non_finite_mean(self, mu):
-        with pytest.raises(SpecError, match="mean must be finite"):
-            GaussianBelief(mu, 1e-4)
+    def test_belief_rejects_non_finite_mean(self, mu, make):
+        with pytest.raises(SpecError, match="^belief mean must be finite, got "):
+            make((mu, 1e-4))
 
+    @pytest.mark.parametrize("make", [
+        *BELIEF_MAKERS.values(),
+        lambda belief: initial_belief((AdcReading(0, 384, True), AdcReading(1, 500, True)), exact_obs(), belief[1]),
+    ], ids=[*BELIEF_MAKERS, "initial_belief"])
     @pytest.mark.parametrize("sigma", [0.0, -1e-9, math.nan])
-    def test_belief_rejects_non_positive_or_nan_variance(self, sigma):
-        with pytest.raises(SpecError, match="variance must be positive"):
-            GaussianBelief(0.1, sigma)
+    def test_belief_rejects_non_positive_or_nan_variance(self, sigma, make):
+        with pytest.raises(SpecError, match="^belief variance must be positive, got "):
+            make((0.1, sigma))
 
-    def test_replace_runs_the_checks(self):
-        with pytest.raises(SpecError):
-            GaussianBelief(0.1, 1e-4)._replace(sigma=0.0)
-        assert GaussianBelief(0.1, 1e-4)._replace(mu=0.2) == GaussianBelief(0.2, 1e-4)
-
-    @pytest.mark.parametrize(
-        "value,attribute",
-        [
-            (AdcReading(0, 384, True), "count"),
-            (GaussianBelief(0.1, 1e-4), "mu"),
-        ],
-    )
+    @pytest.mark.parametrize("value,attribute", [(AdcReading(0, 384, True), "count")])
     def test_per_step_values_are_immutable(self, value, attribute):
         with pytest.raises(AttributeError):
             setattr(value, attribute, 1)
@@ -198,7 +210,7 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("available", [True, False])
     def test_tilt_reading_of_an_unknown_wiper_rejected(self, available):
-        obs, belief = tilt_obs(EXACT_M0, 1e-4), GaussianBelief(0.1, 1e-4)
+        obs, belief = tilt_obs(EXACT_M0, 1e-4), (0.1, 1e-4)
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 5$"):
             update_tilt(belief, AdcReading(5, 500, available), obs)
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got -1$"):
@@ -268,8 +280,8 @@ class TestInitWheel:
         obs = exact_obs()
         readings = (AdcReading(0, 384, True), AdcReading(1, 500, True))
         belief = initial_belief(readings, obs, sigma0=1e-4)
-        assert belief.mu == 0.5  # 384 * 2**-8 - 1.0 exactly
-        assert belief.sigma == 1e-4
+        assert belief[0] == 0.5  # 384 * 2**-8 - 1.0 exactly
+        assert belief[1] == 1e-4
 
     def test_wiper0_shifts_up_when_below_minus_pi(self):
         # Chart value -1.1*pi is below the seam, so a full turn is added.
@@ -277,14 +289,14 @@ class TestInitWheel:
         obs = wheel_obs(m0, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
         readings = (AdcReading(0, 100, True), AdcReading(1, 500, True))
         belief = initial_belief(readings, obs)
-        assert belief.mu == pytest.approx(0.9 * PI, abs=1e-9)
+        assert belief[0] == pytest.approx(0.9 * PI, abs=1e-9)
 
     def test_falls_back_to_wiper1_and_shifts_down(self):
         m1 = CubicModel(0.0, 0.0, 0.01, 1.1 * PI - 1.0, (0.0, 1023.0))
         obs = wheel_obs(EXACT_M0, m1, 1e-4, 1e-4, WIDE_RANGES)
         readings = (AdcReading(0, 1000, True), AdcReading(1, 100, True))  # 1000 not admitted
         belief = initial_belief(readings, obs)
-        assert belief.mu == pytest.approx(-0.9 * PI, abs=1e-9)
+        assert belief[0] == pytest.approx(-0.9 * PI, abs=1e-9)
 
     def test_no_valid_reading_raises(self):
         obs = exact_obs()
@@ -296,12 +308,12 @@ class TestInitWheel:
         obs = exact_obs()
         readings = (AdcReading(0, 384, False), AdcReading(1, 500, True))
         belief = initial_belief(readings, obs)
-        assert belief.mu == 500 * 2.0**-8 - 0.5
+        assert belief[0] == 500 * 2.0**-8 - 0.5
 
     def test_readings_are_taken_in_wiper_order(self):
         obs = exact_obs()
         readings = (AdcReading(1, 500, True), AdcReading(0, 384, True))
-        assert initial_belief(readings, obs).mu == 0.5  # wiper 0's value
+        assert initial_belief(readings, obs)[0] == 0.5  # wiper 0's value
 
     def test_one_reading_per_wiper_required(self):
         with pytest.raises(SpecError, match="one reading per wiper"):
@@ -316,48 +328,48 @@ class TestInitWheel:
     # tests below pin where they differ.
     @given(st.floats(-2.99 * PI, PI).filter(lambda v: v != -PI))
     def test_wiper0_agrees_with_the_turn_rule_within_a_turn(self, value):
-        assert wheel_belief(value, 1e-4).mu == per_wiper_turn_rule(value, 0)
+        assert wheel_belief(value, 1e-4)[0] == per_wiper_turn_rule(value, 0)
 
     @given(st.floats(-PI, 2.99 * PI, exclude_min=True))
     def test_wiper1_agrees_with_the_turn_rule_within_a_turn(self, value):
         m1 = CubicModel(0.0, 0.0, 1.0, value, (0.0, 1023.0))
         obs = ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1, WHEEL_TRACKS[0]), Wiper(m1, 1e-4, 0, 0, WHEEL_TRACKS[1])))
         readings = (AdcReading(0, 0, True), AdcReading(1, 0, True))  # wiper 0 not admitted
-        assert initial_belief(readings, obs).mu == per_wiper_turn_rule(value, 1)
+        assert initial_belief(readings, obs)[0] == per_wiper_turn_rule(value, 1)
 
     def test_wiper0_at_minus_pi_seeds_pi(self):
         # The turn rule kept -pi, a mean outside the wheel chart (-pi, pi].
         assert per_wiper_turn_rule(-PI, 0) == -PI
-        assert wheel_belief(-PI, 1e-4).mu == PI
+        assert wheel_belief(-PI, 1e-4)[0] == PI
 
     def test_wiper0_above_pi_is_wrapped(self):
         # The turn rule left a wiper-0 value above pi as it was.
         assert per_wiper_turn_rule(1.1 * PI, 0) == 1.1 * PI
-        assert wheel_belief(1.1 * PI, 1e-4).mu == pytest.approx(-0.9 * PI, abs=1e-12)
+        assert wheel_belief(1.1 * PI, 1e-4)[0] == pytest.approx(-0.9 * PI, abs=1e-12)
 
     def test_value_more_than_a_turn_out_is_wrapped_fully(self):
         # The turn rule added one turn only, leaving -3.5*pi at -1.5*pi.
         assert per_wiper_turn_rule(-3.5 * PI, 0) == pytest.approx(-1.5 * PI, abs=1e-12)
-        assert wheel_belief(-3.5 * PI, 1e-4).mu == pytest.approx(0.5 * PI, abs=1e-12)
+        assert wheel_belief(-3.5 * PI, 1e-4)[0] == pytest.approx(0.5 * PI, abs=1e-12)
 
 
 class TestPredict:
     def test_identity_with_zero_input_and_noise(self):
         tm = TransitionModel(k=0.1, dt=0.01, q=0.0)
-        belief = GaussianBelief(0.0, 1e-4)
+        belief = (0.0, 1e-4)
         assert predict(belief, 0.0, tm) == belief
 
     def test_arithmetic_example(self):
         tm = TransitionModel(k=0.05, dt=0.02, q=0.01)
-        out = predict(GaussianBelief(0.2, 1e-4), 1.0, tm)
-        assert out.mu == pytest.approx(0.201, abs=1e-15)
-        assert out.sigma == pytest.approx(1.04e-4, abs=1e-18)
+        out = predict((0.2, 1e-4), 1.0, tm)
+        assert out[0] == pytest.approx(0.201, abs=1e-15)
+        assert out[1] == pytest.approx(1.04e-4, abs=1e-18)
 
     def test_variance_strictly_grows_with_positive_q(self):
         tm = TransitionModel(k=0.1, dt=0.01, q=0.5)
-        belief = GaussianBelief(0.3, 2e-4)
+        belief = (0.3, 2e-4)
         for u in (-2.0, 0.0, 2.0):
-            assert predict(belief, u, tm).sigma > belief.sigma
+            assert predict(belief, u, tm)[1] > belief[1]
 
 
 class TestExtractFeatures:
@@ -418,7 +430,7 @@ class TestExtractFeatures:
                     assert list(map(hexed, got)) == list(map(hexed, want))
                     if not obs.wrap:  # the tilt update admits by its own test, which must agree
                         reading = AdcReading(index, count, available)
-                        assert update_tilt(GaussianBelief(0.0, 1e-4), reading, obs)[1] == admitted
+                        assert update_tilt((0.0, 1e-4), reading, obs)[1] == admitted
         top = len(obs.wipers) - 1
         with pytest.raises(SpecError, match=f"^wiper index must be in 0..{top}, got {top + 1}$"):
             extract_features((AdcReading(top + 1, 500, True),), obs)
@@ -448,7 +460,7 @@ class TestExtractFeatures:
         obs = exact_obs()
         for count in (-1, obs.wipers[0].hi + 1):
             readings = (AdcReading(0, count, True), AdcReading(1, 500, True))
-            assert initial_belief(readings, obs).mu == 500 * 2.0**-8 - 0.5
+            assert initial_belief(readings, obs)[0] == 500 * 2.0**-8 - 0.5
 
 
 class TestPredictedFeatureMeasurement:
@@ -499,47 +511,47 @@ class TestPredictedFeatureMeasurement:
             wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, z, (0.0, 1023.0)), 1e-4, 0, 0, track0)  # chart[0] == z
             estimator = WheelEstimator(ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, track1))),
                                        TransitionModel(k=1.0, dt=0.01, q=0.0))
-            estimator.belief = GaussianBelief(mu, 1e-4)
+            estimator.belief = (mu, 1e-4)
             used.append(estimator.step(0.0, (AdcReading(0, 0, True), AdcReading(1, 0, False))).used)
         assert used == ([(True, False), (False, False)] if tracks == "custom" else [(False, False), (True, False)])
 
 
 class TestUpdateWheel:
     def test_perfect_measurement_limit(self):
-        belief = GaussianBelief(0.0, 1.0)
+        belief = (0.0, 1.0)
         out = update_wheel(belief, [(0, 0.3, 1e-12)], [0.0])
-        assert out.mu == pytest.approx(0.3, abs=1e-6)
-        assert out.sigma < 1e-11
+        assert out[0] == pytest.approx(0.3, abs=1e-6)
+        assert out[1] < 1e-11
 
     def test_scalar_arithmetic_example(self):
-        belief = GaussianBelief(0.0, 1e-2)
+        belief = (0.0, 1e-2)
         out = update_wheel(belief, [(0, 0.1, 1e-2)], [0.0])
-        assert out.mu == pytest.approx(0.05, abs=1e-15)
-        assert out.sigma == pytest.approx(5e-3, abs=1e-15)
+        assert out[0] == pytest.approx(0.05, abs=1e-15)
+        assert out[1] == pytest.approx(5e-3, abs=1e-15)
 
     def test_equal_variance_pair_fuses_to_half_variance(self):
-        belief = GaussianBelief(0.2, 4e-3)
+        belief = (0.2, 4e-3)
         z, r = 0.26, 2e-3
         dual = update_wheel(
-            belief, [(0, z, r), (1, z, r)], [belief.mu, belief.mu]
+            belief, [(0, z, r), (1, z, r)], [belief[0], belief[0]]
         )
-        single = update_wheel(belief, [(0, z, r / 2.0)], [belief.mu])
-        assert dual.mu == pytest.approx(single.mu, rel=1e-12)
-        assert dual.sigma == pytest.approx(single.sigma, rel=1e-12)
-        mu_star, var_star = fuse_information(belief.mu, belief.sigma, [z, z], [r, r])
-        assert dual.mu == pytest.approx(mu_star, rel=1e-12)
-        assert dual.sigma == pytest.approx(var_star, rel=1e-12)
+        single = update_wheel(belief, [(0, z, r / 2.0)], [belief[0]])
+        assert dual[0] == pytest.approx(single[0], rel=1e-12)
+        assert dual[1] == pytest.approx(single[1], rel=1e-12)
+        mu_star, var_star = fuse_information(belief[0], belief[1], [z, z], [r, r])
+        assert dual[0] == pytest.approx(mu_star, rel=1e-12)
+        assert dual[1] == pytest.approx(var_star, rel=1e-12)
 
     def test_zero_features_degenerates_to_prediction(self):
-        belief = GaussianBelief(0.4, 3e-3)
+        belief = (0.4, 3e-3)
         out = update_wheel(belief, [], [])
         assert out == belief
 
     def test_posterior_mean_is_wrapped(self):
-        belief = GaussianBelief(0.999 * PI, 1e-2)
-        out = update_wheel(belief, [(0, belief.mu + 0.05, 1e-4)], [belief.mu])
-        assert out.mu == pytest.approx(wrap_brute(0.999 * PI + 0.05 * (1e-2 / 1.01e-2)), abs=1e-9)
-        assert -PI < out.mu <= PI
+        belief = (0.999 * PI, 1e-2)
+        out = update_wheel(belief, [(0, belief[0] + 0.05, 1e-4)], [belief[0]])
+        assert out[0] == pytest.approx(wrap_brute(0.999 * PI + 0.05 * (1e-2 / 1.01e-2)), abs=1e-9)
+        assert -PI < out[0] <= PI
 
     def test_dual_equals_sequential_fusion(self):
         rng = np.random.default_rng(12)
@@ -549,7 +561,7 @@ class TestUpdateWheel:
             r0, r1 = (float(10.0 ** rng.uniform(-5, -1)) for _ in range(2))
             z0 = mu + float(rng.normal(0.0, math.sqrt(sigma + r0)))
             z1 = mu + float(rng.normal(0.0, math.sqrt(sigma + r1)))
-            belief = GaussianBelief(mu, sigma)
+            belief = (mu, sigma)
             dual = update_wheel(belief, [(0, z0, r0), (1, z1, r1)], [mu, mu])
             first = update_wheel(belief, [(0, z0, r0)], [mu])
             # No predict between: the second innovation is measured against
@@ -557,10 +569,10 @@ class TestUpdateWheel:
             seq = update_wheel(
                 first,
                 [(1, z1, r1)],
-                [WHEEL_TRACKS[1].shift(first.mu)],
+                [WHEEL_TRACKS[1].shift(first[0])],
             )
-            assert dual.mu == pytest.approx(seq.mu, rel=1e-12, abs=1e-12)
-            assert dual.sigma == pytest.approx(seq.sigma, rel=1e-12)
+            assert dual[0] == pytest.approx(seq[0], rel=1e-12, abs=1e-12)
+            assert dual[1] == pytest.approx(seq[1], rel=1e-12)
 
 
 class TestWrapWheelBelief:
@@ -568,52 +580,52 @@ class TestWrapWheelBelief:
     # after each update.
     def test_wraps_above(self):
         out = wheel_belief(1.1 * PI, 2e-3)
-        assert out.mu == pytest.approx(-0.9 * PI, abs=1e-12)
-        assert out.sigma == 2e-3
+        assert out[0] == pytest.approx(-0.9 * PI, abs=1e-12)
+        assert out[1] == 2e-3
 
     def test_wraps_below(self):
         out = wheel_belief(-1.1 * PI, 2e-3)
-        assert out.mu == pytest.approx(0.9 * PI, abs=1e-12)
+        assert out[0] == pytest.approx(0.9 * PI, abs=1e-12)
 
     def test_interior_fixed_point_and_idempotence(self):
-        belief = GaussianBelief(0.5, 1e-3)
+        belief = (0.5, 1e-3)
         once = wheel_belief(*belief)
         assert once == belief
         far = wheel_belief(7.3 * PI, 1e-3)
         assert wheel_belief(*far) == far
-        assert far.mu == pytest.approx(wrap_brute(7.3 * PI), abs=1e-9)
+        assert far[0] == pytest.approx(wrap_brute(7.3 * PI), abs=1e-9)
 
     @pytest.mark.parametrize("mu", [-PI, 3.0 * PI, -PI + 1e-12])
     def test_step_wraps_its_mean_onto_the_chart(self, mu):
         # No feature and no motion: the step's mean is the belief's, wrapped, and -pi is stored as pi.
         estimator = WheelEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0))
-        estimator.belief = GaussianBelief(mu, 1e-4)
+        estimator.belief = (mu, 1e-4)
         step = estimator.step(0.0, (AdcReading(0, 500, False), AdcReading(1, 500, False)))
-        assert step == ((wrap_angle(mu), 1e-4), (False, False)) and step.belief.mu in (PI, -PI + 1e-12)
+        assert step == ((wrap_angle(mu), 1e-4), (False, False)) and step.belief[0] in (PI, -PI + 1e-12)
 
 
 class TestUpdateTilt:
     def test_symmetric_fusion(self):
         obs = tilt_obs(EXACT_M0, 1e-4)
-        belief = GaussianBelief(0.3, 1e-4)  # sigma == r -> K = 0.5
+        belief = (0.3, 1e-4)  # sigma == r -> K = 0.5
         out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)
         assert accepted
-        assert out.mu == pytest.approx((belief.mu + 0.5) / 2.0, abs=1e-15)
+        assert out[0] == pytest.approx((belief[0] + 0.5) / 2.0, abs=1e-15)
 
     def test_scalar_arithmetic_example(self):
         # z is irrelevant to the gain: sigma=1e-4, r=1e-2 -> K ~ 9.901e-3.
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.25, (0.0, 1023.0))
         obs = tilt_obs(m, 1e-2)
-        belief = GaussianBelief(0.2, 1e-4)
+        belief = (0.2, 1e-4)
         out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)  # z = 0.25
         assert accepted
-        assert out.mu == pytest.approx(0.2004950495, abs=1e-9)
-        assert out.sigma == pytest.approx(9.90099009901e-5, rel=1e-9)
+        assert out[0] == pytest.approx(0.2004950495, abs=1e-9)
+        assert out[1] == pytest.approx(9.90099009901e-5, rel=1e-9)
 
     def test_out_of_window_rejected(self):
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.0, 900.0))
         obs = tilt_obs(m, 1e-4)
-        belief = GaussianBelief(0.1, 1e-4)
+        belief = (0.1, 1e-4)
         out, accepted = update_tilt(belief, AdcReading(0, 950, True), obs)
         assert not accepted
         assert out == belief
@@ -623,13 +635,13 @@ class TestInitTilt:
     def test_linear_chart(self):
         obs = tilt_obs(EXACT_M0, 1e-4)
         belief = initial_belief((AdcReading(0, 512, True),), obs, sigma0=1e-4)
-        assert belief.mu == 512 * 2.0**-8 - 1.0
-        assert belief.sigma == 1e-4
+        assert belief[0] == 512 * 2.0**-8 - 1.0
+        assert belief[1] == 1e-4
 
     def test_reference_tilt_chart(self):
         obs = tilt_obs(TILT_TRUTH, 1e-4)
         belief = initial_belief((AdcReading(0, 500, True),), obs)
-        assert belief.mu == pytest.approx(
+        assert belief[0] == pytest.approx(
             cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, 500.0), abs=1e-12
         )
 
@@ -645,41 +657,41 @@ class TestVarianceLaws:
         rng = np.random.default_rng(13)
         for _ in range(500):
             sigma = float(10.0 ** rng.uniform(-6, 0))
-            belief = GaussianBelief(float(rng.uniform(-1, 1)), sigma)
+            belief = (float(rng.uniform(-1, 1)), sigma)
             n_features = int(rng.integers(0, 3))
             features = [
-                (i, belief.mu + float(rng.normal(0, 0.01)), float(10.0 ** rng.uniform(-6, 0)))
+                (i, belief[0] + float(rng.normal(0, 0.01)), float(10.0 ** rng.uniform(-6, 0)))
                 for i in range(n_features)
             ]
-            out = update_wheel(belief, features, [belief.mu] * n_features)
+            out = update_wheel(belief, features, [belief[0]] * n_features)
             if n_features == 0:
-                assert out.sigma == belief.sigma
+                assert out[1] == belief[1]
             else:
-                assert out.sigma < belief.sigma
+                assert out[1] < belief[1]
 
 
 class TestGridBayesAgreement:
     def test_single_cycle_matches_brute_force(self):
         # Mini version of the acceptance criterion: one case per mode.
         tm = TransitionModel(k=0.2, dt=0.01, q=0.04)
-        belief = GaussianBelief(0.6, 4e-4)
+        belief = (0.6, 4e-4)
         u = 0.8
         bar = predict(belief, u, tm)
-        mu_bar = belief.mu + tm.k * tm.dt * u
-        sigma_bar = belief.sigma + tm.dt * tm.dt * tm.q
-        assert bar.mu == pytest.approx(mu_bar, abs=1e-15)
+        mu_bar = belief[0] + tm.k * tm.dt * u
+        sigma_bar = belief[1] + tm.dt * tm.dt * tm.q
+        assert bar[0] == pytest.approx(mu_bar, abs=1e-15)
 
         z0, r0 = 0.62, 2e-4
         z1, r1 = 0.59, 5e-4
-        single = update_wheel(bar, [(0, z0, r0)], [bar.mu])
+        single = update_wheel(bar, [(0, z0, r0)], [bar[0]])
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, [z0], [r0], n_points=400_000)
-        assert single.mu == pytest.approx(mean, rel=1e-6)
-        assert single.sigma == pytest.approx(var, rel=1e-6)
+        assert single[0] == pytest.approx(mean, rel=1e-6)
+        assert single[1] == pytest.approx(var, rel=1e-6)
 
-        dual = update_wheel(bar, [(0, z0, r0), (1, z1, r1)], [bar.mu, bar.mu])
+        dual = update_wheel(bar, [(0, z0, r0), (1, z1, r1)], [bar[0], bar[0]])
         mean, var = grid_bayes_posterior(mu_bar, sigma_bar, [z0, z1], [r0, r1], n_points=400_000)
-        assert dual.mu == pytest.approx(mean, rel=1e-6)
-        assert dual.sigma == pytest.approx(var, rel=1e-6)
+        assert dual[0] == pytest.approx(mean, rel=1e-6)
+        assert dual[1] == pytest.approx(var, rel=1e-6)
 
 
 class TestFeatureConsistencyOnGrid:
@@ -777,10 +789,10 @@ class TestFloatStepMatchesReference:
         obs = truth_obs(*r)
         charts = [np.asarray(wiper.chart) for wiper in obs.wipers]
         estimator = WheelEstimator(obs, tm)
-        estimator.belief = GaussianBelief(mu0, sigma0)
+        estimator.belief = (mu0, sigma0)
         for _ in range(data.draw(st.integers(1, 40))):
             belief, u = estimator.belief, data.draw(STEP_INPUTS)
-            mu_bar = belief.mu + tm.k * tm.dt * u
+            mu_bar = belief[0] + tm.k * tm.dt * u
             readings = []
             for index, (wiper, chart) in enumerate(zip(obs.wipers, charts)):
                 # A count tracking the prediction, one beyond the gate, or an edge count.
@@ -801,7 +813,7 @@ class TestFloatStepMatchesReference:
                     estimator.step(u, readings)
                 return
             got = estimator.step(u, readings)
-            assert (got.belief.mu.hex(), got.belief.sigma.hex()) == (want[0].mu.hex(), want[0].sigma.hex())
+            assert (got.belief[0].hex(), got.belief[1].hex()) == (want[0][0].hex(), want[0][1].hex())
             assert got.used == want[1] and estimator.belief is got.belief
 
     @settings(max_examples=200, deadline=None)
@@ -825,10 +837,10 @@ class TestFloatStepMatchesReference:
         (wiper,) = obs.wipers
         chart = np.asarray(wiper.chart)
         estimator = TiltEstimator(obs, tm)
-        estimator.belief = GaussianBelief(mu0, sigma0)
+        estimator.belief = (mu0, sigma0)
         for _ in range(data.draw(st.integers(1, 40))):
             belief, u = estimator.belief, data.draw(STEP_INPUTS)
-            mu_bar = belief.mu + tm.k * tm.dt * u
+            mu_bar = belief[0] + tm.k * tm.dt * u
             near = int(np.argmin(np.abs(chart - mu_bar))) if math.isfinite(mu_bar) else 0
             count = data.draw(st.one_of(
                 st.integers(-3, 3).map(lambda d: near + d),
@@ -844,5 +856,5 @@ class TestFloatStepMatchesReference:
                     estimator.step(u, (reading,))
                 return
             got = estimator.step(u, (reading,))
-            assert (got.belief.mu.hex(), got.belief.sigma.hex()) == (want[0].mu.hex(), want[0].sigma.hex())
+            assert (got.belief[0].hex(), got.belief[1].hex()) == (want[0][0].hex(), want[0][1].hex())
             assert got.used is want[1] and estimator.belief is got.belief

@@ -23,7 +23,7 @@ from paintpot.trajectory import (
     sample,
 )
 
-from oracles import quintic_coefficients, wrap_brute
+from oracles import estimate_step_jumps, quintic_coefficients, wrap_brute
 
 PI = math.pi
 
@@ -155,7 +155,7 @@ class TestRunExperiment:
             current = current + 1 if flag else 0
             best = max(best, current)
         assert best >= 10
-        assert float(result.estimate_step_jumps().max()) < 0.05
+        assert float(estimate_step_jumps(result.theta_est).max()) < 0.05
 
     def test_kind_mismatch_rejected(self):
         config = wheel_config()
