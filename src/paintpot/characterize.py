@@ -500,21 +500,21 @@ def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
                  "filter": (*_FILTER_KEYS, *variance_keys(len(tracks))), "fit_report": ("wipers",)}
         refuse_unknown_keys(data, known, "model-bundle", path)
         models = tuple(CubicModel.from_dict(m, f"{path}models[{i}]") for i, m in enumerate(data["models"]))
-        ranges = tuple(
-            ValidRange(*(as_int(r[k], f"valid_ranges[{i}].{k}") for k in ("v_min", "v_max")))
-            for i, r in enumerate(data.get("valid_ranges", []))
-        )
+
+        def entries(objects, at, fields):
+            """Each object's checked fields; a key it does not read is refused."""
+            for i, obj in enumerate(objects):
+                yield [check(obj[k], f"{at}[{i}].{k}") for check, k in fields]
+                refuse_unknown_keys(obj, {"": [k for _, k in fields]}, "model-bundle", f"{path}{at}[{i}].")
+
+        ranges = entries(data.get("valid_ranges", []), "valid_ranges", ((as_int, "v_min"), (as_int, "v_max")))
         fields = ((as_int, "n"), (as_float, "rms"), (as_float, "max_abs"))
-        wipers = []
-        for i, stats in enumerate(object_at(data, "fit_report").get("wipers", [])):
-            at = f"fit_report.wipers[{i}]."
-            wipers.append(WiperFitStats(*(check(stats[k], at + k) for check, k in fields)))
-            refuse_unknown_keys(stats, {"": [k for _, k in fields]}, "model-bundle", path + at)
+        wipers = entries(object_at(data, "fit_report").get("wipers", []), "fit_report.wipers", fields)
         return ModelBundle(
             tracks=tracks,
             models=models,
-            valid_ranges=ranges,
-            report=FitReport(tuple(wipers)),
+            valid_ranges=tuple(ValidRange(*r) for r in ranges),
+            report=FitReport(tuple(WiperFitStats(*w) for w in wipers)),
             adc_max=adc_max,
             filter_params=dict(object_at(data, "filter")),
         )

@@ -14,7 +14,8 @@ import argparse
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from paintpot.errors import (
     write_csv,
     write_text,
 )
-from paintpot.geometry import wrap_angle
+from paintpot.geometry import wrap_angle  # noqa: F401  (bench/tracing.py hooks this name)
 
 _SWEEP_STREAM = 1  # rng substream for in-experiment calibration sweeps
 
@@ -56,7 +57,9 @@ def synthesize_sweep_dataset(
     Mimics the characterization rig: the joint traverses its whole range in
     each direction while time, tracked angle, and each wiper's raw count
     are logged.  A wheel's range is (-pi, pi], a tilt's +-``angle_limit``.
-    All rows' count noise is one ``rng`` draw, row by row, wiper by wiper.
+    The schedule is known in advance, so it is computed as arrays; each
+    row then takes one :func:`~paintpot.sensor_sim.read`.  All rows' count
+    noise is one ``rng`` draw, row by row, wiper by wiper.
     """
     for name, value in (("rate_hz", rate_hz), ("duration_s", duration_s)):
         if not 0.0 < value < math.inf:
@@ -67,27 +70,17 @@ def synthesize_sweep_dataset(
     limit = spec.angle_limit
     lo, hi = (-math.pi, math.pi) if limit is None else (-limit, limit)
     half = duration_s / 2.0
+    t = np.arange(n) / rate_hz
+    # Out to the far end and back: frac is in [0, 1], so every angle lies in [lo, hi].
+    theta = lo + (hi - lo) * (np.where(t <= half, t, duration_s - t) / half)
+    if limit is None:
+        theta[theta == -math.pi] = math.pi  # wrap_angle's only change on [-pi, pi]
     noise = rng.normal(0.0, spec.noise_std, (n, len(spec.wipers)))
-    # Flat lists of floats and ints, and each row's draws a tuple made when
-    # it is used: no per-row container stays alive to bring on a garbage
-    # collection.
-    t_col, theta_col, counts = [0.0] * n, [0.0] * n, []
-    read, add_count, span = sensor_sim.read, counts.append, hi - lo
-    for i, draws in enumerate(zip(*noise.T.tolist())):
-        t = i / rate_hz
-        frac = t / half if t <= half else (duration_s - t) / half
-        theta = lo + span * frac
-        theta = wrap_angle(theta) if limit is None else min(max(theta, lo), hi)
-        for reading in read(theta, spec, draws):
-            add_count(reading.count)
-        t_col[i], theta_col[i] = t, theta
-    return CalibrationDataset(
-        tracks=spec.tracks,
-        t=np.array(t_col, dtype=float),
-        theta=np.array(theta_col, dtype=float),
-        counts=np.array(counts, dtype=np.int64).reshape(n, len(spec.wipers)),
-        adc_max=spec.adc_max,
-    )
+    # Each row's draws are a tuple made when it is read, so no per-row
+    # container stays alive to bring on a garbage collection.
+    readings = map(sensor_sim.read, theta.tolist(), repeat(spec), zip(*noise.T.tolist()))
+    counts = np.fromiter(map(attrgetter("count"), chain.from_iterable(readings)), np.int64, noise.size)
+    return CalibrationDataset(spec.tracks, t, theta, counts.reshape(noise.shape), spec.adc_max)
 
 
 def run_sweep(spec_ref: str, out: str, seed: int, rate_hz: float, duration_s: float) -> None:
@@ -218,12 +211,19 @@ def _experiment_from_dict(cfg: dict) -> trajectory.ExperimentConfig:
         omega_max=number_at(cfg, "controller.omega_max", 10.0, low="> 0"),
     )
 
+    rate = number_at(cfg, "calibration.rate_hz", 14.0, low="> 0")
+    duration = number_at(cfg, "calibration.duration_s", 50.0, low="> 0")
     if "models" in cfg:
         bundle = characterize.bundle_from_dict(object_at(cfg, "models"), "models.")
+        # An inline filter value must be the one the run uses (dt within run_experiment's tolerance).
+        runs_with = {"k": ("transition.k", tm.k, 0.0), "dt": ("1/rate_hz", tm.dt, 1e-9 * tm.dt),
+                     "q": ("transition.q", tm.q, 0.0), "sigma0": ("sigma0", sigma0, 0.0)}
+        for key, (path, value, tol) in runs_with.items():
+            given = number_at(cfg, f"models.filter.{key}", value)
+            if abs(given - value) > tol:
+                raise SpecError(f"models.filter.{key} {given!r} differs from {path} {value!r}, which the run uses")
     else:
         sweep_rng = np.random.default_rng((seed, _SWEEP_STREAM))
-        rate = number_at(cfg, "calibration.rate_hz", 14.0, low="> 0")
-        duration = number_at(cfg, "calibration.duration_s", 50.0, low="> 0")
         try:
             dataset = synthesize_sweep_dataset(sensor, rate, duration, sweep_rng)
         except SpecError as exc:  # a sweep too short: its length comes from both keys

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,8 +46,9 @@ class CubicModel:
     Construction checks that the coefficients and the window are finite and
     validates monotonicity in closed form: the derivative, a quadratic, must
     be non-zero with one sign at both window ends and must not change sign
-    in between.  Evaluation outside the window is legal arithmetic but only
-    the window is trusted sensor behavior.
+    in between.  The angle range on the window must be at least the
+    smallest normal float.  Evaluation outside the window is legal
+    arithmetic but only the window is trusted sensor behavior.
     """
 
     c3: float
@@ -76,6 +78,12 @@ class CubicModel:
                 monotone = d_vertex >= 0.0 if d_lo > 0.0 else d_vertex <= 0.0
         if not monotone:
             raise FitError("cubic is not monotone on its voltage window")
+        # A range below the smallest normal float (a subnormal one, say) leaves no
+        # target to invert.  The ends' angles are formed inline, as evaluate forms
+        # them, so that only inversions call evaluate.
+        low, high = (((self.c3 * v + self.c2) * v + self.c1) * v + self.c0 for v in (lo, hi))
+        if not abs(high - low) >= sys.float_info.min:
+            raise FitError(f"cubic's angle range on its voltage window must be a normal float, got {abs(high - low)!r}")
 
     def evaluate(self, v):
         return ((self.c3 * v + self.c2) * v + self.c1) * v + self.c0

@@ -7,8 +7,9 @@ for bit: :func:`wheel_step_reference` and :func:`tilt_step_reference`, the
 filter steps composed from the package's own reference functions, and
 :func:`invert_cubic_reference`, :func:`wiper_voltage` and
 :func:`read_reference`, the simulated read as a composition of small steps,
-and :func:`fit_cubic_reference`, the calibration fit through
-``numpy.polynomial``.
+:func:`fit_cubic_reference`, the calibration fit through
+``numpy.polynomial``, and :func:`sweep_schedule_reference`, the sweep's
+schedule one row at a time.
 """
 
 import math
@@ -53,6 +54,31 @@ def wrap_brute(theta):
     while theta <= -PI:
         theta += TWO_PI
     return theta
+
+
+def sweep_schedule_reference(angle_limit, rate_hz, duration_s):
+    """The sweep's ``(t, theta)`` columns, one row at a time, as
+    ``cli.synthesize_sweep_dataset`` computed them before its schedule
+    went to arrays: each row's time ``i / rate_hz``, its fraction of the way
+    out and back, its angle across ``[-pi, pi]`` (wheel, ``angle_limit``
+    None) or ``+-angle_limit`` (tilt), then the wheel's wrap onto
+    ``(-pi, pi]`` (``geometry.wrap_angle``'s two steps) or the tilt's clamp."""
+    n = int(round(rate_hz * duration_s))
+    lo, hi = (-PI, PI) if angle_limit is None else (-angle_limit, angle_limit)
+    half = duration_s / 2.0
+    span = hi - lo
+    t_col, theta_col = [0.0] * n, [0.0] * n
+    for i in range(n):
+        t = i / rate_hz
+        frac = t / half if t <= half else (duration_s - t) / half
+        theta = lo + span * frac
+        if angle_limit is None:
+            theta = math.remainder(theta, TWO_PI)
+            theta = PI if theta == -PI else theta
+        else:
+            theta = min(max(theta, lo), hi)
+        t_col[i], theta_col[i] = t, theta
+    return np.array(t_col, dtype=float), np.array(theta_col, dtype=float)
 
 
 def estimate_step_jumps(theta_est):

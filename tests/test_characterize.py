@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paintpot import characterize
@@ -835,6 +835,8 @@ class TestInvertCubic:
         span=st.floats(20.0, 1023.0),
         frac=st.floats(0.001, 0.999),
     )
+    # A subnormal angle range: its targets round onto the range's ends, so construction refuses it.
+    @example(c3=0.0, c2=-5e-324, c1=0.0, c0=0.0, lo=1.0, span=20.5, frac=0.001)
     def test_random_monotone_cubics_agree_with_oracle(self, c3, c2, c1, c0, lo, span, frac):
         hi = lo + span
         try:
@@ -853,6 +855,22 @@ class TestInvertCubic:
         min_slope = min(abs(float(model.derivative(x))) for x in candidates)
         ref = bisect_root(lambda x: cubic_value(c3, c2, c1, c0, x) - target, lo, hi)
         assert abs(v - ref) <= (1e-9 + 1e-12) / min_slope
+
+    @pytest.mark.parametrize(
+        "coefficients,window",
+        [
+            ((0.0, -5e-324, 0.0, 0.0), (1.0, 21.5)),  # an angle range of 2.3e-321 rad
+            ((0.0, 0.0, 2.0**-1033, 0.0), (0.0, 1023.0)),  # 1023 * 2**-1033 < 2**-1022, the least normal
+        ],
+        ids=["subnormal_c2", "subnormal_c1"],
+    )
+    def test_angle_range_below_the_least_normal_float_is_refused(self, coefficients, window):
+        with pytest.raises(FitError, match="angle range on its voltage window must be a normal float"):
+            CubicModel(*coefficients, window)
+
+    def test_angle_range_of_the_least_normal_float_is_accepted(self):
+        model = CubicModel(0.0, 0.0, 2.0**-1022 / 1024.0, 0.0, (0.0, 1024.0))
+        assert model.angle_range() == (0.0, 2.0**-1022)
 
     def test_zero_slope_point_is_handled(self, monkeypatch):
         # c3*(v - m)**3 + c0 with exact binary coefficients, so f'(m) == 0.0

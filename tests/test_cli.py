@@ -8,9 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from paintpot import cli, estimate, presets
 from paintpot.characterize import load_bundle
+from paintpot.cubic import CubicModel
 from paintpot.errors import ROWS_PER_WRITE, SpecError, number_at, write_rows
 from paintpot.presets import (
     WHEEL_TRUTH_W0,
@@ -20,14 +23,21 @@ from paintpot.presets import (
 )
 from paintpot.sensor_sim import (
     AdcReading,
+    SensorSpec,
+    WiperSpec,
+    read,
     read_wheel,
     save_sensor_spec,
     sensor_spec_from_dict,
     sensor_spec_to_dict,
 )
 
+import oracles
+
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
+# A linear tilt truth that reaches past +-pi, so a tilt of any limit in (0, pi] reads.
+WIDE_TILT_TRUTH = CubicModel(0.0, 0.0, 6.5 / 1023.0, -3.25, (0.0, 1023.0))
 
 
 def run_cli(*argv):
@@ -65,6 +75,37 @@ class TestSweep:
         lines = out.read_text().splitlines(keepends=True)[2:]
         assert len(lines) == 1_400 > ROWS_PER_WRITE
         assert lines == ["%.17g,%.17g,%d,%d\n" % row for row in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        limit=st.none() | st.floats(0.0, PI, exclude_min=True),
+        rows=st.integers(2, 300),
+        offset=st.floats(-0.5, 0.5),
+        rate_hz=st.floats(0.01, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(limit=None, rows=700, offset=0.0, rate_hz=14.0, seed=3)  # the presets' sweep: 14 Hz x 50 s
+    @example(limit=PI / 2.0, rows=700, offset=0.0, rate_hz=14.0, seed=3)
+    @example(limit=None, rows=117, offset=0.0, rate_hz=9.0, seed=3)  # an odd row count: 9 Hz x 13 s
+    @example(limit=PI, rows=117, offset=0.0, rate_hz=9.0, seed=3)
+    @example(limit=None, rows=2, offset=0.0, rate_hz=1.0, seed=0)  # the shortest sweeps
+    @example(limit=1.3, rows=3, offset=0.0, rate_hz=7.0, seed=0)
+    @example(limit=5e-324, rows=5, offset=0.25, rate_hz=3.0, seed=0)  # the least limit, a subnormal
+    def test_schedule_is_the_per_row_reference_bit_for_bit(self, limit, rows, offset, rate_hz, seed):
+        # The array schedule equals oracles.sweep_schedule_reference, the loop
+        # it replaced, and each row reads its own angle with its row of draws.
+        duration_s = (rows + offset) / rate_hz
+        spec = reference_wheel_spec() if limit is None else SensorSpec((WiperSpec(WIDE_TILT_TRUTH),), limit)
+        try:
+            dataset = cli.synthesize_sweep_dataset(spec, rate_hz, duration_s, np.random.default_rng(seed))
+        except SpecError:  # fewer than two rows
+            assume(False)
+        t, theta = oracles.sweep_schedule_reference(limit, rate_hz, duration_s)
+        assert dataset.t.tobytes() == t.tobytes()
+        assert dataset.theta.tobytes() == theta.tobytes()
+        noise = np.random.default_rng(seed).normal(0.0, spec.noise_std, (len(t), len(spec.wipers)))
+        counts = [[r.count for r in read(a, spec, draws)] for a, draws in zip(theta.tolist(), noise.tolist())]
+        assert dataset.counts.tolist() == counts
 
     def test_zero_duration_is_config_error(self, tmp_path):
         code = run_cli(
@@ -427,12 +468,13 @@ BUNDLE_EDITS = [
     (lambda data: data["fit_report"].update(wiper=data["fit_report"].pop("wipers")),
      "unknown model-bundle key: {at}fit_report.wiper"),
     (_set("fit_report", "wipers", 1, "mean", 0.0), "unknown model-bundle key: {at}fit_report.wipers[1].mean"),
+    (_set("valid_ranges", 0, "note", 1.0), "unknown model-bundle key: {at}valid_ranges[0].note"),
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
     "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "list_fit_report",
     "null_fit_report", "misspelt_filter_q", "misspelt_sigma0", "tilt_r_on_wheel", "limit_on_wheel",
-    "cubic_note", "misspelt_fit_report_wipers", "fit_stats_note",
+    "cubic_note", "misspelt_fit_report_wipers", "fit_stats_note", "valid_range_note",
 ]
 # Every bundle fault that `estimate` refuses, by the kind of bundle it is made in: the edits
 # above, then bad values, each naming its key path, and tilt bundle faults.
@@ -796,6 +838,69 @@ class TestExperiment:
                        str(tmp_path / "run")) == 2
         assert message.format(at="models.") in capsys.readouterr().err
         assert not (tmp_path / "run_trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "calibration,message",
+        [
+            ({"rate_hz": -1.0, "duration_s": "x"}, "calibration.rate_hz must be > 0, got -1.0"),
+            ({"rate_hz": 14.0, "duration_s": "x"}, "calibration.duration_s must be a finite number, got 'x'"),
+            ({"rate_hz": True}, "calibration.rate_hz must be a finite number, got True"),
+            ({"duration_s": 0.0}, "calibration.duration_s must be > 0, got 0.0"),
+        ],
+        ids=["negative_rate", "text_duration", "bool_rate", "zero_duration"],
+    )
+    def test_calibration_beside_explicit_models_is_checked(self, tmp_path, wheel_bundle, capsys, calibration, message):
+        # No sweep runs, but the numbers are read and checked as the README says.
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config.update(models=json.loads(Path(wheel_bundle).read_text()), calibration=calibration)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == f"paintpot: configuration error: {message}\n"
+        assert not (tmp_path / "run_trace.csv").exists() and not (tmp_path / "run_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("k", 1e6, "models.filter.k 1000000.0 differs from transition.k 0.2, which the run uses"),
+            ("q", 1e9, "models.filter.q 1000000000.0 differs from transition.q 0.05, which the run uses"),
+            ("dt", 0.02, "models.filter.dt 0.02 differs from 1/rate_hz 0.01, which the run uses"),
+            ("dt", 0.01 * (1.0 + 2e-9), "models.filter.dt 0.01000000002 differs from 1/rate_hz 0.01"),
+            ("sigma0", 1e-3, "models.filter.sigma0 0.001 differs from sigma0 0.0001, which the run uses"),
+            ("k", "0.2", "models.filter.k must be a finite number, got '0.2'"),
+        ],
+        ids=["k", "q", "dt", "dt_past_tolerance", "sigma0", "text_k"],
+    )
+    def test_inline_filter_value_the_run_does_not_use_is_config_error(
+        self, tmp_path, wheel_bundle, capsys, key, value, message
+    ):
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["models"] = json.loads(Path(wheel_bundle).read_text())
+        config["models"]["filter"][key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"paintpot: configuration error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "run_trace.csv").exists() and not (tmp_path / "run_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda filter_params: filter_params.update(dt=0.01 * (1.0 + 1e-12)),  # within run_experiment's tolerance
+            lambda filter_params: [filter_params.pop(key) for key in ("k", "dt", "q", "sigma0")],
+        ],
+        ids=["dt_within_tolerance", "no_transition_keys"],
+    )
+    def test_inline_filter_that_agrees_with_the_run_is_accepted(self, tmp_path, wheel_bundle, edit):
+        config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
+        config["models"] = json.loads(Path(wheel_bundle).read_text())
+        edit(config["models"]["filter"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "run")) == 0
 
     def test_custom_gap_sensor_meets_the_preset_bound(self, tmp_path):
         config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS["pan_pi_to_0"]))
