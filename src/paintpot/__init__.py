@@ -32,7 +32,7 @@ from paintpot.estimate import (
     WheelEstimator,
 )
 from paintpot.geometry import wrap_angle
-from paintpot.sensor_sim import AdcReading, SensorSpec
+from paintpot.sensor_sim import SensorSpec
 from paintpot.trajectory import (
     ControllerGains,
     ExperimentConfig,
@@ -45,7 +45,6 @@ from paintpot.trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdcReading",
     "CalibrationDataset",
     "ControllerGains",
     "CubicModel",

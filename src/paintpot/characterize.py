@@ -491,11 +491,11 @@ def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
     fields must be integers (:func:`~paintpot.errors.as_int`), its other
     numbers JSON numbers (:func:`~paintpot.errors.as_float`), and a key it
     does not read, at its top level, in its ``filter``, ``fit_report`` or
-    a wiper's fit statistics, or in a cubic, is refused, named by its path
-    after ``path``, the path of the bundle in the file that holds it
-    (``"models."`` in an experiment config)."""
+    a wiper's fit statistics, or in a cubic, is refused.  Each names its
+    key by its path after ``path``, the path of the bundle in the file that
+    holds it (``"models."`` in an experiment config)."""
     with malformed("model bundle"):
-        tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data)
+        tracks, _, adc_max = geometry_from_dict(data["sensor_kind"], data, path)
         known = {"": (*_BUNDLE_KEYS, *GEOMETRY_KEYS[data["sensor_kind"]]),
                  "filter": (*_FILTER_KEYS, *variance_keys(len(tracks))), "fit_report": ("wipers",)}
         refuse_unknown_keys(data, known, "model-bundle", path)
@@ -504,19 +504,19 @@ def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
         def entries(objects, at, fields):
             """Each object's checked fields; a key it does not read is refused."""
             for i, obj in enumerate(objects):
-                yield [check(obj[k], f"{at}[{i}].{k}") for check, k in fields]
+                yield [check(obj[k], f"{path}{at}[{i}].{k}") for check, k in fields]
                 refuse_unknown_keys(obj, {"": [k for _, k in fields]}, "model-bundle", f"{path}{at}[{i}].")
 
         ranges = entries(data.get("valid_ranges", []), "valid_ranges", ((as_int, "v_min"), (as_int, "v_max")))
         fields = ((as_int, "n"), (as_float, "rms"), (as_float, "max_abs"))
-        wipers = entries(object_at(data, "fit_report").get("wipers", []), "fit_report.wipers", fields)
+        wipers = entries(object_at(data, "fit_report", path).get("wipers", []), "fit_report.wipers", fields)
         return ModelBundle(
             tracks=tracks,
             models=models,
             valid_ranges=tuple(ValidRange(*r) for r in ranges),
             report=FitReport(tuple(WiperFitStats(*w) for w in wipers)),
             adc_max=adc_max,
-            filter_params=dict(object_at(data, "filter")),
+            filter_params=dict(object_at(data, "filter", path)),
         )
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,9 @@ def synthesize_sweep_dataset(
     each direction while time, tracked angle, and each wiper's raw count
     are logged.  A wheel's range is (-pi, pi], a tilt's +-``angle_limit``.
     The schedule is known in advance, so it is computed as arrays; each
-    row then takes one :func:`~paintpot.sensor_sim.read`.  All rows' count
-    noise is one ``rng`` draw, row by row, wiper by wiper.
+    row then takes one :func:`~paintpot.sensor_sim.read`, each count item 1
+    of its ``(index, count, available)`` reading.  All rows' count noise is
+    one ``rng`` draw, row by row, wiper by wiper.
     """
     for name, value in (("rate_hz", rate_hz), ("duration_s", duration_s)):
         if not 0.0 < value < math.inf:
@@ -79,7 +80,7 @@ def synthesize_sweep_dataset(
     # Each row's draws are a tuple made when it is read, so no per-row
     # container stays alive to bring on a garbage collection.
     readings = map(sensor_sim.read, theta.tolist(), repeat(spec), zip(*noise.T.tolist()))
-    counts = np.fromiter(map(attrgetter("count"), chain.from_iterable(readings)), np.int64, noise.size)
+    counts = np.fromiter(map(itemgetter(1), chain.from_iterable(readings)), np.int64, noise.size)
     return CalibrationDataset(spec.tracks, t, theta, counts.reshape(noise.shape), spec.adc_max)
 
 

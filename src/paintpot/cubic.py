@@ -88,8 +88,6 @@ class CubicModel:
     def evaluate(self, v):
         return ((self.c3 * v + self.c2) * v + self.c1) * v + self.c0
 
-    __call__ = evaluate
-
     def derivative(self, v):
         return (3.0 * self.c3 * v + 2.0 * self.c2) * v + self.c1
 

@@ -72,12 +72,12 @@ def as_float(value: object, key: str) -> float:
     raise SpecError(f"{key} must be a finite number, got {value!r}")
 
 
-def object_at(data: dict, key: str) -> dict:
+def object_at(data: dict, key: str, path: str = "") -> dict:
     """The JSON object at ``key`` of ``data``, ``{}`` when there is none;
-    anything else raises :class:`SpecError` naming ``key``."""
+    anything else raises :class:`SpecError` naming ``key`` after ``path``."""
     value = data.get(key, {})
     if not isinstance(value, dict):
-        raise SpecError(f"{key} must be a JSON object, got {value!r}")
+        raise SpecError(f"{path}{key} must be a JSON object, got {value!r}")
     return value
 
 
@@ -106,7 +106,7 @@ def refuse_unknown_keys(data: dict, known: dict, what: str, path: str = "") -> N
     unknown = [
         path + (f"{section}.{key}" if section else key)
         for section, keys in known.items()
-        for key in (object_at(data, section) if section else data)
+        for key in (object_at(data, section, path) if section else data)
         if key not in keys
     ]
     if unknown:
@@ -126,10 +126,10 @@ def malformed(what: str):
         raise SpecError(f"malformed {what}: {exc}") from exc
 
 
-def check_adc_max(adc_max: int) -> None:
-    """Raise :class:`SpecError` unless ``adc_max`` is ``2**bits - 1``, bits >= 1."""
+def check_adc_max(adc_max: int, key: str = "adc_max") -> None:
+    """Raise :class:`SpecError` naming ``key`` unless ``adc_max`` is ``2**bits - 1``, bits >= 1."""
     if adc_max < 1 or (adc_max + 1) & adc_max != 0:
-        raise SpecError(f"adc_max must be 2**bits - 1 with bits >= 1, got {adc_max}")
+        raise SpecError(f"{key} must be 2**bits - 1 with bits >= 1, got {adc_max}")
 
 
 def read_text(path) -> str:

@@ -31,7 +31,6 @@ from paintpot.characterize import ModelBundle, WiperFitStats, variance_keys
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError, number_at
 from paintpot.geometry import TWO_PI, WiperTrack, joint_kind, wrap_angle
-from paintpot.sensor_sim import AdcReading
 
 DEFAULT_SIGMA0 = 1e-4
 DEFAULT_PROCESS_NOISE = 0.05
@@ -149,15 +148,15 @@ def predict(belief: tuple[float, float], u: float, tm: TransitionModel) -> tuple
 
 
 def extract_features(
-    readings: Sequence[AdcReading], obs: ObservationModel
+    readings: Sequence[tuple[int, int, bool]], obs: ObservationModel
 ) -> list[tuple[int, float, float]]:
     """Converted measurements ``(index, z, r)`` of the admitted readings, in reading order.
 
-    The one place readings become features: a reading is admitted iff it
-    is flagged available and its count is in its wiper's ``lo..hi``, and
-    its ``z`` is its wiper's ``chart[count]``, finite as every chart entry
-    is.  An empty list is legal; the update then degenerates to the
-    prediction.
+    The one place ``(index, count, available)`` readings become features:
+    one is admitted iff it is flagged available and its count is in its
+    wiper's ``lo..hi``, and its ``z`` is its wiper's ``chart[count]``, finite
+    as every chart entry is.  An empty list is legal; the update then
+    degenerates to the prediction.
     """
     admits = obs._admits
     features = []
@@ -207,7 +206,7 @@ def update_wheel(
 
 
 def update_tilt(
-    belief_bar: tuple[float, float], reading: AdcReading, obs: ObservationModel
+    belief_bar: tuple[float, float], reading: tuple[int, int, bool], obs: ObservationModel
 ) -> tuple[tuple[float, float], bool]:
     """Scalar update of a one-wiper model on its reading, without a gate.
 
@@ -228,7 +227,7 @@ def update_tilt(
 
 
 def initial_belief(
-    readings: Sequence[AdcReading], obs: ObservationModel, sigma0: float = DEFAULT_SIGMA0
+    readings: Sequence[tuple[int, int, bool]], obs: ObservationModel, sigma0: float = DEFAULT_SIGMA0
 ) -> tuple[float, float]:
     """Seed a belief from the first admitted reading in wiper order.
 
@@ -269,7 +268,7 @@ class Estimator:
         # Each tracked wiper's shift edge and turn, read once for every step.
         self._shifts = [(wiper.track.edge, wiper.track.turn) for wiper in self.obs.wipers if wiper.track]
 
-    def initialize(self, readings: Sequence[AdcReading]) -> tuple[float, float]:
+    def initialize(self, readings: Sequence[tuple[int, int, bool]]) -> tuple[float, float]:
         self.belief = initial_belief(readings, self.obs, self.sigma0)
         return self.belief
 
@@ -289,7 +288,7 @@ class WheelEstimator(Estimator):
 
     kind = "wheel"
 
-    def step(self, u: float, readings: Sequence[AdcReading]) -> Step:
+    def step(self, u: float, readings: Sequence[tuple[int, int, bool]]) -> Step:
         belief = self.belief
         if belief is None:
             raise InitializationError("call initialize() before step()")
@@ -298,7 +297,7 @@ class WheelEstimator(Estimator):
         sigma = belief[1] + dt_dt_q
         if not (sigma > 0.0 and math.isfinite(mu)):
             _belief(mu, sigma)  # raises
-        # Each wiper's predicted measurement: the mean on its shifted chart (WiperTrack.shift).
+        # Each wiper's predicted measurement: the mean on its shifted chart, one turn on past its edge.
         (edge0, turn0), (edge1, turn1) = self._shifts
         z_bar0 = mu + turn0 if (mu - edge0) * turn0 < 0.0 else mu
         z_bar1 = mu + turn1 if (mu - edge1) * turn1 < 0.0 else mu
@@ -342,7 +341,7 @@ class TiltEstimator(Estimator):
 
     kind = "tilt"
 
-    def step(self, u: float, readings: Sequence[AdcReading]) -> Step:
+    def step(self, u: float, readings: Sequence[tuple[int, int, bool]]) -> Step:
         belief = self.belief
         if belief is None:
             raise InitializationError("call initialize() before step()")

@@ -61,10 +61,6 @@ class WiperTrack:
         the side the turn points away from."""
         return (theta - self.edge) * self.turn < 0.0
 
-    def shift(self, theta: float) -> float:
-        """The shifted state this wiper reports at ``theta``."""
-        return theta + self.turn if self.past(theta) else theta
-
     @property
     def window(self) -> tuple[float, float]:
         """The shifted states off the gap, ascending: from one gap end to
@@ -86,13 +82,15 @@ TILT_LIMIT = math.pi / 2.0
 GEOMETRY_KEYS = {"wheel": ("adc_max", "gap_w0", "gap_w1"), "tilt": ("adc_max", "angle_limit")}
 
 
-def joint_kind(tracks: Sequence[WiperTrack | None], angle_limit: float | None | EllipsisType = ...) -> str:
+def joint_kind(
+    tracks: Sequence[WiperTrack | None], angle_limit: float | None | EllipsisType = ..., path: str = ""
+) -> str:
     """The kind of joint whose wipers ride ``tracks``: ``"wheel"`` for exactly
     two wipers on gapped tracks, wiper 0's turning by -2*pi and wiper 1's by
     2*pi as a sensor file holds them, which wraps and so has no angle limit,
     and ``"tilt"`` for exactly one trackless wiper, whose limit lies in (0, pi].
     Any other shape raises :class:`SpecError`, as does an ``angle_limit``
-    that does not fit the kind; a caller that holds no limit leaves it out."""
+    that does not fit the kind, named after ``path``; a caller that holds no limit leaves it out."""
     if len(tracks) == 2 and None not in tracks:
         if (tracks[0].turn, tracks[1].turn) != (-TWO_PI, TWO_PI):
             raise SpecError(f"a wheel's wiper 0 must turn by -2*pi and its wiper 1 by 2*pi, got "
@@ -105,7 +103,7 @@ def joint_kind(tracks: Sequence[WiperTrack | None], angle_limit: float | None | 
                         f"tracks, a tilt one trackless wiper; got {len(tracks)} wipers, "
                         f"{sum(t is not None for t in tracks)} on tracks")
     if angle_limit is not ... and (angle_limit is None or not 0.0 < angle_limit <= math.pi):
-        raise SpecError("angle_limit must lie in (0, pi]")
+        raise SpecError(f"{path}angle_limit must lie in (0, pi]")
     return "tilt"
 
 
@@ -124,21 +122,22 @@ class Geometry(NamedTuple):
     adc_max: int
 
 
-def geometry_from_dict(kind: object, data: dict) -> Geometry:
+def geometry_from_dict(kind: object, data: dict, path: str = "") -> Geometry:
     """A ``kind`` file's geometry, checked: a wheel has :data:`WHEEL_TRACKS`, each with the
     file's ``gap_w<i>`` if given, and no limit; a tilt has one trackless wiper and the file's
     ``angle_limit`` in (0, pi], by default :data:`TILT_LIMIT`.  Either has the file's
     ``adc_max``, by default 1023, which must be an integer ``2**bits - 1``.  A gap's ends and
-    the limit are JSON numbers (:func:`~paintpot.errors.as_float`)."""
-    adc_max = as_int(data.get("adc_max", 1023), "adc_max")
-    check_adc_max(adc_max)
+    the limit are JSON numbers (:func:`~paintpot.errors.as_float`).  A fault names its key
+    after ``path``, the path of ``data`` in the file that holds it."""
+    adc_max = as_int(data.get("adc_max", 1023), f"{path}adc_max")
+    check_adc_max(adc_max, f"{path}adc_max")
     if kind == "wheel":
-        gaps = [[as_float(end, f"gap_w{i}") for end in data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))]
+        gaps = [[as_float(end, f"{path}gap_w{i}") for end in data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))]
                 for i, t in enumerate(WHEEL_TRACKS)]
         tracks, limit = tuple(WiperTrack(Interval(*g), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)), None
     elif kind == "tilt":
-        tracks, limit = (None,), as_float(data.get("angle_limit", TILT_LIMIT), "angle_limit")
+        tracks, limit = (None,), as_float(data.get("angle_limit", TILT_LIMIT), f"{path}angle_limit")
     else:
         raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")
-    joint_kind(tracks, limit)  # checks the limit
+    joint_kind(tracks, limit, path)  # checks the limit
     return Geometry(tracks, limit, adc_max)

@@ -2,16 +2,17 @@
 
 A :class:`SensorSpec` is a tuple of wipers plus an angle range.  A wheel
 wraps and has two wipers on gapped tracks, so one is on its track at every
-angle; a tilt has an angle limit and one wiper without a gap.  A reading
-validates its angle once; :func:`read_wheel` and :func:`read_tilt` share
-one body that takes each wiper in turn.  While a wiper rides its gap it
-reads the rail voltage, flagged unavailable, so its count is a rail
-artifact.  Elsewhere its state is the angle, one turn on past its shift
-edge, and its count is :func:`quantize` of its count-noise draw plus the
-voltage :func:`~paintpot.cubic.invert_cubic` finds for that state on its
-truth cubic; most reads settle it from the cubic's chart and slack, without
-Newton.  Reads and plant steps take their noise already drawn and scaled,
-so a sweep or a run draws all of it in one call.
+angle; a tilt has an angle limit and one wiper without a gap.  A reading is
+a plain ``(index, count, available)`` triple.  A read validates its angle
+once; :func:`read_wheel` and :func:`read_tilt` share one body that takes
+each wiper's row of :attr:`SensorSpec.read_table` in turn.  While a wiper
+rides its gap it reads the rail voltage, flagged unavailable, so its count
+is a rail artifact.  Elsewhere its state is the angle, one turn on past its
+shift edge, and its count is :func:`quantize` of its count-noise draw plus
+the voltage :func:`~paintpot.cubic.invert_cubic` finds for that state on
+its truth cubic; most reads settle and round it from the cubic's chart and
+slack, without Newton.  Reads and plant steps take their noise already
+drawn and scaled, so a sweep or a run draws all of it in one call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -73,22 +75,17 @@ class SensorSpec:
     def tracks(self) -> tuple[WiperTrack | None, ...]:
         return tuple(wiper.track for wiper in self.wipers)
 
-
-class AdcReading(NamedTuple):
-    """One quantized sample from one wiper (an immutable tuple).
-
-    When ``available`` is False the wiper was in its gap; the count is then
-    unspecified rail garbage and must not be interpreted as position.
-    """
-
-    wiper_index: int
-    count: int
-    available: bool
-
-
-class PlantStep(NamedTuple):
-    theta: float
-    saturated: bool
+    @cached_property
+    def read_table(self) -> tuple[tuple, ...]:
+        """``(index, truth, gap_lo, gap_hi, edge, turn, *truth.slack)`` per wiper: all
+        a read takes of it.  A trackless wiper's empty gap ``(inf, -inf)`` and turn
+        0.0 put no angle in its gap or past its edge.  Built with each truth's chart
+        and slack on the first read, so a spec that is only parsed builds none."""
+        table = []
+        for index, (truth, t) in enumerate(self.wipers):
+            ends = (math.inf, -math.inf, 0.0, 0.0) if t is None else (t.gap.lo, t.gap.hi, t.edge, t.turn)
+            table.append((index, truth, *ends, *truth.slack))
+        return tuple(table)
 
 
 def quantize(voltage: float, adc_max: int) -> int:
@@ -105,8 +102,8 @@ def quantize(voltage: float, adc_max: int) -> int:
     return 0 if half_up < 1.0 else adc_max if half_up >= adc_max + 1 else math.floor(half_up)
 
 
-def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcReading]:
-    """One reading per wiper at ``theta``: ideal voltage plus its draw, quantized.
+def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[tuple[int, int, bool]]:
+    """One ``(index, count, available)`` reading per wiper at ``theta``.
 
     A wiper inside its gap reads the rail voltage and is flagged unavailable.
     Any other count is ``quantize(invert_cubic(truth, state) + draw)``, a
@@ -115,6 +112,7 @@ def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcRea
     :func:`quantize` are both non-decreasing, so when ``(v - E) + draw`` and
     ``(v + E) + draw`` quantize to one count, that is the count: the upper
     end does when, plus 0.5, it stays below the lower end's count plus one.
+    The lower end is rounded in place, in :func:`quantize`'s operation order.
     Otherwise, or off the chart's keys, the state is inverted.
     """
     limit = spec.angle_limit
@@ -125,47 +123,43 @@ def _read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> list[AdcRea
             theta = math.pi
     elif not abs(theta) <= limit:
         raise DomainError(f"tilt angle {theta!r} outside [-{limit}, {limit}]")
-    adc_max = spec.adc_max
+    adc_max = spec.adc_max  # checked when the spec was made
     readings = []
-    for index, ((truth, track), draw) in enumerate(zip(spec.wipers, noise, strict=True)):
-        state, available = theta, True
-        if track is not None:
-            if track.gap.lo <= theta <= track.gap.hi:
-                available = False
-            elif (theta - track.edge) * track.turn < 0.0:
-                state = theta + track.turn
-        count = None
-        if available:
-            sign, find, low, high, keys, knots, slack = truth.slack
-            key = sign * state
-            if low < key < high:
-                k = find(keys, key)
-                lo, f_lo = knots[k - 1], keys[k - 1] - key
-                v = lo - f_lo * (knots[k] - lo) / (keys[k] - key - f_lo)
-                e = slack[k]
-                count = quantize(v - e + draw, adc_max)
-                if v + e + draw + 0.5 >= count + 1:  # the upper end may round past count
-                    count = None
-        if count is None:
-            voltage = invert_cubic(truth, state) if available else GAP_RAIL_VOLTAGE
-            count = quantize(voltage + draw, adc_max)
-        readings.append(tuple.__new__(AdcReading, (index, count, available)))
+    for (index, truth, gap_lo, gap_hi, edge, turn, sign, find, low, high, keys, knots, slack), draw in zip(
+        spec.read_table, noise, strict=True
+    ):
+        if gap_lo <= theta <= gap_hi:
+            readings.append((index, quantize(GAP_RAIL_VOLTAGE + draw, adc_max), False))
+            continue
+        state = theta + turn if (theta - edge) * turn < 0.0 else theta
+        key = sign * state
+        if low < key < high:
+            k = find(keys, key)
+            lo, f_lo = knots[k - 1], keys[k - 1] - key
+            v = lo - f_lo * (knots[k] - lo) / (keys[k] - key - f_lo)
+            e = slack[k]
+            half_up = v - e + draw + 0.5
+            count = 0 if half_up < 1.0 else adc_max if half_up >= adc_max + 1 else math.floor(half_up)
+            if v + e + draw + 0.5 < count + 1:  # the upper end rounds to count too
+                readings.append((index, count, True))
+                continue
+        readings.append((index, quantize(invert_cubic(truth, state) + draw, adc_max), True))
     return readings
 
 
-def read_wheel(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[AdcReading, AdcReading]:
+def read_wheel(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[tuple[int, int, bool], ...]:
     """Both wiper readings of a wheel at ``theta``, with its two count-noise draws."""
     r0, r1 = _read(theta, spec, noise)
     return r0, r1
 
 
-def read_tilt(theta: float, spec: SensorSpec, noise: Sequence[float]) -> AdcReading:
+def read_tilt(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[int, int, bool]:
     """The one reading of a tilt at ``theta``, with its one count-noise draw."""
     (reading,) = _read(theta, spec, noise)
     return reading
 
 
-def read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[AdcReading, ...]:
+def read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[tuple[int, int, bool], ...]:
     """One reading per wiper at ``theta``, by :func:`read_wheel` or :func:`read_tilt`;
     ``noise`` holds one count-noise draw per wiper, scaled by ``spec.noise_std``."""
     if spec.angle_limit is None:
@@ -175,8 +169,9 @@ def read(theta: float, spec: SensorSpec, noise: Sequence[float]) -> tuple[AdcRea
 
 def simulate_plant_step(
     theta: float, omega: float, k: float, dt: float, noise: float, angle_limit: float | None = None
-) -> PlantStep:
-    """One Euler step of the joint kinematics: theta + k*omega*dt + noise*dt.
+) -> tuple[float, bool]:
+    """One Euler step of the joint kinematics, ``(theta, saturated)``:
+    theta + k*omega*dt + noise*dt.
 
     ``noise`` is the drawn rate noise, ``N(0, q)`` for a plant variance
     ``q``.  Without ``angle_limit`` (a wheel) results wrap into (-pi, pi];
@@ -187,14 +182,12 @@ def simulate_plant_step(
         raise SpecError("dt must be positive")
     theta_next = theta + k * omega * dt + noise * dt
     if angle_limit is None:
-        step = (wrap_angle(theta_next), False)
-    elif theta_next > angle_limit:
-        step = (angle_limit, True)
-    elif theta_next < -angle_limit:
-        step = (-angle_limit, True)
-    else:
-        step = (theta_next, False)
-    return tuple.__new__(PlantStep, step)
+        return wrap_angle(theta_next), False
+    if theta_next > angle_limit:
+        return angle_limit, True
+    if theta_next < -angle_limit:
+        return -angle_limit, True
+    return theta_next, False
 
 
 def sensor_spec_to_dict(spec: SensorSpec) -> dict:
@@ -219,10 +212,11 @@ def sensor_geometry_from_dict(data: dict, path: str = "") -> Geometry:
     calibration reads of it.  The reference sensor its ``kind`` names fills
     the tracks and angle limit it leaves out
     (:func:`~paintpot.geometry.geometry_from_dict`).  A key no sensor file
-    holds is refused, named by its path after ``path``, the path of the
-    spec in the file that holds it (``"sensor."`` in an experiment config)."""
+    holds is refused.  A fault names its key by its path after ``path``, the
+    path of the spec in the file that holds it (``"sensor."`` in an
+    experiment config)."""
     with malformed("sensor spec"):
-        geometry = geometry_from_dict(data["kind"], data)
+        geometry = geometry_from_dict(data["kind"], data, path)
         keys = ("kind", "noise_std", *TRUTH_KEYS[data["kind"]], *GEOMETRY_KEYS[data["kind"]])
         refuse_unknown_keys(data, {"": keys}, "sensor-spec", path)
         return geometry
@@ -237,13 +231,15 @@ def sensor_spec_from_dict(data: dict, path: str = "") -> SensorSpec:
     with malformed("sensor spec"):
         names = TRUTH_KEYS[data["kind"]]
         wipers = tuple(WiperSpec(CubicModel.from_dict(data[n], path + n), t) for n, t in zip(names, tracks))
-        noise_std = as_float(data.get("noise_std", 1.0), "noise_std")
+        noise_std = as_float(data.get("noise_std", 1.0), f"{path}noise_std")
+        if noise_std < 0.0:  # as SensorSpec checks it, naming its whole path
+            raise SpecError(f"{path}noise_std must be >= 0 and finite, got {noise_std!r}")
         spec = SensorSpec(wipers, limit, adc_max=adc_max, noise_std=noise_std)
     for i, (truth, track) in enumerate(spec.wipers):
         low, high = truth.angle_range()
         lo, hi = (-limit, limit) if track is None else track.window
         if not low <= lo <= hi <= high:
-            keys = "truth and angle_limit" if track is None else f"truth_w{i} and gap_w{i}"
+            keys = f"{path}truth and {path}angle_limit" if track is None else f"{path}truth_w{i} and {path}gap_w{i}"
             raise SpecError(f"{keys} contradict each other: the cubic reaches angles "
                             f"[{low!r}, {high!r}], not every state in [{lo!r}, {hi!r}]")
     return spec

@@ -4,9 +4,10 @@ The harness commands a joint along a quintic profile with a feedforward
 velocity plus proportional position controller, drives the simulated plant
 and sensor on noise drawn once per run, and runs the matching estimator,
 logging truth, estimate, reference, command, and feature availability at
-every step.  A joint whose observation model wraps (a wheel) has wrapped
-errors and a wrapping plant; one with an angle limit (a tilt) has plain
-errors and stops at the limit.
+every step; the reference is one array schedule, sampled before the run.
+A joint whose observation model wraps (a wheel) has wrapped errors and a
+wrapping plant; one with an angle limit (a tilt) has plain errors and
+stops at the limit.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ class QuinticTrajectory:
     def velocity(self, t: float) -> float:
         return (((5.0 * self.a5 * t + 4.0 * self.a4) * t + 3.0 * self.a3) * t + 2.0 * self.a2) * t + self.a1
 
-    def acceleration(self, t: float) -> float:
-        return ((20.0 * self.a5 * t + 12.0 * self.a4) * t + 6.0 * self.a3) * t + 2.0 * self.a2
-
 
 def plan_quintic(x0: float, xf: float, t_total: float) -> QuinticTrajectory:
     """The unique quintic with zero velocity and acceleration at both ends."""
@@ -72,8 +70,14 @@ def plan_quintic(x0: float, xf: float, t_total: float) -> QuinticTrajectory:
     )
 
 
-def sample(traj: QuinticTrajectory, t: float) -> tuple[float, float]:
-    """(position, velocity) at ``t``, clamped to the profile endpoints."""
+def sample(traj: QuinticTrajectory, t: float | np.ndarray):
+    """(position, velocity) at ``t``, clamped to the profile endpoints; at an
+    array of times, arrays whose elements equal the float results bit for bit."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        ends, inside = (t <= 0.0) | (t >= traj.t_total), np.clip(t, 0.0, traj.t_total)
+        position = np.where(ends, np.where(t <= 0.0, traj.x0, traj.xf), traj.position(inside))
+        return position, np.where(ends, 0.0, traj.velocity(inside))
     if t <= 0.0:
         return traj.x0, 0.0
     if t >= traj.t_total:
@@ -166,11 +170,11 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one closed-loop trajectory-tracking experiment.
 
-    Per step: sample the reference, command the motor, advance the plant,
-    read the sensor, predict, then update with whatever features are
-    available.  Deterministic for a fixed seed: the run draws the initial
-    read's W count-noise values (W wipers), then, in one call, each step's
-    plant rate noise followed by its W count-noise values.
+    The reference is sampled at every step's time at once.  Per step:
+    command the motor, advance the plant, read the sensor, predict, then
+    update with whatever features are available.  Deterministic for a fixed
+    seed: the run draws the initial read's W count draws (W wipers), then,
+    in one call, each step's plant rate noise followed by its W count draws.
     """
     sensor, obs = config.sensor, config.obs
     wheel = obs.wrap
@@ -207,25 +211,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     used = (0 in admitted, 1 in admitted)
 
     size = n_steps + 1  # one list per trace column, made an array after the run
-    logs = [[0.0] * size for _ in range(7)]
-    t_log, true_log, est_log, ref_log, u_log, f0_log, f1_log = logs
-    traj, gains, tm, step_estimator = config.traj, config.gains, config.tm, estimator.step
-    true_log[0], est_log[0], ref_log[0] = theta, belief[0], sample(traj, 0.0)[0]
+    t_log = np.arange(size) * dt  # each element step * dt, as a float times a float
+    ref_log, ref_velocity = sample(config.traj, t_log)
+    logs = [[0.0] * size for _ in range(5)]
+    true_log, est_log, u_log, f0_log, f1_log = logs
+    gains, tm, step_estimator = config.gains, config.tm, estimator.step
+    true_log[0], est_log[0] = theta, belief[0]
     f0_log[0], f1_log[0] = used
 
-    for step, plant_draw, read_draws in zip(range(1, size), plant_noise, read_noise):
-        t = step * dt
-        ref_pos, ref_vel = sample(traj, t)
+    references = zip(ref_log[1:].tolist(), ref_velocity[1:].tolist())
+    for step, (ref_pos, ref_vel), plant_draw, read_draws in zip(range(1, size), references, plant_noise, read_noise):
         u = control_step(belief[0], ref_pos, ref_vel, gains, tm, wheel)
         theta = simulate_plant_step(theta, u, tm.k, dt, plant_draw, limit)[0]
         belief, used = step_estimator(u, read(theta, sensor, read_draws))
         if not wheel:
             used = (used, False)
-        t_log[step], true_log[step], est_log[step] = t, theta, belief[0]
-        ref_log[step], u_log[step] = ref_pos, u
+        true_log[step], est_log[step], u_log[step] = theta, belief[0], u
         f0_log[step], f1_log[step] = used
-    t_log, true_log, est_log, ref_log, u_log = (np.array(log, dtype=float) for log in logs[:5])
-    f0_log, f1_log = (np.array(log, dtype=bool) for log in logs[5:])
+    true_log, est_log, u_log = (np.array(log, dtype=float) for log in logs[:3])
+    f0_log, f1_log = (np.array(log, dtype=bool) for log in logs[3:])
 
     # Wheel errors are wrapped differences, so a seam crossing is not a turn.
     errors = est_log - ref_log

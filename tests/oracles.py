@@ -333,6 +333,17 @@ def invert_cubic_reference(model, theta_target, tol=1e-9, max_iter=200):
     )
 
 
+def shift(track, theta):
+    """The shifted state a wiper on ``track`` reports at ``theta``: one turn
+    on past its edge, on the side the turn points away from."""
+    return theta + track.turn if (theta - track.edge) * track.turn < 0.0 else theta
+
+
+def acceleration(traj, t):
+    """The second derivative of the quintic ``traj`` at ``t``, from its coefficients."""
+    return ((20.0 * traj.a5 * t + 12.0 * traj.a4) * t + 6.0 * traj.a3) * t + 2.0 * traj.a2
+
+
 def wiper_voltage(wiper, theta):
     """Noiseless continuous count of a simulated wiper at the validated
     angle ``theta``, or None while it rides its gap: the gap test, then the
@@ -351,9 +362,9 @@ def read_reference(theta, spec, noise):
     """One simulated reading per wiper, as ``sensor_sim.read`` returns it:
     the angle checked and -pi read as pi on a wheel, then per wiper
     :func:`wiper_voltage` (the rail voltage 0.0 in a gap) plus its draw,
-    quantized into an ``AdcReading``."""
+    quantized into an ``(index, count, available)`` triple."""
     from paintpot.errors import DomainError
-    from paintpot.sensor_sim import AdcReading, quantize
+    from paintpot.sensor_sim import quantize
 
     limit = spec.angle_limit
     if limit is None:
@@ -367,7 +378,7 @@ def read_reference(theta, spec, noise):
     for index, (wiper, draw) in enumerate(zip(spec.wipers, noise, strict=True)):
         voltage = wiper_voltage(wiper, theta)
         count = quantize((0.0 if voltage is None else voltage) + draw, spec.adc_max)
-        readings.append(AdcReading(index, count, voltage is not None))
+        readings.append((index, count, voltage is not None))
     return tuple(readings)
 
 

@@ -22,7 +22,6 @@ from paintpot.presets import (
     reference_wheel_spec,
 )
 from paintpot.sensor_sim import (
-    AdcReading,
     SensorSpec,
     WiperSpec,
     read,
@@ -104,7 +103,7 @@ class TestSweep:
         assert dataset.t.tobytes() == t.tobytes()
         assert dataset.theta.tobytes() == theta.tobytes()
         noise = np.random.default_rng(seed).normal(0.0, spec.noise_std, (len(t), len(spec.wipers)))
-        counts = [[r.count for r in read(a, spec, draws)] for a, draws in zip(theta.tolist(), noise.tolist())]
+        counts = [[count for _, count, _ in read(a, spec, draws)] for a, draws in zip(theta.tolist(), noise.tolist())]
         assert dataset.counts.tolist() == counts
 
     def test_zero_duration_is_config_error(self, tmp_path):
@@ -404,7 +403,7 @@ def assert_trace_lines_are_the_steps(tmp_path, bundle_path, rows):
     estimator = (estimate.WheelEstimator if wheel else estimate.TiltEstimator)(
         obs, estimate.transition_from_bundle(bundle), sigma0
     )
-    steps = [[AdcReading(i, count, True) for i, count in enumerate(row[1:-1])] for row in rows]
+    steps = [[(i, count, True) for i, count in enumerate(row[1:-1])] for row in rows]
     belief = estimator.initialize(steps[0])
     lines = [(rows[0][0], belief[0], belief[1], len(estimate.extract_features(steps[0], obs)))]
     for row, readings_of_row in zip(rows[1:], steps[1:]):
@@ -541,8 +540,8 @@ def wheel_bundle(tmp_path):
 class TestEstimate:
     def test_constant_readings_converge_monotonically(self, tmp_path, wheel_bundle):
         spec = reference_wheel_spec(noise_std=0.0)
-        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
-        rows = [(i * 0.01, r0.count, r1.count, 0.0) for i in range(60)]
+        (_, count0, _), (_, count1, _) = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
+        rows = [(i * 0.01, count0, count1, 0.0) for i in range(60)]
         readings = tmp_path / "readings.csv"
         write_readings_csv(readings, rows)
         out = tmp_path / "trace.csv"
@@ -553,8 +552,8 @@ class TestEstimate:
         bundle = load_bundle(wheel_bundle)
         # Static fixed point: the precision-weighted blend of both
         # constant converted measurements.
-        z0 = float(bundle.models[0].evaluate(r0.count))
-        z1 = float(bundle.models[1].evaluate(r1.count))
+        z0 = float(bundle.models[0].evaluate(count0))
+        z1 = float(bundle.models[1].evaluate(count1))
         w0 = 1.0 / bundle.filter_params["r0"]
         w1 = 1.0 / bundle.filter_params["r1"]
         target = (w0 * z0 + w1 * z1) / (w0 + w1)
@@ -572,8 +571,8 @@ class TestEstimate:
         for i in range(300):
             omega = 2.0 * math.sin(2.0 * PI * i / 200.0)
             theta, _ = simulate_plant_step(theta, omega, k, dt, rng.normal(0.0, 0.0))
-            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
-            rows.append((i * dt, a.count, b.count, omega))
+            (_, a, _), (_, b, _) = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
+            rows.append((i * dt, a, b, omega))
             truth.append(theta)
         readings = tmp_path / "moving.csv"
         write_readings_csv(readings, rows)
@@ -596,8 +595,8 @@ class TestEstimate:
         rows = []
         for i in range(260):
             theta, _ = simulate_plant_step(theta, omega, k, dt, rng.normal(0.0, 0.0))
-            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
-            rows.append((i * dt, a.count, b.count, omega))
+            (_, a, _), (_, b, _) = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
+            rows.append((i * dt, a, b, omega))
         readings = tmp_path / "gap.csv"
         write_readings_csv(readings, rows)
         out = tmp_path / "trace.csv"
@@ -623,7 +622,7 @@ class TestEstimate:
         spec = reference_tilt_spec(noise_std=1.0)
         rng = np.random.default_rng(6)
         rows = [
-            (i * 0.01, read_tilt(0.3 + 0.002 * i, spec, rng.normal(0.0, 1.0, 1)).count, 0.2)
+            (i * 0.01, read_tilt(0.3 + 0.002 * i, spec, rng.normal(0.0, 1.0, 1))[1], 0.2)
             for i in range(100)
         ]
         readings = tmp_path / "treadings.csv"
@@ -648,7 +647,7 @@ class TestEstimate:
         spec, rng = reference_tilt_spec(noise_std=1.0), np.random.default_rng(8)
         rows = []
         for i in range(n_rows):
-            count = read_tilt(0.6 * math.sin(i / 50.0), spec, rng.normal(0.0, 1.0, 1)).count
+            _, count, _ = read_tilt(0.6 * math.sin(i / 50.0), spec, rng.normal(0.0, 1.0, 1))
             rows.append((i * 0.01, 1023 if i % 37 == 36 else count, 1.2 * math.cos(i / 50.0)))
         sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, bundle, rows)
         if n_rows >= TILT_TRACE_ROWS[0]:  # the first 600 rows, as the log has always had
@@ -664,8 +663,8 @@ class TestEstimate:
         theta, rows = 0.45 * PI, []
         for i in range(n_rows):
             theta, _ = simulate_plant_step(theta, 4.0, 0.2, 0.01, rng.normal(0.0, 0.0))
-            a, b = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
-            rows.append((i * 0.01, a.count, b.count, 4.0))
+            (_, a, _), (_, b, _) = read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))
+            rows.append((i * 0.01, a, b, 4.0))
         sigmas, n_features = assert_trace_lines_are_the_steps(tmp_path, wheel_bundle, rows)
         if n_rows >= WHEEL_TRACE_ROWS[0]:  # the first 500 rows, as the log has always had
             assert len(set(sigmas[:500])) > 500 / 2
@@ -771,8 +770,8 @@ class TestEstimate:
         # A readings log has no availability flag: every reading is marked
         # available, and only the count window keeps a rail count out.
         spec = reference_wheel_spec(noise_std=0.0)
-        r0, r1 = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
-        rows = [(i * 0.01, 0 if 20 <= i < 30 else r0.count, r1.count, 0.0) for i in range(60)]
+        (_, count0, _), (_, count1, _) = read_wheel(0.8, spec, np.random.default_rng(0).normal(0.0, 0.0, 2))
+        rows = [(i * 0.01, 0 if 20 <= i < 30 else count0, count1, 0.0) for i in range(60)]
         readings = tmp_path / "rail.csv"
         write_readings_csv(readings, rows)
         out = tmp_path / "trace.csv"
@@ -1216,6 +1215,57 @@ def test_unknown_experiment_config_key_is_config_error_naming_it(tmp_path, capsy
         for section in sections:
             table = table[section]
         table[key] = 0.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", str(path), "--out-prefix", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err == f"paintpot: configuration error: {message}\n"
+    assert not (tmp_path / "x_trace.csv").exists() and not (tmp_path / "x_summary.json").exists()
+
+
+# Faults under a config's sensor spec or embedded model bundle that are not
+# unknown keys, each named by its whole path: the preset the config starts
+# from, the section edited ("models" is a calibrated wheel bundle the test
+# embeds), the edit and the error.
+PREFIXED_CONFIG_FAULTS = [
+    ("pan_pi_to_0", "models", _set("valid_ranges", 0, "v_max", "x"),
+     "models.valid_ranges[0].v_max must be an integer, got 'x'"),
+    ("pan_pi_to_0", "models", _set("fit_report", "wipers", 1, "n", 3.5),
+     "models.fit_report.wipers[1].n must be an integer, got 3.5"),
+    ("pan_pi_to_0", "models", _set("fit_report", "wipers", 0, "rms", True),
+     "models.fit_report.wipers[0].rms must be a finite number, got True"),
+    ("pan_pi_to_0", "models", _set("fit_report", []), "models.fit_report must be a JSON object, got []"),
+    ("pan_pi_to_0", "models", _set("filter", None), "models.filter must be a JSON object, got None"),
+    ("pan_pi_to_0", "models", _set("adc_max", True), "models.adc_max must be an integer, got True"),
+    ("pan_pi_to_0", "models", _set("adc_max", 1000), "models.adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
+    ("pan_pi_to_0", "models", _set("gap_w1", [-2.5, "x"]), "models.gap_w1 must be a finite number, got 'x'"),
+    ("pan_pi_to_0", "sensor", _set("noise_std", "1.0"), "sensor.noise_std must be a finite number, got '1.0'"),
+    ("pan_pi_to_0", "sensor", _set("noise_std", -1.0), "sensor.noise_std must be >= 0 and finite, got -1.0"),
+    ("pan_pi_to_0", "sensor", _set("adc_max", 1.5), "sensor.adc_max must be an integer, got 1.5"),
+    ("pan_pi_to_0", "sensor", _set("adc_max", 0), "sensor.adc_max must be 2**bits - 1 with bits >= 1, got 0"),
+    ("pan_pi_to_0", "sensor", _set("gap_w0", [True, 2.0]), "sensor.gap_w0 must be a finite number, got True"),
+    ("pan_pi_to_0", "sensor", _set("gap_w1", [-1.137, -0.885]),
+     "sensor.truth_w1 and sensor.gap_w1 contradict each other: the cubic reaches angles "
+     f"[-5.8128, 5.0640061010532], not every state in [-0.885, {-1.137 + 2.0 * math.pi!r}]"),
+    ("tilt_sweep", "sensor", _set("angle_limit", True), "sensor.angle_limit must be a finite number, got True"),
+    ("tilt_sweep", "sensor", _set("angle_limit", 4.0), "sensor.angle_limit must lie in (0, pi]"),
+    ("tilt_sweep", "sensor", _set("angle_limit", 2.1),
+     "sensor.truth and sensor.angle_limit contradict each other: the cubic reaches angles "
+     "[-2.7173, 2.0765735986339005], not every state in [-2.1, 2.1]"),
+]
+PREFIXED_CONFIG_FAULT_IDS = [
+    "text_v_max", "fraction_n", "bool_rms", "list_fit_report", "null_filter", "bool_adc_max", "adc_max_1000",
+    "text_gap_w1", "text_noise", "negative_noise", "fraction_adc_max", "adc_max_zero", "bool_gap_w0",
+    "gap_w1_past_truth", "bool_limit", "limit_above_pi", "limit_past_truth",
+]
+
+
+@pytest.mark.parametrize("preset,section,edit,message", PREFIXED_CONFIG_FAULTS, ids=PREFIXED_CONFIG_FAULT_IDS)
+def test_config_fault_under_sensor_or_models_names_its_whole_path(tmp_path, capsys, preset, section, edit, message):
+    config = json.loads(json.dumps(presets.EXPERIMENT_PRESETS[preset]))
+    if section == "models":
+        config["models"] = json.loads(calibrated_bundle(tmp_path, "wheel").read_text())
+    edit(config[section])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()

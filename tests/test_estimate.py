@@ -42,7 +42,6 @@ from paintpot.presets import (
     reference_wheel_spec,
 )
 from paintpot.sensor_sim import (
-    AdcReading,
     SensorSpec,
     WiperSpec,
     read_wheel,
@@ -56,6 +55,7 @@ from oracles import (
     fuse_information,
     grid_bayes_posterior,
     per_wiper_turn_rule,
+    shift,
     tilt_step_reference,
     wheel_step_reference,
     wiper_voltage,
@@ -99,13 +99,13 @@ def wheel_belief(mu, sigma):
     """The belief a wheel filter seeds from a wiper-0 reading converting to ``mu``."""
     wiper0 = Wiper(CubicModel(0.0, 0.0, 1.0, mu, (0.0, 1023.0)), 1e-4, 0, 0, WHEEL_TRACKS[0])  # chart[0] == mu
     obs = ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, WHEEL_TRACKS[1])))
-    return initial_belief((AdcReading(0, 0, True), AdcReading(1, 0, True)), obs, sigma0=sigma)
+    return initial_belief(((0, 0, True), (1, 0, True)), obs, sigma0=sigma)
 
 
 def stepped(estimator, belief):
     """``estimator`` stepped once, with no motion and no reading admitted, from ``belief``."""
     estimator.belief = belief
-    return estimator.step(0.0, tuple(AdcReading(i, 0, False) for i in range(len(estimator.obs.wipers))))
+    return estimator.step(0.0, tuple((i, 0, False) for i in range(len(estimator.obs.wipers))))
 
 
 STILL = TransitionModel(k=1.0, dt=0.01, q=0.0)
@@ -115,7 +115,7 @@ STILL = TransitionModel(k=1.0, dt=0.01, q=0.0)
 BELIEF_MAKERS = {
     "predict": lambda belief: predict(belief, 0.0, STILL),
     "update_wheel": lambda belief: update_wheel(belief, [(0, 0.1, 1e-4)], [belief[0]]),
-    "update_tilt": lambda belief: update_tilt(belief, AdcReading(0, 384, True), tilt_obs(EXACT_M0, 1e-4)),
+    "update_tilt": lambda belief: update_tilt(belief, (0, 384, True), tilt_obs(EXACT_M0, 1e-4)),
     "wheel_step": lambda belief: stepped(WheelEstimator(exact_obs(), STILL), belief),
     "tilt_step": lambda belief: stepped(TiltEstimator(tilt_obs(EXACT_M0, 1e-4), STILL), belief),
 }
@@ -130,14 +130,14 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("make", [
         *BELIEF_MAKERS.values(),
-        lambda belief: initial_belief((AdcReading(0, 384, True), AdcReading(1, 500, True)), exact_obs(), belief[1]),
+        lambda belief: initial_belief(((0, 384, True), (1, 500, True)), exact_obs(), belief[1]),
     ], ids=[*BELIEF_MAKERS, "initial_belief"])
     @pytest.mark.parametrize("sigma", [0.0, -1e-9, math.nan])
     def test_belief_rejects_non_positive_or_nan_variance(self, sigma, make):
         with pytest.raises(SpecError, match="^belief variance must be positive, got "):
             make((0.1, sigma))
 
-    @pytest.mark.parametrize("value,attribute", [(AdcReading(0, 384, True), "count")])
+    @pytest.mark.parametrize("value,attribute", [((0, 384, True), "count")])
     def test_per_step_values_are_immutable(self, value, attribute):
         with pytest.raises(AttributeError):
             setattr(value, attribute, 1)
@@ -202,23 +202,23 @@ class TestValueChecks:
 
     def test_reading_of_an_unknown_wiper_rejected(self):
         with pytest.raises(SpecError, match="wiper index must be in 0..1, got 2"):
-            extract_features((AdcReading(2, 384, True),), exact_obs())
+            extract_features(((2, 384, True),), exact_obs())
         with pytest.raises(SpecError, match="wiper index must be in 0..1, got -1"):
-            extract_features((AdcReading(-1, 384, True),), exact_obs())
+            extract_features(((-1, 384, True),), exact_obs())
         with pytest.raises(SpecError, match="wiper index must be in 0..0, got 1"):
-            extract_features((AdcReading(1, 384, True),), tilt_obs(EXACT_M0, 1e-4))
+            extract_features(((1, 384, True),), tilt_obs(EXACT_M0, 1e-4))
 
     @pytest.mark.parametrize("available", [True, False])
     def test_tilt_reading_of_an_unknown_wiper_rejected(self, available):
         obs, belief = tilt_obs(EXACT_M0, 1e-4), (0.1, 1e-4)
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 5$"):
-            update_tilt(belief, AdcReading(5, 500, available), obs)
+            update_tilt(belief, (5, 500, available), obs)
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got -1$"):
-            update_tilt(belief, AdcReading(-1, 500, available), obs)
+            update_tilt(belief, (-1, 500, available), obs)
         estimator = TiltEstimator(obs, TransitionModel(k=0.2, dt=0.01, q=0.05))
         estimator.belief = belief
         with pytest.raises(SpecError, match="^wiper index must be in 0..0, got 7$"):
-            estimator.step(0.0, (AdcReading(7, 600, available),))
+            estimator.step(0.0, ((7, 600, available),))
         assert estimator.belief is belief
 
 
@@ -278,7 +278,7 @@ class TestCountCharts:
 class TestInitWheel:
     def test_wiper0_in_range_no_shift(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 384, True), AdcReading(1, 500, True))
+        readings = ((0, 384, True), (1, 500, True))
         belief = initial_belief(readings, obs, sigma0=1e-4)
         assert belief[0] == 0.5  # 384 * 2**-8 - 1.0 exactly
         assert belief[1] == 1e-4
@@ -287,39 +287,39 @@ class TestInitWheel:
         # Chart value -1.1*pi is below the seam, so a full turn is added.
         m0 = CubicModel(0.0, 0.0, 0.01, -1.1 * PI - 1.0, (0.0, 1023.0))
         obs = wheel_obs(m0, EXACT_M1, 1e-4, 1e-4, WIDE_RANGES)
-        readings = (AdcReading(0, 100, True), AdcReading(1, 500, True))
+        readings = ((0, 100, True), (1, 500, True))
         belief = initial_belief(readings, obs)
         assert belief[0] == pytest.approx(0.9 * PI, abs=1e-9)
 
     def test_falls_back_to_wiper1_and_shifts_down(self):
         m1 = CubicModel(0.0, 0.0, 0.01, 1.1 * PI - 1.0, (0.0, 1023.0))
         obs = wheel_obs(EXACT_M0, m1, 1e-4, 1e-4, WIDE_RANGES)
-        readings = (AdcReading(0, 1000, True), AdcReading(1, 100, True))  # 1000 not admitted
+        readings = ((0, 1000, True), (1, 100, True))  # 1000 not admitted
         belief = initial_belief(readings, obs)
         assert belief[0] == pytest.approx(-0.9 * PI, abs=1e-9)
 
     def test_no_valid_reading_raises(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 0, True), AdcReading(1, 1023, True))
+        readings = ((0, 0, True), (1, 1023, True))
         with pytest.raises(InitializationError):
             initial_belief(readings, obs)
 
     def test_unavailable_reading_is_skipped_even_if_in_range(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 384, False), AdcReading(1, 500, True))
+        readings = ((0, 384, False), (1, 500, True))
         belief = initial_belief(readings, obs)
         assert belief[0] == 500 * 2.0**-8 - 0.5
 
     def test_readings_are_taken_in_wiper_order(self):
         obs = exact_obs()
-        readings = (AdcReading(1, 500, True), AdcReading(0, 384, True))
+        readings = ((1, 500, True), (0, 384, True))
         assert initial_belief(readings, obs)[0] == 0.5  # wiper 0's value
 
     def test_one_reading_per_wiper_required(self):
         with pytest.raises(SpecError, match="one reading per wiper"):
-            initial_belief((AdcReading(0, 384, True),), exact_obs())
+            initial_belief(((0, 384, True),), exact_obs())
         with pytest.raises(SpecError, match="one reading per wiper"):
-            initial_belief((AdcReading(0, 384, True), AdcReading(0, 500, True)), exact_obs())
+            initial_belief(((0, 384, True), (0, 500, True)), exact_obs())
 
     # Seeding wraps the converted value onto (-pi, pi].  The rule this
     # replaced added a turn to a wiper-0 value below -pi and took one off a
@@ -334,7 +334,7 @@ class TestInitWheel:
     def test_wiper1_agrees_with_the_turn_rule_within_a_turn(self, value):
         m1 = CubicModel(0.0, 0.0, 1.0, value, (0.0, 1023.0))
         obs = ObservationModel((Wiper(EXACT_M0, 1e-4, 1, 1, WHEEL_TRACKS[0]), Wiper(m1, 1e-4, 0, 0, WHEEL_TRACKS[1])))
-        readings = (AdcReading(0, 0, True), AdcReading(1, 0, True))  # wiper 0 not admitted
+        readings = ((0, 0, True), (1, 0, True))  # wiper 0 not admitted
         assert initial_belief(readings, obs)[0] == per_wiper_turn_rule(value, 1)
 
     def test_wiper0_at_minus_pi_seeds_pi(self):
@@ -375,7 +375,7 @@ class TestPredict:
 class TestExtractFeatures:
     def test_both_in_range(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 384, True), AdcReading(1, 640, True))
+        readings = ((0, 384, True), (1, 640, True))
         (i0, z0, r0), (i1, z1, r1) = extract_features(readings, obs)
         assert [i0, i1] == [0, 1]
         assert z0 == 0.5
@@ -384,32 +384,32 @@ class TestExtractFeatures:
 
     def test_boundary_count_excluded(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 1, True), AdcReading(1, 640, True))  # 1 == v_min
+        readings = ((0, 1, True), (1, 640, True))  # 1 == v_min
         features = extract_features(readings, obs)
         assert [i for i, _, _ in features] == [1]
 
     def test_gap_reading_skipped(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 384, True), AdcReading(1, 640, False))
+        readings = ((0, 384, True), (1, 640, False))
         features = extract_features(readings, obs)
         assert [i for i, _, _ in features] == [0]
 
     def test_empty_list_is_legal(self):
         obs = exact_obs()
-        readings = (AdcReading(0, 0, True), AdcReading(1, 1023, False))
+        readings = ((0, 0, True), (1, 1023, False))
         assert extract_features(readings, obs) == []
 
     @pytest.mark.parametrize("wiper", [0, 1])
     def test_negative_count_and_count_above_hi_give_no_feature(self, wiper):
         # A negative count would index the chart from its end.
         obs = exact_obs()
-        other = AdcReading(1 - wiper, 500, True)
+        other = (1 - wiper, 500, True)
         for count in (-1, -500, obs.wipers[wiper].hi + 1, 1023):
-            features = extract_features((AdcReading(wiper, count, True), other), obs)
+            features = extract_features(((wiper, count, True), other), obs)
             assert [i for i, _, _ in features] == [1 - wiper]
 
     def test_features_are_feature_tuples(self):
-        (feature,) = extract_features((AdcReading(0, 384, True),), exact_obs(r0=2e-4))
+        (feature,) = extract_features(((0, 384, True),), exact_obs(r0=2e-4))
         assert type(feature) is tuple and feature == (0, 0.5, 2e-4)
 
     @pytest.mark.parametrize("preset,gaps", [
@@ -424,16 +424,16 @@ class TestExtractFeatures:
         for index, wiper in enumerate(obs.wipers):
             for count in range(spec.adc_max + 1):
                 for available in (True, False):
-                    got = extract_features((AdcReading(index, count, available),), obs)
+                    got = extract_features(((index, count, available),), obs)
                     admitted = available and wiper.lo <= count <= wiper.hi
                     want = [(index, wiper.chart[count], wiper.r)] if admitted else []
                     assert list(map(hexed, got)) == list(map(hexed, want))
                     if not obs.wrap:  # the tilt update admits by its own test, which must agree
-                        reading = AdcReading(index, count, available)
+                        reading = (index, count, available)
                         assert update_tilt((0.0, 1e-4), reading, obs)[1] == admitted
         top = len(obs.wipers) - 1
         with pytest.raises(SpecError, match=f"^wiper index must be in 0..{top}, got {top + 1}$"):
-            extract_features((AdcReading(top + 1, 500, True),), obs)
+            extract_features(((top + 1, 500, True),), obs)
 
     @pytest.mark.parametrize("preset", ["wheel_reference", "tilt_reference"])
     def test_observation_model_holds_no_per_count_objects(self, preset):
@@ -452,14 +452,14 @@ class TestExtractFeatures:
                         seen.add(id(ref))
                         stack.append(ref)
         assert tracked <= 32
-        readings = [AdcReading(index, (wiper.lo + wiper.hi) // 2, True) for index, wiper in enumerate(obs.wipers)]
+        readings = [(index, (wiper.lo + wiper.hi) // 2, True) for index, wiper in enumerate(obs.wipers)]
         features = extract_features(readings, obs)
         assert len(features) == len(obs.wipers) and all(type(feature) is tuple for feature in features)
 
     def test_initial_belief_skips_a_wiper0_count_outside_lo_hi(self):
         obs = exact_obs()
         for count in (-1, obs.wipers[0].hi + 1):
-            readings = (AdcReading(0, count, True), AdcReading(1, 500, True))
+            readings = ((0, count, True), (1, 500, True))
             assert initial_belief(readings, obs)[0] == 500 * 2.0**-8 - 0.5
 
 
@@ -467,18 +467,18 @@ class TestPredictedFeatureMeasurement:
     """A wiper's predicted measurement: the mean on its shifted chart."""
 
     def test_wiper0_shifts_down_past_edge(self):
-        assert WHEEL_TRACKS[0].shift(0.9 * PI) == pytest.approx(
+        assert shift(WHEEL_TRACKS[0], 0.9 * PI) == pytest.approx(
             0.9 * PI - TWO_PI, abs=1e-12
         )
 
     def test_wiper1_shifts_up_past_edge(self):
-        assert WHEEL_TRACKS[1].shift(-0.9 * PI) == pytest.approx(
+        assert shift(WHEEL_TRACKS[1], -0.9 * PI) == pytest.approx(
             -0.9 * PI + TWO_PI, abs=1e-12
         )
 
     def test_interior_is_identity(self):
-        assert WHEEL_TRACKS[0].shift(0.0) == 0.0
-        assert WHEEL_TRACKS[1].shift(0.0) == 0.0
+        assert shift(WHEEL_TRACKS[0], 0.0) == 0.0
+        assert shift(WHEEL_TRACKS[1], 0.0) == 0.0
 
     def test_matches_five_region_oracle_through_truth_inversion(self):
         # One interior point per region: availability pattern and the
@@ -495,7 +495,7 @@ class TestPredictedFeatureMeasurement:
                 assert voltage is not None
                 truth = spec.wipers[wiper].truth
                 assert truth.evaluate(voltage) == pytest.approx(want, abs=1e-9)
-                assert WHEEL_TRACKS[wiper].shift(theta) == pytest.approx(
+                assert shift(WHEEL_TRACKS[wiper], theta) == pytest.approx(
                     want, abs=1e-12
                 )
 
@@ -512,7 +512,7 @@ class TestPredictedFeatureMeasurement:
             estimator = WheelEstimator(ObservationModel((wiper0, Wiper(EXACT_M1, 1e-4, 0, 0, track1))),
                                        TransitionModel(k=1.0, dt=0.01, q=0.0))
             estimator.belief = (mu, 1e-4)
-            used.append(estimator.step(0.0, (AdcReading(0, 0, True), AdcReading(1, 0, False))).used)
+            used.append(estimator.step(0.0, ((0, 0, True), (1, 0, False))).used)
         assert used == ([(True, False), (False, False)] if tracks == "custom" else [(False, False), (True, False)])
 
 
@@ -569,7 +569,7 @@ class TestUpdateWheel:
             seq = update_wheel(
                 first,
                 [(1, z1, r1)],
-                [WHEEL_TRACKS[1].shift(first[0])],
+                [shift(WHEEL_TRACKS[1], first[0])],
             )
             assert dual[0] == pytest.approx(seq[0], rel=1e-12, abs=1e-12)
             assert dual[1] == pytest.approx(seq[1], rel=1e-12)
@@ -600,7 +600,7 @@ class TestWrapWheelBelief:
         # No feature and no motion: the step's mean is the belief's, wrapped, and -pi is stored as pi.
         estimator = WheelEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0))
         estimator.belief = (mu, 1e-4)
-        step = estimator.step(0.0, (AdcReading(0, 500, False), AdcReading(1, 500, False)))
+        step = estimator.step(0.0, ((0, 500, False), (1, 500, False)))
         assert step == ((wrap_angle(mu), 1e-4), (False, False)) and step.belief[0] in (PI, -PI + 1e-12)
 
 
@@ -608,7 +608,7 @@ class TestUpdateTilt:
     def test_symmetric_fusion(self):
         obs = tilt_obs(EXACT_M0, 1e-4)
         belief = (0.3, 1e-4)  # sigma == r -> K = 0.5
-        out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)
+        out, accepted = update_tilt(belief, (0, 384, True), obs)
         assert accepted
         assert out[0] == pytest.approx((belief[0] + 0.5) / 2.0, abs=1e-15)
 
@@ -617,7 +617,7 @@ class TestUpdateTilt:
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.25, (0.0, 1023.0))
         obs = tilt_obs(m, 1e-2)
         belief = (0.2, 1e-4)
-        out, accepted = update_tilt(belief, AdcReading(0, 384, True), obs)  # z = 0.25
+        out, accepted = update_tilt(belief, (0, 384, True), obs)  # z = 0.25
         assert accepted
         assert out[0] == pytest.approx(0.2004950495, abs=1e-9)
         assert out[1] == pytest.approx(9.90099009901e-5, rel=1e-9)
@@ -626,7 +626,7 @@ class TestUpdateTilt:
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.0, 900.0))
         obs = tilt_obs(m, 1e-4)
         belief = (0.1, 1e-4)
-        out, accepted = update_tilt(belief, AdcReading(0, 950, True), obs)
+        out, accepted = update_tilt(belief, (0, 950, True), obs)
         assert not accepted
         assert out == belief
 
@@ -634,13 +634,13 @@ class TestUpdateTilt:
 class TestInitTilt:
     def test_linear_chart(self):
         obs = tilt_obs(EXACT_M0, 1e-4)
-        belief = initial_belief((AdcReading(0, 512, True),), obs, sigma0=1e-4)
+        belief = initial_belief(((0, 512, True),), obs, sigma0=1e-4)
         assert belief[0] == 512 * 2.0**-8 - 1.0
         assert belief[1] == 1e-4
 
     def test_reference_tilt_chart(self):
         obs = tilt_obs(TILT_TRUTH, 1e-4)
-        belief = initial_belief((AdcReading(0, 500, True),), obs)
+        belief = initial_belief(((0, 500, True),), obs)
         assert belief[0] == pytest.approx(
             cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, 500.0), abs=1e-12
         )
@@ -649,7 +649,7 @@ class TestInitTilt:
         m = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (10.0, 900.0))
         obs = tilt_obs(m, 1e-4)
         with pytest.raises(InitializationError):
-            initial_belief((AdcReading(0, 1023, True),), obs)
+            initial_belief(((0, 1023, True),), obs)
 
 
 class TestVarianceLaws:
@@ -737,7 +737,7 @@ class TestRandomReadingStreams:
         n_wipers = len(estimator.obs.wipers)
 
         def readings(counts):
-            return tuple(AdcReading(i, c, a) for i, (c, a) in enumerate(counts[:n_wipers]))
+            return tuple((i, c, a) for i, (c, a) in enumerate(counts[:n_wipers]))
 
         first = readings(steps[0][1])
         if not extract_features(first, estimator.obs):
@@ -796,14 +796,14 @@ class TestFloatStepMatchesReference:
             readings = []
             for index, (wiper, chart) in enumerate(zip(obs.wipers, charts)):
                 # A count tracking the prediction, one beyond the gate, or an edge count.
-                near = int(np.argmin(np.abs(chart - WHEEL_TRACKS[index].shift(mu_bar))))
+                near = int(np.argmin(np.abs(chart - shift(WHEEL_TRACKS[index], mu_bar))))
                 count = data.draw(st.one_of(
                     st.integers(-3, 3).map(lambda d, near=near: near + d),
                     st.sampled_from([-1, 1]).map(lambda s, near=near: near + s * 200),
                     st.sampled_from([wiper.lo - 1, wiper.lo, wiper.hi, wiper.hi + 1, 0, 1023]),
                     st.integers(0, 1023),
                 ))
-                readings.append(AdcReading(index, min(max(count, 0), 1023), data.draw(st.booleans())))
+                readings.append((index, min(max(count, 0), 1023), data.draw(st.booleans())))
             if data.draw(st.booleans()):
                 readings.reverse()
             try:
@@ -848,7 +848,7 @@ class TestFloatStepMatchesReference:
                 st.integers(0, 1023),
             ))
             index = data.draw(st.sampled_from([0, 0, 0, 1]))
-            reading = AdcReading(index, min(max(count, 0), 1023), data.draw(st.booleans()))
+            reading = (index, min(max(count, 0), 1023), data.draw(st.booleans()))
             try:
                 want = tilt_step_reference(belief, u, reading, obs, tm)
             except SpecError as exc:

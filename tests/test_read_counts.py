@@ -103,9 +103,10 @@ def check_read_counts(calls, readings, reads, wipers, inversions):
     assert len(readings) == wipers * reads
     # Only the readings the slack leaves undecided are inverted.
     assert calls["invert"] == inversions
-    # A reading quantizes its rail voltage or the low end of its slack, and
-    # its inverted voltage when the slack leaves the count undecided.
-    assert calls["quantize"] == len(readings) + inversions
+    # quantize rounds a gap reading's rail voltage and an inverted voltage;
+    # a count its slack settles is rounded in the read.
+    gap_readings = sum(not available for _, _, available in readings)
+    assert calls["quantize"] == gap_readings + inversions
     # Two evaluations per inversion on the reference sensors: the
     # benchmark's cubic.evals_per_invert.
     assert calls["evaluate_in_invert"] == 2 * calls["invert"]
@@ -121,7 +122,7 @@ def test_wheel_sweep_counts(counted):
     check_read_counts(calls, readings, reads=700, wipers=2, inversions=1)
     assert len(dataset.t) == 700
     # The sweep crosses both gaps, so some wiper readings are unavailable.
-    assert sum(reading.available for reading in readings) == 1284
+    assert sum(available for _, _, available in readings) == 1284
     assert calls["evaluate"] == calls["evaluate_in_invert"] and not calls["chart"]
 
 
@@ -136,7 +137,7 @@ def test_tilt_sweep_experiment_counts(counted, tmp_path, monkeypatch):
     assert len(result) == steps + 1
     # The calibration sweep, the initial read and one read per step.
     check_read_counts(calls, readings, reads=sweep_rows + steps + 1, wipers=1, inversions=3)
-    assert all(reading.available for reading in readings)
+    assert all(available for _, _, available in readings)
     # The config's sensor spec holds a new truth cubic, charted on its first read.
     assert calls["chart_in_read"] == 1 and not calls["chart_in_invert"]
 
@@ -159,7 +160,7 @@ def test_a_draw_at_mid_count_makes_no_inversion(counted, name):
         noise = draws_at(spec, theta, 0.0)
         calls.clear()
         got = sensor_sim.read(theta, spec, noise)
-        assert calls["quantize"] == len(spec.wipers) and not calls["invert"]
+        assert not calls["quantize"] and not calls["invert"]
         assert got == oracles.read_reference(theta, spec, noise)
 
 

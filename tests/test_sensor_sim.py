@@ -25,6 +25,8 @@ from paintpot.sensor_sim import (
     read,
     read_tilt,
     read_wheel,
+    sensor_spec_from_dict,
+    sensor_spec_to_dict,
     simulate_plant_step,
 )
 
@@ -96,7 +98,8 @@ class TestWheelIdealVoltage:
         spec = linear_wheel_spec()
         a = read_wheel(-PI, spec, noiseless(2))
         assert a == read_wheel(PI, spec, noiseless(2))
-        assert a[1].count == round(wiper_voltage(spec.wipers[1], PI))
+        _, (_, count, _) = a
+        assert count == round(wiper_voltage(spec.wipers[1], PI))
 
 
 class TestQuantize:
@@ -163,17 +166,17 @@ class TestReadWheel:
         assert read_wheel(-PI, spec, draws(4, spec)) == read_wheel(PI, spec, draws(4, spec))
 
     def test_center_has_both_wipers(self):
-        r0, r1 = read_wheel(0.0, linear_wheel_spec(), noiseless(2))
-        assert r0.available and r1.available
+        (_, _, available0), (_, _, available1) = read_wheel(0.0, linear_wheel_spec(), noiseless(2))
+        assert available0 and available1
 
     def test_negative_gap_drops_wiper1(self):
-        r0, r1 = read_wheel(-0.75 * PI, linear_wheel_spec(), noiseless(2))
-        assert r0.available
-        assert not r1.available
+        (_, _, available0), (_, _, available1) = read_wheel(-0.75 * PI, linear_wheel_spec(), noiseless(2))
+        assert available0
+        assert not available1
 
     def test_pi_boundary_has_both_wipers(self):
-        r0, r1 = read_wheel(PI, linear_wheel_spec(), noiseless(2))
-        assert r0.available and r1.available
+        (_, _, available0), (_, _, available1) = read_wheel(PI, linear_wheel_spec(), noiseless(2))
+        assert available0 and available1
 
     def test_noiseless_reads_are_deterministic(self):
         spec = reference_spec()
@@ -186,31 +189,32 @@ class TestReadWheel:
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
         rng = np.random.default_rng(3)
         for theta in thetas:
-            r0, r1 = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
-            assert r0.available or r1.available
+            (_, _, available0), (_, _, available1) = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
+            assert available0 or available1
 
 
 class TestReadTilt:
     def test_linear_center(self):
         spec = tilt_spec(LINEAR_TILT)
-        reading = read_tilt(0.0, spec, noiseless(1))
-        assert reading.count == 512  # 511.5 rounded half away from zero
-        assert reading.available
+        _, count, available = read_tilt(0.0, spec, noiseless(1))
+        assert count == 512  # 511.5 rounded half away from zero
+        assert available
 
     def test_linear_lower_endpoint(self):
         spec = tilt_spec(LINEAR_TILT)
-        assert read_tilt(-PI / 2.0, spec, noiseless(1)).count == 0
+        _, count, _ = read_tilt(-PI / 2.0, spec, noiseless(1))
+        assert count == 0
 
     def test_reference_truth_matches_bisection_oracle(self):
         spec = tilt_spec(TILT_TRUTH)
-        reading = read_tilt(0.5, spec, noiseless(1))
+        _, count, _ = read_tilt(0.5, spec, noiseless(1))
         expected = bisect_root(
             lambda x: cubic_value(4.7517e-9, -8.7608e-6, 8.6756e-3, -2.7173, x) - 0.5,
             0.0,
             1023.0,
             tol=1e-12,
         )
-        assert reading.count == round(expected)
+        assert count == round(expected)
 
     def test_out_of_range_raises(self):
         spec = tilt_spec(LINEAR_TILT)
@@ -220,32 +224,32 @@ class TestReadTilt:
 
 class TestSimulatePlantStep:
     def test_rest_stays_at_rest(self):
-        step = simulate_plant_step(0.0, 0.0, 0.1, 0.01, noiseless(1)[0])
-        assert step.theta == 0.0
-        assert not step.saturated
+        theta, saturated = simulate_plant_step(0.0, 0.0, 0.1, 0.01, noiseless(1)[0])
+        assert theta == 0.0
+        assert not saturated
 
     def test_euler_step_without_noise(self):
-        step = simulate_plant_step(0.0, 1.0, 0.1, 0.01, noiseless(1)[0])
-        assert step.theta == pytest.approx(0.001, abs=1e-15)
+        theta, _ = simulate_plant_step(0.0, 1.0, 0.1, 0.01, noiseless(1)[0])
+        assert theta == pytest.approx(0.001, abs=1e-15)
 
     def test_wraps_at_seam(self):
         theta0 = PI - 0.0005
-        step = simulate_plant_step(theta0, 1.0, 0.1, 0.01, noiseless(1)[0])
-        assert step.theta == pytest.approx(wrap_brute(theta0 + 0.001), abs=1e-12)
-        assert step.theta < 0.0
+        theta, _ = simulate_plant_step(theta0, 1.0, 0.1, 0.01, noiseless(1)[0])
+        assert theta == pytest.approx(wrap_brute(theta0 + 0.001), abs=1e-12)
+        assert theta < 0.0
 
     def test_affine_in_omega_without_noise(self):
         # Power-of-two omega scaling keeps the float arithmetic exact, so
         # affinity can be asserted bit-for-bit.
         rng = np.random.default_rng(0)
-        base = simulate_plant_step(0.25, 0.5, 0.125, 0.0625, rng.normal(0.0, 0.0)).theta - 0.25
-        doubled = simulate_plant_step(0.25, 1.0, 0.125, 0.0625, rng.normal(0.0, 0.0)).theta - 0.25
+        base = simulate_plant_step(0.25, 0.5, 0.125, 0.0625, rng.normal(0.0, 0.0))[0] - 0.25
+        doubled = simulate_plant_step(0.25, 1.0, 0.125, 0.0625, rng.normal(0.0, 0.0))[0] - 0.25
         assert doubled == 2.0 * base
 
     def test_tilt_clamps_and_flags(self):
-        step = simulate_plant_step(PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, noiseless(1)[0], TILT_LIMIT)
-        assert step.theta == PI / 2.0
-        assert step.saturated
+        theta, saturated = simulate_plant_step(PI / 2.0 - 1e-4, 10.0, 1.0, 0.01, noiseless(1)[0], TILT_LIMIT)
+        assert theta == PI / 2.0
+        assert saturated
 
 
 class TestBlockDraws:
@@ -277,10 +281,15 @@ class TestBlockDraws:
 # [1.5, 2.0] and turning down past 2.0, wiper 1 blind over [-2.9, -2.5]
 # and turning up past -2.9.
 ODD_GAPS = (WiperTrack(Interval(1.5, 2.0), -2.0 * PI), WiperTrack(Interval(-2.9, -2.5), 2.0 * PI))
+REFERENCE_WHEEL_WIPERS = tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), WHEEL_TRACKS))
+# A 9-bit wheel, whose truths reach past its top count, and an 11-bit tilt
+# stopping at +-1 rad: a read clamps its counts at each one's rails.
 READ_SPECS = {
     "wheel": reference_wheel_spec(noise_std=2.0),
     "tilt": reference_tilt_spec(noise_std=2.0),
     "odd_gaps": SensorSpec(tuple(map(WiperSpec, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), ODD_GAPS)), noise_std=2.0),
+    "wheel_adc_511": SensorSpec(REFERENCE_WHEEL_WIPERS, adc_max=511, noise_std=2.0),
+    "tilt_limit_1_adc_2047": SensorSpec((WiperSpec(TILT_TRUTH),), 1.0, adc_max=2047, noise_std=2.0),
 }
 
 
@@ -297,7 +306,8 @@ def edge_angles(spec):
 
 class TestReadMatchesReference:
     """``read`` equals ``oracles.read_reference`` (each wiper's voltage, then
-    ``quantize``, then an ``AdcReading``) reading for reading, error for error."""
+    ``quantize``, then an ``(index, count, available)`` triple) reading for
+    reading, error for error."""
 
     @settings(max_examples=400, deadline=None)
     @given(name=st.sampled_from(sorted(READ_SPECS)), data=st.data())
@@ -329,7 +339,7 @@ class TestReadMatchesReference:
             return
         got = read(theta, spec, noise)
         assert type(got) is tuple and got == want
-        assert all(type(r.count) is int and type(r.available) is bool for r in got)
+        assert all(type(count) is int and type(available) is bool for _, count, available in got)
 
     @pytest.mark.parametrize("name", sorted(READ_SPECS))
     def test_every_edge_angle(self, name):
@@ -346,7 +356,7 @@ class TestReadMatchesReference:
                     read(theta, spec, noise)
         # On a wheel the angles reach into both gaps.
         for index in range(len(spec.wipers) if spec.wrap else 0):
-            assert any(not r[index].available for r in reads)
+            assert any(not available for _, _, available in (r[index] for r in reads))
 
 
 def monotone_cubic(window, a, b, margin, half, center, falling):
@@ -379,6 +389,26 @@ cubics = st.one_of(
         half=st.floats(0.2, 3.0), center=st.floats(-0.1, 0.1), falling=st.booleans(),
     ),
 )
+
+
+class TestReadTable:
+    """A spec's read table, and its truths' charts and slacks, are built on
+    its first read: a run that parses many specs builds none of them."""
+
+    @pytest.mark.parametrize("preset", [reference_wheel_spec, reference_tilt_spec])
+    def test_a_made_or_parsed_spec_builds_no_table_until_it_is_read(self, preset):
+        data = sensor_spec_to_dict(preset())
+        parsed = sensor_spec_from_dict(data)
+        # Fresh cubics, which no other test has charted.
+        made = SensorSpec(tuple(WiperSpec(CubicModel.from_dict(w.truth.to_dict(), "truth"), w.track)
+                                for w in parsed.wipers), parsed.angle_limit)
+        for spec in (parsed, made):
+            truths = [wiper.truth for wiper in spec.wipers]
+            assert "read_table" not in vars(spec)
+            assert not any("chart" in vars(truth) or "slack" in vars(truth) for truth in truths)
+            read(0.3, spec, [0.0] * len(truths))
+            assert len(vars(spec)["read_table"]) == len(truths)
+            assert all("chart" in vars(truth) and "slack" in vars(truth) for truth in truths)
 
 
 class TestSlack:
@@ -418,7 +448,8 @@ class TestSlack:
                 continue
             hair = data.draw(st.sampled_from([-1e-9, 0.0, 1e-9, None]))
             draw = data.draw(st.floats(-3.0, 3.0)) if hair is None else math.floor(voltage) + 0.5 - voltage + hair
-            assert read_tilt(theta, spec, [draw]).count == quantize(voltage + draw, spec.adc_max)
+            _, count, _ = read_tilt(theta, spec, [draw])
+            assert count == quantize(voltage + draw, spec.adc_max)
             sign, find, low_key, high_key, keys, _, slack = truth.slack
             key = sign * theta
             if low + 1e-6 < theta < high - 1e-6:

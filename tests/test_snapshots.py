@@ -173,12 +173,13 @@ def estimate_case(tmp_path, kind, seed, n_rows=ESTIMATE_ROWS):
         if kind == "wheel":
             omega = 4.0 + 2.0 * math.sin(2.0 * PI * i / 300.0)
             theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, rng.normal(0.0, plant_std))
-            counts = [r.count for r in read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))]
+            counts = [count for _, count, _ in read_wheel(theta, spec, rng.normal(0.0, spec.noise_std, 2))]
         else:
             omega = 6.0 * math.cos(2.0 * PI * i / 600.0)
             plant_draw = rng.normal(0.0, plant_std)
             theta, _ = simulate_plant_step(theta, omega, 0.2, 0.01, plant_draw, spec.angle_limit)
-            counts = [read_tilt(theta, spec, rng.normal(0.0, spec.noise_std, 1)).count]
+            _, count, _ = read_tilt(theta, spec, rng.normal(0.0, spec.noise_std, 1))
+            counts = [count]
         if i % RAIL_EVERY == RAIL_EVERY - 1:
             counts = [0] * len(counts)
             rails.append(i)
@@ -262,13 +263,13 @@ def test_zero_noise_wheel_counts_equal_rounded_oracle_roots():
     # A 2*pi/4000 step moves a wiper by at most 0.2 counts: every count is hit.
     for theta in np.linspace(-PI, PI, 4_001)[1:]:
         readings = read_wheel(float(theta), spec, rng.normal(0.0, spec.noise_std, 2))
-        for reading, shifted, truth in zip(readings, five_region_shifted_states(theta), truths):
-            assert reading.available == (shifted is not None)
+        for (index, count, available), shifted, truth in zip(readings, five_region_shifted_states(theta), truths):
+            assert available == (shifted is not None)
             if shifted is not None:
                 want = oracle_count(
                     truth.c3, truth.c2, truth.c1, truth.c0, truth.v_window, shifted
                 )
-                assert reading.count == want, (float(theta), reading.wiper_index)
+                assert count == want, (float(theta), index)
 
 
 def test_zero_noise_tilt_counts_equal_rounded_oracle_roots():
@@ -276,5 +277,5 @@ def test_zero_noise_tilt_counts_equal_rounded_oracle_roots():
     rng = np.random.default_rng(0)
     t = spec.wipers[0].truth
     for theta in np.linspace(-spec.angle_limit, spec.angle_limit, 2_001):
-        reading = read_tilt(float(theta), spec, rng.normal(0.0, spec.noise_std, 1))
-        assert reading.count == oracle_count(t.c3, t.c2, t.c1, t.c0, t.v_window, theta)
+        _, count, _ = read_tilt(float(theta), spec, rng.normal(0.0, spec.noise_std, 1))
+        assert count == oracle_count(t.c3, t.c2, t.c1, t.c0, t.v_window, theta)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paintpot.characterize import FitReport, ModelBundle, compute_valid_ranges
 from paintpot.geometry import WHEEL_TRACKS
@@ -72,6 +74,21 @@ class TestSample:
         pos, vel = sample(traj, 0.5)
         assert pos == 0.5
         assert vel == 1.875
+
+    @settings(max_examples=200, deadline=None)
+    @given(x0=st.floats(-10.0, 10.0), xf=st.floats(-10.0, 10.0), t_total=st.floats(0.01, 10.0),
+           rate_hz=st.floats(1.0, 100.0))
+    def test_array_of_times_equals_each_float_bit_for_bit(self, x0, xf, t_total, rate_hz):
+        # run_experiment's schedule, running a step past the end, then the
+        # clamps' edges: negative times, both zeros, t_total and its neighbours.
+        traj = plan_quintic(x0, xf, t_total)
+        steps = np.arange(int(round(t_total * rate_hz)) + 2) * (1.0 / rate_hz)
+        ends = [-1.0, -0.0, 0.0, 5e-324, math.nextafter(t_total, 0.0), t_total, math.nextafter(t_total, 20.0), 20.0]
+        t = np.concatenate([steps, ends])
+        position, velocity = sample(traj, t)
+        scalar = [sample(traj, time) for time in t.tolist()]
+        assert position.tobytes() == np.array([p for p, _ in scalar], dtype=float).tobytes()
+        assert velocity.tobytes() == np.array([v for _, v in scalar], dtype=float).tobytes()
 
     def test_reference_is_monotone(self):
         rng = np.random.default_rng(21)
