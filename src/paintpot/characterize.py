@@ -7,7 +7,9 @@ its gap are dropped and those past its edge translated one full turn,
 making angle a continuous function of voltage.  A cubic is then fitted per
 wiper, and a gapped wiper's valid range is the voltage window whose image
 stays on its usable chart.  A tilt's one wiper has no gap and keeps every
-sample.
+sample.  A :class:`ModelBundle` holds these as its file does, as plain
+data: a ``(v_min, v_max)`` pair of ints per count window and an ``(n, rms,
+max_abs)`` triple per model's residuals, and checks them in one place.
 
 The fit is one scaled least-squares solve on counts mapped onto [-1, 1],
 carried back to raw counts by Horner's rule: the operations of
@@ -21,9 +23,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,80 +69,44 @@ class CalibrationDataset:
 
 
 @dataclass(frozen=True)
-class ValidRange:
-    """A wheel wiper's integer count window; the wiper admits the counts
-    strictly inside it."""
-
-    v_min: int
-    v_max: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.v_min < self.v_max:
-            raise SpecError(f"invalid count window ({self.v_min}, {self.v_max})")
-
-
-class ShiftedPairs(NamedTuple):
-    """Per-wiper training pairs: shifted angle against raw count."""
-
-    theta: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class WiperFitStats:
-    n: int
-    rms: float
-    max_abs: float
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Residual summary of the fitted models on their own training pairs."""
-
-    wipers: tuple[WiperFitStats, ...]
-
-
-@dataclass(frozen=True)
 class ModelBundle:
     """Everything a filter needs: tracks, models, windows, residuals, parameters.
 
-    One model per track and one valid range per gapped track.  ``adc_max``
-    must be ``2**bits - 1``, and every valid range and model window must lie
+    One model per track; per gapped track a count window, a plain
+    ``(v_min, v_max)`` pair of ints whose wiper admits the counts strictly
+    inside it; and per model an ``(n, rms, max_abs)`` residual triple, or
+    none.  ``adc_max`` must be ``2**bits - 1``, and every window must lie
     inside the counts ``[0, adc_max]``: the filters table each model at
     every count of its window.  ``sensor_kind`` is its tracks' joint kind.
+    Here alone is a window checked; a fault names its key after ``path``.
     """
 
     tracks: tuple[WiperTrack | None, ...]
     models: tuple[CubicModel, ...]
-    valid_ranges: tuple[ValidRange, ...]
-    report: FitReport
+    valid_ranges: tuple[tuple[int, int], ...]
+    report: tuple[tuple[int, float, float], ...]
     adc_max: int = 1023
     filter_params: dict = field(default_factory=dict)
     sensor_kind: str = field(init=False, repr=False, compare=False)
+    path: InitVar[str] = ""
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, path: str) -> None:
         object.__setattr__(self, "sensor_kind", joint_kind(self.tracks))
         shape = (len(self.models), len(self.valid_ranges))
         expected = (len(self.tracks), sum(track is not None for track in self.tracks))
         if shape != expected:
-            raise SpecError(
-                f"{self.sensor_kind} bundle has (models, valid ranges) = {shape}, expected {expected}"
-            )
-        check_adc_max(self.adc_max)
-        for i, valid in enumerate(self.valid_ranges):
-            if valid.v_max > self.adc_max:
-                raise SpecError(
-                    f"valid_ranges[{i}].v_max {valid.v_max} exceeds adc_max {self.adc_max}"
-                )
+            raise SpecError(f"{self.sensor_kind} bundle has ({path}models, {path}valid_ranges) = {shape}, "
+                            f"expected {expected}")
+        check_adc_max(self.adc_max, f"{path}adc_max")
+        for i, (v_min, v_max) in enumerate(self.valid_ranges):
+            if not 0 <= v_min < v_max:
+                raise SpecError(f"{path}valid_ranges[{i}] must have 0 <= v_min < v_max, got ({v_min}, {v_max})")
+            if v_max > self.adc_max:
+                raise SpecError(f"{path}valid_ranges[{i}].v_max {v_max} exceeds adc_max {self.adc_max}")
         for i, model in enumerate(self.models):
             lo, hi = model.v_window
             if lo < 0.0 or hi > self.adc_max:
-                raise SpecError(
-                    f"models[{i}].v_window [{lo!r}, {hi!r}] outside [0, {self.adc_max}]"
-                )
-
-    def with_filter_params(self, params: dict) -> "ModelBundle":
-        return replace(self, filter_params=dict(params))
+                raise SpecError(f"{path}models[{i}].v_window [{lo!r}, {hi!r}] outside [0, {self.adc_max}]")
 
 
 # Columns of integer ADC counts; every other column holds floats.
@@ -296,13 +262,13 @@ def ingest_log(path: str | Path, sensor: Geometry) -> CalibrationDataset:
     )
 
 
-def trim_and_shift(dataset: CalibrationDataset) -> list[ShiftedPairs]:
-    """Per-wiper training pairs: shifted angle against count.
+def trim_and_shift(dataset: CalibrationDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-wiper training pairs ``(theta, v)``: shifted angle against count.
 
     A wiper with a gap drops the samples inside it and moves those past its
     edge one turn; a wiper without one keeps every sample.
     """
-    out: list[ShiftedPairs] = []
+    out = []
     for wiper, track in enumerate(dataset.tracks):
         theta, counts = dataset.theta.astype(float), dataset.counts[:, wiper]
         if track is not None:
@@ -311,7 +277,7 @@ def trim_and_shift(dataset: CalibrationDataset) -> list[ShiftedPairs]:
                 raise FitError(f"wiper {wiper}: no samples outside the gap region")
             theta, counts = theta[keep], counts[keep]
             theta = np.where(track.past(theta), theta + track.turn, theta)
-        out.append(ShiftedPairs(theta, counts.astype(float)))
+        out.append((theta, counts.astype(float)))
     return out
 
 
@@ -403,8 +369,8 @@ def _padded_for_inversion(model: CubicModel, adc_max: int) -> CubicModel:
 
 def compute_valid_ranges(
     *models: CubicModel, adc_max: int, tracks: Sequence[WiperTrack | None]
-) -> tuple[ValidRange, ...]:
-    """Integer count windows inside which each gapped wiper's reading is usable.
+) -> tuple[tuple[int, int], ...]:
+    """Integer count windows ``(v_min, v_max)`` inside which each gapped wiper's reading is usable.
 
     ``models`` align with ``tracks``.  Each window is the inverse image of
     the track's :attr:`~paintpot.geometry.WiperTrack.window`, sorted
@@ -420,25 +386,19 @@ def compute_valid_ranges(
         lo, hi = sorted(invert_cubic(padded, target) for target in track.window)
         v_min = max(int(math.floor(lo)), 0)
         v_max = min(int(math.ceil(hi)), adc_max)
-        ranges.append(ValidRange(v_min, v_max))
+        ranges.append((v_min, v_max))
     return tuple(ranges)
 
 
-def fit_report(pairs: list[ShiftedPairs], models: tuple[CubicModel, ...]) -> FitReport:
-    """Residual summary of ``models`` on their trimmed/shifted training pairs."""
+def fit_report(pairs: list[tuple[np.ndarray, np.ndarray]], models: tuple[CubicModel, ...]) -> tuple:
+    """Residual summary ``(n, rms, max_abs)`` of each of ``models`` on its trimmed/shifted training pairs."""
     if len(models) != len(pairs):
         raise SpecError(f"{len(pairs)} wiper partitions but {len(models)} models")
     stats = []
     for model, (theta, counts) in zip(models, pairs):
         residual = theta - model.evaluate(counts)
-        stats.append(
-            WiperFitStats(
-                n=int(theta.size),
-                rms=float(np.sqrt(np.mean(residual**2))),
-                max_abs=float(np.max(np.abs(residual))),
-            )
-        )
-    return FitReport(tuple(stats))
+        stats.append((int(theta.size), float(np.sqrt(np.mean(residual**2))), float(np.max(np.abs(residual)))))
+    return tuple(stats)
 
 
 def calibrate(dataset: CalibrationDataset) -> ModelBundle:
@@ -471,12 +431,8 @@ def bundle_to_dict(bundle: ModelBundle, manifest: dict | None = None) -> dict:
         "sensor_kind": bundle.sensor_kind,
         "adc_max": bundle.adc_max,
         "models": [m.to_dict() for m in bundle.models],
-        "valid_ranges": [{"v_min": r.v_min, "v_max": r.v_max} for r in bundle.valid_ranges],
-        "fit_report": {
-            "wipers": [
-                {"n": s.n, "rms": s.rms, "max_abs": s.max_abs} for s in bundle.report.wipers
-            ]
-        },
+        "valid_ranges": [{"v_min": v_min, "v_max": v_max} for v_min, v_max in bundle.valid_ranges],
+        "fit_report": {"wipers": [{"n": n, "rms": rms, "max_abs": max_abs} for n, rms, max_abs in bundle.report]},
         "filter": dict(bundle.filter_params),
     }
     if bundle.sensor_kind == "wheel" and bundle.tracks != WHEEL_TRACKS:
@@ -502,9 +458,9 @@ def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
         models = tuple(CubicModel.from_dict(m, f"{path}models[{i}]") for i, m in enumerate(data["models"]))
 
         def entries(objects, at, fields):
-            """Each object's checked fields; a key it does not read is refused."""
+            """Each object's checked fields, as a tuple; a key it does not read is refused."""
             for i, obj in enumerate(objects):
-                yield [check(obj[k], f"{path}{at}[{i}].{k}") for check, k in fields]
+                yield tuple(check(obj[k], f"{path}{at}[{i}].{k}") for check, k in fields)
                 refuse_unknown_keys(obj, {"": [k for _, k in fields]}, "model-bundle", f"{path}{at}[{i}].")
 
         ranges = entries(data.get("valid_ranges", []), "valid_ranges", ((as_int, "v_min"), (as_int, "v_max")))
@@ -513,10 +469,11 @@ def bundle_from_dict(data: dict, path: str = "") -> ModelBundle:
         return ModelBundle(
             tracks=tracks,
             models=models,
-            valid_ranges=tuple(ValidRange(*r) for r in ranges),
-            report=FitReport(tuple(WiperFitStats(*w) for w in wipers)),
+            valid_ranges=tuple(ranges),
+            report=tuple(wipers),
             adc_max=adc_max,
             filter_params=dict(object_at(data, "filter", path)),
+            path=path,
         )
 
 

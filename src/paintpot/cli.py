@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -116,8 +117,8 @@ def run_calibrate(
     geometry = _resolve_sensor(spec_ref, sensor_sim.sensor_geometry_from_dict)  # no truth cubics
     dataset = characterize.ingest_log(in_csv, geometry)
     bundle = characterize.calibrate(dataset)
-    rs = map(estimate.default_measurement_variance, bundle.models, bundle.report.wipers)
-    bundle = bundle.with_filter_params({**params, **dict(zip(characterize.variance_keys(len(bundle.models)), rs))})
+    rs = map(estimate.default_measurement_variance, bundle.models, bundle.report)
+    bundle = replace(bundle, filter_params={**params, **dict(zip(characterize.variance_keys(len(bundle.models)), rs))})
     config = {"kind": bundle.sensor_kind, "filter": bundle.filter_params}
     manifest = run_manifest("calibrate", {"log": in_csv}, (out,), None, config)
     characterize.save_bundle(bundle, out, manifest=manifest)

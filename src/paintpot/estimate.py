@@ -27,7 +27,7 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from paintpot.characterize import ModelBundle, WiperFitStats, variance_keys
+from paintpot.characterize import ModelBundle, variance_keys
 from paintpot.cubic import CubicModel
 from paintpot.errors import InitializationError, SpecError, number_at
 from paintpot.geometry import TWO_PI, WiperTrack, joint_kind, wrap_angle
@@ -353,11 +353,12 @@ class TiltEstimator(Estimator):
         return step
 
 
-def default_measurement_variance(model: CubicModel, stats: WiperFitStats) -> float:
-    """Residual-derived R, floored at the one-count angle equivalent squared."""
+def default_measurement_variance(model: CubicModel, stats: tuple[int, float, float]) -> float:
+    """R from the fit's ``(n, rms, max_abs)``: rms squared, floored at the one-count angle equivalent squared."""
+    _, rms, _ = stats
     lo, hi = model.v_window
     mean_slope = abs(float(model.evaluate(hi)) - float(model.evaluate(lo))) / (hi - lo)
-    return max(stats.rms * stats.rms, mean_slope * mean_slope)
+    return max(rms * rms, mean_slope * mean_slope)
 
 
 def transition_from_bundle(bundle: ModelBundle) -> TransitionModel:
@@ -380,12 +381,12 @@ def observation_from_bundle(bundle: ModelBundle) -> ObservationModel:
         if not all(key in params for key in keys):
             raise SpecError(f"bundle filter parameters need all of {', '.join(keys)}")
         rs = [number_at({"filter": params}, f"filter.{key}") for key in keys]
-    elif len(bundle.report.wipers) == len(models):
-        rs = [default_measurement_variance(m, s) for m, s in zip(models, bundle.report.wipers)]
+    elif len(bundle.report) == len(models):
+        rs = list(map(default_measurement_variance, models, bundle.report))
     else:
         raise SpecError(f"bundle carries neither {', '.join(keys)} nor a fit report")
     if bundle.valid_ranges:
-        admitted = [(valid.v_min + 1, valid.v_max - 1) for valid in bundle.valid_ranges]
+        admitted = [(v_min + 1, v_max - 1) for v_min, v_max in bundle.valid_ranges]
     else:
         admitted = [(math.ceil(m.v_window[0]), math.floor(m.v_window[1])) for m in models]
     wipers = tuple(Wiper(m, r, lo, hi, t) for m, r, (lo, hi), t in zip(models, rs, admitted, bundle.tracks))

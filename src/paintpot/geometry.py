@@ -132,12 +132,19 @@ def geometry_from_dict(kind: object, data: dict, path: str = "") -> Geometry:
     adc_max = as_int(data.get("adc_max", 1023), f"{path}adc_max")
     check_adc_max(adc_max, f"{path}adc_max")
     if kind == "wheel":
-        gaps = [[as_float(end, f"{path}gap_w{i}") for end in data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))]
-                for i, t in enumerate(WHEEL_TRACKS)]
-        tracks, limit = tuple(WiperTrack(Interval(*g), t.turn) for g, t in zip(gaps, WHEEL_TRACKS)), None
+        tracks, limit = [], None
+        for i, t in enumerate(WHEEL_TRACKS):
+            key, gap = f"{path}gap_w{i}", data.get(f"gap_w{i}", (t.gap.lo, t.gap.hi))
+            if not isinstance(gap, (list, tuple)) or len(gap) != 2:
+                raise SpecError(f"{key} must be two numbers, got {gap!r}")
+            lo, hi = (as_float(end, key) for end in gap)
+            try:
+                tracks.append(WiperTrack(Interval(lo, hi), t.turn))
+            except ValueError as exc:  # an empty gap, or one on the wrong side of the seam
+                raise SpecError(f"{key}: {exc}") from None
     elif kind == "tilt":
         tracks, limit = (None,), as_float(data.get("angle_limit", TILT_LIMIT), f"{path}angle_limit")
     else:
         raise SpecError(f"sensor kind must be 'wheel' or 'tilt', got {kind!r}")
     joint_kind(tracks, limit, path)  # checks the limit
-    return Geometry(tracks, limit, adc_max)
+    return Geometry(tuple(tracks), limit, adc_max)

@@ -70,19 +70,11 @@ def plan_quintic(x0: float, xf: float, t_total: float) -> QuinticTrajectory:
     )
 
 
-def sample(traj: QuinticTrajectory, t: float | np.ndarray):
-    """(position, velocity) at ``t``, clamped to the profile endpoints; at an
-    array of times, arrays whose elements equal the float results bit for bit."""
-    if np.ndim(t):
-        t = np.asarray(t, dtype=float)
-        ends, inside = (t <= 0.0) | (t >= traj.t_total), np.clip(t, 0.0, traj.t_total)
-        position = np.where(ends, np.where(t <= 0.0, traj.x0, traj.xf), traj.position(inside))
-        return position, np.where(ends, 0.0, traj.velocity(inside))
-    if t <= 0.0:
-        return traj.x0, 0.0
-    if t >= traj.t_total:
-        return traj.xf, 0.0
-    return traj.position(t), traj.velocity(t)
+def sample(traj: QuinticTrajectory, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, velocity) arrays at the array of times ``t``, clamped to the profile endpoints."""
+    ends, inside = (t <= 0.0) | (t >= traj.t_total), np.clip(t, 0.0, traj.t_total)
+    position = np.where(ends, np.where(t <= 0.0, traj.x0, traj.xf), traj.position(inside))
+    return position, np.where(ends, 0.0, traj.velocity(inside))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ filter steps composed from the package's own reference functions, and
 :func:`invert_cubic_reference`, :func:`wiper_voltage` and
 :func:`read_reference`, the simulated read as a composition of small steps,
 :func:`fit_cubic_reference`, the calibration fit through
-``numpy.polynomial``, and :func:`sweep_schedule_reference`, the sweep's
-schedule one row at a time.
+``numpy.polynomial``, :func:`sweep_schedule_reference`, the sweep's
+schedule one row at a time, and :func:`sample_reference`, the reference
+trajectory one time at a time.
 """
 
 import math
@@ -342,6 +343,17 @@ def shift(track, theta):
 def acceleration(traj, t):
     """The second derivative of the quintic ``traj`` at ``t``, from its coefficients."""
     return ((20.0 * traj.a5 * t + 12.0 * traj.a4) * t + 6.0 * traj.a3) * t + 2.0 * traj.a2
+
+
+def sample_reference(traj, t):
+    """(position, velocity) of the quintic ``traj`` at the float ``t``, one
+    time at a time: at rest at its start for ``t <= 0``, at its end for ``t
+    >= t_total``, else its position and velocity polynomials at ``t``."""
+    if t <= 0.0:
+        return traj.x0, 0.0
+    if t >= traj.t_total:
+        return traj.xf, 0.0
+    return traj.position(t), traj.velocity(t)
 
 
 def wiper_voltage(wiper, theta):

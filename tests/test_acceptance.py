@@ -14,7 +14,6 @@ import pytest
 
 from paintpot import cli
 from paintpot.characterize import (
-    FitReport,
     ModelBundle,
     calibrate,
     compute_valid_ranges,
@@ -78,7 +77,7 @@ def test_criterion_1_filter_matches_grid_bayes_oracle():
             count = int(np.clip(round((mu_bar + rng.normal(0.0, 0.05) + 1.0) * 256.0), 1, 1022))
             z = float(tilt_chart.evaluate(count))
             r = float(10.0 ** rng.uniform(-4.0, -2.0))
-            bundle = ModelBundle((None,), (tilt_chart,), (), FitReport(()), 1023, {"r": r})
+            bundle = ModelBundle((None,), (tilt_chart,), (), (), 1023, {"r": r})
             obs = observation_from_bundle(bundle)
             posterior, accepted = update_tilt(bar, (0, count, True), obs)
             assert accepted
@@ -156,7 +155,7 @@ def test_criterion_4_feature_availability_and_branch_structure():
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
     params = {"r0": 1e-4, "r1": 1e-4}
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, params))
+    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, (), 1023, params))
     rng = np.random.default_rng(1004)
     thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
     for theta in thetas:
@@ -225,7 +224,7 @@ def test_criterion_6_quintic_boundary_conditions_and_monotonicity():
         assert abs(traj.position(t_total) - xf) < 1e-9
         assert abs(traj.velocity(t_total)) < 1e-9
         assert abs(acceleration(traj, t_total)) < 1e-9
-        positions = [sample(traj, float(t))[0] for t in np.linspace(0.0, t_total, 101)]
+        positions, _ = sample(traj, np.linspace(0.0, t_total, 101))
         diffs = np.diff(positions)
         sign = math.copysign(1.0, xf - x0) if xf != x0 else 0.0
         assert np.all(sign * diffs >= 0.0)

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,7 @@ from hypothesis import strategies as st
 from paintpot import characterize
 from paintpot.characterize import (
     CalibrationDataset,
-    FitReport,
     ModelBundle,
-    ValidRange,
     calibrate,
     compute_valid_ranges,
     fit_cubic,
@@ -24,11 +23,13 @@ from paintpot.characterize import (
     invert_cubic,
     read_columns,
     trim_and_shift,
+    variance_keys,
 )
 from paintpot.characterize import _read_columns_checked
 from paintpot.cli import synthesize_sweep_dataset
 from paintpot.cubic import CHART_KNOTS, CubicModel
-from paintpot.errors import FitError, InversionError, SpecError
+from paintpot.errors import FitError, InversionError, SpecError, read_json
+from paintpot.estimate import default_measurement_variance
 from paintpot.geometry import WHEEL_TRACKS
 from paintpot.presets import (
     SENSOR_PRESETS,
@@ -38,7 +39,7 @@ from paintpot.presets import (
     reference_tilt_spec,
     reference_wheel_spec,
 )
-from paintpot.sensor_sim import sensor_spec_from_dict, sensor_spec_to_dict
+from paintpot.sensor_sim import save_sensor_spec, sensor_spec_from_dict, sensor_spec_to_dict
 
 from oracles import (
     ReferenceLogError,
@@ -514,22 +515,22 @@ class TestTwoStageReaderAgainstCheckedParser:
 class TestTrimAndShift:
     def test_high_segment_shifts_down_for_wiper0(self):
         ds = wheel_dataset([(0.0, 0.9 * PI, 900, 100), (0.1, 0.0, 500, 500)])
-        w0, _ = trim_and_shift(ds)
-        assert w0.theta[0] == pytest.approx(0.9 * PI - TWO_PI)
-        assert w0.v[0] == 900
+        (theta0, v0), _ = trim_and_shift(ds)
+        assert theta0[0] == pytest.approx(0.9 * PI - TWO_PI)
+        assert v0[0] == 900
 
     def test_gap_samples_dropped_for_wiper0(self):
         ds = wheel_dataset([(0.0, 0.75 * PI, 850, 100), (0.1, 0.0, 500, 500)])
-        w0, w1 = trim_and_shift(ds)
-        assert len(w0.theta) == 1  # only the theta=0 sample survives
-        assert w0.theta[0] == 0.0
-        assert len(w1.theta) == 2
+        (theta0, _), (theta1, _) = trim_and_shift(ds)
+        assert len(theta0) == 1  # only the theta=0 sample survives
+        assert theta0[0] == 0.0
+        assert len(theta1) == 2
 
     def test_low_segment_shifts_up_for_wiper1(self):
         ds = wheel_dataset([(0.0, -0.9 * PI, 100, 80), (0.1, 0.0, 500, 500)])
-        _, w1 = trim_and_shift(ds)
-        assert w1.theta[0] == pytest.approx(-0.9 * PI + TWO_PI)
-        assert w1.v[0] == 80
+        _, (theta1, v1) = trim_and_shift(ds)
+        assert theta1[0] == pytest.approx(-0.9 * PI + TWO_PI)
+        assert v1[0] == 80
 
     def test_tilt_passes_through(self):
         ds = CalibrationDataset(
@@ -537,7 +538,8 @@ class TestTrimAndShift:
         )
         pairs = trim_and_shift(ds)
         assert len(pairs) == 1
-        assert np.array_equal(pairs[0].theta, [-0.3, 0.4])
+        ((theta, _),) = pairs
+        assert np.array_equal(theta, [-0.3, 0.4])
 
     def test_empty_partition_is_an_error(self):
         ds = wheel_dataset([(0.0, 0.75 * PI, 850, 100), (0.1, 0.8 * PI, 860, 120)])
@@ -550,9 +552,9 @@ class TestTrimAndShift:
         ds = synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(2))
         grid = np.linspace(0.0, 1023.0, 2048)
         bound = float(np.max(np.abs(WHEEL_TRUTH_W0.derivative(grid)))) + 1e-12
-        w0, _ = trim_and_shift(ds)
+        (theta0, v0), _ = trim_and_shift(ds)
         by_count: dict[float, list[float]] = {}
-        for theta, count in zip(w0.theta, w0.v):
+        for theta, count in zip(theta0, v0):
             by_count.setdefault(count, []).append(theta)
         for thetas in by_count.values():
             assert max(thetas) - min(thetas) <= bound
@@ -564,9 +566,9 @@ class TestTrimAndShift:
         spec = reference_wheel_spec(noise_std=0.0)
         ds = synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(2))
         sweep_step = 2.0 * TWO_PI / len(ds)
-        for pairs in trim_and_shift(ds):
-            order = np.argsort(pairs.v, kind="stable")
-            jumps = np.abs(np.diff(pairs.theta[order]))
+        for theta, v in trim_and_shift(ds):
+            order = np.argsort(v, kind="stable")
+            jumps = np.abs(np.diff(theta[order]))
             floor = max(float(np.median(jumps)), sweep_step)
             assert float(jumps.max()) <= 3.0 * floor
 
@@ -634,7 +636,8 @@ class TestFitCubic:
         bundle = calibrate(ds)
         m0 = bundle.models[0]
         assert m0.evaluate(0.0) == pytest.approx(-7.2750, abs=0.1)
-        assert m0.evaluate(bundle.valid_ranges[0].v_max) == pytest.approx(
+        (_, v_max), _ = bundle.valid_ranges
+        assert m0.evaluate(v_max) == pytest.approx(
             2.0 * PI / 3.0, abs=0.05
         )
 
@@ -1048,12 +1051,12 @@ class TestComputeValidRanges:
         expect1 = sorted(
             ((t - m1.c0) / m1.c1 for t in (-2.0 * PI / 3.0, -5.0 * PI / 6.0 + TWO_PI))
         )
-        assert r0 == ValidRange(math.floor(expect0[0]), math.ceil(expect0[1]))
-        assert r1 == ValidRange(math.floor(expect1[0]), math.ceil(expect1[1]))
-        assert r0.v_min < r0.v_max and r1.v_min < r1.v_max
+        assert r0 == (math.floor(expect0[0]), math.ceil(expect0[1]))
+        assert r1 == (math.floor(expect1[0]), math.ceil(expect1[1]))
+        assert r0[0] < r0[1] and r1[0] < r1[1]
 
     def test_reference_upper_edge_residual(self):
-        r0, _ = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
+        (_, v_max), _ = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         v = bisect_root(
             lambda x: cubic_value(5.0281e-9, -1.2255e-5, 1.7856e-2, -7.2750, x)
             - 2.0 * PI / 3.0,
@@ -1061,7 +1064,7 @@ class TestComputeValidRanges:
             1023.0,
             tol=1e-12,
         )
-        assert r0.v_max == math.ceil(v)
+        assert v_max == math.ceil(v)
 
     def test_adc_width_and_tracks_have_no_default(self):
         # A left-out ``tracks`` would silently take the reference wheel's gaps.
@@ -1085,10 +1088,10 @@ class TestComputeValidRanges:
         ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         thetas = np.linspace(-PI, PI, 10_000, endpoint=True)[1:]
         for theta in thetas:
-            for wiper, valid in zip(spec.wipers, ranges):
+            for wiper, (v_min, v_max) in zip(spec.wipers, ranges):
                 voltage = wiper_voltage(wiper, float(theta))
                 if voltage is not None:
-                    assert valid.v_min < voltage < valid.v_max
+                    assert v_min < voltage < v_max
 
 
 class TestFitReport:
@@ -1100,8 +1103,8 @@ class TestFitReport:
         report = fit_report(trim_and_shift(ds), (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1))
         grid = np.linspace(0.0, 1023.0, 2048)
         lsb = float(np.max(np.abs(WHEEL_TRUTH_W0.derivative(grid))))
-        assert all(s.rms <= lsb for s in report.wipers)
-        assert all(s.n == len(p.theta) for s, p in zip(report.wipers, pairs))
+        assert all(rms <= lsb for _, rms, _ in report)
+        assert all(n == len(theta) for (n, _, _), (theta, _) in zip(report, pairs))
 
     def test_synthetic_fit_rms_is_near_machine_epsilon(self):
         rng = np.random.default_rng(9)
@@ -1139,14 +1142,14 @@ class TestCalibratePipeline:
         assert bundle.sensor_kind == "wheel"
         assert len(bundle.models) == 2
         assert len(bundle.valid_ranges) == 2
-        assert len(bundle.report.wipers) == 2
+        assert len(bundle.report) == 2
 
     def test_round_trip_through_dict(self):
         from paintpot.characterize import bundle_from_dict, bundle_to_dict
 
         spec = reference_wheel_spec()
         ds = synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(11))
-        bundle = calibrate(ds).with_filter_params({"k": 0.2, "dt": 0.01, "q": 0.05})
+        bundle = replace(calibrate(ds), filter_params={"k": 0.2, "dt": 0.01, "q": 0.05})
         again = bundle_from_dict(bundle_to_dict(bundle))
         assert again.models == bundle.models
         assert again.valid_ranges == bundle.valid_ranges
@@ -1168,7 +1171,17 @@ class TestCalibratePipeline:
     def test_bundle_wipers_are_all_gapped_or_none(self):
         (valid,) = compute_valid_ranges(WHEEL_TRUTH_W0, adc_max=1023, tracks=WHEEL_TRACKS[:1])
         with pytest.raises(SpecError, match="all ride gapped tracks, or none"):
-            ModelBundle((WHEEL_TRACKS[0], None), (WHEEL_TRUTH_W0, TILT_TRUTH), (valid,), FitReport(()))
+            ModelBundle((WHEEL_TRACKS[0], None), (WHEEL_TRUTH_W0, TILT_TRUTH), (valid,), ())
+
+    @pytest.mark.parametrize("index", (0, 1))
+    @pytest.mark.parametrize("window", ((900, 800), (-1, 5), (5, 5)), ids=["reversed", "negative", "empty"])
+    def test_bundle_refuses_a_window_naming_its_key(self, index, window):
+        ranges = [(100, 900), (100, 900)]
+        ranges[index] = window
+        v_min, v_max = window
+        message = rf"^valid_ranges\[{index}\] must have 0 <= v_min < v_max, got \({v_min}, {v_max}\)$"
+        with pytest.raises(SpecError, match=message):
+            ModelBundle(WHEEL_TRACKS, (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1), tuple(ranges), ())
 
     @pytest.mark.parametrize("preset", sorted(SENSOR_PRESETS))
     def test_reference_bundle_writes_no_gaps(self, preset):
@@ -1185,3 +1198,54 @@ class TestCalibratePipeline:
         again = characterize.load_bundle(tmp_path / "bundle.json")
         assert again.tracks == spec.tracks
         assert (again.models, again.valid_ranges) == (bundle.models, bundle.valid_ranges)
+
+
+def stretched(model, adc_max):
+    """``model``, a cubic on counts [0, 1023], stretched onto [0, adc_max]."""
+    s = adc_max / 1023.0
+    return CubicModel(model.c3 / s**3, model.c2 / s**2, model.c1 / s, model.c0, (0.0, float(adc_max)))
+
+
+@st.composite
+def calibratable_spec_files(draw):
+    """A sensor spec file inside the accepted space whose sweeps calibrate: an
+    ADC of 8 to 12 bits with the reference truths stretched onto its counts,
+    some count noise, and a wheel's gaps (the reference's, or each placed and
+    sized in a box that leaves its wiper half the counts) or a tilt's limit
+    (one that sweeps half the counts)."""
+    adc_max = draw(st.sampled_from((255, 511, 1023, 2047, 4095)))
+    data = {"adc_max": adc_max, "noise_std": draw(st.floats(0.0, 3.0))}
+    if draw(st.booleans()):
+        data.update(kind="wheel", truth_w0=stretched(WHEEL_TRUTH_W0, adc_max).to_dict(),
+                    truth_w1=stretched(WHEEL_TRUTH_W1, adc_max).to_dict())
+        if draw(st.booleans()):
+            lo0, lo1 = draw(st.floats(0.6, 2.4)), draw(st.floats(-2.9, -1.6))
+            data.update(gap_w0=[lo0, lo0 + draw(st.floats(0.1, 0.6))], gap_w1=[lo1, lo1 + draw(st.floats(0.1, 0.6))])
+    else:
+        data.update(kind="tilt", truth=stretched(TILT_TRUTH, adc_max).to_dict(), angle_limit=draw(st.floats(1.3, 2.07)))
+    return data
+
+
+class TestRoundTrip:
+    """A spec and a calibrated bundle read back from their dicts equal
+    themselves, tuples and all, and a file saved, loaded and saved again
+    holds the same text."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=calibratable_spec_files(), seed=st.integers(0, 2**32 - 1))
+    def test_spec_and_calibrated_bundle_survive_dicts_and_files(self, data, seed):
+        spec = sensor_spec_from_dict(data)
+        assert sensor_spec_from_dict(sensor_spec_to_dict(spec)) == spec
+        bundle = calibrate(synthesize_sweep_dataset(spec, 14.0, 50.0, np.random.default_rng(seed)))
+        rs = map(default_measurement_variance, bundle.models, bundle.report)
+        params = {"k": 0.2, "dt": 0.01, "q": 0.05, "sigma0": 1e-4, **dict(zip(variance_keys(len(bundle.models)), rs))}
+        for bundle in (bundle, replace(bundle, filter_params=params)):  # as calibrate, then the CLI, make it
+            assert characterize.bundle_from_dict(characterize.bundle_to_dict(bundle)) == bundle
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            characterize.save_bundle(bundle, first)
+            characterize.save_bundle(characterize.load_bundle(first), second)
+            assert second.read_text() == first.read_text()
+            save_sensor_spec(spec, first)
+            save_sensor_spec(sensor_spec_from_dict(read_json(first)), second)
+            assert second.read_text() == first.read_text()

@@ -348,16 +348,18 @@ class TestCalibrateOnGeometry:
     @pytest.mark.parametrize(
         "preset,edit,message",
         [
-            ("wheel_reference", {"gap_w0": [2.0, 1.5]}, "malformed sensor spec: empty interval: [2.0, 1.5]"),
-            ("wheel_reference", {"gap_w1": [-0.5, 0.5]}, "gap [-0.5, 0.5] turning by"),
+            ("wheel_reference", {"gap_w0": [2.0, 1.5]}, "gap_w0: empty interval: [2.0, 1.5]"),
+            ("wheel_reference", {"gap_w1": [-0.5, 0.5]}, "gap_w1: gap [-0.5, 0.5] turning by"),
             ("wheel_reference", {"gap_w0": [True, 2.0]}, "gap_w0 must be a finite number, got True"),
+            ("wheel_reference", {"gap_w0": 5}, "gap_w0 must be two numbers, got 5"),
+            ("wheel_reference", {"gap_w1": [-2.0, -1.5, -1.0]}, "gap_w1 must be two numbers, got [-2.0, -1.5, -1.0]"),
             ("wheel_reference", {"adc_max": 1000}, "adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
             ("tilt_reference", {"adc_max": "ten"}, "adc_max must be an integer, got 'ten'"),
             ("tilt_reference", {"angle_limit": 4.0}, "angle_limit must lie in (0, pi]"),
             ("tilt_reference", {"angle_limit": 0.0}, "angle_limit must lie in (0, pi]"),
         ],
-        ids=["empty_gap", "gap_across_zero", "bool_gap", "adc_max_1000", "adc_max_text", "limit_above_pi",
-             "limit_zero"],
+        ids=["empty_gap", "gap_across_zero", "bool_gap", "number_gap", "three_ends_gap", "adc_max_1000", "adc_max_text",
+             "limit_above_pi", "limit_zero"],
     )
     def test_bad_geometry_is_config_error(self, tmp_path, capsys, preset, edit, message):
         sweep, bundle = tmp_path / "sweep.csv", tmp_path / "bundle.json"
@@ -450,13 +452,18 @@ def _set(*keys_and_value):
 BUNDLE_EDITS = [
     (_set("adc_max", 1000), "adc_max must be 2**bits - 1"),
     (_set("adc_max", 0), "adc_max must be 2**bits - 1"),
-    (_set("valid_ranges", 0, "v_max", 5000), "valid_ranges[0].v_max 5000 exceeds adc_max 1023"),
-    (_set("valid_ranges", 1, "v_max", 1024), "valid_ranges[1].v_max 1024 exceeds adc_max 1023"),
-    (_set("models", 1, "v_window", [10.0, 5000.0]), "models[1].v_window [10.0, 5000.0] outside"),
-    (_set("models", 0, "v_window", [-1.0, 1000.0]), "models[0].v_window [-1.0, 1000.0] outside"),
+    (_set("valid_ranges", 0, "v_max", 5000), "{at}valid_ranges[0].v_max 5000 exceeds adc_max 1023"),
+    (_set("valid_ranges", 1, "v_max", 1024), "{at}valid_ranges[1].v_max 1024 exceeds adc_max 1023"),
+    (_set("models", 1, "v_window", [10.0, 5000.0]), "{at}models[1].v_window [10.0, 5000.0] outside"),
+    (_set("models", 0, "v_window", [-1.0, 1000.0]), "{at}models[0].v_window [-1.0, 1000.0] outside"),
     (lambda data: data["valid_ranges"].pop(),
-     "wheel bundle has (models, valid ranges) = (2, 1), expected (2, 2)"),
-    (lambda data: data["models"].pop(), "wheel bundle has (models, valid ranges) = (1, 2), expected (2, 2)"),
+     "wheel bundle has ({at}models, {at}valid_ranges) = (2, 1), expected (2, 2)"),
+    (lambda data: data["models"].pop(), "wheel bundle has ({at}models, {at}valid_ranges) = (1, 2), expected (2, 2)"),
+    (_set("valid_ranges", 0, {"v_min": 900, "v_max": 800}),
+     "{at}valid_ranges[0] must have 0 <= v_min < v_max, got (900, 800)"),
+    (_set("valid_ranges", 1, "v_min", -1), "{at}valid_ranges[1] must have 0 <= v_min < v_max, got (-1, "),
+    (_set("gap_w0", [2.0, 1.5]), "{at}gap_w0: empty interval: [2.0, 1.5]"),
+    (_set("gap_w1", [-0.5, 0.5]), "{at}gap_w1: gap [-0.5, 0.5] turning by"),
     (_set("fit_report", []), "fit_report must be a JSON object, got []"),
     (_set("fit_report", None), "fit_report must be a JSON object, got None"),
     (_set("filter", "Q", 0.5), "unknown model-bundle key: {at}filter.Q"),
@@ -471,7 +478,8 @@ BUNDLE_EDITS = [
 ]
 BUNDLE_EDIT_IDS = [
     "adc_max_not_2_pow_bits_minus_1", "adc_max_zero", "v_max_5000", "v_max_one_over",
-    "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "list_fit_report",
+    "window_above_adc_max", "window_below_zero", "one_valid_range", "one_model", "reversed_valid_range",
+    "negative_v_min", "empty_gap_w0", "gap_w1_across_zero", "list_fit_report",
     "null_fit_report", "misspelt_filter_q", "misspelt_sigma0", "tilt_r_on_wheel", "limit_on_wheel",
     "cubic_note", "misspelt_fit_report_wipers", "fit_stats_note", "valid_range_note",
 ]
@@ -507,7 +515,7 @@ BUNDLE_FAULTS = [("wheel", edit, message) for edit, message in BUNDLE_EDITS] + [
      "models[1].c0 must be an ASCII decimal string without '_' or padding, got '\u0665.0'"),
     ("tilt", _set("filter", "r", "nan"), "filter.r must be a finite number, got 'nan'"),
     ("tilt", _set("valid_ranges", [{"v_min": 10, "v_max": 900}]),
-     "tilt bundle has (models, valid ranges) = (1, 1), expected (1, 0)"),
+     "tilt bundle has (models, valid_ranges) = (1, 1), expected (1, 0)"),
     ("tilt", _set("filter", "r0", 1e-4), "unknown model-bundle key: filter.r0"),  # a tilt's is r
     ("tilt", _set("gap_w0", [1.5, 2.0]), "unknown model-bundle key: gap_w0"),
 ]
@@ -1239,11 +1247,25 @@ PREFIXED_CONFIG_FAULTS = [
     ("pan_pi_to_0", "models", _set("adc_max", True), "models.adc_max must be an integer, got True"),
     ("pan_pi_to_0", "models", _set("adc_max", 1000), "models.adc_max must be 2**bits - 1 with bits >= 1, got 1000"),
     ("pan_pi_to_0", "models", _set("gap_w1", [-2.5, "x"]), "models.gap_w1 must be a finite number, got 'x'"),
+    ("pan_pi_to_0", "models", _set("valid_ranges", 0, "v_max", 5000),
+     "models.valid_ranges[0].v_max 5000 exceeds adc_max 1023"),
+    ("pan_pi_to_0", "models", _set("valid_ranges", 0, {"v_min": 900, "v_max": 800}),
+     "models.valid_ranges[0] must have 0 <= v_min < v_max, got (900, 800)"),
+    ("pan_pi_to_0", "models", _set("models", 1, "v_window", [-5.0, 1000.0]),
+     "models.models[1].v_window [-5.0, 1000.0] outside [0, 1023]"),
+    ("pan_pi_to_0", "models", lambda data: data["valid_ranges"].pop(),
+     "wheel bundle has (models.models, models.valid_ranges) = (2, 1), expected (2, 2)"),
+    ("pan_pi_to_0", "models", _set("gap_w0", [2.0, 1.5]), "models.gap_w0: empty interval: [2.0, 1.5]"),
     ("pan_pi_to_0", "sensor", _set("noise_std", "1.0"), "sensor.noise_std must be a finite number, got '1.0'"),
     ("pan_pi_to_0", "sensor", _set("noise_std", -1.0), "sensor.noise_std must be >= 0 and finite, got -1.0"),
     ("pan_pi_to_0", "sensor", _set("adc_max", 1.5), "sensor.adc_max must be an integer, got 1.5"),
     ("pan_pi_to_0", "sensor", _set("adc_max", 0), "sensor.adc_max must be 2**bits - 1 with bits >= 1, got 0"),
     ("pan_pi_to_0", "sensor", _set("gap_w0", [True, 2.0]), "sensor.gap_w0 must be a finite number, got True"),
+    ("pan_pi_to_0", "sensor", _set("gap_w0", [2.0, 1.5]), "sensor.gap_w0: empty interval: [2.0, 1.5]"),
+    ("pan_pi_to_0", "sensor", _set("gap_w0", [1.0]), "sensor.gap_w0 must be two numbers, got [1.0]"),
+    ("pan_pi_to_0", "sensor", _set("gap_w1", [-0.5, 0.5]),
+     "sensor.gap_w1: gap [-0.5, 0.5] turning by 6.283185307179586 must lie inside (0, pi) turning by -2*pi "
+     "or inside (-pi, 0) turning by 2*pi"),
     ("pan_pi_to_0", "sensor", _set("gap_w1", [-1.137, -0.885]),
      "sensor.truth_w1 and sensor.gap_w1 contradict each other: the cubic reaches angles "
      f"[-5.8128, 5.0640061010532], not every state in [-0.885, {-1.137 + 2.0 * math.pi!r}]"),
@@ -1255,7 +1277,9 @@ PREFIXED_CONFIG_FAULTS = [
 ]
 PREFIXED_CONFIG_FAULT_IDS = [
     "text_v_max", "fraction_n", "bool_rms", "list_fit_report", "null_filter", "bool_adc_max", "adc_max_1000",
-    "text_gap_w1", "text_noise", "negative_noise", "fraction_adc_max", "adc_max_zero", "bool_gap_w0",
+    "text_gap_w1", "v_max_5000", "reversed_valid_range", "v_window_below_zero", "one_valid_range", "empty_gap_w0",
+    "text_noise", "negative_noise", "fraction_adc_max", "adc_max_zero", "bool_gap_w0", "sensor_empty_gap_w0",
+    "sensor_one_end_gap_w0", "sensor_gap_w1_across_zero",
     "gap_w1_past_truth", "bool_limit", "limit_above_pi", "limit_past_truth",
 ]
 

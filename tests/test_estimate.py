@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paintpot.characterize import (
-    FitReport,
     ModelBundle,
-    ValidRange,
-    WiperFitStats,
     calibrate,
     compute_valid_ranges,
 )
@@ -69,7 +66,7 @@ TWO_PI = 2.0 * math.pi
 # means can be asserted without fit noise.
 EXACT_M0 = CubicModel(0.0, 0.0, 2.0**-8, -1.0, (0.0, 1023.0))
 EXACT_M1 = CubicModel(0.0, 0.0, 2.0**-8, -0.5, (0.0, 1023.0))
-WIDE_RANGES = (ValidRange(1, 1000), ValidRange(1, 1000))
+WIDE_RANGES = ((1, 1000), (1, 1000))
 # A wheel's wiper 0 turns by -2*pi and its wiper 1 by 2*pi, as its file holds them.
 TRACK_ORDER = r"^a wheel's wiper 0 must turn by -2\*pi and its wiper 1 by 2\*pi, got "
 SWAPPED = TRACK_ORDER + r"6\.283185307179586 and -6\.283185307179586$"
@@ -78,12 +75,12 @@ SWAPPED = TRACK_ORDER + r"6\.283185307179586 and -6\.283185307179586$"
 def wheel_obs(m0, m1, r0, r1, ranges):
     """The observation model of a wheel bundle with these models, r and ranges."""
     params = {"r0": r0, "r1": r1}
-    return observation_from_bundle(ModelBundle(WHEEL_TRACKS, (m0, m1), ranges, FitReport(()), 1023, params))
+    return observation_from_bundle(ModelBundle(WHEEL_TRACKS, (m0, m1), ranges, (), 1023, params))
 
 
 def tilt_obs(model, r):
     """The observation model of a tilt bundle with this model and r."""
-    return observation_from_bundle(ModelBundle((None,), (model,), (), FitReport(()), 1023, {"r": r}))
+    return observation_from_bundle(ModelBundle((None,), (model,), (), (), 1023, {"r": r}))
 
 
 def exact_obs(r0=1e-4, r1=1e-4):
@@ -186,7 +183,7 @@ class TestValueChecks:
         (lambda: ObservationModel(tuple(Wiper(m, 1e-4, 1, 1000, t) for m, t in zip((EXACT_M1, EXACT_M0),
                                                                                   WHEEL_TRACKS[::-1]))),
          SWAPPED),
-        (lambda: ModelBundle(WHEEL_TRACKS[::-1], (EXACT_M1, EXACT_M0), WIDE_RANGES, FitReport(())),
+        (lambda: ModelBundle(WHEEL_TRACKS[::-1], (EXACT_M1, EXACT_M0), WIDE_RANGES, ()),
          SWAPPED),
         (lambda: TiltEstimator(exact_obs(), TransitionModel(k=1.0, dt=0.01, q=0.0)),
          "^a tilt estimator needs a tilt observation model, got a wheel$"),
@@ -234,16 +231,16 @@ class TestObservationFromBundle:
         assert [(w.lo, w.hi) for w in obs.wipers] == [(11, 900)]
 
     def test_fit_report_gives_r_when_the_parameters_name_none(self):
-        stats = (WiperFitStats(100, 0.02, 0.05), WiperFitStats(100, 0.03, 0.05))
-        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(stats))
+        stats = ((100, 0.02, 0.05), (100, 0.03, 0.05))
+        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, stats)
         rs = [w.r for w in observation_from_bundle(bundle).wipers]
         assert rs == [default_measurement_variance(m, s) for m, s in zip((EXACT_M0, EXACT_M1), stats)]
-        bare = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()))
+        bare = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, ())
         with pytest.raises(SpecError, match="neither r0, r1 nor a fit report"):
             observation_from_bundle(bare)
 
     def test_one_wheel_r_alone_rejected(self):
-        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, FitReport(()), 1023, {"r0": 1e-4})
+        bundle = ModelBundle(WHEEL_TRACKS, (EXACT_M0, EXACT_M1), WIDE_RANGES, (), 1023, {"r0": 1e-4})
         with pytest.raises(SpecError, match="need all of r0, r1"):
             observation_from_bundle(bundle)
 
@@ -252,9 +249,9 @@ class TestCountCharts:
     def test_charts_equal_scalar_evaluation_bit_for_bit(self):
         ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
         obs = wheel_obs(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, 1e-4, 1e-4, ranges)
-        for wiper, valid in zip(obs.wipers, ranges):
+        for wiper, (_, v_max) in zip(obs.wipers, ranges):
             # The chart ends at the highest admitted count, v_max - 1.
-            assert len(wiper.chart) == valid.v_max
+            assert len(wiper.chart) == v_max
             assert all(wiper.chart[c] == float(wiper.model.evaluate(c)) for c in range(len(wiper.chart)))
         (tilt,) = tilt_obs(TILT_TRUTH, 1e-4).wipers
         assert len(tilt.chart) == 1024

@@ -10,6 +10,7 @@ counts are written as an ``estimate`` log, with ``omega`` the commanded
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -49,7 +50,7 @@ def _replay(tmp_path, monkeypatch, preset, seed):
     params = {"k": config.tm.k, "dt": config.tm.dt, "q": config.tm.q, "sigma0": config.sigma0}
     params.update(zip(estimate.variance_keys(width), [wiper.r for wiper in config.obs.wipers]))
     model_json = tmp_path / "model.json"
-    characterize.save_bundle(bundle.with_filter_params(params), model_json)
+    characterize.save_bundle(replace(bundle, filter_params=params), model_json)
     log = tmp_path / "readings.csv"
     with open(log, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(["t", *(f"v{i}" for i in range(width)), "omega"]) + "\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paintpot.characterize import FitReport, ModelBundle, compute_valid_ranges
+from paintpot.characterize import ModelBundle, compute_valid_ranges
 from paintpot.geometry import WHEEL_TRACKS
 from paintpot.errors import SpecError
 from paintpot.estimate import TransitionModel, observation_from_bundle
@@ -25,7 +25,7 @@ from paintpot.trajectory import (
     sample,
 )
 
-from oracles import estimate_step_jumps, quintic_coefficients, wrap_brute
+from oracles import estimate_step_jumps, quintic_coefficients, sample_reference, wrap_brute
 
 PI = math.pi
 
@@ -59,19 +59,25 @@ class TestPlanQuintic:
             plan_quintic(0.0, 1.0, 0.0)
 
 
+def sample_one(traj, t):
+    """:func:`sample` at the one time ``t``, as floats."""
+    position, velocity = sample(traj, np.array([t]))
+    return position.item(), velocity.item()
+
+
 class TestSample:
     def test_start(self):
         traj = plan_quintic(0.3, 1.1, 2.0)
-        assert sample(traj, 0.0) == (0.3, 0.0)
+        assert sample_one(traj, 0.0) == (0.3, 0.0)
 
     def test_end_and_beyond(self):
         traj = plan_quintic(0.3, 1.1, 2.0)
-        assert sample(traj, 2.0) == (1.1, 0.0)
-        assert sample(traj, 99.0) == (1.1, 0.0)
+        assert sample_one(traj, 2.0) == (1.1, 0.0)
+        assert sample_one(traj, 99.0) == (1.1, 0.0)
 
     def test_midpoint_of_unit_move(self):
         traj = plan_quintic(0.0, 1.0, 1.0)
-        pos, vel = sample(traj, 0.5)
+        pos, vel = sample_one(traj, 0.5)
         assert pos == 0.5
         assert vel == 1.875
 
@@ -86,7 +92,7 @@ class TestSample:
         ends = [-1.0, -0.0, 0.0, 5e-324, math.nextafter(t_total, 0.0), t_total, math.nextafter(t_total, 20.0), 20.0]
         t = np.concatenate([steps, ends])
         position, velocity = sample(traj, t)
-        scalar = [sample(traj, time) for time in t.tolist()]
+        scalar = [sample_reference(traj, time) for time in t.tolist()]
         assert position.tobytes() == np.array([p for p, _ in scalar], dtype=float).tobytes()
         assert velocity.tobytes() == np.array([v for _, v in scalar], dtype=float).tobytes()
 
@@ -95,7 +101,7 @@ class TestSample:
         for _ in range(20):
             x0, xf = rng.uniform(-PI, PI, 2)
             traj = plan_quintic(float(x0), float(xf), float(rng.uniform(0.5, 8.0)))
-            positions = [sample(traj, t)[0] for t in np.linspace(0, traj.t_total, 501)]
+            positions, _ = sample(traj, np.linspace(0, traj.t_total, 501))
             diffs = np.diff(positions)
             sign = math.copysign(1.0, xf - x0) if xf != x0 else 0.0
             assert np.all(sign * diffs >= 0.0)
@@ -134,7 +140,7 @@ def wheel_config(seed=0, noise_std=1.0, plant_q=0.02, x0=PI, xf=0.0):
     ranges = compute_valid_ranges(WHEEL_TRUTH_W0, WHEEL_TRUTH_W1, adc_max=1023, tracks=WHEEL_TRACKS)
     r = 1e-4 if noise_std > 0 else 2.5e-5
     truth = (WHEEL_TRUTH_W0, WHEEL_TRUTH_W1)
-    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, FitReport(()), 1023, {"r0": r, "r1": r}))
+    obs = observation_from_bundle(ModelBundle(WHEEL_TRACKS, truth, ranges, (), 1023, {"r0": r, "r1": r}))
     tm = TransitionModel(k=0.2, dt=0.01, q=0.05)
     return ExperimentConfig(
         sensor=spec,
@@ -190,7 +196,7 @@ class TestRunExperiment:
 
     def test_observation_model_of_the_other_joint_rejected(self):
         config = wheel_config()
-        tilt = ModelBundle((None,), (TILT_TRUTH,), (), FitReport(()), 1023, {"r": 1e-4})
+        tilt = ModelBundle((None,), (TILT_TRUTH,), (), (), 1023, {"r": 1e-4})
         bad = ExperimentConfig(
             sensor=config.sensor,
             obs=observation_from_bundle(tilt),
